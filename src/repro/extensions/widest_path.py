@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.controller import ControllerConfig, SetpointController
 from repro.graph.csr import CSRGraph
 from repro.instrument.trace import IterationRecord, RunTrace
-from repro.sssp.frontier import ragged_arange
+from repro.sssp.frontier import edge_offsets, sorted_unique
 from repro.sssp.result import SSSPResult
 
 __all__ = [
@@ -94,12 +94,10 @@ def _advance_widest(
 
     Returns (improved endpoints with duplicates, total edges == X^(2)).
     """
-    starts = graph.indptr[frontier]
-    counts = graph.indptr[frontier + 1] - starts
-    x2 = int(counts.sum())
+    offsets, counts = edge_offsets(graph.indptr, frontier)
+    x2 = int(offsets.size)
     if x2 == 0:
         return _EMPTY, 0
-    offsets = np.repeat(starts, counts) + ragged_arange(counts)
     v = graph.indices[offsets].astype(np.int64)
     w = graph.weights[offsets]
     ku = np.repeat(key[frontier], counts)
@@ -149,7 +147,7 @@ def _run_widest(
         if controller:
             controller.observe_advance(x1, x2)
 
-        unique_improved = np.unique(improved) if improved.size else _EMPTY
+        unique_improved = sorted_unique(improved)
         x3 = int(unique_improved.size)
 
         mask = key[unique_improved] < split
@@ -173,11 +171,11 @@ def _run_widest(
             delta_now = decision.delta
             new_split = lower + delta_now
             if new_split > split and far.size:
-                far = np.unique(far)
+                far = sorted_unique(far)
                 live = far[key[far] < advanced_at[far]]
                 pull = live[key[live] < new_split]
                 if pull.size:
-                    near = np.union1d(near, pull)
+                    near = sorted_unique(np.concatenate((near, pull)))
                     moved_from_far = int(pull.size)
                 far = live[key[live] >= new_split]
             elif new_split < split and near.size:
@@ -191,7 +189,7 @@ def _run_widest(
         frontier = near
         drains = 0
         if frontier.size == 0 and far.size:
-            far = np.unique(far)
+            far = sorted_unique(far)
             live = far[key[far] < advanced_at[far]]
             if live.size:
                 drains = 1

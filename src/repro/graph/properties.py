@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.sssp.frontier import edge_offsets
 
 __all__ = [
     "GraphStats",
@@ -81,13 +82,10 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
     depth = 0
     while frontier.size:
         depth += 1
-        starts = graph.indptr[frontier]
-        ends = graph.indptr[frontier + 1]
-        counts = ends - starts
-        if counts.sum() == 0:
-            break
         # gather all neighbour indices of the frontier in one shot
-        offsets = np.repeat(starts, counts) + _ragged_arange(counts)
+        offsets, _ = edge_offsets(graph.indptr, frontier)
+        if offsets.size == 0:
+            break
         neigh = graph.indices[offsets]
         fresh = neigh[level[neigh] < 0]
         if fresh.size == 0:
@@ -96,17 +94,6 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
         level[fresh] = depth
         frontier = fresh
     return level
-
-
-def _ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``[arange(c) for c in counts]`` without a Python loop."""
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ids = np.arange(total, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return ids - np.repeat(starts, counts)
 
 
 def reachable_count(graph: CSRGraph, source: int) -> int:

@@ -39,7 +39,7 @@ class NumpyBackend(KernelBackend):
         return _f.advance(graph, frontier, dist)
 
     def filter_frontier(self, improved: np.ndarray) -> np.ndarray:
-        """Deduplicate with ``np.unique``."""
+        """Deduplicate by sort + adjacent-diff (``sorted_unique``)."""
         return _f.filter_frontier(improved)
 
     def bisect(

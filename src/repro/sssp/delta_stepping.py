@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.sssp.frontier import ragged_arange
+from repro.sssp.frontier import edge_offsets, sorted_unique
 from repro.sssp.result import SSSPResult
 
 __all__ = ["delta_stepping"]
@@ -31,14 +31,9 @@ def _relax_edges(
 
     Returns (improved unique endpoints, relaxation count).
     """
-    if frontier.size == 0:
+    offsets, counts = edge_offsets(graph.indptr, frontier)
+    if offsets.size == 0:
         return np.zeros(0, dtype=np.int64), 0
-    starts = graph.indptr[frontier]
-    counts = graph.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    offsets = np.repeat(starts, counts) + ragged_arange(counts)
     v = graph.indices[offsets].astype(np.int64)
     w = graph.weights[offsets]
     mask = (w <= delta) if light else (w > delta)
@@ -49,7 +44,7 @@ def _relax_edges(
     cand = du + w
     old = dist[v]
     np.minimum.at(dist, v, cand)
-    improved = np.unique(v[cand < old])
+    improved = sorted_unique(v[cand < old])
     return improved, int(v.size)
 
 
@@ -99,7 +94,7 @@ def delta_stepping(
 
         # heavy edges of everything settled in this phase, once
         if settled_this_phase:
-            settled = np.unique(np.concatenate(settled_this_phase))
+            settled = sorted_unique(np.concatenate(settled_this_phase))
             improved, r = _relax_edges(graph, settled, dist, light=False, delta=delta)
             relaxations += r
             active[improved] = True

@@ -1,11 +1,13 @@
 """Unit tests for the partitioned far queue (Section 4.6)."""
 
 import math
+from typing import List
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.partitions import FarQueuePartitions
 
@@ -181,3 +183,151 @@ class TestConservation:
         out = fq.extract_all()
         assert sorted(out.tolist()) == sorted(verts.tolist())
         assert fq.total() == 0
+
+
+class ReferencePartitions:
+    """The partition protocol with every scan starting at partition 0.
+
+    Kept as the executable reference for :class:`FarQueuePartitions`,
+    whose running total and current-partition invariant must not change
+    any observable result.
+    """
+
+    def __init__(self, initial_boundary: float):
+        self.uppers: List[float] = [float(initial_boundary), math.inf]
+        self.chunks: List[List[np.ndarray]] = [[], []]
+        self.counts: List[int] = [0, 0]
+        self.current = 0
+
+    def total(self) -> int:
+        return int(sum(self.counts))
+
+    def advance_current(self) -> None:
+        for i, count in enumerate(self.counts):
+            if count:
+                self.current = i
+                return
+        self.current = len(self.uppers) - 1
+
+    def current_partition(self):
+        self.advance_current()
+        i = self.current
+        return self.counts[i], self.uppers[i], self.uppers[i - 1] if i else 0.0
+
+    def min_occupied_lower(self) -> float:
+        lower = 0.0
+        for upper, count in zip(self.uppers, self.counts):
+            if count:
+                return lower
+            lower = upper
+        return math.inf
+
+    def insert(self, vertices: np.ndarray, distances: np.ndarray) -> None:
+        if vertices.size == 0:
+            return
+        part = np.searchsorted(self.uppers, distances, side="left")
+        order = np.argsort(part, kind="stable")
+        part_s, verts_s = part[order], vertices[order]
+        starts = np.flatnonzero(np.diff(part_s, prepend=-1))
+        for si, start in enumerate(starts):
+            end = starts[si + 1] if si + 1 < starts.size else part_s.size
+            p = int(part_s[start])
+            self.chunks[p].append(verts_s[start:end])
+            self.counts[p] += end - start
+
+    def extract_below(self, split: float) -> np.ndarray:
+        pulled: List[np.ndarray] = []
+        lower = 0.0
+        for i, upper in enumerate(self.uppers):
+            if lower >= split:
+                break
+            if self.counts[i]:
+                pulled.extend(self.chunks[i])
+                self.chunks[i] = []
+                self.counts[i] = 0
+            lower = upper
+        if not pulled:
+            return np.zeros(0, dtype=np.int64)
+        self.advance_current()
+        return np.concatenate(pulled)
+
+    def refresh_boundaries(self, setpoint: float, alpha: float) -> None:
+        self.advance_current()
+        width = setpoint / alpha
+        i = self.current
+        while i < len(self.uppers):
+            if math.isinf(self.uppers[i]):
+                self.uppers.append(math.inf)
+                self.chunks.append([])
+                self.counts.append(0)
+            prev_upper = self.uppers[i - 1] if i else 0.0
+            candidate = prev_upper + width
+            if candidate < self.uppers[i]:
+                self.uppers[i] = candidate
+            i += 1
+            if i >= len(self.uppers) - 1:
+                break
+
+
+class PartitionsMatchReference(RuleBasedStateMachine):
+    """Random operation sequences give identical results on both queues."""
+
+    def __init__(self):
+        super().__init__()
+        self.queue = FarQueuePartitions(initial_boundary=10.0)
+        self.ref = ReferencePartitions(initial_boundary=10.0)
+        self.next_vertex = 0
+
+    @rule(distances=st.lists(st.floats(min_value=0.0, max_value=300.0), max_size=12))
+    def insert(self, distances):
+        d = np.asarray(distances, dtype=np.float64)
+        v = np.arange(self.next_vertex, self.next_vertex + d.size, dtype=np.int64)
+        self.next_vertex += d.size
+        self.queue.insert(v, d)
+        self.ref.insert(v, d)
+
+    @rule(
+        split=st.one_of(
+            st.floats(min_value=0.0, max_value=400.0), st.sampled_from([math.inf, math.nan])
+        )
+    )
+    def extract_below(self, split):
+        got, want = self.queue.extract_below(split), self.ref.extract_below(split)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)  # same vertices in the same order
+
+    @rule(
+        setpoint=st.floats(min_value=0.5, max_value=100.0),
+        alpha=st.floats(min_value=0.05, max_value=20.0),
+    )
+    def refresh_boundaries(self, setpoint, alpha):
+        self.queue.refresh_boundaries(setpoint, alpha)
+        self.ref.refresh_boundaries(setpoint, alpha)
+
+    @rule()
+    def min_occupied_lower(self):
+        assert self.queue.min_occupied_lower() == self.ref.min_occupied_lower()
+
+    @rule()
+    def current_partition(self):
+        # current_index is defined once an accessor resolved it: the
+        # reference leaves it behind a partition an insert just filled
+        got = (
+            self.queue.current_partition_size(),
+            self.queue.current_partition_upper(),
+            self.queue.current_partition_lower(),
+        )
+        assert got == self.ref.current_partition()
+        assert self.queue.current_index == self.ref.current
+
+    @invariant()
+    def same_state(self):
+        assert self.queue.total() == self.ref.total()
+        assert self.queue.partition_sizes().tolist() == self.ref.counts
+        assert self.queue.boundaries == self.ref.uppers
+
+
+TestPartitionsMatchReference = PartitionsMatchReference.TestCase
+TestPartitionsMatchReference.settings = settings(
+    max_examples=200, stateful_step_count=60, deadline=None
+)

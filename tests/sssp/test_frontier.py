@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import star_graph
@@ -13,25 +15,55 @@ from repro.sssp.frontier import (
     batched_filter,
     bisect,
     drain_far_queue,
+    edge_offsets,
     filter_frontier,
-    ragged_arange,
+    sorted_unique,
 )
 
 EMPTY = np.zeros(0, dtype=np.int64)
+I64 = np.iinfo(np.int64)
+
+
+def _edge_offsets(counts, rows=None):
+    """``edge_offsets`` over a CSR whose row ``r`` has ``counts[r]`` edges."""
+    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    rows = np.arange(len(counts)) if rows is None else np.asarray(rows, dtype=np.int64)
+    return edge_offsets(indptr, rows)
 
 
 class TestRaggedArange:
+    """``edge_offsets`` is a ragged arange over the CSR rows it is given."""
+
     def test_basic(self):
-        assert list(ragged_arange(np.asarray([3, 1, 2]))) == [0, 1, 2, 0, 0, 1]
+        offsets, counts = _edge_offsets([3, 1, 2], rows=[2, 0, 1])
+        assert list(offsets) == [4, 5, 0, 1, 2, 3]
+        assert list(counts) == [2, 3, 1]
 
     def test_zeros_inside(self):
-        assert list(ragged_arange(np.asarray([0, 2, 0, 1]))) == [0, 1, 0]
+        offsets, counts = _edge_offsets([0, 2, 0, 1])
+        assert list(offsets) == [0, 1, 2]
+        assert list(counts) == [0, 2, 0, 1]
 
     def test_empty(self):
-        assert ragged_arange(np.asarray([], dtype=np.int64)).size == 0
+        offsets, counts = _edge_offsets([3, 1], rows=[])
+        assert offsets.size == 0 and counts.size == 0
+        assert offsets.dtype == np.int64
 
     def test_all_zero(self):
-        assert ragged_arange(np.asarray([0, 0])).size == 0
+        assert _edge_offsets([0, 0])[0].size == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.integers(0, 5), min_size=1, max_size=20),
+        st.lists(st.integers(0, 19), max_size=30),
+    )
+    def test_matches_loop_reference(self, counts, rows):
+        rows = [r % len(counts) for r in rows]  # repeats and any order allowed
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        want = [e for r in rows for e in range(indptr[r], indptr[r + 1])]
+        offsets, got_counts = _edge_offsets(counts, rows=rows)
+        assert offsets.tolist() == want
+        assert got_counts.tolist() == [counts[r] for r in rows]
 
 
 class TestAdvance:
@@ -93,6 +125,26 @@ class TestFilter:
 
     def test_empty(self):
         assert filter_frontier(EMPTY).size == 0
+
+
+class TestSortedUnique:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(-3, 3), st.integers(int(I64.min), int(I64.max))),
+            max_size=300,
+        )
+    )
+    @example([])
+    @example([42])
+    @example([7] * 50)
+    @example([-5, -1, -5, -3, -1])
+    @example([int(I64.max), int(I64.min), 0, int(I64.min), int(I64.max)])
+    def test_matches_np_unique(self, values):
+        keys = np.asarray(values, dtype=np.int64)
+        got, want = sorted_unique(keys), np.unique(keys)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestBisect:
@@ -171,13 +223,13 @@ class TestDrainFarQueue:
 
 class TestRaggedArangeZeroRows:
     def test_trailing_zero_rows(self):
-        assert list(ragged_arange(np.asarray([2, 0, 0]))) == [0, 1]
+        assert list(_edge_offsets([2, 0, 0])[0]) == [0, 1]
 
     def test_leading_zero_rows(self):
-        assert list(ragged_arange(np.asarray([0, 0, 3]))) == [0, 1, 2]
+        assert list(_edge_offsets([0, 0, 3])[0]) == [0, 1, 2]
 
     def test_single_zero(self):
-        assert ragged_arange(np.asarray([0])).size == 0
+        assert _edge_offsets([0])[0].size == 0
 
 
 class TestBatchedAdvance:
