@@ -64,44 +64,3 @@ def test_advance_kernel_throughput(benchmark):
     out = benchmark(run)
     assert out.x2 == GRAPH.num_edges
 
-
-def _resolve_quietly(name):
-    """Resolve a backend, silencing the numba-fallback warning."""
-    import warnings
-
-    from repro.sssp.backends import resolve_backend
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return resolve_backend(name)
-
-
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_nearfar_backend_throughput(benchmark, backend):
-    """Full nearfar run per kernel backend (numba falls back cleanly)."""
-    import numpy as np
-
-    kb = _resolve_quietly(backend)
-    nearfar_sssp(GRAPH, SOURCE, collect_trace=False, backend=kb)  # warm JIT
-    result = benchmark(
-        lambda: nearfar_sssp(GRAPH, SOURCE, collect_trace=False, backend=kb)[0]
-    )
-    baseline, _ = nearfar_sssp(GRAPH, SOURCE, collect_trace=False)
-    assert np.array_equal(result.dist, baseline.dist)
-
-
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_advance_backend_throughput(benchmark, backend):
-    """One full-frontier advance per kernel backend."""
-    import numpy as np
-
-    kb = _resolve_quietly(backend)
-    frontier = np.arange(GRAPH.num_nodes, dtype=np.int64)
-    kb.advance(GRAPH, frontier, np.zeros(GRAPH.num_nodes))  # warm JIT
-
-    def run():
-        dist = np.zeros(GRAPH.num_nodes)
-        return kb.advance(GRAPH, frontier, dist)
-
-    out = benchmark(run)
-    assert out.x2 == GRAPH.num_edges

@@ -157,11 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--device", choices=["tk1", "tx1"], default=None,
                      help="also replay the run on this simulated device")
     run.add_argument("--save-trace", default=None, help="write the trace JSON here")
-    run.add_argument(
-        "--backend", default=None,
-        help="kernel backend for nearfar (numpy, numba; default: "
-        "$REPRO_KERNEL_BACKEND, then numpy)",
-    )
 
     gen = sub.add_parser(
         "generate", parents=[common], help="write a synthetic dataset to a file"
@@ -191,11 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--source", type=int, default=None)
     rec.add_argument("--setpoint", type=float, default=None, help="P (adaptive)")
     rec.add_argument("--delta", type=float, default=None, help="delta (nearfar)")
-    rec.add_argument(
-        "--backend", default=None,
-        help="kernel backend for nearfar (numpy, numba; default: "
-        "$REPRO_KERNEL_BACKEND, then numpy)",
-    )
     rec.add_argument(
         "-o", "--out", default="run",
         help="output base path: writes <out>.trace.json, <out>.events.jsonl, "
@@ -253,11 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-batch", type=int, default=16,
             help="coalesce up to N concurrent same-corridor queries "
             "into one batched kernel call (1 disables)",
-        )
-        p.add_argument(
-            "--backend", default=None,
-            help="default kernel backend for nearfar queries (numpy, "
-            "numba; default: $REPRO_KERNEL_BACKEND, then numpy)",
         )
         p.add_argument(
             "--breaker-threshold", type=int, default=5,
@@ -642,8 +627,17 @@ def _print_metrics_snapshot(snapshot: Dict[str, dict]) -> None:
             print(line)
 
 
-def _cmd_sssp(args: argparse.Namespace) -> int:
+def _load_graph_file(path: str):
+    """:func:`~repro.graph.io.load_graph`, exiting cleanly on a bad file."""
     from repro.graph.io import load_graph
+
+    try:
+        return load_graph(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot load graph {path}: {exc}") from None
+
+
+def _cmd_sssp(args: argparse.Namespace) -> int:
     from repro.sssp import (
         bellman_ford,
         delta_stepping,
@@ -654,7 +648,7 @@ def _cmd_sssp(args: argparse.Namespace) -> int:
     from repro.core import AdaptiveParams, adaptive_sssp
     from repro import obs
 
-    graph = load_graph(args.graph)
+    graph = _load_graph_file(args.graph)
     source = (
         args.source
         if args.source is not None
@@ -673,9 +667,7 @@ def _cmd_sssp(args: argparse.Namespace) -> int:
         elif args.algorithm == "delta-stepping":
             result = delta_stepping(graph, source, args.delta)
         elif args.algorithm == "nearfar":
-            result, trace = nearfar_sssp(
-                graph, source, delta=args.delta, backend=args.backend
-            )
+            result, trace = nearfar_sssp(graph, source, delta=args.delta)
         elif args.algorithm == "kla":
             result, trace = kla_sssp(graph, source, args.k)
         else:
@@ -740,10 +732,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_table
-    from repro.graph.io import load_graph
     from repro.graph.properties import graph_stats
 
-    graph = load_graph(args.graph)
+    graph = _load_graph_file(args.graph)
     stats = graph_stats(graph)
     print(format_table([stats.as_row()]))
     return 0
@@ -761,7 +752,7 @@ def _service_catalog(args: argparse.Namespace):
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
             raise SystemExit(f"--graph-file expects NAME=PATH, got {spec!r}")
-        catalog.register_file(name, path)
+        catalog.register(name, _load_graph_file(path))
     return catalog
 
 
@@ -830,7 +821,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         cache_size=args.cache_size,
         max_batch=args.max_batch,
-        backend=args.backend,
         **_resilience_kwargs(args),
     )
     if args.listen:
@@ -1145,7 +1135,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             cache_size=args.cache_size,
             max_batch=args.max_batch,
-            backend=args.backend,
             **_resilience_kwargs(args),
         )
         with engine:
@@ -1422,7 +1411,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             cache_size=args.cache_size,
             max_batch=args.max_batch,
-            backend=args.backend,
             **kwargs,
         )
         with engine:
@@ -1662,7 +1650,6 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.core import AdaptiveParams, adaptive_sssp
     from repro.experiments.report import format_table
-    from repro.graph.io import load_graph
     from repro.instrument.serialize import save_trace
     from repro.sssp import nearfar_sssp
 
@@ -1671,7 +1658,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     events_path = Path(f"{base}.events.jsonl")
     metrics_path = Path(f"{base}.metrics.json")
 
-    graph = load_graph(args.graph)
+    graph = _load_graph_file(args.graph)
     source = (
         args.source
         if args.source is not None
@@ -1694,8 +1681,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
                     )
                 else:
                     result, trace = nearfar_sssp(
-                        graph, source, delta=args.delta,
-                        backend=args.backend,
+                        graph, source, delta=args.delta
                     )
         events_written = sink.count
 

@@ -118,10 +118,18 @@ def read_matrix_market(path: str | Path) -> CSRGraph:
         if symmetry not in {"general", "symmetric"}:
             raise ValueError(f"unsupported symmetry {symmetry!r}")
 
+        lineno = 2
         line = fh.readline()
         while line.startswith("%"):
             line = fh.readline()
-        rows, cols, nnz = (int(t) for t in line.split())
+            lineno += 1
+        size = line.split()
+        if len(size) != 3 or not all(t.isdecimal() for t in size):
+            raise ValueError(
+                f"line {lineno}: bad MatrixMarket size line {line!r} "
+                "(expected 'rows cols entries')"
+            )
+        rows, cols, nnz = (int(t) for t in size)
         if rows != cols:
             raise ValueError("graph adjacency matrices must be square")
 
@@ -129,11 +137,23 @@ def read_matrix_market(path: str | Path) -> CSRGraph:
         dst = np.empty(nnz, dtype=np.int64)
         w = np.ones(nnz, dtype=np.float64)
         for i in range(nnz):
-            parts = fh.readline().split()
-            src[i] = int(parts[0]) - 1
-            dst[i] = int(parts[1]) - 1
-            if field != "pattern":
-                w[i] = float(parts[2])
+            lineno += 1
+            line = fh.readline()
+            if not line:
+                raise ValueError(
+                    f"line {lineno}: file ends after {i} of the {nnz} "
+                    "entries the size line declares"
+                )
+            parts = line.split()
+            try:
+                src[i] = int(parts[0]) - 1
+                dst[i] = int(parts[1]) - 1
+                if field != "pattern":
+                    w[i] = float(parts[2])
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"line {lineno}: bad MatrixMarket entry {line!r}"
+                ) from None
 
     if symmetry == "symmetric":
         off = src != dst  # mirror all off-diagonal entries

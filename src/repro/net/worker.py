@@ -712,7 +712,11 @@ class WorkerClient:
     # -- public surface ------------------------------------------------
     @property
     def alive(self) -> bool:
-        return not self._dead and self.proc.poll() is None
+        # a reaped process is dead even if the reader has not seen EOF
+        # yet: record it here so death_reason is set whenever alive is False
+        if not self._dead and self.proc.poll() is not None:
+            self._mark_dead(self.exit_description())
+        return not self._dead
 
     def beat_age(self, now: Optional[float] = None) -> float:
         now = time.monotonic() if now is None else now

@@ -13,9 +13,6 @@ turns them into a serving stack:
 * :mod:`~repro.service.engine` — the query engine: fingerprint-keyed
   caching, in-flight dedup, pool fan-out, ``query_start``/``query_end``
   events;
-* :mod:`~repro.service.scheduler` — the coalescing window: park
-  concurrent queries for up to ``max_wait_ms``, dispatch up to
-  ``max_batch`` of them as one batched kernel call;
 * :mod:`~repro.service.runners` — wire-name -> algorithm dispatch
   (single-source and batched entry points);
 * :mod:`~repro.service.protocol` — the JSONL request/response format
@@ -53,11 +50,9 @@ from repro.service.runners import (
     run_algorithm_batch_traced,
     run_algorithm_traced,
 )
-from repro.service.scheduler import CoalescingScheduler
 
 __all__ = [
     "BATCHED_ALGORITHMS",
-    "CoalescingScheduler",
     "ExecutorPool",
     "GraphCatalog",
     "LRUCache",

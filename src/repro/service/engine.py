@@ -47,7 +47,6 @@ runner tasks, no envelopes, no per-query overhead.
 from __future__ import annotations
 
 import json
-import os
 import time
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -70,7 +69,6 @@ from repro.service.cache import LRUCache
 from repro.service.catalog import GraphCatalog
 from repro.service.pool import ExecutorPool, PoolTimeoutError
 from repro.service.runners import (
-    ALGORITHM_PARAMS,
     BATCHED_ALGORITHMS,
     run_algorithm,
     run_algorithm_batch,
@@ -121,6 +119,7 @@ class QueryResponse:
     trace_id: Optional[str] = None
 
     def as_dict(self) -> dict:
+        """The JSON-ready wire form: query echo plus answer or error."""
         out: dict = {"ok": self.ok}
         if self.query.request_id is not None:
             out["id"] = self.query.request_id
@@ -240,14 +239,6 @@ class QueryEngine:
         (only for algorithms with a multi-source kernel — see
         :data:`~repro.service.runners.BATCHED_ALGORITHMS`).  1 (the
         default) disables coalescing: every miss is its own pool task.
-    backend:
-        Default kernel backend for algorithms that accept one (see
-        :mod:`repro.sssp.backends`): injected into query params when
-        the request does not name its own, stamped into the
-        ``service.query.*`` metric labels and :meth:`stats`.  Falls
-        back to the ``REPRO_KERNEL_BACKEND`` environment variable;
-        when neither is set queries run on the per-call default
-        (numpy) and no backend label is added.
     labels:
         Extra labels folded into every ``service.query.*`` histogram
         this engine publishes (on top of ``graph``/``algorithm``).
@@ -268,22 +259,10 @@ class QueryEngine:
         breaker: Optional[BreakerConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
         max_batch: int = 1,
-        backend: Optional[str] = None,
         labels: Optional[Mapping[str, str]] = None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        requested_backend = backend or os.environ.get("REPRO_KERNEL_BACKEND")
-        if requested_backend:
-            # resolve eagerly: an unknown name fails construction, a
-            # known-but-unavailable one warns and pins the fallback
-            from repro.sssp.backends import resolve_backend
-
-            self.backend: Optional[str] = resolve_backend(
-                requested_backend
-            ).name
-        else:
-            self.backend = None
         self.catalog = catalog
         self._graphs = catalog.load_all()
         self.pool = ExecutorPool(
@@ -298,8 +277,6 @@ class QueryEngine:
         self.breakers = BreakerBoard(breaker)
         self.max_batch = int(max_batch)
         self._extra_labels = dict(labels or {})
-        if self.backend is not None:
-            self._extra_labels.setdefault("backend", self.backend)
         self._qid = 0
         self.retry_attempts = 0  # extra attempts beyond the first, total
         self.retry_exhausted = 0  # queries that failed after all attempts
@@ -435,6 +412,7 @@ class QueryEngine:
         self.pool.add_graph(graph_id, graph)
 
     def close(self, *, cancel_pending: bool = False) -> None:
+        """Shut the worker pool down; ``cancel_pending`` drops queued tasks."""
         self.pool.close(cancel_pending=cancel_pending)
 
     def __enter__(self) -> "QueryEngine":
@@ -532,22 +510,6 @@ class QueryEngine:
         """Answer one query (cache -> pool), never raising for bad input."""
         return self.run_many([query])[0]
 
-    def _task_params(self, query: SSSPQuery) -> dict:
-        """The params shipped to the pool task for one query.
-
-        Injects the engine's default kernel backend when the query did
-        not name its own and the algorithm accepts one; a per-query
-        ``backend`` param always wins.
-        """
-        params = dict(query.params)
-        if (
-            self.backend is not None
-            and "backend" not in params
-            and "backend" in ALGORITHM_PARAMS.get(query.algorithm, ())
-        ):
-            params["backend"] = self.backend
-        return params
-
     def _envelope(self, ctx: Optional[TraceContext]) -> dict:
         """The telemetry envelope for one pool task: the worker's trace
         context (a pool-hop child of the engine span) plus the enqueue
@@ -574,14 +536,14 @@ class QueryEngine:
                 self._envelope(ctx),
                 int(query.source),
                 query.algorithm,
-                self._task_params(query),
+                dict(query.params),
             )
         else:
             args = (
                 run_algorithm,
                 int(query.source),
                 query.algorithm,
-                self._task_params(query),
+                dict(query.params),
             )
         try:
             return self.pool.submit(query.graph_id, *args)
@@ -605,14 +567,14 @@ class QueryEngine:
                 self._envelope(ctx),
                 sources,
                 lead.algorithm,
-                self._task_params(lead),
+                dict(lead.params),
             )
         else:
             args = (
                 run_algorithm_batch,
                 sources,
                 lead.algorithm,
-                self._task_params(lead),
+                dict(lead.params),
             )
         try:
             return self.pool.submit(lead.graph_id, *args)
@@ -1074,7 +1036,6 @@ class QueryEngine:
             "graphs": self.pool.graph_ids,
             "queries": self._qid,
             "max_batch": self.max_batch,
-            "backend": self.backend,
             "telemetry": self._telemetry,
             "cache": self.cache.stats(),
             "pool": {

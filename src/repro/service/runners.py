@@ -41,7 +41,7 @@ ALGORITHM_PARAMS: Dict[str, Tuple[str, ...]] = {
     "dijkstra": (),
     "bellman-ford": (),
     "delta-stepping": ("delta",),
-    "nearfar": ("delta", "backend"),
+    "nearfar": ("delta",),
     "adaptive": ("setpoint",),
     "kla": ("k",),
 }
@@ -51,6 +51,7 @@ BATCHED_ALGORITHMS: Tuple[str, ...] = ("nearfar",)
 
 
 def algorithm_names() -> Tuple[str, ...]:
+    """The wire-level algorithm names the service accepts, sorted."""
     return tuple(sorted(ALGORITHM_PARAMS))
 
 
@@ -68,15 +69,6 @@ def validate_params(algorithm: str, params: Mapping) -> dict:
             f"algorithm {algorithm!r} does not accept {unknown}; "
             f"accepted: {list(accepted) or 'none'}"
         )
-    backend = params.get("backend")
-    if backend is not None:
-        from repro.sssp.backends import backend_names
-
-        if backend not in backend_names():
-            raise ValueError(
-                f"unknown kernel backend {backend!r} "
-                f"(registered: {', '.join(backend_names())})"
-            )
     return params
 
 
@@ -113,11 +105,7 @@ def run_algorithm(
         from repro.sssp.nearfar import nearfar_sssp
 
         result, _ = nearfar_sssp(
-            graph,
-            source,
-            delta=params.get("delta"),
-            collect_trace=False,
-            backend=params.get("backend"),
+            graph, source, delta=params.get("delta"), collect_trace=False
         )
         return result
     if algorithm == "kla":
@@ -164,12 +152,7 @@ def run_algorithm_batch(
     if algorithm in BATCHED_ALGORITHMS:
         from repro.sssp.batch_kernels import batched_nearfar_sssp
 
-        return batched_nearfar_sssp(
-            graph,
-            sources,
-            delta=params.get("delta"),
-            backend=params.get("backend"),
-        )
+        return batched_nearfar_sssp(graph, sources, delta=params.get("delta"))
     return [run_algorithm(graph, s, algorithm, params) for s in sources]
 
 

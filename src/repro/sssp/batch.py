@@ -71,15 +71,19 @@ class BatchRun:
 
     @property
     def count(self) -> int:
+        """Number of runs in the batch."""
         return len(self.results)
 
     def iterations(self) -> np.ndarray:
+        """Per-run iteration counts, in source order."""
         return np.asarray([r.iterations for r in self.results])
 
     def relaxations(self) -> np.ndarray:
+        """Per-run edge-relaxation counts, in source order."""
         return np.asarray([r.relaxations for r in self.results])
 
     def reached(self) -> np.ndarray:
+        """Per-run counts of vertices reached from the source."""
         return np.asarray([r.num_reached for r in self.results])
 
     def parallelism_summary(self) -> DistributionSummary:
@@ -87,6 +91,7 @@ class BatchRun:
         return summarize(pooled_parallelism(self.traces))
 
     def as_row(self) -> dict:
+        """One summary-table row: iterations, relaxations, pooled X^(2)."""
         s = self.parallelism_summary()
         return {
             "algorithm": self.label,
@@ -109,7 +114,6 @@ def batch_run(
     mode: str = "thread",
     timeout: float | None = None,
     delta: float | None = None,
-    backend: str | None = None,
 ) -> BatchRun:
     """Run ``runner`` from every source.
 
@@ -128,10 +132,9 @@ def batch_run(
     ``mode="batched"`` is the fast path: it ignores ``runner`` and
     answers the whole batch with one multi-source near+far pass
     (:func:`repro.sssp.batch_kernels.batched_nearfar_sssp`, optionally
-    tuned by ``delta`` and run on the kernel ``backend`` of your choice
-    — see :mod:`repro.sssp.backends`).  Distances are byte-identical to
-    looping ``nearfar_sssp`` over the sources; traces come back empty
-    (the batched kernel keeps counters, not per-iteration records).
+    tuned by ``delta``).  Distances are byte-identical to looping
+    ``nearfar_sssp`` over the sources; traces come back empty (the
+    batched kernel keeps counters, not per-iteration records).
     """
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
@@ -140,9 +143,7 @@ def batch_run(
     if mode == "batched":
         from repro.sssp.batch_kernels import batched_nearfar_sssp
 
-        results = batched_nearfar_sssp(
-            graph, sources, delta=delta, backend=backend
-        )
+        results = batched_nearfar_sssp(graph, sources, delta=delta)
         traces = [
             RunTrace(
                 algorithm="nearfar", graph_name=graph.name, source=int(s)

@@ -41,7 +41,12 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.obs import context as obs
 from repro.obs.events import EVENT_SCHEMA_VERSION
-from repro.sssp.backends import KernelBackend, resolve_backend
+from repro.sssp.frontier import (
+    batched_advance,
+    batched_bisect,
+    batched_drain_far,
+    batched_filter,
+)
 from repro.sssp.nearfar import suggest_delta
 from repro.sssp.result import SSSPResult
 
@@ -91,7 +96,6 @@ def batched_nearfar_sssp(
     params: BatchedNearFarParams | None = None,
     *,
     delta: float | Sequence[float] | None = None,
-    backend: str | KernelBackend | None = None,
 ) -> List[SSSPResult]:
     """Run fixed-delta near+far from every source in one batched pass.
 
@@ -106,24 +110,19 @@ def batched_nearfar_sssp(
         Either a full :class:`BatchedNearFarParams` or a bare ``delta``
         (mutually exclusive); defaults to
         :func:`~repro.sssp.nearfar.suggest_delta`.
-    backend:
-        Kernel backend name or instance for the batched stages (see
-        :mod:`repro.sssp.backends`); defaults to the
-        ``REPRO_KERNEL_BACKEND`` environment variable, then ``numpy``.
 
     Returns
     -------
     list of :class:`~repro.sssp.result.SSSPResult`, in source order,
     each with its own per-query iteration and relaxation counts (a
     query's iteration count is the number of sweeps in which it still
-    had frontier work).  ``extra`` records ``delta``, ``batch_size``,
-    ``batched=True`` and the resolved ``backend`` name.
+    had frontier work).  ``extra`` records ``delta``, ``batch_size``
+    and ``batched=True``.
     """
     if params is not None and delta is not None:
         raise ValueError("pass either params or delta, not both")
     if params is None:
         params = BatchedNearFarParams(delta=delta)
-    kernels = resolve_backend(backend)
 
     sources = np.asarray(sources, dtype=np.int64)
     if sources.ndim != 1 or sources.size == 0:
@@ -165,7 +164,6 @@ def batched_nearfar_sssp(
                 "graph": graph.name,
                 "batch_size": B,
                 "sources": sources.tolist(),
-                "backend": kernels.name,
             }
         )
 
@@ -177,12 +175,12 @@ def batched_nearfar_sssp(
         iterations[active] += 1
 
         # stage 1+2: advance all queries' edges in one sweep, then filter
-        adv = kernels.batched_advance(graph, frontier, dist, B)
+        adv = batched_advance(graph, frontier, dist, B)
         relaxations += adv.relaxations_per_query
-        improved = kernels.batched_filter(adv.improved)
+        improved = batched_filter(adv.improved)
 
         # stage 3: bisect against each query's own window
-        near, far_add = kernels.batched_bisect(improved, dist, split, n)
+        near, far_add = batched_bisect(improved, dist, split, n)
         if far_add.size:
             far = np.concatenate([far, far_add]) if far.size else far_add
         frontier = near
@@ -197,7 +195,7 @@ def batched_nearfar_sssp(
             has_far[fq] = True
             need = ~has_near & has_far
             if need.any():
-                pulled, far, lower, split, _ = kernels.batched_drain_far(
+                pulled, far, lower, split, _ = batched_drain_far(
                     far, dist, n, lower, split, deltas, need, far_q=fq
                 )
                 if pulled.size:
@@ -225,7 +223,6 @@ def batched_nearfar_sssp(
                 "delta": float(deltas[q]),
                 "batch_size": B,
                 "batched": True,
-                "backend": kernels.name,
             },
         )
         for q in range(B)

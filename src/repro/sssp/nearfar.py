@@ -23,7 +23,7 @@ from repro.graph.csr import CSRGraph
 from repro.instrument.trace import IterationRecord, RunTrace
 from repro.obs import context as obs
 from repro.obs.events import EVENT_SCHEMA_VERSION
-from repro.sssp.backends import KernelBackend, resolve_backend
+from repro.sssp.frontier import advance, bisect, drain_far_queue, filter_frontier
 from repro.sssp.result import SSSPResult
 
 __all__ = ["NearFarParams", "nearfar_sssp", "suggest_delta"]
@@ -67,7 +67,6 @@ def nearfar_sssp(
     *,
     delta: float | None = None,
     collect_trace: bool = True,
-    backend: str | KernelBackend | None = None,
 ) -> Tuple[SSSPResult, RunTrace]:
     """Run the fixed-delta near+far algorithm.
 
@@ -81,12 +80,6 @@ def nearfar_sssp(
     collect_trace:
         When false, the returned trace is empty (slightly faster runs
         for pure-correctness tests).
-    backend:
-        Kernel backend name or instance for the advance/filter/bisect/
-        drain stages (see :mod:`repro.sssp.backends`); defaults to the
-        ``REPRO_KERNEL_BACKEND`` environment variable, then ``numpy``.
-        The resolved name is stamped into the trace meta and
-        ``result.extra``.
 
     Returns
     -------
@@ -98,7 +91,6 @@ def nearfar_sssp(
         raise ValueError("pass either params or delta, not both")
     if params is None:
         params = NearFarParams(delta=delta if delta is not None else suggest_delta(graph))
-    kernels = resolve_backend(backend)
 
     n = graph.num_nodes
     if not 0 <= source < n:
@@ -119,7 +111,6 @@ def nearfar_sssp(
         meta={
             "delta": params.delta,
             "graph_fingerprint": graph.fingerprint(),
-            "backend": kernels.name,
         },
     )
     iterations = 0
@@ -145,7 +136,6 @@ def nearfar_sssp(
                 "graph": graph.name,
                 "source": source,
                 "delta": params.delta,
-                "backend": kernels.name,
             }
         )
 
@@ -154,15 +144,15 @@ def nearfar_sssp(
         x1 = int(frontier.size)
 
         # stage 1: advance
-        adv = kernels.advance(graph, frontier, dist)
+        adv = advance(graph, frontier, dist)
         relaxations += adv.relaxations
 
         # stage 2: filter
-        unique_improved = kernels.filter_frontier(adv.improved)
+        unique_improved = filter_frontier(adv.improved)
         x3 = int(unique_improved.size)
 
         # stage 3: bisect-frontier
-        near, far_add = kernels.bisect(unique_improved, dist, split)
+        near, far_add = bisect(unique_improved, dist, split)
         if far_add.size:
             far = np.concatenate([far, far_add])
             m_to_far.inc(int(far_add.size))
@@ -173,7 +163,7 @@ def nearfar_sssp(
         frontier = near
         if frontier.size == 0 and far.size:
             m_far_scanned.inc(int(far.size))
-            frontier, far, lower, split, drains = kernels.drain_far_queue(
+            frontier, far, lower, split, drains = drain_far_queue(
                 far, dist, lower, split, params.delta
             )
             m_from_far.inc(int(frontier.size))
@@ -221,7 +211,7 @@ def nearfar_sssp(
         iterations=iterations,
         relaxations=relaxations,
         algorithm="nearfar",
-        extra={"delta": params.delta, "backend": kernels.name},
+        extra={"delta": params.delta},
     )
     if events.enabled:
         events.emit(

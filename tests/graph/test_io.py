@@ -127,6 +127,39 @@ class TestMatrixMarket:
         with pytest.raises(ValueError, match="field"):
             read_matrix_market(p)
 
+    def test_truncated_entries_name_the_line(self, tmp_path):
+        p = tmp_path / "t.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "% comment line\n"
+            "3 3 4\n"
+            "1 2 1.0\n"
+            "2 3 2.0\n"
+        )
+        with pytest.raises(ValueError, match="line 6: file ends after 2 of the 4"):
+            read_matrix_market(p)
+
+    @pytest.mark.parametrize(
+        "entry", ["1 2", "\n", "1 x 1.0", "1 2 heavy"], ids=["short", "blank", "id", "weight"]
+    )
+    def test_bad_entry_line_names_the_line(self, tmp_path, entry):
+        p = tmp_path / "e.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"3 3 2\n1 2 1.0\n{entry}\n"
+        )
+        with pytest.raises(ValueError, match="line 4: bad MatrixMarket entry"):
+            read_matrix_market(p)
+
+    @pytest.mark.parametrize("size", ["3 3", "3 3 x", "3 3 -1", ""])
+    def test_bad_size_line_names_the_line(self, tmp_path, size):
+        p = tmp_path / "z.mtx"
+        p.write_text(
+            f"%%MatrixMarket matrix coordinate real general\n% c\n{size}\n"
+        )
+        with pytest.raises(ValueError, match="line 3: bad MatrixMarket size line"):
+            read_matrix_market(p)
+
 
 class TestEdgeList:
     def test_roundtrip(self, tmp_path, small_grid):

@@ -148,6 +148,16 @@ class TestErrors:
         assert not response.ok
         assert "does not accept" in response.error
 
+    def test_unknown_backend_param_rejected_per_query(self, catalog):
+        """A nearfar ``backend`` param is an unknown key, answered in band."""
+        with QueryEngine(catalog) as engine:
+            response = engine.run(
+                SSSPQuery("grid", 0, "nearfar", {"backend": "numpy"})
+            )
+        assert not response.ok
+        assert "does not accept ['backend']" in response.error
+        assert "accepted: ['delta']" in response.error
+
     def test_source_out_of_range(self, catalog):
         with QueryEngine(catalog) as engine:
             response = engine.run(SSSPQuery("grid", 10**6))

@@ -5,10 +5,27 @@ import pytest
 
 from repro import obs
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import grid_road_network, path_graph, rmat
+from repro.graph.generators import (
+    barabasi_albert,
+    erdos_renyi,
+    grid_road_network,
+    path_graph,
+    random_weighted_graph,
+    rmat,
+)
 from repro.sssp.batch_kernels import BatchedNearFarParams, batched_nearfar_sssp
 from repro.sssp.dijkstra import dijkstra
 from repro.sssp.nearfar import NearFarParams, nearfar_sssp
+
+# one per family: undirected road grid, undirected scale-free, directed
+# Erdos-Renyi, unstructured random digraph, R-MAT
+FAMILIES = {
+    "road": grid_road_network(14, 14, seed=3),
+    "ba": barabasi_albert(300, 3, seed=5),
+    "er": erdos_renyi(400, 6.0, seed=7),
+    "random": random_weighted_graph(350, 2400, seed=11),
+    "rmat": rmat(8, edge_factor=8, seed=5),
+}
 
 
 class TestExactness:
@@ -28,16 +45,30 @@ class TestExactness:
             assert single.iterations == batched.iterations
             assert single.relaxations == batched.relaxations
 
-    def test_multi_source_byte_exact_with_loop(self, small_rmat):
-        sources = [0, 3, 9, 21, 40]
-        looped = [
-            nearfar_sssp(small_rmat, s, collect_trace=False)[0] for s in sources
-        ]
-        batched = batched_nearfar_sssp(small_rmat, sources)
-        for single, multi in zip(looped, batched):
+    @pytest.mark.parametrize("B", [1, 4, 64, 256])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_multi_source_byte_exact_with_loop(self, family, B):
+        graph = FAMILIES[family]
+        rng = np.random.default_rng(B)
+        sources = rng.integers(0, graph.num_nodes, size=B)
+        looped = {
+            s: nearfar_sssp(graph, s, collect_trace=False)[0]
+            for s in set(sources.tolist())
+        }
+        batched = batched_nearfar_sssp(graph, sources)
+        for source, multi in zip(sources.tolist(), batched):
+            single = looped[source]
             assert np.array_equal(single.dist, multi.dist)
             assert single.iterations == multi.iterations
             assert single.relaxations == multi.relaxations
+
+    def test_batched_matches_looped_single_source(self):
+        graph = FAMILIES["er"]
+        sources = [1, 17, 42, 99]
+        batched = batched_nearfar_sssp(graph, sources)
+        for source, got in zip(sources, batched):
+            ref, _ = nearfar_sssp(graph, source, collect_trace=False)
+            assert np.array_equal(ref.dist, got.dist)
 
     def test_duplicate_sources_in_one_batch(self, small_grid):
         """Each query owns a disjoint key range, duplicates included."""

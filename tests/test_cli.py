@@ -102,6 +102,54 @@ class TestGenerateAndInfo:
         assert "100" in out  # 10x10 grid
 
 
+class TestBadGraphFiles:
+    """Unreadable or malformed graph files exit with one line, no traceback."""
+
+    @pytest.fixture
+    def truncated(self, tmp_path):
+        path = tmp_path / "cut.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 2 1.0\n"
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command",
+        [["sssp"], ["info"], ["trace", "record"]],
+        ids=["sssp", "info", "trace-record"],
+    )
+    def test_truncated_and_missing_files(self, tmp_path, truncated, command):
+        with pytest.raises(SystemExit, match="cannot load graph .*line 4"):
+            main([*command, truncated])
+        missing = str(tmp_path / "absent.gr")
+        with pytest.raises(SystemExit, match="cannot load graph .*absent.gr"):
+            main([*command, missing])
+
+    def test_serve_graph_file(self, tmp_path, truncated):
+        serve = ["serve", "--scale", "0.003", "-q", "--graph-file"]
+        with pytest.raises(SystemExit, match="cannot load graph .*line 4"):
+            main([*serve, f"cut={truncated}"])
+        with pytest.raises(SystemExit, match="cannot load graph .*absent.mtx"):
+            main([*serve, f"gone={tmp_path / 'absent.mtx'}"])
+
+    def test_process_exits_nonzero_without_traceback(self, truncated):
+        import os
+        import subprocess
+        import sys as _sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [_sys.executable, "-m", "repro", "sssp", truncated],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert "cannot load graph" in proc.stderr
+
+
 class TestServeCommand:
     def _requests(self, tmp_path, lines):
         path = tmp_path / "requests.jsonl"

@@ -12,13 +12,22 @@ the road workloads:
 
 A revert that doubles one workload's latency can pass an absolute perf
 gate, so the idiom is checked at the source.
+
+The near+far solvers must also call the ``repro.sssp.frontier`` stage
+functions by their module-level names: the repo benchmark's tracer
+(``bench/tracing.py``) times each stage by swapping those bindings for
+wrappers, and a call routed through a table, an object or a default
+argument would bypass it.  For the same reason nothing imports
+``repro.sssp.backends`` (a kernel dispatch table) or
+``repro.service.scheduler`` (a batching window that the shard
+dispatcher makes redundant).
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import List
+from typing import List, Set
 
 import pytest
 
@@ -81,3 +90,108 @@ def test_guard_catches_each_idiom():
         "probe.py:4: np.divmod",
     ]
     assert "sorted_unique" in problems[1]
+
+
+# solver module -> the frontier stage functions it must call by name
+STAGE_CALLERS = {
+    "sssp/nearfar.py": ("advance", "filter_frontier", "bisect", "drain_far_queue"),
+    "sssp/batch_kernels.py": (
+        "batched_advance",
+        "batched_filter",
+        "batched_bisect",
+        "batched_drain_far",
+    ),
+}
+FRONTIER = "repro.sssp.frontier"
+REMOVED_MODULES = ("repro.sssp.backends", "repro.service.scheduler")
+
+
+def _stage_call_problems(source: str, label: str, stages) -> List[str]:
+    """Stages not called as ``name(...)`` or ``frontier.name(...)``, or bound elsewhere."""
+    tree = ast.parse(source, filename=label)
+    imported: Set[str] = set()  # stage names bound by ``from repro.sssp.frontier import``
+    aliases: Set[str] = set()  # names bound by ``from repro.sssp import frontier``
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == FRONTIER:
+            imported |= {a.asname or a.name for a in node.names if a.name in stages}
+        elif isinstance(node, ast.ImportFrom) and node.module == "repro.sssp":
+            aliases |= {a.asname or a.name for a in node.names if a.name == "frontier"}
+    called: Set[str] = set()
+    callees: Set[int] = set()  # ids of the Name nodes that are called
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Name) and func.id in imported:
+            called.add(func.id)
+            callees.add(id(func))
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr in stages
+            and isinstance(func.value, ast.Name)
+            and func.value.id in aliases
+        ):
+            called.add(func.attr)
+    problems = [f"{label}: {stage} is never called by name" for stage in stages if stage not in called]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in stages and id(node) not in callees:
+            how = "rebound" if isinstance(node.ctx, ast.Store) else "passed around"
+            problems.append(f"{label}:{node.lineno}: {node.id} {how} instead of called")
+        elif isinstance(node, ast.arg) and node.arg in stages:
+            problems.append(f"{label}:{node.lineno}: {node.arg} shadowed by an argument")
+    return problems
+
+
+@pytest.mark.parametrize("module", sorted(STAGE_CALLERS))
+def test_solvers_call_frontier_stages_by_name(module):
+    path = SRC / module
+    problems = _stage_call_problems(path.read_text(), module, STAGE_CALLERS[module])
+    assert not problems, "stage call bypasses the module-level binding:\n" + "\n".join(problems)
+
+
+def test_stage_guard_catches_indirection():
+    stages = ("advance", "bisect", "filter_frontier")
+    good = (
+        "from repro.sssp import frontier\n"
+        "from repro.sssp.frontier import advance\n"
+        "def run(g, f, d):\n"
+        "    advance(g, f, d)\n"
+        "    frontier.bisect(f, d, 1.0)\n"
+        "    frontier.filter_frontier(f)\n"
+    )
+    assert _stage_call_problems(good, "good.py", stages) == []
+    bad = (
+        "from repro.sssp.frontier import advance, bisect\n"
+        "TABLE = {'advance': advance}\n"
+        "def run(g, f, d, bisect=bisect):\n"
+        "    TABLE['advance'](g, f, d)\n"
+        "    bisect(f, d, 1.0)\n"
+    )
+    problems = _stage_call_problems(bad, "bad.py", stages)
+    assert "bad.py: filter_frontier is never called by name" in problems
+    assert "bad.py:2: advance passed around instead of called" in problems
+    assert "bad.py:3: bisect passed around instead of called" in problems
+    assert "bad.py:3: bisect shadowed by an argument" in problems
+
+
+def _removed_imports(source: str, label: str) -> List[str]:
+    found = []
+    for node in ast.walk(ast.parse(source, filename=label)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        hits = [n for n in names for m in REMOVED_MODULES if n == m or n.startswith(m + ".")]
+        if hits:
+            found.append(f"{label}:{node.lineno}: imports {hits[0]}")
+    return found
+
+
+def test_removed_dispatch_layers_not_imported():
+    problems = []
+    for path in sorted(SRC.rglob("*.py")):
+        label = str(path.relative_to(SRC.parent))
+        problems += _removed_imports(path.read_text(), label)
+    assert not problems, "\n".join(problems)
+    probe = "from repro.sssp import backends\nimport repro.service.scheduler\n"
+    assert len(_removed_imports(probe, "probe.py")) == 2
