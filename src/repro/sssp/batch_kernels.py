@@ -18,10 +18,17 @@ Layout
   ``query_id * n + v``, so every stage is a single ufunc sweep over
   all queries at once (:func:`~repro.sssp.frontier.batched_advance`
   relaxes with one ``np.minimum.at``);
-* each query keeps its own ``[lower, split)`` delta window, advanced
-  independently by :func:`~repro.sssp.frontier.batched_drain_far`;
+* each query keeps its own split (the top of its delta window),
+  advanced independently by :func:`~repro.sssp.frontier.batched_drain_far`;
 * a finished query simply stops contributing keys — it drops out of
   the flattened frontier without blocking the rest of the batch.
+
+A 2-source sweep touches ~100 keys per stage, so it costs its ~100
+numpy dispatches rather than its data.  The sweep therefore divides
+the next frontier's keys by ``n`` once (the near and pulled keys' ids
+serve the drain's need mask, then the next sweep's active mask and
+advance), skips the per-sweep metric reductions when the registry is
+disabled, and keeps numpy's function-form wrappers out of the loop.
 
 With ``B = 1`` the sweep sequence is operation-for-operation identical
 to :func:`~repro.sssp.nearfar.nearfar_sssp`, so batched distances are
@@ -138,12 +145,11 @@ def batched_nearfar_sssp(
     deltas = params.delta_array(graph, B)
 
     dist = np.full(B * n, np.inf)
-    origin = np.arange(B, dtype=np.int64) * n + sources
-    dist[origin] = 0.0
-    frontier = origin  # strictly increasing in query id, one key each
+    front_q = np.arange(B, dtype=np.int64)  # the frontier's query ids
+    frontier = front_q * n + sources  # strictly increasing, one key each
+    dist[frontier] = 0.0
     far = _EMPTY
-    lower = np.zeros(B)
-    split = deltas.copy()
+    split = deltas
 
     iterations = np.zeros(B, dtype=np.int64)
     relaxations = np.zeros(B, dtype=np.int64)
@@ -167,15 +173,16 @@ def batched_nearfar_sssp(
             }
         )
 
+    live = reg.enabled  # skip the per-sweep reductions for a null registry
     while frontier.size:
         sweeps += 1
         # queries with frontier work this sweep age by one iteration
         active = np.zeros(B, dtype=bool)
-        active[frontier // n] = True
-        iterations[active] += 1
+        active[front_q] = True
+        iterations += active
 
         # stage 1+2: advance all queries' edges in one sweep, then filter
-        adv = batched_advance(graph, frontier, dist, B)
+        adv = batched_advance(graph, frontier, dist, B, frontier_q=front_q)
         relaxations += adv.relaxations_per_query
         improved = batched_filter(adv.improved)
 
@@ -184,33 +191,31 @@ def batched_nearfar_sssp(
         if far_add.size:
             far = np.concatenate([far, far_add]) if far.size else far_add
         frontier = near
+        front_q = near // n
 
         # stage 4: per-query bisect-far-queue for starved queries only
         if far.size:
-            has_near = np.zeros(B, dtype=bool)
-            if frontier.size:
-                has_near[frontier // n] = True
-            fq = far // n
-            has_far = np.zeros(B, dtype=bool)
-            has_far[fq] = True
-            need = ~has_near & has_far
+            far_q = far // n
+            need = np.zeros(B, dtype=bool)  # far entries but no near work
+            need[far_q] = True
+            need[front_q] = False
             if need.any():
-                pulled, far, lower, split, _ = batched_drain_far(
-                    far, dist, n, lower, split, deltas, need, far_q=fq
+                pulled, far, split = batched_drain_far(
+                    far, dist, n, split, deltas, need, far_q=far_q
                 )
                 if pulled.size:
-                    frontier = (
-                        np.concatenate([frontier, pulled])
-                        if frontier.size
-                        else pulled
-                    )
+                    frontier = np.concatenate([frontier, pulled])
+                    front_q = np.concatenate([front_q, pulled // n])
 
-        m_sweeps.inc()
-        m_active.observe(int(active.sum()))
-        m_frontier.observe(int(frontier.size))
-        m_relaxations.inc(int(adv.relaxations_per_query.sum()))
+        if live:
+            m_active.observe(int(active.sum()))
+            m_frontier.observe(int(frontier.size))
         if params.max_sweeps and sweeps >= params.max_sweeps:
             break
+
+    # the run's totals: the same values as one increment per sweep
+    m_sweeps.inc(sweeps)
+    m_relaxations.inc(int(relaxations.sum()))
 
     results = [
         SSSPResult(

@@ -63,7 +63,7 @@ def delta_stepping(
         raise ValueError("delta-stepping requires non-negative edge weights")
     if delta is None:
         delta = max(graph.average_weight, 1e-12)
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
 
     dist = np.full(n, np.inf)
@@ -75,11 +75,12 @@ def delta_stepping(
 
     while active.any():
         act_idx = np.flatnonzero(active)
-        i = int(np.floor(dist[act_idx].min() / delta))
-        upper = (i + 1) * delta
+        dmin = dist[act_idx].min()
+        # at least one float step above dmin, or a tiny delta empties the bucket
+        upper = max((np.floor(dmin / delta) + 1) * delta, np.nextafter(dmin, np.inf))
         settled_this_phase: list[np.ndarray] = []
 
-        # inner loop: drain bucket i via light edges
+        # inner loop: drain the bucket below upper via light edges
         while True:
             in_bucket = act_idx[dist[act_idx] < upper]
             if in_bucket.size == 0:

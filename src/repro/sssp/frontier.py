@@ -12,7 +12,9 @@ the paper instruments (Section 3.1):
 * :func:`bisect` — split vertices into near (< split) and far (>= split).
 * :func:`drain_far_queue` — the baseline bisect-far-queue stage: advance
   the phase window until the frontier is non-empty, dropping stale
-  far-queue entries.
+  far-queue entries.  The new split is at least one float step above
+  the nearest far distance, so a delta below the distances' spacing
+  still makes progress.
 
 The ``batched_*`` variants generalise each stage to **B simultaneous
 queries** over the same CSR arrays.  State lives in a flat
@@ -23,6 +25,10 @@ query's edges at once — the multi-source analogue of bucket fusion
 not once per query.  With ``B = 1`` the batched stages perform exactly
 the same floating-point operations in the same order as the
 single-source ones, which the acceptance tests pin byte-for-byte.
+The batched drain keeps only each query's split (no ``lower`` edge or
+band count, which only the single-source trace records), and callers
+that already hold a key array's query ids pass them in (``frontier_q``,
+``far_q``) instead of dividing by ``n`` again.
 
 Hot paths contain no per-vertex Python loops; everything is CSR slicing
 plus ufunc reductions, per the scientific-python optimisation guides.
@@ -35,7 +41,11 @@ elements), so such selections use the ``compress`` method.  Its
 ``np.compress`` spelling adds ~1.5 µs of Python dispatch per call,
 more than it saves on the ~100-key frontiers of a 2-source batch.  A
 nearly all-true mask (dedup's keep mask, the single-source bisect) is
-faster as a boolean index.
+faster as a boolean index.  At that size every function-form wrapper
+costs more than its data, so this module uses the method forms:
+``x.repeat(counts)``, ``a.cumsum()``, ``.any()``/``.all()``, a copy
+and ``.sort()``, ``np.empty`` plus ``fill`` (1-2 µs less per call on
+300 elements; ``tests/test_hot_path_idioms.py`` keeps it that way).
 """
 
 from __future__ import annotations
@@ -64,6 +74,7 @@ __all__ = [
 ]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+_MAX_BANDS = 2.0**62  # caps drain_far_queue's band count, which a tiny delta overflows
 
 
 def edge_offsets(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -79,11 +90,9 @@ def edge_offsets(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.n
     counts = indptr[rows + 1] - starts
     if counts.size == 0:
         return _EMPTY, counts
-    shift = np.empty(counts.size, dtype=np.int64)
-    shift[0] = 0
-    np.cumsum(counts[:-1], out=shift[1:])
-    np.subtract(starts, shift, out=shift)
-    offsets = np.repeat(shift, counts)
+    shift = starts + counts  # starts minus the exclusive prefix sum of counts
+    shift -= counts.cumsum()
+    offsets = shift.repeat(counts)
     offsets += np.arange(offsets.size, dtype=np.int64)
     return offsets, counts
 
@@ -96,7 +105,8 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """
     if keys.size == 0:
         return _EMPTY
-    keys = np.sort(keys)
+    keys = keys.copy()
+    keys.sort()
     keep = np.empty(keys.size, dtype=bool)
     keep[0] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
@@ -128,7 +138,7 @@ def advance(graph: CSRGraph, frontier: np.ndarray, dist: np.ndarray) -> AdvanceO
         return AdvanceOutput(improved=_EMPTY, x2=0, relaxations=0)
 
     v = graph.indices[offsets].astype(np.int64)
-    cand = np.repeat(dist[frontier], counts)
+    cand = dist[frontier].repeat(counts)
     cand += graph.weights[offsets]
 
     old = dist[v]  # pre-stage snapshot (atomic-read-before-write semantics)
@@ -174,7 +184,7 @@ def drain_far_queue(
     """
     if far.size == 0:
         return _EMPTY, _EMPTY, lower, split, 0
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive to drain the far queue")
 
     far = sorted_unique(far)
@@ -185,8 +195,10 @@ def drain_far_queue(
         return _EMPTY, _EMPTY, lower, split, 1
 
     lower = split
-    split = max(split + delta, float(d.min()) + delta)
-    drains = max(1, int(math.ceil((split - lower) / delta)))
+    dmin = float(d.min())
+    # a delta below the spacing of the distances still pulls the dmin band
+    split = max(split + delta, dmin + delta, math.nextafter(dmin, math.inf))
+    drains = max(1, math.ceil(min((split - lower) / delta, _MAX_BANDS)))
     near_mask = d < split
     return far[near_mask], far[~near_mask], lower, split, drains
 
@@ -204,7 +216,11 @@ class BatchedAdvanceOutput:
 
 
 def batched_advance(
-    graph: CSRGraph, frontier: np.ndarray, dist: np.ndarray, num_queries: int
+    graph: CSRGraph,
+    frontier: np.ndarray,
+    dist: np.ndarray,
+    num_queries: int,
+    frontier_q: np.ndarray | None = None,
 ) -> BatchedAdvanceOutput:
     """Relax the out-edges of a flattened multi-query frontier.
 
@@ -214,6 +230,7 @@ def batched_advance(
     semantics identical to :func:`advance`, shared across all B
     queries.  Keys of distinct queries can never collide (they live in
     disjoint ``[q*n, (q+1)*n)`` ranges), so queries stay independent.
+    ``frontier_q`` may carry a precomputed ``frontier // n``.
     """
     n = graph.num_nodes
     B = int(num_queries)
@@ -222,7 +239,7 @@ def batched_advance(
             improved=_EMPTY, x2=0,
             relaxations_per_query=np.zeros(B, dtype=np.int64),
         )
-    q = frontier // n
+    q = frontier // n if frontier_q is None else frontier_q
     qn = q * n
     offsets, counts = edge_offsets(graph.indptr, frontier - qn)
     x2 = int(offsets.size)
@@ -235,9 +252,9 @@ def batched_advance(
 
     v = graph.indices[offsets]
     w = graph.weights[offsets]
-    cand = np.repeat(dist[frontier], counts)
+    cand = dist[frontier].repeat(counts)
     cand += w
-    vkeys = np.repeat(qn, counts)
+    vkeys = qn.repeat(counts)
     vkeys += v
 
     old = dist[vkeys]  # pre-sweep snapshot (atomic-read-before-write)
@@ -276,62 +293,51 @@ def batched_drain_far(
     far: np.ndarray,
     dist: np.ndarray,
     n: int,
-    lower: np.ndarray,
     split: np.ndarray,
     delta: np.ndarray,
     need: np.ndarray,
     far_q: np.ndarray | None = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-query bisect-far-queue over a flattened multi-query far set.
 
     Mirrors :func:`drain_far_queue` independently for every query whose
     ``need`` flag is set (near queue empty, far queue not), in one
     vectorised pass: stale entries are dropped, each draining query's
     window jumps to ``max(split + delta, d_min + delta)`` (its own
-    ``d_min``, via ``np.minimum.at``), and entries now inside the new
-    window become that query's next frontier.  Entries of queries not
-    in ``need`` pass through untouched.  A draining query with only
-    stale entries keeps its window (nothing to pull) and simply loses
-    the stale entries, finishing the query.
+    ``d_min``, via ``np.minimum.at``; at least one float step above
+    ``d_min``), and entries now inside the new window become that
+    query's next frontier.  Entries of queries not in ``need`` pass
+    through untouched.  A draining query with only stale entries keeps
+    its window (nothing to pull) and simply loses the stale entries,
+    finishing the query.
 
-    Returns ``(frontier, far_remaining, lower, split, drains_per_query)``
-    with ``lower``/``split`` as fresh arrays.  ``far_q`` may carry a
-    precomputed ``far // n`` (callers that already derived it avoid a
-    second far-sized division).
+    Returns ``(frontier, far_remaining, split)``; the ``split`` passed
+    in is never written to.  Only the split is kept: the window's lower edge and the
+    band count of :func:`drain_far_queue` feed its trace records, which
+    the batched kernel does not keep.  ``far_q`` may carry a
+    precomputed ``far // n``.
     """
-    if np.any(delta[need] <= 0):
+    if not delta.min() > 0:  # NaN too
         raise ValueError("delta must be positive to drain the far queue")
-    lower = lower.copy()
-    split = split.copy()
-    B = lower.size
-    drains = np.zeros(B, dtype=np.int64)
     if far.size == 0:
-        return _EMPTY, _EMPTY, lower, split, drains
+        return _EMPTY, _EMPTY, split
 
     sel = need[far // n if far_q is None else far_q]
     keep = far.compress(~sel)
     cand = sorted_unique(far.compress(sel))
     qc = cand // n
-    scanned = np.zeros(B, dtype=bool)
-    scanned[qc] = True  # draining queries that had entries to look at
     d = dist[cand]
     live = d >= split[qc]  # entries below the split are stale duplicates
     cand, qc, d = cand.compress(live), qc.compress(live), d.compress(live)
 
-    dmin = np.full(B, np.inf)
-    np.minimum.at(dmin, qc, d)
-    advanced = need & np.isfinite(dmin)  # draining queries with live entries
-    new_split = np.where(
-        advanced, np.maximum(split + delta, dmin + delta), split
-    )
-    lower[advanced] = split[advanced]
-    drains[advanced] = np.maximum(
-        1, np.ceil((new_split[advanced] - lower[advanced]) / delta[advanced])
-    ).astype(np.int64)
-    drains[scanned & ~advanced] = 1  # all-stale drains still count one scan
-    split = new_split
+    dmin = np.empty(split.size)
+    dmin.fill(np.inf)
+    np.minimum.at(dmin, qc, d)  # stays inf for queries with nothing live
+    window = np.maximum(split + delta, dmin + delta)
+    np.maximum(window, np.nextafter(dmin, np.inf), out=window)
+    split = np.where(np.isfinite(dmin), window, split)
 
     near_mask = d < split[qc]
     frontier = cand.compress(near_mask)
     far_remaining = np.concatenate([keep, cand.compress(~near_mask)])
-    return frontier, far_remaining, lower, split, drains
+    return frontier, far_remaining, split

@@ -42,7 +42,7 @@ class NearFarParams:
     max_iterations: int = 0
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
+        if not self.delta > 0:  # NaN too
             raise ValueError("delta must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")

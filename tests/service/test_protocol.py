@@ -249,6 +249,41 @@ class TestBatchQueries:
         assert caches.count("coalesced") == 1
 
 
+class TestDeltaEdgeCases:
+    """Deltas a client can send that once gave wrong answers or hung."""
+
+    @pytest.fixture
+    def engine(self, catalog):
+        with QueryEngine(catalog, max_batch=8) as e:
+            yield e
+
+    @pytest.mark.parametrize("algorithm", ["nearfar", "delta-stepping"])
+    @pytest.mark.parametrize("form", ['"source": 0', '"sources": [0, 5]'])
+    def test_nan_delta_answers_in_band_error(self, engine, algorithm, form):
+        # json.loads accepts the NaN literal
+        line = (
+            f'{{"graph": "grid", {form}, "algorithm": "{algorithm}", '
+            f'"params": {{"delta": NaN}}, "id": "nan"}}'
+        )
+        response = handle_line(engine, line)
+        assert response["ok"] is False
+        assert response["id"] == "nan"
+        entries = response.get("results", [response])
+        assert all(not e["ok"] for e in entries)
+        assert all("delta must be" in e["error"] for e in entries), entries
+
+    @pytest.mark.parametrize("delta", ["1e-14", "1e-16"])
+    def test_delta_below_distance_spacing_reaches_everything(self, engine, grid, delta):
+        # delta-stepping's bounded-time check lives in tests/sssp, in a subprocess
+        line = (
+            f'{{"graph": "grid", "sources": [0, 5], "algorithm": "nearfar", '
+            f'"params": {{"delta": {delta}}}}}'
+        )
+        response = handle_line(engine, line)
+        assert response["ok"] is True, response
+        assert [e["reached"] for e in response["results"]] == [grid.num_nodes] * 2
+
+
 class TestMetricsOpAndTraces:
     """Protocol v4: the metrics op, per-line trace minting, sampling."""
 

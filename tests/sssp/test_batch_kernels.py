@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.graph.csr import CSRGraph
@@ -15,7 +17,7 @@ from repro.graph.generators import (
 )
 from repro.sssp.batch_kernels import BatchedNearFarParams, batched_nearfar_sssp
 from repro.sssp.dijkstra import dijkstra
-from repro.sssp.nearfar import NearFarParams, nearfar_sssp
+from repro.sssp.nearfar import NearFarParams, nearfar_sssp, suggest_delta
 
 # one per family: undirected road grid, undirected scale-free, directed
 # Erdos-Renyi, unstructured random digraph, R-MAT
@@ -106,6 +108,18 @@ class TestExactness:
         assert np.array_equal(single.dist, batched.dist)
         assert batched.extra["delta"] == delta
 
+    @pytest.mark.parametrize("delta_mult", [1e-15, 1e-17])
+    def test_exact_for_delta_below_distance_spacing(self, small_grid, delta_mult):
+        """``dmin + delta == dmin``: each drain still pulls its ``dmin`` band."""
+        delta = suggest_delta(small_grid) * delta_mult
+        sources = [0, 63, 0]
+        results = batched_nearfar_sssp(small_grid, sources, delta=delta)
+        for src, res in zip(sources, results):
+            single, _ = nearfar_sssp(small_grid, src, delta=delta, collect_trace=False)
+            assert np.array_equal(res.dist, dijkstra(small_grid, src).dist)
+            assert res.iterations == single.iterations
+            assert res.relaxations == single.relaxations
+
     def test_per_query_deltas(self, small_grid):
         results = batched_nearfar_sssp(small_grid, [0, 1], delta=[2.0, 9.0])
         assert results[0].extra["delta"] == 2.0
@@ -119,6 +133,58 @@ class TestExactness:
             assert res.algorithm == "nearfar"
             assert res.extra["batched"] is True
             assert res.extra["batch_size"] == 2
+
+
+# delta multiples of the average weight, 1e-17 below the float spacing
+DELTA_MULTS = st.sampled_from([1e-17, 1e-3, 0.3, 1.0, 4.0, 1e3])
+
+
+@st.composite
+def batched_cases(draw):
+    """A small graph (zero weights, disconnected parts), B sources and deltas."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    parts = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=0, max_value=120))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    src, dst = rng.integers(0, n, size=(2, m))
+    # edges stay inside their part (vertex id mod parts): disconnected pieces
+    inside = src % parts == dst % parts
+    src, dst = src[inside], dst[inside]
+    weights = rng.uniform(0.0, 10.0, size=src.size)
+    weights[rng.random(src.size) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    graph = CSRGraph.from_edges(n, src, dst, weights)
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        sources.append(sources[0])  # a duplicate query
+    base = suggest_delta(graph)
+    mode = draw(st.sampled_from(["default", "scalar", "per-query"]))
+    if mode == "default":
+        deltas = None
+    elif mode == "scalar":
+        deltas = base * draw(DELTA_MULTS)
+    else:
+        deltas = [base * draw(DELTA_MULTS) for _ in sources]
+    return graph, sources, deltas
+
+
+class TestLoopEquivalenceProperty:
+    @given(batched_cases())
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_batched_equals_looped_nearfar_and_dijkstra(self, case):
+        graph, sources, deltas = case
+        batched = batched_nearfar_sssp(graph, sources, delta=deltas)
+        assert len(batched) == len(sources)
+        for q, (source, got) in enumerate(zip(sources, batched)):
+            delta = deltas[q] if isinstance(deltas, list) else deltas
+            single, _ = nearfar_sssp(graph, source, delta=delta, collect_trace=False)
+            assert np.array_equal(got.dist, single.dist)
+            assert got.iterations == single.iterations
+            assert got.relaxations == single.relaxations
+            assert np.array_equal(got.dist, dijkstra(graph, source).dist)
 
 
 class TestValidation:

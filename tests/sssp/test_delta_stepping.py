@@ -1,8 +1,14 @@
 """Unit tests for Meyer-Sanders delta-stepping."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import path_graph, star_graph
 from repro.sssp.delta_stepping import delta_stepping
@@ -36,6 +42,35 @@ class TestCorrectness:
         r = delta_stepping(g, 0, 0.5)
         assert list(r.dist) == [0.0, 0.0, 1.0, 1.0]
 
+    @pytest.mark.parametrize("delta", [1e-14, 1e-300])
+    def test_delta_below_distance_spacing_terminates(self, delta):
+        """Once ``dmin / delta`` passes 2**53, ``(i + 1) * delta`` rounds to
+        ``dmin`` and the bucket stays empty: the solve must still end, exact.
+
+        Run in a subprocess with a timeout, so a regression fails instead
+        of hanging the suite.
+        """
+        script = (
+            "import numpy as np\n"
+            "from repro.graph.datasets import cal_like\n"
+            "from repro.sssp.delta_stepping import delta_stepping\n"
+            "from repro.sssp.dijkstra import dijkstra\n"
+            "g = cal_like(0.002)\n"
+            f"r = delta_stepping(g, 0, {delta!r})\n"
+            "assert np.array_equal(r.dist, dijkstra(g, 0).dist)\n"
+            "print(int(np.isfinite(r.dist).sum()))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 1000
+
 
 class TestBucketBehaviour:
     def test_tiny_delta_more_phases_on_grid(self, small_grid):
@@ -59,6 +94,10 @@ class TestValidation:
     def test_rejects_nonpositive_delta(self, small_grid):
         with pytest.raises(ValueError, match="delta must be positive"):
             delta_stepping(small_grid, 0, 0.0)
+
+    def test_rejects_nan_delta(self, small_grid):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            delta_stepping(small_grid, 0, float("nan"))
 
     def test_rejects_negative_weights(self):
         g = CSRGraph.from_edges(2, [0], [1], [-1.0])

@@ -220,6 +220,19 @@ class TestDrainFarQueue:
         with pytest.raises(ValueError):
             drain_far_queue(np.asarray([0]), np.zeros(1), 0.0, 1.0, 0.0)
 
+    def test_rejects_nan_delta(self):
+        with pytest.raises(ValueError, match="positive"):
+            drain_far_queue(np.asarray([0]), np.zeros(1), 0.0, 1.0, float("nan"))
+
+    def test_delta_below_float_spacing_still_pulls_dmin(self):
+        dist = np.asarray([0.0, 1e6, 1e6, 2e6])
+        frontier, remaining, lower, split, drains = drain_far_queue(
+            np.asarray([1, 2, 3]), dist, lower=0.0, split=1e-12, delta=1e-12
+        )
+        assert list(frontier) == [1, 2] and list(remaining) == [3]
+        assert split == np.nextafter(1e6, np.inf)
+        assert drains >= 1
+
 
 class TestRaggedArangeZeroRows:
     def test_trailing_zero_rows(self):
@@ -309,45 +322,43 @@ class TestBatchedDrainFar:
         # query 0 starved with far entries at d=6,8; query 1 not in need
         dist = np.asarray([0.0, 6.0, 8.0, np.inf, 0.0, 6.0, 8.0, np.inf])
         far = np.asarray([1, 2, n + 1])
-        lower = np.zeros(2)
         split = np.asarray([2.0, 2.0])
         delta = np.asarray([2.0, 2.0])
         need = np.asarray([True, False])
-        frontier, far_rem, new_lower, new_split, drains = batched_drain_far(
-            far, dist, n, lower, split, delta, need
+        frontier, far_rem, new_split = batched_drain_far(
+            far, dist, n, split, delta, need
         )
         # window jumps to max(split+delta, dmin+delta) = max(4, 8) = 8
-        assert new_split[0] == 8.0 and new_lower[0] == 2.0
-        assert new_split[1] == 2.0 and new_lower[1] == 0.0  # untouched
+        assert new_split[0] == 8.0
+        assert new_split[1] == 2.0  # untouched
+        assert list(split) == [2.0, 2.0]  # the caller's array is not mutated
         assert list(frontier) == [1]  # d=6 < 8 pulled near
         assert n + 1 in far_rem and 2 in far_rem  # other query passes through
-        assert drains[0] >= 1 and drains[1] == 0
 
     def test_stale_entries_dropped(self):
         n = 3
         dist = np.asarray([0.0, 0.5, np.inf])  # vertex 1 improved below split
         far = np.asarray([1])
-        frontier, far_rem, _, new_split, drains = batched_drain_far(
+        frontier, far_rem, new_split = batched_drain_far(
             far,
             dist,
             n,
-            np.zeros(1),
             np.asarray([1.0]),
             np.asarray([1.0]),
             np.asarray([True]),
         )
         assert frontier.size == 0 and far_rem.size == 0
         assert new_split[0] == 1.0  # all-stale: window holds
-        assert drains[0] == 1  # but the scan still counts
 
     def test_precomputed_far_q_equivalent(self):
         n = 4
         dist = np.asarray([0.0, 6.0, 8.0, np.inf, 0.0, 6.0, 8.0, np.inf])
         far = np.asarray([1, 2, n + 1])
-        args = (np.zeros(2), np.asarray([2.0, 2.0]), np.asarray([2.0, 2.0]))
+        args = (np.asarray([2.0, 2.0]), np.asarray([2.0, 2.0]))
         need = np.asarray([True, True])
         base = batched_drain_far(far, dist, n, *args, need)
         pre = batched_drain_far(far, dist, n, *args, need, far_q=far // n)
+        assert len(base) == len(pre) == 3
         for a, b in zip(base, pre):
             assert np.array_equal(a, b)
 
@@ -357,21 +368,42 @@ class TestBatchedDrainFar:
                 np.asarray([1]),
                 np.zeros(2),
                 2,
-                np.zeros(1),
                 np.ones(1),
                 np.zeros(1),
                 np.asarray([True]),
             )
 
+    def test_nan_delta_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            batched_drain_far(
+                np.asarray([1]),
+                np.zeros(2),
+                2,
+                np.ones(1),
+                np.asarray([np.nan]),
+                np.asarray([True]),
+            )
+
+    def test_delta_below_float_spacing_still_pulls_dmin(self):
+        n = 3
+        dist = np.asarray([0.0, 1e6, 2e6, 0.0, 5.0, 5.0])
+        far = np.asarray([1, 2, n + 1, n + 2])
+        delta = np.asarray([1e-12, 1e-17])
+        frontier, far_rem, split = batched_drain_far(
+            far, dist, n, delta.copy(), delta, np.asarray([True, True])
+        )
+        assert list(frontier) == [1, n + 1, n + 2]
+        assert list(far_rem) == [2]
+        assert list(split) == [np.nextafter(1e6, np.inf), np.nextafter(5.0, np.inf)]
+
     def test_empty_far(self):
-        frontier, far_rem, lower, split, drains = batched_drain_far(
+        frontier, far_rem, split = batched_drain_far(
             EMPTY,
             np.zeros(2),
             2,
-            np.zeros(1),
             np.ones(1),
             np.ones(1),
             np.asarray([True]),
         )
         assert frontier.size == 0 and far_rem.size == 0
-        assert drains[0] == 0
+        assert list(split) == [1.0]

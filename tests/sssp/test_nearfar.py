@@ -42,6 +42,21 @@ class TestCorrectness:
         result, _ = nearfar_sssp(g, 0, delta=0.5)
         assert list(result.dist) == [0.0, 0.0, 1.0, 1.0]
 
+    @pytest.mark.parametrize("delta_mult", [1e-15, 1e-17])
+    def test_exact_for_delta_below_distance_spacing(self, small_grid, delta_mult):
+        """``dmin + delta == dmin``: the drain still pulls the ``dmin`` band."""
+        delta = suggest_delta(small_grid) * delta_mult
+        for src in (0, 63):
+            result, _ = nearfar_sssp(small_grid, src, delta=delta)
+            assert np.array_equal(result.dist, dijkstra(small_grid, src).dist)
+
+    def test_tiny_delta_under_huge_weights_keeps_drains_finite(self):
+        g = path_graph(4, weight=1e300)
+        result, trace = nearfar_sssp(g, 0, delta=1e-300)
+        assert list(result.dist) == [0.0, 1e300, 2e300, 3e300]
+        drains = trace.column("drains")
+        assert drains.max() > 0 and np.isfinite(drains).all()
+
 
 class TestTrace:
     def test_counters_shape(self, small_grid):
@@ -94,6 +109,10 @@ class TestParams:
             NearFarParams(delta=0.0)
         with pytest.raises(ValueError):
             NearFarParams(delta=-1.0)
+
+    def test_nan_delta_rejected(self):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            NearFarParams(delta=float("nan"))
 
     def test_bad_max_iterations(self):
         with pytest.raises(ValueError):
