@@ -61,7 +61,6 @@ def test_serving_telemetry_overhead(benchmark, emit):
         """One full serving pass; caching off so every query computes."""
         engine = QueryEngine(
             default_catalog(SERVE_SCALE),
-            mode="thread",
             max_workers=2,
             cache_size=0,
             max_batch=1,
@@ -125,9 +124,7 @@ def test_serving_telemetry_overhead(benchmark, emit):
     # engine construction (the <2%-when-off budget holds structurally;
     # the measured ratio above tracks what *enabling* telemetry costs)
     with obs.use():
-        engine = QueryEngine(
-            default_catalog(0.005), mode="thread", max_workers=1
-        )
+        engine = QueryEngine(default_catalog(0.005), max_workers=1)
         with engine:
             assert engine.telemetry is False
     # full telemetry (buffered contexts, payload shipping, span events)

@@ -1,11 +1,7 @@
-"""Query service: batch fan-out, cache speedup, retry overhead.
+"""Query service: cache speedup, retry overhead.
 
-Three acceptance checks for the ``repro.service`` subsystem:
+Two acceptance checks for the ``repro.service`` subsystem:
 
-* ``batch_run(..., parallel=True)`` over a process pool beats the
-  serial loop on a >=100k-edge graph with >=16 sources (asserted only
-  on multi-core hosts — a 1-CPU container cannot speed anything up by
-  adding workers, but the timings are still recorded either way),
 * a warm-cache query through ``QueryEngine`` is at least 10x faster
   than the cold run that populated the cache, and
 * retries under a 30% seeded fault plan answer every query correctly
@@ -16,7 +12,6 @@ session registry (``bench.service.*`` gauges) so perf-tracking jobs
 can watch the trajectory across commits.
 """
 
-import os
 import time
 
 from conftest import run_once
@@ -25,9 +20,7 @@ from repro import obs
 from repro.graph.generators import rmat
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.service import GraphCatalog, QueryEngine, SSSPQuery
-from repro.sssp.batch import batch_run, sample_sources
-from repro.sssp.nearfar import nearfar_sssp
-from repro.sssp.result import assert_distances_close
+from repro.sssp.batch import sample_sources
 
 N_SOURCES = 16
 N_WORKERS = 4
@@ -37,56 +30,6 @@ def _service_graph():
     g = rmat(13, 16, seed=5, name="service-rmat")
     assert g.num_edges >= 100_000
     return g
-
-
-def test_parallel_batch_vs_serial(benchmark, emit):
-    graph = _service_graph()
-    sources = sample_sources(graph, N_SOURCES, seed=11)
-
-    t0 = time.perf_counter()
-    serial = batch_run(graph, sources, nearfar_sssp, label="serial")
-    serial_s = time.perf_counter() - t0
-
-    def parallel_pass():
-        t1 = time.perf_counter()
-        batch = batch_run(
-            graph,
-            sources,
-            nearfar_sssp,
-            label="parallel",
-            parallel=True,
-            max_workers=N_WORKERS,
-            mode="process",
-        )
-        return batch, time.perf_counter() - t1
-
-    parallel, parallel_s = run_once(benchmark, parallel_pass)
-
-    # identical answers in identical order, regardless of who was faster
-    for a, b in zip(serial.results, parallel.results):
-        assert a.source == b.source
-        assert_distances_close(a, b)
-
-    registry = obs.get_registry()
-    registry.gauge("bench.service.batch_serial_seconds").set(serial_s)
-    registry.gauge("bench.service.batch_parallel_seconds").set(parallel_s)
-    registry.gauge("bench.service.batch_workers").set(N_WORKERS)
-
-    cores = os.cpu_count() or 1
-    emit(
-        "service_parallel_batch",
-        f"service batch fan-out: {graph.name} "
-        f"({graph.num_nodes} nodes, {graph.num_edges} edges), "
-        f"{N_SOURCES} sources, {N_WORKERS} workers, {cores} cores\n"
-        f"serial   {serial_s:8.3f} s\n"
-        f"parallel {parallel_s:8.3f} s "
-        f"(speedup {serial_s / parallel_s:.2f}x)",
-    )
-    if cores >= 2:
-        assert parallel_s < serial_s, (
-            f"parallel batch ({parallel_s:.3f}s, {N_WORKERS} workers) "
-            f"should beat serial ({serial_s:.3f}s) on a {cores}-core host"
-        )
 
 
 def test_warm_cache_query_speedup(benchmark, emit):

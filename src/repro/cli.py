@@ -224,10 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=None, help="executor worker count"
         )
         p.add_argument(
-            "--pool-mode", choices=["thread", "process"], default="thread",
-            help="executor kind (process = CPU-parallel, picklable tasks)",
-        )
-        p.add_argument(
             "--cache-size", type=int, default=128,
             help="LRU result-cache capacity (0 disables caching)",
         )
@@ -259,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--fault-kinds", default="transient,crash,hang",
-            help="comma list from: transient, crash, hang, corrupt, poolbreak",
+            help="comma list from: transient, crash, hang, corrupt",
         )
         p.add_argument(
             "--fault-seed", type=int, default=0,
@@ -756,24 +752,46 @@ def _service_catalog(args: argparse.Namespace):
     return catalog
 
 
+def _checked_option(flags: str, build):
+    """``build()``, turning its ``ValueError`` into a one-line exit."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise SystemExit(f"bad {flags}: {exc}") from None
+
+
 def _resilience_kwargs(args: argparse.Namespace, *, default_rate: float = 0.0) -> dict:
-    """retry/breaker/fault_plan engine kwargs from the service options."""
+    """retry/breaker/fault_plan engine kwargs from the service options.
+
+    A bad value exits with one line naming its option, no traceback.
+    """
     from repro.resilience import BreakerConfig, FaultPlan, RetryPolicy
 
     rate = args.fault_rate if args.fault_rate > 0 else default_rate
     plan = None
     if rate > 0:
-        plan = FaultPlan(
-            rate=rate,
-            seed=args.fault_seed,
-            kinds=FaultPlan.parse_kinds(args.fault_kinds),
-            hang_seconds=args.fault_hang,
+        kinds = _checked_option(
+            "--fault-kinds", lambda: FaultPlan.parse_kinds(args.fault_kinds)
+        )
+        plan = _checked_option(
+            "--fault-rate/--fault-hang",
+            lambda: FaultPlan(
+                rate=rate,
+                seed=args.fault_seed,
+                kinds=kinds,
+                hang_seconds=args.fault_hang,
+            ),
         )
     return {
-        "retry": RetryPolicy(max_attempts=args.retries),
-        "breaker": BreakerConfig(
-            failure_threshold=args.breaker_threshold,
-            reset_seconds=args.breaker_reset,
+        "retry": _checked_option(
+            "--retries", lambda: RetryPolicy(max_attempts=args.retries)
+        ),
+        "breaker": _checked_option(
+            "--breaker-threshold/--breaker-reset",
+            lambda: BreakerConfig(
+                failure_threshold=args.breaker_threshold,
+                reset_seconds=args.breaker_reset,
+            ),
         ),
         "fault_plan": plan,
     }
@@ -816,7 +834,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
     engine_kwargs = dict(
-        mode=args.pool_mode,
         max_workers=args.workers,
         timeout=args.timeout,
         cache_size=args.cache_size,
@@ -1130,7 +1147,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     with obs.use(registry=registry):
         engine = QueryEngine(
             catalog,
-            mode=args.pool_mode,
             max_workers=args.workers,
             timeout=args.timeout,
             cache_size=args.cache_size,
@@ -1278,7 +1294,6 @@ def _render_top_frame(data: dict, prev: dict | None) -> str:
         f"retries {retries.get('attempts', 0)} "
         f"(exhausted {retries.get('exhausted', 0)})"
         f"  |  workers lost {pool.get('lost_workers', 0)}"
-        f", rebuilds {pool.get('rebuilds', 0)}"
         f"  |  breakers open {health.get('breakers_open', 0)}"
     )
     open_breakers = [
@@ -1400,13 +1415,12 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         print(
             f"fault plan: rate={plan.rate}, kinds={','.join(plan.kinds)}, "
             f"seed={plan.seed}; {args.queries} {args.algorithm!r} queries "
-            f"on {args.graph!r} ({args.pool_mode} pool, "
-            f"retries={args.retries}, breaker={args.breaker_threshold})"
+            f"on {args.graph!r} (retries={args.retries}, "
+            f"breaker={args.breaker_threshold})"
         )
     with obs.use(registry=registry):
         engine = QueryEngine(
             catalog,
-            mode=args.pool_mode,
             max_workers=args.workers,
             timeout=args.timeout,
             cache_size=args.cache_size,
@@ -1473,8 +1487,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     )
     print(
         f"pool: alive={health['pool']['alive']}, "
-        f"lost_workers={health['pool']['lost_workers']}, "
-        f"rebuilds={health['pool']['rebuilds']}; "
+        f"lost_workers={health['pool']['lost_workers']}; "
         f"breakers open: {health['breakers_open']}"
     )
     if failed and not args.quiet:

@@ -64,10 +64,10 @@ def run_source_batch(
     label: str = "batch",
     max_workers: int | None = None,
 ) -> BatchRun:
-    """A multi-source batch on the service executor pool.
+    """A multi-source batch on the service's thread pool.
 
     Experiment runners are closures (they capture deltas and
-    set-points), so this always uses thread mode; the NumPy stages of
+    set-points), which threads accept; the NumPy stages of
     independent runs overlap while results stay in source order —
     identical to the serial path.  ``max_workers=1`` degenerates to
     the serial loop with no pool at all.
@@ -84,7 +84,6 @@ def run_source_batch(
         label=label,
         parallel=True,
         max_workers=workers,
-        mode="thread",
     )
 
 

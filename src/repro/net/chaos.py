@@ -201,7 +201,6 @@ def run_chaos_drill(
         net_fault_shard=crash_shard,
         shard_mode=shard_mode,
         heartbeat_ms=heartbeat_ms,
-        mode="thread",
         max_workers=workers,
     )
     supervisor = ShardSupervisor(

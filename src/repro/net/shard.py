@@ -838,7 +838,6 @@ class ShardManager:
                 "lost_workers": sum(
                     h["pool"]["lost_workers"] for h in shard_health
                 ),
-                "rebuilds": sum(h["pool"]["rebuilds"] for h in shard_health),
             },
             "breakers": breakers,
             "breakers_open": sum(h["breakers_open"] for h in shard_health),

@@ -1,10 +1,10 @@
 """Shard supervision: detect dead shards, restart them, degrade routing.
 
 The serving stack's last single point of failure is the shard
-dispatcher thread (:class:`~repro.net.shard.Shard`): the pool beneath
-it already self-heals (``BrokenProcessPool`` recovery, retries,
-breakers), but a dead or wedged dispatcher took its whole catalog
-partition with it.  :class:`ShardSupervisor` closes that gap with the
+dispatcher thread (:class:`~repro.net.shard.Shard`) or, with
+``--shard-mode process``, its worker process: the engine beneath it
+already absorbs task failures (retries, breakers), but a dead or
+wedged dispatcher took its whole catalog partition with it.  :class:`ShardSupervisor` closes that gap with the
 classic supervision loop:
 
 * **detect** — each check pass health-checks every shard on two

@@ -918,7 +918,6 @@ _EMPTY_HEALTH = {
         "pending": 0,
         "alive": True,
         "lost_workers": 0,
-        "rebuilds": 0,
     },
     "breakers": [],
     "breakers_open": 0,

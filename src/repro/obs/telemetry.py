@@ -1,16 +1,16 @@
 """Per-query trace propagation across the serving pool.
 
 The observability context (:mod:`repro.obs.context`) is process-wide:
-everything a *process-mode* pool worker publishes used to vanish with
-the worker, and nothing tied a metric or event to the query that
-caused it.  This module closes both holes:
+pool workers would race on one shared registry, and nothing tied a
+metric or event to the query that caused it.  This module closes both
+holes:
 
 * :class:`TraceContext` — the identity of one traced request:
   ``trace_id`` (shared by every span of the request), ``span_id`` /
   ``parent_id`` (the parentage chain), and the ``sampled`` decision
   made once, at mint time, at the protocol layer.  It serializes to a
-  plain dict (:meth:`~TraceContext.to_wire`) so it can ride a pickled
-  task envelope into a worker process.
+  plain dict (:meth:`~TraceContext.to_wire`) so it can ride a task
+  envelope into a pool worker or a frame into a shard worker process.
 * :class:`TraceSampler` — the deterministic head-sampling decision:
   ``rate=1.0`` samples everything, ``rate=0.1`` samples every 10th
   request, with an error-diffusion accumulator rather than a RNG so
@@ -18,8 +18,8 @@ caused it.  This module closes both holes:
 * :func:`capture_task` — the **worker-side** half.  Runs a task thunk
   under a private, thread-scoped observability context (fresh
   registry + list sink + span recorder), so the kernel's metrics,
-  events and spans land in a buffer instead of the void (process
-  mode) or a shared registry race (thread mode).  Returns
+  events and spans land in a buffer instead of a shared registry
+  race.  Returns
   ``(result, payload)`` where the payload carries the metric deltas,
   the span profile, the buffered events, and the worker's queue-wait
   and compute timings.
@@ -29,10 +29,10 @@ caused it.  This module closes both holes:
   buffered events replay into the serving sink stamped with the trace
   id and ``"worker": true``.
 
-The net effect: one ``repro query`` against a process-pool server
-yields one trace whose spans cover protocol -> engine -> pool ->
-worker -> kernel, and the serving registry's ``service.query.*``
-histograms include worker-side queue-wait and compute time.
+The net effect: one ``repro query`` against a server yields one trace
+whose spans cover protocol -> engine -> pool -> worker -> kernel, and
+the serving registry's ``service.query.*`` histograms include
+worker-side queue-wait and compute time.
 """
 
 from __future__ import annotations

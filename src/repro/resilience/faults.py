@@ -4,10 +4,10 @@ A :class:`FaultPlan` decides, purely from a seed and a task sequence
 number, whether a task is sabotaged and how.  Because the decision is
 a function of ``(seed, index)`` — not of wall clock, thread timing or
 call order within an index — the same plan replays the same faults in
-tests, in CI and at the ``repro faults`` command line, in thread and
-process pools alike.
+tests, in CI and at the ``repro faults`` command line.
 
-Fault kinds (``FaultPlan.kinds``):
+Pool fault kinds (``FAULT_KINDS``, the only kinds ``--fault-kinds``
+accepts):
 
 * ``"transient"`` — raise :class:`InjectedTransientError` before the
   task body runs (a blip the retry layer should absorb);
@@ -18,11 +18,7 @@ Fault kinds (``FaultPlan.kinds``):
   a pool with a shorter per-task timeout sees a hung task;
 * ``"corrupt"`` — run the task body, then hand back a *corrupted*
   result (negated distances on an SSSP result, a junk string
-  otherwise) that result validation must catch;
-* ``"poolbreak"`` — ``os._exit`` the worker process (process pools
-  only: it exercises ``BrokenProcessPool`` recovery; in a thread pool
-  it degrades to a :class:`InjectedCrashError`, since exiting the
-  thread would exit the server).
+  otherwise) that result validation must catch.
 
 Network-tier fault kinds (``NET_FAULT_KINDS``) extend the same plan
 machinery above the pool, into :mod:`repro.net`.  They are *decided*
@@ -42,7 +38,8 @@ rejects them, because they sabotage infrastructure, not tasks:
 
 Worker-process fault kinds (``WORKER_FAULT_KINDS``, a subset of
 ``NET_FAULT_KINDS``) are interpreted *inside* an out-of-process shard
-worker (``repro shard-worker``), indexed by request frame:
+worker (``repro shard-worker``), indexed by request frame.  They are
+how a drill kills a process (``repro chaos-net --shard-mode process``):
 
 * ``"worker_kill"`` — the worker SIGKILLs itself mid-request: the
   parent's waitpid sees a signal death, exactly like an OOM killer or
@@ -59,9 +56,8 @@ worker (``repro shard-worker``), indexed by request frame:
 fires a chosen kind at explicit indices (``at=(3,)`` = sabotage the
 third dispatch cycle) instead of rolling seeded dice per index.
 
-Everything here is picklable on purpose: process-mode workers receive
-the :class:`FaultSpec` inside the task payload (see
-:func:`repro.service.pool._run_faulted_on_worker_graph`).
+Plans cross the shard-worker process boundary as JSON
+(:func:`plan_to_wire` / :func:`plan_from_wire`).
 
 :class:`DivergentController` is the controller-level fault: a proxy
 that behaves like the wrapped :class:`~repro.core.controller.SetpointController`
@@ -72,11 +68,10 @@ the :mod:`repro.resilience.guard` watchdog exists to survive.
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 __all__ = [
     "ALL_FAULT_KINDS",
@@ -95,7 +90,7 @@ __all__ = [
     "DivergentController",
 ]
 
-FAULT_KINDS = ("transient", "crash", "hang", "corrupt", "poolbreak")
+FAULT_KINDS = ("transient", "crash", "hang", "corrupt")
 
 # worker-process kinds: decided by the same machinery, shipped over the
 # frame protocol and interpreted inside `repro shard-worker` processes
@@ -198,13 +193,18 @@ class FaultPlan:
 
     @classmethod
     def parse_kinds(cls, spec: str) -> Tuple[str, ...]:
-        """``"crash,hang"`` -> ``("crash", "hang")``, validated."""
+        """``"crash,hang"`` -> ``("crash", "hang")``: pool kinds only.
+
+        A pool plan (``--fault-kinds``) can only sabotage what
+        :func:`apply_fault` can apply, so network and worker kinds are
+        rejected here rather than failing every sabotaged task later.
+        """
         kinds = tuple(k.strip() for k in spec.split(",") if k.strip())
         for kind in kinds:
-            if kind not in ALL_FAULT_KINDS:
+            if kind not in FAULT_KINDS:
                 raise ValueError(
-                    f"unknown fault kind {kind!r} "
-                    f"(have {', '.join(ALL_FAULT_KINDS)})"
+                    f"unknown fault kind {kind!r} for pool tasks "
+                    f"(have {', '.join(FAULT_KINDS)})"
                 )
         return kinds
 
@@ -327,14 +327,8 @@ def _corrupt(result: object) -> object:
     return "corrupted-result"
 
 
-def apply_fault(fault: Optional[FaultSpec], call: Callable[[], object], *,
-                in_process_worker: bool = False) -> object:
-    """Run ``call`` under ``fault`` (``None`` = run clean).
-
-    ``in_process_worker`` tells ``poolbreak`` whether it may really
-    kill the hosting process; thread workers downgrade it to an
-    in-band crash so the server itself survives.
-    """
+def apply_fault(fault: Optional[FaultSpec], call: Callable[[], object]) -> object:
+    """Run ``call`` under ``fault`` (``None`` = run clean)."""
     if fault is None:
         return call()
     if fault.kind in NET_FAULT_KINDS:
@@ -346,10 +340,6 @@ def apply_fault(fault: Optional[FaultSpec], call: Callable[[], object], *,
         raise InjectedTransientError("injected transient fault")
     if fault.kind == "crash":
         raise InjectedCrashError("injected worker crash")
-    if fault.kind == "poolbreak":
-        if in_process_worker:
-            os._exit(13)  # a real worker death: the pool sees BrokenProcessPool
-        raise InjectedCrashError("injected worker crash (poolbreak on threads)")
     if fault.kind == "hang":
         time.sleep(fault.hang_seconds)
         return call()

@@ -1,7 +1,7 @@
 """Retry policy: exponential backoff, jitter, and an error classifier.
 
 The query engine retries a failed task only when the failure looks
-*transient* — a crashed worker, a timeout, a broken process pool, an
+*transient* — a crashed worker, a timeout, a broken executor, an
 injected blip — and gives up immediately on *permanent* errors (bad
 parameters, unknown algorithms) where a retry would just repeat the
 rejection more slowly.

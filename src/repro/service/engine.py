@@ -9,13 +9,14 @@ into something that answers :class:`SSSPQuery` requests:
    stale hit against changed graph data impossible.
 2. **dedup** — identical queries submitted in one batch collapse onto
    a single execution; the duplicates report ``cache="coalesced"``.
-3. **pool** — misses run on an :class:`~repro.service.pool.ExecutorPool`
-   (threads by default, processes for CPU-bound fan-out) with the
-   graphs shared per-worker, per-query timeouts and graceful
-   shutdown.
+3. **pool** — misses run on a thread
+   :class:`~repro.service.pool.ExecutorPool` with the graphs shared
+   in-process, per-query timeouts and graceful shutdown.  Concurrent
+   misses on one ``(graph, algorithm, params)`` corridor are coalesced
+   into one batched kernel call (``max_batch``).
 4. **resilience** — transient failures (worker crashes, timeouts,
-   broken process pools, corrupted results) are retried with
-   exponential backoff and deterministic jitter
+   corrupted results) are retried with exponential backoff and
+   deterministic jitter
    (:class:`~repro.resilience.retry.RetryPolicy`); repeated failures
    on one ``(graph, algorithm)`` corridor open a circuit breaker
    (:class:`~repro.resilience.breaker.BreakerBoard`) that fails fast
@@ -48,12 +49,9 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
 
 from repro import obs
 from repro.obs.telemetry import TraceContext, emit_span, merge_payload
@@ -200,15 +198,6 @@ CacheKey = Tuple[str, int, str, str]
 _Miss = Tuple[int, SSSPQuery, CacheKey, int, float, Optional[TraceContext]]
 
 
-@dataclass
-class _Dispatch:
-    """One pool submission covering one or more pending misses."""
-
-    future: object
-    members: List[_Miss]
-    batched: bool = False
-
-
 class QueryEngine:
     """Serve SSSP queries against a catalog, with caching and a pool.
 
@@ -217,7 +206,7 @@ class QueryEngine:
     catalog:
         The graphs to serve.  Loaded eagerly at construction — the
         pool needs concrete arrays to hand its workers.
-    mode, max_workers, timeout:
+    max_workers, timeout:
         Pool configuration (see :class:`~repro.service.pool.ExecutorPool`).
     cache_size:
         LRU capacity in results (0 disables caching).
@@ -251,7 +240,6 @@ class QueryEngine:
         self,
         catalog: GraphCatalog,
         *,
-        mode: str = "thread",
         max_workers: Optional[int] = None,
         timeout: Optional[float] = None,
         cache_size: int = 128,
@@ -267,7 +255,6 @@ class QueryEngine:
         self._graphs = catalog.load_all()
         self.pool = ExecutorPool(
             self._graphs,
-            mode=mode,
             max_workers=max_workers,
             timeout=timeout,
             fault_plan=fault_plan,
@@ -520,67 +507,29 @@ class QueryEngine:
             "enqueue_ts": time.time(),
         }
 
-    def _submit_query(
-        self, query: SSSPQuery, ctx: Optional[TraceContext] = None
-    ):
-        """Submit to the pool, absorbing one asynchronous break.
+    def _submit(self, members: List[_Miss]):
+        """Submit one pool task answering ``members`` (one corridor).
 
-        A process worker can die (``poolbreak``, OOM kill, ...) while
-        *other* tasks are being submitted or retried, leaving the
-        executor broken before this submission ever ran — recover and
-        submit again rather than blaming this query for it.
+        Two or more members run the multi-source kernel; a lone member
+        (a single query, or a corridor's odd one out) runs the
+        single-source runner.  The worker payload attaches to the lead
+        member's trace.
         """
-        if self._telemetry:
-            args = (
-                run_algorithm_traced,
-                self._envelope(ctx),
-                int(query.source),
-                query.algorithm,
-                dict(query.params),
+        lead = members[0][1]
+        if len(members) > 1:
+            task = (
+                run_algorithm_batch_traced
+                if self._telemetry
+                else run_algorithm_batch
             )
+            source = [int(m[1].source) for m in members]
         else:
-            args = (
-                run_algorithm,
-                int(query.source),
-                query.algorithm,
-                dict(query.params),
-            )
-        try:
-            return self.pool.submit(query.graph_id, *args)
-        except BrokenExecutor:
-            self.pool.recover()
-            return self.pool.submit(query.graph_id, *args)
-
-    def _submit_batch(
-        self,
-        queries: List[SSSPQuery],
-        ctx: Optional[TraceContext] = None,
-    ):
-        """Submit one coalesced batch task (same break-absorption as
-        :meth:`_submit_query`); all queries share graph/algorithm/params.
-        The worker payload attaches to the lead query's trace."""
-        lead = queries[0]
-        sources = [int(q.source) for q in queries]
+            task = run_algorithm_traced if self._telemetry else run_algorithm
+            source = int(lead.source)
+        args = (source, lead.algorithm, dict(lead.params))
         if self._telemetry:
-            args = (
-                run_algorithm_batch_traced,
-                self._envelope(ctx),
-                sources,
-                lead.algorithm,
-                dict(lead.params),
-            )
-        else:
-            args = (
-                run_algorithm_batch,
-                sources,
-                lead.algorithm,
-                dict(lead.params),
-            )
-        try:
-            return self.pool.submit(lead.graph_id, *args)
-        except BrokenExecutor:
-            self.pool.recover()
-            return self.pool.submit(lead.graph_id, *args)
+            args = (self._envelope(members[0][5]),) + args
+        return self.pool.submit(lead.graph_id, task, *args)
 
     def _emit_batch_dispatch(self, chunk: List[_Miss]) -> None:
         if self._events.enabled:
@@ -598,18 +547,20 @@ class QueryEngine:
                 event["trace"] = lead_ctx.trace_id
             self._events.emit(event)
 
-    def _dispatch(self, misses: List[_Miss]) -> List[_Dispatch]:
-        """Turn pending misses into pool submissions.
+    def _dispatch(
+        self, misses: List[_Miss]
+    ) -> List[Tuple[object, List[_Miss]]]:
+        """Turn pending misses into ``(future, members)`` pool submissions.
 
         With ``max_batch > 1``, misses on one ``(graph, algorithm,
         params)`` corridor whose algorithm has a multi-source kernel
         are coalesced into batch tasks of at most ``max_batch`` sources
         (a corridor dispatches at its first member's position, so
         submission order tracks request order); everything else is one
-        task per query, exactly as before.
+        task per query.
         """
         groups: Dict[Tuple[str, str, str], List[_Miss]] = {}
-        plan: List[Tuple[str, object]] = []
+        plan: List[List[_Miss]] = []
         for miss in misses:
             query = miss[1]
             if self.max_batch > 1 and query.algorithm in BATCHED_ALGORITHMS:
@@ -620,45 +571,21 @@ class QueryEngine:
                 )
                 if corridor not in groups:
                     groups[corridor] = []
-                    plan.append(("group", corridor))
+                    plan.append(groups[corridor])
                 groups[corridor].append(miss)
             else:
-                plan.append(("single", miss))
+                plan.append([miss])
 
-        dispatches: List[_Dispatch] = []
-        for kind, payload in plan:
-            if kind == "single":
-                miss = payload  # type: ignore[assignment]
-                dispatches.append(
-                    _Dispatch(
-                        future=self._submit_query(miss[1], miss[5]),
-                        members=[miss],
-                    )
-                )
-                continue
-            members = groups[payload]  # type: ignore[index]
+        dispatches: List[Tuple[object, List[_Miss]]] = []
+        for members in plan:
             for start in range(0, len(members), self.max_batch):
                 chunk = members[start : start + self.max_batch]
-                if len(chunk) == 1:
-                    # a lone miss gains nothing from the batch entry point
-                    dispatches.append(
-                        _Dispatch(
-                            future=self._submit_query(
-                                chunk[0][1], chunk[0][5]
-                            ),
-                            members=chunk,
-                        )
-                    )
-                    continue
-                future = self._submit_batch(
-                    [m[1] for m in chunk], chunk[0][5]
-                )
-                self._batch_size_hist.observe(len(chunk))
-                self._batch_coalesced.inc(len(chunk) - 1)
-                self._emit_batch_dispatch(chunk)
-                dispatches.append(
-                    _Dispatch(future=future, members=chunk, batched=True)
-                )
+                future = self._submit(chunk)
+                if len(chunk) > 1:
+                    self._batch_size_hist.observe(len(chunk))
+                    self._batch_coalesced.inc(len(chunk) - 1)
+                    self._emit_batch_dispatch(chunk)
+                dispatches.append((future, chunk))
         return dispatches
 
     def run_many(self, queries: List[SSSPQuery]) -> List[QueryResponse]:
@@ -741,8 +668,8 @@ class QueryEngine:
 
         # settle dispatches in submission order, retrying transients
         settled: Dict[CacheKey, QueryResponse] = {}
-        for dispatch in self._dispatch(misses):
-            for miss, response in self._settle_dispatch(dispatch):
+        for future, members in self._dispatch(misses):
+            for miss, response in self._settle(future, members):
                 i, query, key, qid, t0, ctx = miss
                 self._query_timer.observe(response.wall_seconds)
                 self._observe_latency(query, response)
@@ -792,41 +719,30 @@ class QueryEngine:
                 }
             )
 
-    def _settle_dispatch(
-        self, dispatch: _Dispatch
+    def _settle(
+        self, future, members: List[_Miss]
     ) -> List[Tuple[_Miss, QueryResponse]]:
-        """Wait for one dispatch; one ``(miss, response)`` per member."""
-        if not dispatch.batched:
-            miss = dispatch.members[0]
-            _, query, key, qid, t0, ctx = miss
-            return [
-                (miss, self._settle(query, key, dispatch.future, qid, t0, ctx))
-            ]
-        return self._settle_batch(dispatch)
+        """Wait for one dispatch, retrying it whole; one response per member.
 
-    def _settle_batch(
-        self, dispatch: _Dispatch
-    ) -> List[Tuple[_Miss, QueryResponse]]:
-        """Wait for one coalesced batch task, retrying it whole.
-
-        Mirrors :meth:`_settle` per member: every member result is
-        validated before *any* of them can reach the cache (a single
-        corrupt member condemns the attempt — results of one kernel
-        pass stand or fall together), the breaker hears one
-        corridor-level verdict per member query, and failures are
-        never cached.
+        Each attempt is bounded by the pool timeout.  Every member
+        result must pass sanity validation before *any* of them can
+        reach the cache or a client — results of one kernel pass stand
+        or fall together, and a corrupted result counts as a transient
+        failure and is re-run.  Errors are **never** cached; the
+        breaker hears one corridor-level verdict per member query (not
+        one per attempt).  A single query is a one-member dispatch
+        whose lone result is wrapped in a list.
         """
-        members = dispatch.members
         lead = members[0][1]
-        lead_ctx = members[0][5]
         graph = self._graphs[lead.graph_id]
-        future = dispatch.future
         attempt = 1
         while True:
             try:
                 raw = future.result(timeout=self.pool.timeout)
                 results, payload = self._unwrap(raw)
-                if (
+                if len(members) == 1:
+                    results = [results]
+                elif (
                     not isinstance(results, (list, tuple))
                     or len(results) != len(members)
                 ):
@@ -863,8 +779,6 @@ class QueryEngine:
                 return out
             except Exception as exc:
                 self.pool.abandon(future)
-                if isinstance(exc, BrokenExecutor):
-                    self.pool.recover()
                 timed_out = isinstance(
                     exc, (PoolTimeoutError, TimeoutError, FutureTimeoutError)
                 )
@@ -883,9 +797,7 @@ class QueryEngine:
                     if delay > 0:
                         time.sleep(delay)
                     try:
-                        future = self._submit_batch(
-                            [m[1] for m in members], lead_ctx
-                        )
+                        future = self._submit(members)
                     except Exception as resubmit_exc:
                         message = (
                             f"{type(resubmit_exc).__name__}: {resubmit_exc}"
@@ -920,93 +832,6 @@ class QueryEngine:
                     )
                 return failed
 
-    def _settle(
-        self,
-        query: SSSPQuery,
-        key: CacheKey,
-        future,
-        qid: int,
-        t0: float,
-        ctx: Optional[TraceContext] = None,
-    ) -> QueryResponse:
-        """Wait for one in-flight query, retrying transient failures.
-
-        Each attempt is bounded by the pool timeout.  A result must
-        pass sanity validation before it is cached or returned — a
-        corrupted result counts as a transient failure and is re-run.
-        Errors are **never** cached; the breaker hears about the final
-        verdict only (one corridor-level signal per query, not one per
-        attempt).
-        """
-        graph = self._graphs[query.graph_id]
-        attempt = 1
-        while True:
-            try:
-                raw = future.result(timeout=self.pool.timeout)
-                result, payload = self._unwrap(raw)
-                validate_result(
-                    result,
-                    num_nodes=graph.num_nodes,
-                    source=int(query.source),
-                )
-                self._absorb_payload(payload, query)
-                self.breakers.record_success(query.graph_id, query.algorithm)
-                response = QueryResponse(
-                    query=query,
-                    ok=True,
-                    cache="miss",
-                    fingerprint=key[0],
-                    wall_seconds=time.perf_counter() - t0,
-                    attempts=attempt,
-                    trace_id=ctx.trace_id if ctx else None,
-                    **_summarise(result),  # type: ignore[arg-type]
-                )
-                self.cache.put(key, result)
-                return response
-            except Exception as exc:
-                self.pool.abandon(future)
-                if isinstance(exc, BrokenExecutor):
-                    self.pool.recover()
-                timed_out = isinstance(
-                    exc, (PoolTimeoutError, TimeoutError, FutureTimeoutError)
-                )
-                message = (
-                    f"timeout after {self.pool.timeout}s"
-                    if timed_out
-                    else f"{type(exc).__name__}: {exc}"
-                )
-                transient = classify_error(exc) == "transient"
-                if transient and attempt < self.retry.max_attempts:
-                    delay = self.retry.delay(attempt, key)
-                    self.retry_attempts += 1
-                    self._retry_counter.inc()
-                    self._emit_retry(qid, attempt, message, delay)
-                    if delay > 0:
-                        time.sleep(delay)
-                    try:
-                        future = self._submit_query(query, ctx)
-                    except Exception as resubmit_exc:
-                        message = (
-                            f"{type(resubmit_exc).__name__}: {resubmit_exc}"
-                        )
-                        transient = False
-                    else:
-                        attempt += 1
-                        continue
-                self.breakers.record_failure(query.graph_id, query.algorithm)
-                self._error_counter.inc()
-                if transient:
-                    self.retry_exhausted += 1
-                    self._exhausted_counter.inc()
-                return QueryResponse(
-                    query=query,
-                    ok=False,
-                    error=message,
-                    attempts=attempt,
-                    wall_seconds=time.perf_counter() - t0,
-                    trace_id=ctx.trace_id if ctx else None,
-                )
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -1019,7 +844,6 @@ class QueryEngine:
                 "pending": self.pool.pending,
                 "alive": self.pool.alive,
                 "lost_workers": self.pool.lost_workers,
-                "rebuilds": self.pool.rebuilds,
             },
             "breakers": self.breakers.snapshot(),
             "breakers_open": self.breakers.open_count(),

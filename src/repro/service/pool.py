@@ -1,73 +1,51 @@
-"""Executor pool: fan SSSP work out over threads or processes.
+"""Executor pool: fan SSSP work out over threads.
 
 The pool owns a set of named :class:`~repro.graph.csr.CSRGraph` objects
-and an executor.  Tasks name the graph they run against; the graph
-itself never travels with a task:
+and a thread pool.  Tasks name the graph they run against and the
+workers share the graphs in-process.  NumPy releases the GIL inside
+the vectorised kernels, so frontier stages of independent runs
+genuinely overlap; the Python glue between stages serialises.
+Closures and lambdas work as task functions.
 
-* **thread mode** (default) — workers share the graphs in-process.
-  NumPy releases the GIL inside the vectorised kernels, so frontier
-  stages of independent runs genuinely overlap; the Python glue
-  between stages serialises.  Closures and lambdas work as task
-  functions.
-* **process mode** — the CSR arrays are shipped to each worker exactly
-  once, through the ``ProcessPoolExecutor`` *initializer* (not per
-  task), and rebuilt into a worker-global graph table.  Tasks then
-  carry only ``(graph_id, fn, args)``, so a 16-source batch on a
-  multi-megabyte graph pays the transfer ``max_workers`` times, not 16
-  times.  Task functions must be picklable (module-level functions).
+Process isolation lives one layer up: ``--shard-mode process`` runs
+each shard's engine (and its pool) inside a supervised ``repro
+shard-worker`` process, which is respawned after SIGKILL, OOM,
+corrupt frames or heartbeat silence (see :mod:`repro.net.worker`).
 
 Per-task timeouts are enforced at result-collection time
 (:meth:`ExecutorPool.run` / :meth:`ExecutorPool.map_ordered` raise
 :class:`PoolTimeoutError`); :meth:`ExecutorPool.close` shuts down
 gracefully and can cancel not-yet-started work.
 
-**Timed-out thread tasks cannot be killed.**  ``Future.cancel()`` on a
-task that already started is a no-op for threads, so a hung thread
-task keeps its worker slot occupied until (unless) it returns.
-:meth:`abandon` makes that limitation explicit: it cancels what can be
-cancelled and *accounts* what cannot — the ``service.pool.lost_workers``
-gauge counts slots currently held by abandoned-but-running tasks
-(decremented if the straggler eventually finishes) and
-:attr:`lost_workers` exposes the same number in-process.  Process
-tasks do not leak slots this way (a worker can be torn down), but a
-*dead* process worker breaks the whole ``ProcessPoolExecutor``; the
-pool answers ``BrokenProcessPool`` by rebuilding the executor
-(:meth:`recover`, counted in ``service.pool.rebuilds``) and
-:meth:`run`/:meth:`map_ordered` transparently requeue the work that
-never ran.
+**Timed-out tasks cannot be killed.**  ``Future.cancel()`` on a task
+that already started is a no-op for threads, so a hung task keeps its
+worker slot occupied until (unless) it returns.  :meth:`abandon` makes
+that limitation explicit: it cancels what can be cancelled and
+*accounts* what cannot — the ``service.pool.lost_workers`` gauge counts
+slots currently held by abandoned-but-running tasks (decremented if
+the straggler eventually finishes) and :attr:`lost_workers` exposes
+the same number in-process.
 
 Deterministic sabotage for tests and chaos drills: pass a
 :class:`~repro.resilience.faults.FaultPlan` and the pool injects the
-planned fault (crash, hang, corrupt result, transient error, worker
-death) into each task by submission index.
+planned fault (crash, hang, corrupt result, transient error) into each
+task by submission index.
 
 The pool publishes ``service.pool.queue_depth`` (gauge) and
 ``service.pool.tasks`` (counter) through the observability context
-active at construction (see :mod:`repro.obs.context`).
-
-Worker processes start with the *null* observability context, so
-metrics a task publishes would stay in that process — which is why
-the engine's traced task wrappers
-(:func:`~repro.service.runners.run_algorithm_traced`) run each task
-under a private buffered context and ship the deltas back with the
-result (see :mod:`repro.obs.telemetry`).  The pool itself stays
-telemetry-agnostic: an envelope is just another pickled argument.
+active at construction (see :mod:`repro.obs.context`).  The pool
+itself stays telemetry-agnostic: the engine's traced task wrappers
+(:func:`~repro.service.runners.run_algorithm_traced`) carry their
+telemetry envelope as just another argument.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.graph.csr import CSRGraph
@@ -89,64 +67,18 @@ def default_max_workers() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-# ----------------------------------------------------------------------
-# process-mode worker plumbing
-# ----------------------------------------------------------------------
-# Graph table living in each worker process, installed by the
-# initializer.  In the parent process this stays empty.
-_WORKER_GRAPHS: Dict[str, CSRGraph] = {}
-
-GraphPayload = Tuple[str, str, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _graph_payloads(graphs: Mapping[str, CSRGraph]) -> List[GraphPayload]:
-    return [
-        (gid, g.name, g.indptr, g.indices, g.weights)
-        for gid, g in graphs.items()
-    ]
-
-
-def _init_worker(payloads: List[GraphPayload]) -> None:
-    """Rebuild the graph table inside a fresh worker process."""
-    _WORKER_GRAPHS.clear()
-    for gid, name, indptr, indices, weights in payloads:
-        _WORKER_GRAPHS[gid] = CSRGraph(
-            indptr=indptr, indices=indices, weights=weights, name=name
-        )
-
-
-def _run_on_worker_graph(graph_id: str, fn: Callable, args: tuple, kwargs: dict):
-    graph = _WORKER_GRAPHS[graph_id]
-    return fn(graph, *args, **kwargs)
-
-
-def _run_faulted_on_worker_graph(
-    fault: FaultSpec, graph_id: str, fn: Callable, args: tuple, kwargs: dict
-):
-    return apply_fault(
-        fault,
-        lambda: _run_on_worker_graph(graph_id, fn, args, kwargs),
-        in_process_worker=True,
-    )
-
-
-def _run_faulted_in_thread(fault: FaultSpec, fn: Callable, graph, args, kwargs):
-    return apply_fault(
-        fault, lambda: fn(graph, *args, **kwargs), in_process_worker=False
-    )
+def _run_faulted(fault: FaultSpec, fn: Callable, graph, args, kwargs):
+    return apply_fault(fault, lambda: fn(graph, *args, **kwargs))
 
 
 class ExecutorPool:
-    """A thread or process pool over a fixed set of named graphs.
+    """A thread pool over a fixed set of named graphs.
 
     Parameters
     ----------
     graphs:
-        ``{graph_id: CSRGraph}`` — the graphs tasks may name.  Fixed at
-        construction: process workers receive them once, in their
-        initializer.
-    mode:
-        ``"thread"`` (default) or ``"process"``.
+        ``{graph_id: CSRGraph}`` — the graphs tasks may name (more can
+        be added later with :meth:`add_graph`).
     max_workers:
         Worker count; defaults to :func:`default_max_workers`.
     timeout:
@@ -158,57 +90,47 @@ class ExecutorPool:
         decision for its submission index.
     """
 
+    # reported by stats/health; worker processes are the shards' job
+    mode = "thread"
+
     def __init__(
         self,
         graphs: Mapping[str, CSRGraph],
         *,
-        mode: str = "thread",
         max_workers: Optional[int] = None,
         timeout: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
     ):
-        if mode not in ("thread", "process"):
-            raise ValueError(f"mode must be 'thread' or 'process', got {mode!r}")
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
         self._graphs = dict(graphs)
-        self.mode = mode
         self.max_workers = max_workers or default_max_workers()
         self.timeout = timeout
         self.fault_plan = fault_plan
-        self._executor: ThreadPoolExecutor | ProcessPoolExecutor | None = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._lock = threading.Lock()
         self._pending = 0
         self._task_index = 0
         self._lost_workers = 0
-        self.rebuilds = 0
         registry = obs.get_registry()
         self._depth_gauge = registry.gauge("service.pool.queue_depth")
         self._task_counter = registry.counter("service.pool.tasks")
         self._lost_gauge = registry.gauge("service.pool.lost_workers")
-        self._rebuild_counter = registry.counter("service.pool.rebuilds")
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _ensure_executor(self):
+    def _ensure_executor(self) -> ThreadPoolExecutor:
         if self._closed:
             raise RuntimeError("pool is closed")
         if self._executor is None:
-            if self.mode == "process":
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    initializer=_init_worker,
-                    initargs=(_graph_payloads(self._graphs),),
-                )
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-pool",
-                )
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.max_workers,
+                thread_name_prefix="repro-pool",
+            )
         return self._executor
 
     def close(self, *, cancel_pending: bool = False) -> None:
@@ -220,44 +142,18 @@ class ExecutorPool:
         """
         self._closed = True
         if self._executor is not None:
-            # a broken process pool cannot wait for its (dead) workers
-            broken = getattr(self._executor, "_broken", False)
-            self._executor.shutdown(
-                wait=not broken, cancel_futures=cancel_pending or bool(broken)
-            )
+            self._executor.shutdown(wait=True, cancel_futures=cancel_pending)
             self._executor = None
 
     @property
     def alive(self) -> bool:
-        """Usable right now: not closed, executor absent or unbroken."""
-        if self._closed:
-            return False
-        executor = self._executor
-        return executor is None or not getattr(executor, "_broken", False)
+        """Usable right now: not closed."""
+        return not self._closed
 
     @property
     def lost_workers(self) -> int:
-        """Slots currently occupied by abandoned (timed-out) thread tasks."""
+        """Slots currently occupied by abandoned (timed-out) tasks."""
         return self._lost_workers
-
-    def recover(self) -> None:
-        """Tear down a broken executor and lazily rebuild on next submit.
-
-        Called when a worker process died hard (``BrokenProcessPool``):
-        the executor object is unusable, but the graphs and the
-        configuration are not — a fresh executor (with fresh workers
-        re-initialised from the same graph payloads) restores service.
-        Futures already handed out by the broken executor stay failed;
-        callers requeue them (:meth:`run` / :meth:`map_ordered` do this
-        themselves, the query engine retries through its normal path).
-        """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        self.rebuilds += 1
-        self._rebuild_counter.inc()
 
     def __enter__(self) -> "ExecutorPool":
         return self
@@ -283,19 +179,13 @@ class ExecutorPool:
     def add_graph(self, graph_id: str, graph: CSRGraph) -> None:
         """Register a graph after construction (shard failover adoption).
 
-        Thread mode sees the new graph immediately (workers resolve
-        graphs from the shared dict).  Process mode ships graph
-        payloads to workers at executor build time, so an existing
-        executor is torn down lazily — in-flight futures finish on the
-        old workers, and the next submit rebuilds with the full set.
+        Workers resolve graphs from the shared dict, so the next
+        submission can name it.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
         with self._lock:
             self._graphs[graph_id] = graph
-            if self.mode == "process" and self._executor is not None:
-                self._executor.shutdown(wait=False, cancel_futures=False)
-                self._executor = None
 
     def _track(self, future: Future) -> Future:
         with self._lock:
@@ -314,86 +204,59 @@ class ExecutorPool:
     def submit(
         self, graph_id: str, fn: Callable, *args, **kwargs
     ) -> Future:
-        """Schedule ``fn(graph, *args, **kwargs)`` on a worker.
-
-        The graph is resolved worker-side from ``graph_id``; in process
-        mode ``fn``, ``args`` and ``kwargs`` must be picklable.
-        """
+        """Schedule ``fn(graph, *args, **kwargs)`` on a worker thread."""
         if graph_id not in self._graphs:
             raise KeyError(
                 f"unknown graph {graph_id!r} (have {self.graph_ids})"
             )
         executor = self._ensure_executor()
+        graph = self._graphs[graph_id]
         fault = None
         if self.fault_plan is not None:
             with self._lock:
                 index = self._task_index
                 self._task_index += 1
             fault = self.fault_plan.decide(index)
-        if self.mode == "process":
-            if fault is not None:
-                future = executor.submit(
-                    _run_faulted_on_worker_graph, fault, graph_id, fn, args, kwargs
-                )
-            else:
-                future = executor.submit(
-                    _run_on_worker_graph, graph_id, fn, args, kwargs
-                )
+        if fault is not None:
+            future = executor.submit(
+                _run_faulted, fault, fn, graph, args, kwargs
+            )
         else:
-            graph = self._graphs[graph_id]
-            if fault is not None:
-                future = executor.submit(
-                    _run_faulted_in_thread, fault, fn, graph, args, kwargs
-                )
-            else:
-                future = executor.submit(fn, graph, *args, **kwargs)
+            future = executor.submit(fn, graph, *args, **kwargs)
         return self._track(future)
 
     def abandon(self, future: Future) -> bool:
         """Give up on a future; account the slot if it cannot be freed.
 
         Returns True if the task was cancelled before starting.  A
-        task already running on a *thread* cannot be stopped — the
-        slot is counted lost (``service.pool.lost_workers`` gauge,
-        :attr:`lost_workers`) until the straggler finishes on its own,
-        if it ever does.
+        task already running cannot be stopped — the slot is counted
+        lost (``service.pool.lost_workers`` gauge, :attr:`lost_workers`)
+        until the straggler finishes on its own, if it ever does.
         """
         if future.cancel() or future.done():
             return future.cancelled()
-        if self.mode == "thread":
+        with self._lock:
+            self._lost_workers += 1
+            self._lost_gauge.set(self._lost_workers)
+
+        def _finally_finished(_fut: Future) -> None:
             with self._lock:
-                self._lost_workers += 1
+                self._lost_workers -= 1
                 self._lost_gauge.set(self._lost_workers)
 
-            def _finally_finished(_fut: Future) -> None:
-                with self._lock:
-                    self._lost_workers -= 1
-                    self._lost_gauge.set(self._lost_workers)
-
-            future.add_done_callback(_finally_finished)
+        future.add_done_callback(_finally_finished)
         return False
 
     def run(self, graph_id: str, fn: Callable, *args, **kwargs):
-        """Submit one task and wait for it (honouring the pool timeout).
-
-        A dead process worker (``BrokenProcessPool``) triggers one
-        executor rebuild and one transparent resubmission; a second
-        break raises.
-        """
+        """Submit one task and wait for it (honouring the pool timeout)."""
         future = self.submit(graph_id, fn, *args, **kwargs)
-        for attempt in range(2):
-            try:
-                return future.result(timeout=self.timeout)
-            except FutureTimeoutError:
-                self.abandon(future)
-                raise PoolTimeoutError(
-                    f"task on graph {graph_id!r} exceeded {self.timeout}s"
-                ) from None
-            except BrokenExecutor:
-                if attempt == 1:
-                    raise
-                self.recover()
-                future = self.submit(graph_id, fn, *args, **kwargs)
+        try:
+            return future.result(timeout=self.timeout)
+        except FutureTimeoutError:
+            self.abandon(future)
+            raise PoolTimeoutError(
+                f"task on graph {graph_id!r} exceeded {self.timeout}s"
+            ) from None
 
     def map_ordered(
         self,
@@ -407,33 +270,17 @@ class ExecutorPool:
         order, so a parallel batch is a drop-in replacement for the
         serial loop.  The pool timeout applies to each task
         individually; the first failing task raises (the remaining
-        futures are left to finish, then cancelled by ``close``).  A
-        broken process pool is rebuilt once, with every task that did
-        not complete requeued on the fresh executor.
+        futures are left to finish, then cancelled by ``close``).
         """
         futures = [self.submit(graph_id, fn, *args) for args in arg_tuples]
         results = []
-        recovered = False
-        i = 0
-        while i < len(futures):
+        for i, future in enumerate(futures):
             try:
-                results.append(futures[i].result(timeout=self.timeout))
+                results.append(future.result(timeout=self.timeout))
             except FutureTimeoutError:
                 for later in futures[i:]:
                     self.abandon(later)
                 raise PoolTimeoutError(
                     f"task {i} on graph {graph_id!r} exceeded {self.timeout}s"
                 ) from None
-            except BrokenExecutor:
-                if recovered:
-                    raise
-                recovered = True
-                self.recover()
-                # requeue this task and everything after it that did
-                # not finish before the break
-                for j in range(i, len(futures)):
-                    if not (futures[j].done() and futures[j].exception() is None):
-                        futures[j] = self.submit(graph_id, fn, *arg_tuples[j])
-                continue
-            i += 1
         return results

@@ -19,8 +19,8 @@ One JSON object per line.  Four operations (``op`` defaults to
   hits/misses/evictions, pool occupancy, retry totals.
 * ``{"op": "graphs"}`` — the catalog: id, name, sizes, fingerprint.
 * ``{"op": "health"}`` — the resilience picture: pool liveness (mode,
-  workers, pending, ``alive``, ``lost_workers``, ``rebuilds``),
-  per-(graph, algorithm) circuit-breaker states, and retry totals.
+  workers, pending, ``alive``, ``lost_workers``), per-(graph,
+  algorithm) circuit-breaker states, and retry totals.
 * ``{"op": "metrics"}`` — the serving registry's metric snapshot
   (labelled ``service.query.*`` histograms with p50/p95/p99, cache and
   breaker counters, merged worker-side kernel metrics).  With

@@ -14,9 +14,9 @@ overhead across the batch.
 
 Parameters are validated against a per-algorithm whitelist *before*
 the run starts, so a typo'd request fails fast with a message naming
-the accepted keys instead of dying mid-run.  Everything here is a
-module-level function on purpose: process-mode workers must be able to
-pickle the task (see :mod:`repro.service.pool`).
+the accepted keys instead of dying mid-run.  Every runner takes the
+graph first, the calling convention of
+:meth:`repro.service.pool.ExecutorPool.submit`.
 """
 
 from __future__ import annotations
@@ -170,8 +170,7 @@ def run_algorithm_traced(
     graph so the pool's graph-injection calling convention is
     untouched.  Returns ``(result, payload)`` where the payload ships
     the worker's metric deltas, span profile, buffered events and
-    queue-wait/compute timings back to the engine.  Module-level (and
-    envelope a plain dict) so process-mode workers can pickle the task.
+    queue-wait/compute timings back to the engine.
     """
     from repro import obs
     from repro.obs.telemetry import capture_task

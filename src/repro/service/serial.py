@@ -44,7 +44,7 @@ _MAGIC = b"RGPH"
 _HEADER_LEN = struct.Struct("!I")
 
 # Engine kwargs that are already JSON-safe scalars.
-_SCALAR_KEYS = ("mode", "max_workers", "timeout", "cache_size", "max_batch")
+_SCALAR_KEYS = ("max_workers", "timeout", "cache_size", "max_batch")
 
 
 class GraphTransferError(ValueError):

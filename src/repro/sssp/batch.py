@@ -118,24 +118,25 @@ def batch_run(
     """Run ``runner`` from every source.
 
     Serial by default.  With ``parallel=True`` (or an explicit
-    ``max_workers``) the sources fan out over a
+    ``max_workers``) the sources fan out over a thread
     :class:`repro.service.pool.ExecutorPool`; per-source runs are
     independent, and results/traces always come back **in source
     order**, so the parallel path is bit-identical to the serial one.
-
-    ``mode="process"`` gives CPU-parallel workers with the graph
-    shipped once per worker — but then ``runner`` must be picklable (a
-    module-level function, not a lambda).  ``mode="thread"`` accepts
-    any callable and overlaps the NumPy kernels, which release the
-    GIL.  ``timeout`` bounds each source's run in seconds.
+    Any callable works as ``runner``, and the NumPy kernels release
+    the GIL, so runs overlap.  ``timeout`` bounds each source's run in
+    seconds.
 
     ``mode="batched"`` is the fast path: it ignores ``runner`` and
     answers the whole batch with one multi-source near+far pass
     (:func:`repro.sssp.batch_kernels.batched_nearfar_sssp`, optionally
     tuned by ``delta``).  Distances are byte-identical to looping
     ``nearfar_sssp`` over the sources; traces come back empty (the
-    batched kernel keeps counters, not per-iteration records).
+    batched kernel keeps counters, not per-iteration records).  Any
+    other ``mode`` than ``"thread"`` or ``"batched"`` raises
+    ``ValueError``.
     """
+    if mode not in ("thread", "batched"):
+        raise ValueError(f"mode must be 'thread' or 'batched', got {mode!r}")
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         raise ValueError("sources must be non-empty")
@@ -158,7 +159,7 @@ def batch_run(
         from repro.service.pool import ExecutorPool
 
         with ExecutorPool(
-            {"batch": graph}, mode=mode, max_workers=max_workers, timeout=timeout
+            {"batch": graph}, max_workers=max_workers, timeout=timeout
         ) as pool:
             pairs = pool.map_ordered(
                 "batch", runner, [(int(s),) for s in sources]

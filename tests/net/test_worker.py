@@ -21,7 +21,7 @@ from repro.service.catalog import GraphCatalog
 
 
 def _client(grids, **kwargs):
-    kwargs.setdefault("engine_kwargs", {"mode": "thread", "max_workers": 1})
+    kwargs.setdefault("engine_kwargs", {"max_workers": 1})
     kwargs.setdefault("heartbeat_ms", 100.0)
     return WorkerClient(0, grids, **kwargs)
 

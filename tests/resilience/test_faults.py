@@ -65,6 +65,19 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultPlan.parse_kinds("crash,nonsense")
 
+    @pytest.mark.parametrize(
+        "kind", ["shard_crash", "worker_kill", "frame_corrupt", "poolbreak"]
+    )
+    def test_parse_kinds_accepts_only_pool_kinds(self, kind):
+        """apply_fault cannot run network/worker kinds on a pool task."""
+        assert FaultPlan.parse_kinds(",".join(FAULT_KINDS)) == FAULT_KINDS
+        with pytest.raises(ValueError) as exc:
+            FaultPlan.parse_kinds(f"crash,{kind}")
+        assert str(exc.value) == (
+            f"unknown fault kind {kind!r} for pool tasks "
+            "(have transient, crash, hang, corrupt)"
+        )
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultSpec(kind="meteor")
@@ -85,11 +98,6 @@ class TestApplyFault:
     def test_crash_raises(self):
         with pytest.raises(InjectedCrashError):
             apply_fault(FaultSpec("crash"), lambda: 1)
-
-    def test_poolbreak_degrades_to_crash_on_threads(self):
-        """Outside a process worker, poolbreak must NOT kill the host."""
-        with pytest.raises(InjectedCrashError, match="poolbreak"):
-            apply_fault(FaultSpec("poolbreak"), lambda: 1, in_process_worker=False)
 
     def test_hang_delays_then_runs(self):
         out = apply_fault(FaultSpec("hang", hang_seconds=0.0), lambda: "done")

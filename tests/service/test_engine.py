@@ -1,5 +1,8 @@
 """Integration tests for the query engine: cache, dedup, obs, errors."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,12 +47,6 @@ class TestBasicQueries:
         finite = direct.finite_distances()
         assert response.max_dist == pytest.approx(float(finite.max()))
         assert response.fingerprint == grid.fingerprint()
-
-    def test_process_mode(self, catalog, grid):
-        with QueryEngine(catalog, mode="process", max_workers=2) as engine:
-            response = engine.run(SSSPQuery("grid", 0, "dijkstra"))
-        assert response.ok
-        assert response.reached == dijkstra(grid, 0).num_reached
 
 
 class TestCaching:
@@ -264,27 +261,6 @@ class TestResilience:
         # the rejected query never reached the pool
         assert health["pool"]["pending"] == 0
 
-    def test_submission_recovers_from_async_pool_break(self, catalog, monkeypatch):
-        """A worker can die while *other* work is being submitted,
-        breaking the executor before this query's submit ran — the
-        engine must recover and submit again, not fail the query."""
-        from concurrent.futures import BrokenExecutor
-
-        with QueryEngine(catalog) as engine:
-            real_submit = engine.pool.submit
-            calls = {"n": 0}
-
-            def breaking_submit(*args, **kwargs):
-                calls["n"] += 1
-                if calls["n"] == 1:
-                    raise BrokenExecutor("pool broke under our feet")
-                return real_submit(*args, **kwargs)
-
-            monkeypatch.setattr(engine.pool, "submit", breaking_submit)
-            response = engine.run(SSSPQuery("grid", 0, "dijkstra"))
-        assert response.ok, response.error
-        assert engine.pool.rebuilds == 1
-
     def test_attempts_in_wire_dict_only_when_retried(self, catalog):
         plan = _plan_with_pattern(("transient",), [True, False])
         with QueryEngine(
@@ -310,6 +286,140 @@ class TestResilience:
         assert health["breakers_open"] == 0
         assert health["retries"]["attempts"] == 0
         assert health["retries"]["exhausted"] == 0
+
+
+_CORRUPT_ENVELOPE = (
+    "CorruptResultError: task returned str, expected a (result, telemetry) pair"
+)
+
+# scenario -> (fault kind, fault on the first task only?, pool timeout,
+#              attempts, error each retry reports, final error or None)
+RETRY_SCENARIOS = {
+    "transient-then-clean": (
+        "transient", True, None, 2,
+        "InjectedTransientError: injected transient fault", None,
+    ),
+    "crash-until-exhausted": (
+        "crash", False, None, 3,
+        "InjectedCrashError: injected worker crash",
+        "InjectedCrashError: injected worker crash",
+    ),
+    "corrupt-then-clean": ("corrupt", True, None, 2, _CORRUPT_ENVELOPE, None),
+    "hang-then-clean": ("hang", True, 0.05, 2, "timeout after 0.05s", None),
+}
+
+# shape -> the queries one run_many call submits (max_batch=8)
+RETRY_SHAPES = {
+    "single-dijkstra": [(0, "dijkstra")],
+    "nearfar-batch": [(0, "nearfar"), (5, "nearfar")],
+}
+
+
+class TestRetryParity:
+    """One retry contract for a single query and a coalesced batch.
+
+    Every cell of shape x scenario must report the same attempts, retry
+    events, counters, cache contents and breaker verdicts; a batch
+    multiplies the per-query outcomes by its member count but is
+    resubmitted (and counted in ``service.retries``) as one task.
+    """
+
+    @pytest.mark.parametrize("shape", sorted(RETRY_SHAPES))
+    @pytest.mark.parametrize("scenario", sorted(RETRY_SCENARIOS))
+    def test_retry_table(self, catalog, grid, shape, scenario):
+        kind, first_only, timeout, attempts, retry_error, error = (
+            RETRY_SCENARIOS[scenario]
+        )
+        plan = replace(
+            _plan_with_pattern((kind,), [True, False])
+            if first_only
+            else FaultPlan(rate=1.0, kinds=(kind,)),
+            hang_seconds=0.3,
+        )
+        queries = [SSSPQuery("grid", s, a) for s, a in RETRY_SHAPES[shape]]
+        members = len(queries)
+        registry = obs.MetricsRegistry()
+        sink = obs.ListSink()
+        with obs.use(registry=registry, events=sink):
+            with QueryEngine(
+                catalog,
+                max_workers=2,
+                timeout=timeout,
+                max_batch=8,
+                fault_plan=plan,
+                retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+            ) as engine:
+                responses = engine.run_many(queries)
+                cache_size = len(engine.cache)
+                exhausted = engine.retry_exhausted
+                attempts_total = engine.retry_attempts
+                (breaker,) = engine.breakers.snapshot()
+
+        assert [r.attempts for r in responses] == [attempts] * members
+        assert [r.error for r in responses] == [error] * members
+        assert [r.ok for r in responses] == [error is None] * members
+        for response in responses:
+            if response.ok:
+                want = dijkstra(grid, response.query.source).num_reached
+                assert response.reached == want
+        starts = sink.of_type("query_start")
+        per_member = {
+            start["qid"]: [
+                (e["attempt"], e["error"])
+                for e in sink.of_type("query_retry")
+                if e["qid"] == start["qid"]
+            ]
+            for start in starts
+        }
+        expected_retries = [(a, retry_error) for a in range(1, attempts)]
+        assert list(per_member.values()) == [expected_retries] * members
+        assert len(sink.of_type("query_retry")) == (attempts - 1) * members
+        # one resubmission per retry, however many members it carries
+        assert registry.counter("service.retries").value == attempts - 1
+        assert attempts_total == attempts - 1
+        assert exhausted == (members if error else 0)
+        assert registry.counter("service.retry_exhausted").value == exhausted
+        assert cache_size == (0 if error else members)
+        assert breaker["consecutive_failures"] == (members if error else 0)
+        assert registry.counter("service.errors").value == (
+            members if error else 0
+        )
+
+    @pytest.mark.parametrize(
+        "shape, error",
+        [
+            (
+                "single-dijkstra",
+                r"CorruptResultError: distance to source is .*-1\.0.*, expected 0",
+            ),
+            (
+                "nearfar-batch",
+                r"CorruptResultError: batch task returned str, expected 2 results",
+            ),
+        ],
+    )
+    def test_corrupt_without_telemetry_names_the_check(
+        self, catalog, shape, error
+    ):
+        """Bare (envelope-free) tasks reach result validation itself."""
+        queries = [SSSPQuery("grid", s, a) for s, a in RETRY_SHAPES[shape]]
+        with obs.use():
+            with QueryEngine(
+                catalog,
+                max_batch=8,
+                fault_plan=FaultPlan(rate=1.0, kinds=("corrupt",)),
+                retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+            ) as engine:
+                assert engine.telemetry is False
+                responses = engine.run_many(queries)
+        assert [(r.ok, r.attempts) for r in responses] == [(False, 2)] * len(
+            queries
+        )
+        for response in responses:
+            assert re.fullmatch(error, response.error), response.error
+        assert len(engine.cache) == 0
+        assert engine.retry_attempts == 1
+        assert engine.retry_exhausted == len(queries)
 
 
 class TestResponseWireFormat:

