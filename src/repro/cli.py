@@ -826,8 +826,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     registry = obs.MetricsRegistry()
     spans = obs.SpanRecorder()
     sink = obs.JsonlSink(args.events) if args.events else None
-    sampler = (
-        TraceSampler(args.sample_rate) if args.sample_rate < 1.0 else None
+    sampler = _checked_option(
+        "--sample-rate", lambda: TraceSampler(args.sample_rate)
     )
     catalog = _service_catalog(args)
     metrics_path = Path(args.metrics) if args.metrics else None

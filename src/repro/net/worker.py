@@ -31,7 +31,9 @@ Failure semantics: a dead worker fails all in-flight correlations with
 :class:`WorkerRequestError` (a :class:`~repro.net.shard.ShardDiedError`
 subclass, so the manager answers in-band retryable ``unavailable:``
 errors for exactly the dead shard's sources); a corrupt frame fails
-only its own correlation id.  Worker-side telemetry is process-local
+only its own correlation id, and so does a malformed one (a CRC-valid
+frame whose handler raises: the worker answers a non-retryable ERROR
+and keeps serving).  Worker-side telemetry is process-local
 by construction — the worker runs under a null observability context
 so its answers are byte-identical to thread mode's; the front-end
 instead exports ``net.worker.*`` counters (restarts, heartbeat
@@ -228,11 +230,15 @@ class _WorkerProcess:
     def _handle_config(self, corr: int, payload: bytes) -> None:
         cfg = decode_json_payload(payload)
         kwargs = engine_config_from_wire(cfg.get("engine", {}))
-        self.heartbeat_seconds = max(
+        heartbeat_seconds = max(
             0.01, float(cfg.get("heartbeat_ms", self.heartbeat_seconds * 1000.0)) / 1000.0
         )
-        self.fault_plan = plan_from_wire(cfg.get("fault_plan"))
-        self.engine = QueryEngine(self.catalog, **kwargs)
+        fault_plan = plan_from_wire(cfg.get("fault_plan"))
+        engine = QueryEngine(self.catalog, **kwargs)
+        # applied only once the whole frame parsed: a bad CONFIG changes nothing
+        self.heartbeat_seconds, self.fault_plan, self.engine = (
+            heartbeat_seconds, fault_plan, engine,
+        )
         send_json_frame(
             self.sock,
             FT_READY,
@@ -322,20 +328,35 @@ class _WorkerProcess:
                     continue
                 if frame_type == FT_SHUTDOWN:
                     return 0
-                if frame_type == FT_ADOPT:
-                    self._handle_adopt(corr, payload)
-                elif frame_type == FT_CONFIG:
-                    self._handle_config(corr, payload)
-                elif frame_type == FT_REQUEST:
-                    self._handle_request(corr, payload)
-                else:
+                try:
+                    if frame_type == FT_ADOPT:
+                        self._handle_adopt(corr, payload)
+                    elif frame_type == FT_CONFIG:
+                        self._handle_config(corr, payload)
+                    elif frame_type == FT_REQUEST:
+                        self._handle_request(corr, payload)
+                    else:
+                        send_json_frame(
+                            self.sock,
+                            FT_ERROR,
+                            corr,
+                            {
+                                "error": f"unexpected frame type {frame_type}",
+                                "retryable": True,
+                            },
+                        )
+                except OSError:
+                    raise  # the parent socket failed: the loop ends below
+                except Exception as exc:
+                    # a malformed frame fails only its own correlation
+                    # id; the same bytes would fail again, so no retry
                     send_json_frame(
                         self.sock,
                         FT_ERROR,
                         corr,
                         {
-                            "error": f"unexpected frame type {frame_type}",
-                            "retryable": True,
+                            "error": f"bad frame: {type(exc).__name__}: {exc}",
+                            "retryable": False,
                         },
                     )
         except (EOFError, OSError, FrameError):

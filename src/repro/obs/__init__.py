@@ -12,9 +12,9 @@ Three channels, all off (and near-zero-cost) by default:
 
 On top of the three channels, :mod:`repro.obs.telemetry` threads a
 per-query :class:`~repro.obs.telemetry.TraceContext` through the
-serving stack (protocol -> engine -> pool -> worker) and ships
-worker-side metric deltas, spans and events back for merging, and
-:mod:`repro.obs.exposition` renders any snapshot as Prometheus text.
+serving stack (protocol -> engine -> pool -> worker), with pool
+threads recording kernel telemetry straight into the serving context,
+and :mod:`repro.obs.exposition` renders any snapshot as Prometheus text.
 
 Activate any subset with :func:`repro.obs.use`; inspect a recorded run
 with ``python -m repro trace``.  Metric names and the event schema are

@@ -24,12 +24,11 @@ Two scopes:
 * ``scope="process"`` (the default) installs the context globally —
   one place to look for a process observing itself, exactly as before.
 * ``scope="thread"`` installs a thread-local override that shadows the
-  process context **for the calling thread only**.  This is what lets
-  a pool worker thread run under a private, buffered context (see
-  :mod:`repro.obs.telemetry`) without retargeting its siblings: the
-  worker's kernel metrics land in the buffer, ship back with the
-  result, and merge into the serving registry, instead of racing every
-  other worker on the shared one.
+  process context **for the calling thread only**.  This is how a
+  serving engine's pool thread sees the engine's registry and a view of
+  its sink stamped with the current query's trace (or the null sink
+  for an unsampled one) without retargeting its siblings, each of
+  which runs a different query (see :mod:`repro.service.engine`).
 
 :func:`current` resolves thread-local first, then the process global.
 """
@@ -116,8 +115,8 @@ def use(
     Omitted channels stay null.  The previous context is restored on
     exit (contexts nest but do not merge).  ``scope="process"`` (the
     default) swaps the process-global context; ``scope="thread"``
-    shadows it for the calling thread only — the isolation pool worker
-    threads need to buffer their telemetry per task.
+    shadows it for the calling thread only — how a pool thread records
+    one query's kernel telemetry under that query's trace.
     """
     if scope not in ("process", "thread"):
         raise ValueError(f"scope must be 'process' or 'thread', got {scope!r}")

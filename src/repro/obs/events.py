@@ -20,8 +20,9 @@ Schema **v2** adds the telemetry vocabulary: ``span`` events (one per
 closed trace span — ``{"type", "trace", "span", "parent", "name",
 "seconds", ...}``) and an optional ``"trace"`` field on serving-path
 events (``query_start`` / ``query_end`` / ``batch_dispatch``), plus
-``"worker": true`` on events replayed from a worker-shipped telemetry
-payload.  See ``docs/trace-and-metrics.md`` for the full vocabulary.
+``"worker": true`` on the kernel events a serving pool thread emits
+(stamped by :class:`~repro.obs.telemetry.WorkerEvents`).  See
+``docs/trace-and-metrics.md`` for the full vocabulary.
 
 Sinks share a tiny interface: ``emit(dict)``, ``close()``, and an
 ``enabled`` flag instrumented code checks before building the event

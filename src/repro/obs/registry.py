@@ -25,8 +25,9 @@ in :mod:`repro.obs.exposition` renders.
 
 The live registry is **thread-safe**: handle creation takes a registry
 lock and every mutator (``inc``/``set``/``observe``) takes a per-metric
-lock, so a query engine serving from a thread pool (or merging shipped
-worker deltas, see :mod:`repro.obs.telemetry`) never loses increments.
+lock, so a query engine whose pool threads record kernel metrics into
+it concurrently (see :mod:`repro.obs.telemetry`) never loses
+increments.
 
 :class:`Histogram` keeps fixed log-spaced buckets rather than raw
 samples, so a long-running server's latency series stays O(1) memory
@@ -103,10 +104,6 @@ class Counter:
         with self._lock:
             self.value += amount
 
-    def merge(self, data: Mapping) -> None:
-        """Fold a shipped counter delta (an :meth:`as_dict` dict) in."""
-        self.inc(data.get("value", 0))
-
     def as_dict(self) -> dict:
         """JSON-ready export: ``{"type": "counter", "value": ...}``."""
         return {"type": self.kind, "value": self.value}
@@ -130,10 +127,6 @@ class Gauge:
         with self._lock:
             self.value = float(value)
 
-    def merge(self, data: Mapping) -> None:
-        """Fold a shipped gauge (an :meth:`as_dict` dict) in: last write wins."""
-        self.set(data.get("value", 0.0))
-
     def as_dict(self) -> dict:
         """JSON-ready export: ``{"type": "gauge", "value": ...}``."""
         return {"type": self.kind, "value": self.value}
@@ -142,7 +135,8 @@ class Gauge:
 # Log-spaced bucket upper bounds shared by every histogram: four per
 # decade from 1e-6 to 1e8 (microseconds of latency up to ~1e8-edge
 # relaxation counts), plus an implicit +inf overflow bucket.  Fixed
-# and class-level so worker-shipped bucket deltas align by index.
+# and shared so every histogram's buckets align by index (the
+# Prometheus exposition relies on it).
 BUCKET_BOUNDS: Tuple[float, ...] = tuple(
     10.0 ** (e / 4.0) for e in range(-24, 33)
 )
@@ -191,29 +185,6 @@ class Histogram:
             self._count += 1
             self._sum += value
             self._buckets[index] += 1
-
-    def merge(self, data: Mapping) -> None:
-        """Fold a shipped histogram delta (an :meth:`as_dict` dict) in.
-
-        This is how worker-side distributions reach the serving
-        registry: the worker snapshots its private registry, the
-        payload rides back with the result, and the engine merges the
-        sparse bucket counts here (see :mod:`repro.obs.telemetry`).
-        """
-        count = int(data.get("count", 0))
-        if count == 0:
-            return
-        with self._lock:
-            if self._count == 0:
-                self._min = float(data.get("min", 0.0))
-                self._max = float(data.get("max", 0.0))
-            else:
-                self._min = min(self._min, float(data.get("min", self._min)))
-                self._max = max(self._max, float(data.get("max", self._max)))
-            self._count += count
-            self._sum += float(data.get("sum", 0.0))
-            for index, bucket_count in data.get("buckets", []):
-                self._buckets[int(index)] += int(bucket_count)
 
     @property
     def count(self) -> int:
@@ -283,8 +254,7 @@ class Histogram:
     def bucket_counts(self) -> List[Tuple[int, int]]:
         """Sparse non-empty buckets as ``(index, count)`` pairs.
 
-        Index ``len(BUCKET_BOUNDS)`` is the +inf overflow bucket; the
-        pairs are what :meth:`merge` consumes on the far side.
+        Index ``len(BUCKET_BOUNDS)`` is the +inf overflow bucket.
         """
         return [(i, c) for i, c in enumerate(self._buckets) if c]
 
@@ -365,9 +335,6 @@ class _NullCounter:
     def inc(self, amount: Number = 1) -> None:
         pass
 
-    def merge(self, data: Mapping) -> None:
-        pass
-
 
 class _NullGauge:
     __slots__ = ()
@@ -376,9 +343,6 @@ class _NullGauge:
     value = 0.0
 
     def set(self, value: Number) -> None:
-        pass
-
-    def merge(self, data: Mapping) -> None:
         pass
 
 
@@ -393,9 +357,6 @@ class _NullHistogram:
     maximum = 0.0
 
     def observe(self, value: Number) -> None:
-        pass
-
-    def merge(self, data: Mapping) -> None:
         pass
 
     def quantile(self, q: float) -> float:
@@ -419,13 +380,6 @@ _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
 _NULL_TIMER = _NullTimer()
-
-_KIND_TO_CLASS = {
-    "counter": Counter,
-    "gauge": Gauge,
-    "histogram": Histogram,
-    "timer": Timer,
-}
 
 
 class MetricsRegistry:
@@ -491,29 +445,12 @@ class MetricsRegistry:
 
         Keys are qualified names (``name`` or ``name{k="v"}``); values
         include histogram quantiles and sparse bucket counts, so a
-        snapshot is both human-diffable and :meth:`merge_snapshot`-able.
+        snapshot is both human-diffable and renderable as Prometheus
+        text (:mod:`repro.obs.exposition`).
         """
         with self._lock:
             metrics = list(self._metrics.items())
         return {key: metric.as_dict() for key, metric in sorted(metrics)}
-
-    def merge_snapshot(self, snapshot: Mapping[str, dict]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters add, gauges take the shipped value, histograms and
-        timers merge bucket-by-bucket.  This is the engine-side half of
-        worker telemetry shipping: a worker's private registry is a
-        pure delta (it started empty), so merging it here preserves
-        totals exactly.  Unknown types raise; type conflicts with an
-        existing name raise, same as :meth:`counter` and friends.
-        """
-        for key, data in snapshot.items():
-            kind = data.get("type")
-            cls = _KIND_TO_CLASS.get(kind)
-            if cls is None:
-                raise ValueError(f"cannot merge metric {key!r} of type {kind!r}")
-            base, labels = parse_name(key)
-            self._get(base, cls, labels).merge(data)
 
 
 class NullRegistry:
@@ -554,9 +491,6 @@ class NullRegistry:
     def snapshot(self) -> Dict[str, dict]:
         """Always empty."""
         return {}
-
-    def merge_snapshot(self, snapshot: Mapping[str, dict]) -> None:
-        """Dropped: a disabled registry absorbs nothing."""
 
 
 NULL_REGISTRY = NullRegistry()

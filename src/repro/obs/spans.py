@@ -72,8 +72,9 @@ class SpanRecorder:
 
     The span *stack* is intentionally single-threaded (one recorder
     belongs to one run), but the accumulated *profile* is lock-guarded
-    so a serving engine can :meth:`merge` worker-shipped profiles from
-    its settle path while another thread reads :meth:`profile`.
+    so a serving engine can :meth:`merge` the rows it times for its
+    pool tasks from its settle path while another thread reads
+    :meth:`profile`.
     """
 
     enabled = True
@@ -106,24 +107,16 @@ class SpanRecorder:
                 stat[0] += count
                 stat[1] += seconds
 
-    def merge(
-        self,
-        profile: Iterable[Mapping],
-        *,
-        prefix: str = "",
-    ) -> None:
-        """Fold a shipped profile (``[{path, count, seconds}, ...]``) in.
+    def merge(self, profile: Iterable[Mapping]) -> None:
+        """Fold profile rows (``[{path, count, seconds}, ...]``) in.
 
-        ``prefix`` re-roots the shipped paths (``prefix="worker"``
-        turns ``"run/kernel"`` into ``"worker/run/kernel"``), which is
-        how worker-side span profiles nest under the serving engine's
-        own accounting (see :mod:`repro.obs.telemetry`).
+        This is how spans timed off the recorder's own stack land in
+        it: the serving engine books each pool task's ``worker/task``
+        and ``worker/task/kernel`` rows here (see
+        :mod:`repro.service.engine`).
         """
         for row in profile:
-            path = row["path"]
-            if prefix:
-                path = f"{prefix}/{path}"
-            self._add(path, int(row["count"]), float(row["seconds"]))
+            self._add(row["path"], int(row["count"]), float(row["seconds"]))
 
     # -- reporting ------------------------------------------------------
     def total(self, path: str) -> float:
@@ -182,7 +175,7 @@ class NullSpanRecorder:
         """Always 0."""
         return 0
 
-    def merge(self, profile, *, prefix: str = "") -> None:
+    def merge(self, profile) -> None:
         """Dropped: a disabled recorder absorbs nothing."""
 
     def profile(self) -> List[SpanStat]:

@@ -3,16 +3,16 @@
 The repo's algorithms answer one-shot, in-process calls; this package
 turns them into a serving stack:
 
-* :mod:`~repro.service.pool` — thread/process executor with the CSR
-  graphs shared per-worker (arrays shipped once, not per task),
-  per-task timeouts and graceful shutdown;
+* :mod:`~repro.service.pool` — thread executor with the CSR graphs
+  shared in-process, per-task timeouts and graceful shutdown;
 * :mod:`~repro.service.catalog` — named graphs (objects, files,
   generator factories) with stable content fingerprints;
 * :mod:`~repro.service.cache` — bounded LRU result cache with
   hit/miss/eviction metrics;
 * :mod:`~repro.service.engine` — the query engine: fingerprint-keyed
   caching, in-flight dedup, pool fan-out, ``query_start``/``query_end``
-  events;
+  events; with telemetry on, pool tasks record kernel metrics and
+  trace-stamped events straight into the engine's context;
 * :mod:`~repro.service.runners` — wire-name -> algorithm dispatch
   (single-source and batched entry points);
 * :mod:`~repro.service.protocol` — the JSONL request/response format
@@ -47,8 +47,6 @@ from repro.service.runners import (
     algorithm_names,
     run_algorithm,
     run_algorithm_batch,
-    run_algorithm_batch_traced,
-    run_algorithm_traced,
 )
 
 __all__ = [
@@ -72,7 +70,5 @@ __all__ = [
     "internal_error_response",
     "run_algorithm",
     "run_algorithm_batch",
-    "run_algorithm_batch_traced",
-    "run_algorithm_traced",
     "serve_stream",
 ]

@@ -34,15 +34,15 @@ bundles pool liveness, breaker states and retry counters for the
 
 When that context is live, every query also carries a
 :class:`~repro.obs.telemetry.TraceContext`: the engine derives a child
-of the query's (protocol-minted) trace, threads a grandchild through
-the task envelope into the pool worker, and the worker ships its
-metric deltas, span profile and buffered events back with the result
-(see :mod:`repro.obs.telemetry`).  Merged worker payloads feed the
+of the query's (protocol-minted) trace, and each pool task runs in a
+closure that records the kernel's metrics and trace-stamped events
+straight into the serving context (see :mod:`repro.obs.telemetry`).
+The engine books each settled task's ``worker/...`` span rows and the
 labelled ``service.query.latency`` / ``service.query.queue_wait`` /
 ``service.query.compute`` histograms — per ``(graph, algorithm)`` —
 whose p50/p95/p99 the ``metrics`` protocol op exposes.  With a null
-context the engine runs the exact pre-telemetry code path: bare
-runner tasks, no envelopes, no per-query overhead.
+context the engine submits the bare runner call.  Either way a pool
+task returns the bare result, so validation is one path.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
-from repro.obs.telemetry import TraceContext, emit_span, merge_payload
+from repro.obs.telemetry import TraceContext, WorkerEvents, emit_span
 from repro.resilience.breaker import BreakerBoard, BreakerConfig
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import (
@@ -70,8 +70,6 @@ from repro.service.runners import (
     BATCHED_ALGORITHMS,
     run_algorithm,
     run_algorithm_batch,
-    run_algorithm_batch_traced,
-    run_algorithm_traced,
     validate_params,
 )
 from repro.sssp.result import SSSPResult
@@ -272,7 +270,7 @@ class QueryEngine:
         self._events = obs.get_events()
         self._spans = obs.get_spans()
         # captured once at construction: with a null context this stays
-        # False and every query runs the bare (envelope-free) task path
+        # False and every pool task is the bare runner call
         self._telemetry = obs.current().enabled
         self._query_counter = registry.counter("service.queries")
         self._error_counter = registry.counter("service.errors")
@@ -327,51 +325,6 @@ class QueryEngine:
         if query.trace is not None:
             return query.trace.child()
         return TraceContext.mint()
-
-    def _absorb_payload(
-        self, payload: Optional[Mapping], query: SSSPQuery
-    ) -> None:
-        """Fold one worker telemetry payload into the serving context."""
-        if not payload:
-            return
-        merge_payload(
-            payload,
-            registry=self._registry,
-            events=self._events,
-            spans=self._spans,
-        )
-        _, queue_hist, compute_hist = self._query_hists(
-            query.graph_id, query.algorithm
-        )
-        queue_wait = payload.get("queue_wait_seconds")
-        if queue_wait is not None:
-            queue_hist.observe(float(queue_wait))
-        compute = payload.get("compute_seconds")
-        if compute is not None:
-            compute_hist.observe(float(compute))
-
-    def _unwrap(self, raw):
-        """Split a pool return into ``(result, payload)``.
-
-        With telemetry off tasks return bare results — pass through.
-        With telemetry on every task is a traced wrapper returning a
-        ``(result, payload-dict)`` pair; anything else (e.g. a fault
-        plan's corrupted envelope) is a corrupt result, which
-        :func:`~repro.resilience.retry.classify_error` treats as
-        transient — same retry behaviour a corrupted bare result gets.
-        """
-        if not self._telemetry:
-            return raw, None
-        if (
-            not isinstance(raw, tuple)
-            or len(raw) != 2
-            or not isinstance(raw[1], dict)
-        ):
-            raise CorruptResultError(
-                f"task returned {type(raw).__name__}, "
-                "expected a (result, telemetry) pair"
-            )
-        return raw
 
     @property
     def telemetry(self) -> bool:
@@ -497,39 +450,80 @@ class QueryEngine:
         """Answer one query (cache -> pool), never raising for bad input."""
         return self.run_many([query])[0]
 
-    def _envelope(self, ctx: Optional[TraceContext]) -> dict:
-        """The telemetry envelope for one pool task: the worker's trace
-        context (a pool-hop child of the engine span) plus the enqueue
-        timestamp queue-wait is measured against.  A retry mints a
-        fresh envelope — new span, new enqueue time."""
-        return {
-            "ctx": ctx.child().to_wire() if ctx is not None else None,
-            "enqueue_ts": time.time(),
-        }
-
-    def _submit(self, members: List[_Miss]):
+    def _submit(self, members: List[_Miss]) -> Tuple[object, Optional[list]]:
         """Submit one pool task answering ``members`` (one corridor).
 
         Two or more members run the multi-source kernel; a lone member
         (a single query, or a corridor's odd one out) runs the
-        single-source runner.  The worker payload attaches to the lead
-        member's trace.
+        single-source runner.  Returns ``(future, clock)``: ``clock`` is
+        None with telemetry off, else the :meth:`_pool_task` timings.
         """
         lead = members[0][1]
         if len(members) > 1:
-            task = (
-                run_algorithm_batch_traced
-                if self._telemetry
-                else run_algorithm_batch
-            )
+            task = run_algorithm_batch
             source = [int(m[1].source) for m in members]
         else:
-            task = run_algorithm_traced if self._telemetry else run_algorithm
+            task = run_algorithm
             source = int(lead.source)
-        args = (source, lead.algorithm, dict(lead.params))
+        clock = None
         if self._telemetry:
-            args = (self._envelope(members[0][5]),) + args
-        return self.pool.submit(lead.graph_id, task, *args)
+            clock = [time.perf_counter()]
+            task = self._pool_task(task, members[0][5], clock)
+        future = self.pool.submit(
+            lead.graph_id, task, source, lead.algorithm, dict(lead.params)
+        )
+        return future, clock
+
+    def _pool_task(self, run, ctx: TraceContext, clock: List[float]):
+        """``run`` as a pool task that records into this engine's context.
+
+        The pool thread gets the engine's registry and, for a sampled
+        trace on a live sink, a trace-stamping view of the sink (else
+        the null sink); spans stay null, as a recorder's stack is
+        single-threaded.  ``clock`` (holding the enqueue time) gains the
+        task's start, kernel start, kernel end and end times.
+        """
+        events = (
+            WorkerEvents(self._events, ctx.trace_id)
+            if ctx.sampled and self._events.enabled
+            else None
+        )
+
+        def task(graph, *args):
+            started = time.perf_counter()
+            with obs.use(registry=self._registry, events=events, scope="thread"):
+                kernel_start = time.perf_counter()
+                result = run(graph, *args)
+                kernel_end = time.perf_counter()
+            clock.extend((started, kernel_start, kernel_end, time.perf_counter()))
+            return result
+
+        return task
+
+    def _book_task(
+        self, query: SSSPQuery, ctx: TraceContext, clock: List[float]
+    ) -> None:
+        """Book a settled pool task against its lead ``query``: the
+        ``worker/task`` and ``worker/task/kernel`` span rows and (sampled
+        traces only) events, and the queue-wait and compute histograms."""
+        enqueued, started, kernel_start, kernel_end, ended = clock
+        task_s, kernel_s = ended - started, kernel_end - kernel_start
+        self._spans.merge(
+            [
+                {"path": "worker/task", "count": 1, "seconds": task_s},
+                {"path": "worker/task/kernel", "count": 1, "seconds": kernel_s},
+            ]
+        )
+        worker = ctx.child()
+        emit_span(self._events, worker, "worker/task", task_s, count=1)
+        emit_span(
+            self._events, worker.child(), "worker/task/kernel", kernel_s, count=1
+        )
+        _, queue_hist, compute_hist = self._query_hists(
+            query.graph_id, query.algorithm
+        )
+        queue_hist.observe(started - enqueued)
+        compute_hist.observe(task_s)
 
     def _emit_batch_dispatch(self, chunk: List[_Miss]) -> None:
         if self._events.enabled:
@@ -549,8 +543,8 @@ class QueryEngine:
 
     def _dispatch(
         self, misses: List[_Miss]
-    ) -> List[Tuple[object, List[_Miss]]]:
-        """Turn pending misses into ``(future, members)`` pool submissions.
+    ) -> List[Tuple[object, Optional[list], List[_Miss]]]:
+        """Turn pending misses into ``(future, clock, members)`` submissions.
 
         With ``max_batch > 1``, misses on one ``(graph, algorithm,
         params)`` corridor whose algorithm has a multi-source kernel
@@ -576,16 +570,16 @@ class QueryEngine:
             else:
                 plan.append([miss])
 
-        dispatches: List[Tuple[object, List[_Miss]]] = []
+        dispatches: List[Tuple[object, Optional[list], List[_Miss]]] = []
         for members in plan:
             for start in range(0, len(members), self.max_batch):
                 chunk = members[start : start + self.max_batch]
-                future = self._submit(chunk)
+                future, clock = self._submit(chunk)
                 if len(chunk) > 1:
                     self._batch_size_hist.observe(len(chunk))
                     self._batch_coalesced.inc(len(chunk) - 1)
                     self._emit_batch_dispatch(chunk)
-                dispatches.append((future, chunk))
+                dispatches.append((future, clock, chunk))
         return dispatches
 
     def run_many(self, queries: List[SSSPQuery]) -> List[QueryResponse]:
@@ -668,8 +662,8 @@ class QueryEngine:
 
         # settle dispatches in submission order, retrying transients
         settled: Dict[CacheKey, QueryResponse] = {}
-        for future, members in self._dispatch(misses):
-            for miss, response in self._settle(future, members):
+        for future, clock, members in self._dispatch(misses):
+            for miss, response in self._settle(future, clock, members):
                 i, query, key, qid, t0, ctx = miss
                 self._query_timer.observe(response.wall_seconds)
                 self._observe_latency(query, response)
@@ -720,7 +714,7 @@ class QueryEngine:
             )
 
     def _settle(
-        self, future, members: List[_Miss]
+        self, future, clock: Optional[list], members: List[_Miss]
     ) -> List[Tuple[_Miss, QueryResponse]]:
         """Wait for one dispatch, retrying it whole; one response per member.
 
@@ -731,15 +725,15 @@ class QueryEngine:
         failure and is re-run.  Errors are **never** cached; the
         breaker hears one corridor-level verdict per member query (not
         one per attempt).  A single query is a one-member dispatch
-        whose lone result is wrapped in a list.
+        whose lone result is wrapped in a list.  With telemetry on, the
+        attempt that passes validation is booked (:meth:`_book_task`).
         """
         lead = members[0][1]
         graph = self._graphs[lead.graph_id]
         attempt = 1
         while True:
             try:
-                raw = future.result(timeout=self.pool.timeout)
-                results, payload = self._unwrap(raw)
+                results = future.result(timeout=self.pool.timeout)
                 if len(members) == 1:
                     results = [results]
                 elif (
@@ -756,7 +750,8 @@ class QueryEngine:
                         num_nodes=graph.num_nodes,
                         source=int(miss[1].source),
                     )
-                self._absorb_payload(payload, lead)
+                if clock is not None:
+                    self._book_task(lead, members[0][5], clock)
                 now = time.perf_counter()
                 out: List[Tuple[_Miss, QueryResponse]] = []
                 for miss, result in zip(members, results):
@@ -797,7 +792,7 @@ class QueryEngine:
                     if delay > 0:
                         time.sleep(delay)
                     try:
-                        future = self._submit(members)
+                        future, clock = self._submit(members)
                     except Exception as resubmit_exc:
                         message = (
                             f"{type(resubmit_exc).__name__}: {resubmit_exc}"

@@ -34,9 +34,9 @@ task by submission index.
 The pool publishes ``service.pool.queue_depth`` (gauge) and
 ``service.pool.tasks`` (counter) through the observability context
 active at construction (see :mod:`repro.obs.context`).  The pool
-itself stays telemetry-agnostic: the engine's traced task wrappers
-(:func:`~repro.service.runners.run_algorithm_traced`) carry their
-telemetry envelope as just another argument.
+itself stays telemetry-agnostic: a telemetry-on engine submits a
+closure that installs its context on the worker thread, and the pool
+runs it like any other task.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ the engine has telemetry, each query line mints a root
 queries, stamps the response with ``"trace"``, and emits the
 ``protocol`` span closing the request.  An optional
 :class:`~repro.obs.telemetry.TraceSampler` decides, per line, whether
-that trace ships spans and events (metric deltas always count).
+that trace emits spans and events (metrics always count).
 
 Every input line produces exactly one output line with an ``"ok"``
 key; malformed lines (bad JSON, missing fields, unknown graph or
@@ -182,8 +182,8 @@ def _mint_root(
     """The root trace context for one query line, or None.
 
     Minted only when the engine has telemetry (a null-context engine
-    stays envelope-free end to end).  The sampler — when given —
-    decides here, once, whether this trace ships spans and events.
+    stays trace-free end to end).  The sampler — when given — decides
+    here, once, whether this trace emits spans and events.
     """
     if not engine.telemetry:
         return None

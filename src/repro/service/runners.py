@@ -16,7 +16,10 @@ Parameters are validated against a per-algorithm whitelist *before*
 the run starts, so a typo'd request fails fast with a message naming
 the accepted keys instead of dying mid-run.  Every runner takes the
 graph first, the calling convention of
-:meth:`repro.service.pool.ExecutorPool.submit`.
+:meth:`repro.service.pool.ExecutorPool.submit`, and returns bare
+results whether or not the engine has telemetry on: a telemetry-on
+engine runs the same call inside a pool-thread closure that records
+straight into its observability context.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ __all__ = [
     "algorithm_names",
     "run_algorithm",
     "run_algorithm_batch",
-    "run_algorithm_traced",
-    "run_algorithm_batch_traced",
 ]
 
 # algorithm -> accepted parameter names
@@ -154,52 +155,3 @@ def run_algorithm_batch(
 
         return batched_nearfar_sssp(graph, sources, delta=params.get("delta"))
     return [run_algorithm(graph, s, algorithm, params) for s in sources]
-
-
-def run_algorithm_traced(
-    graph: CSRGraph,
-    envelope: Mapping,
-    source: int,
-    algorithm: str,
-    params: Optional[Mapping] = None,
-) -> Tuple[SSSPResult, dict]:
-    """:func:`run_algorithm` under a buffered telemetry context.
-
-    The task envelope (trace context + enqueue timestamp, see
-    :func:`repro.obs.telemetry.capture_task`) comes right after the
-    graph so the pool's graph-injection calling convention is
-    untouched.  Returns ``(result, payload)`` where the payload ships
-    the worker's metric deltas, span profile, buffered events and
-    queue-wait/compute timings back to the engine.
-    """
-    from repro import obs
-    from repro.obs.telemetry import capture_task
-
-    def task() -> SSSPResult:
-        with obs.get_spans().span("kernel"):
-            return run_algorithm(graph, source, algorithm, params)
-
-    return capture_task(envelope, task)
-
-
-def run_algorithm_batch_traced(
-    graph: CSRGraph,
-    envelope: Mapping,
-    sources: Sequence[int],
-    algorithm: str,
-    params: Optional[Mapping] = None,
-) -> Tuple[List[SSSPResult], dict]:
-    """:func:`run_algorithm_batch` under a buffered telemetry context.
-
-    The batched sibling of :func:`run_algorithm_traced`: one payload
-    for the whole coalesced batch (one pool task, one worker span
-    tree), attributed to the lead query's trace.
-    """
-    from repro import obs
-    from repro.obs.telemetry import capture_task
-
-    def task() -> List[SSSPResult]:
-        with obs.get_spans().span("kernel"):
-            return run_algorithm_batch(graph, sources, algorithm, params)
-
-    return capture_task(envelope, task)

@@ -43,6 +43,15 @@ __all__ = [
 _MAGIC = b"RGPH"
 _HEADER_LEN = struct.Struct("!I")
 
+# Graph image header field -> the JSON type pack_graph writes there.
+_HEADER_FIELDS = {
+    "graph_id": str,
+    "name": str,
+    "num_nodes": int,
+    "num_edges": int,
+    "fingerprint": str,
+}
+
 # Engine kwargs that are already JSON-safe scalars.
 _SCALAR_KEYS = ("max_workers", "timeout", "cache_size", "max_batch")
 
@@ -78,9 +87,11 @@ def unpack_graph(payload: bytes) -> Tuple[str, CSRGraph]:
     """Invert :func:`pack_graph`; verify structure and fingerprint.
 
     Returns ``(graph_id, graph)``.  Raises :class:`GraphTransferError`
-    if the image is malformed or the rebuilt graph's fingerprint does
-    not match the one the sender embedded — a worker never adopts a
-    graph it cannot prove it received intact.
+    for every malformed image — bad magic, a truncated or undecodable
+    header, a missing or mistyped header field, array spans that do not
+    add up, inconsistent CSR arrays — and when the rebuilt graph's
+    fingerprint does not match the one the sender embedded: a worker
+    never adopts a graph it cannot prove it received intact.
     """
     if len(payload) < len(_MAGIC) + _HEADER_LEN.size:
         raise GraphTransferError("graph image truncated before header")
@@ -92,8 +103,19 @@ def unpack_graph(payload: bytes) -> Tuple[str, CSRGraph]:
         header = json.loads(payload[body_at : body_at + head_len])
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GraphTransferError(f"bad graph image header: {exc}") from None
-    num_nodes = int(header["num_nodes"])
-    num_edges = int(header["num_edges"])
+    if not isinstance(header, dict):
+        raise GraphTransferError(
+            f"graph image header is a {type(header).__name__}, not an object"
+        )
+    for key, kind in _HEADER_FIELDS.items():
+        value = header.get(key)
+        if type(value) is not kind or (kind is int and value < 0):
+            raise GraphTransferError(
+                f"graph image header field {key!r} is {value!r}, "
+                f"expected a {'non-negative ' if kind is int else ''}{kind.__name__}"
+            )
+    graph_id = header["graph_id"]
+    num_nodes, num_edges = header["num_nodes"], header["num_edges"]
     spans = (
         ((num_nodes + 1) * 8, np.int64),
         (num_edges * 4, np.int32),
@@ -101,28 +123,31 @@ def unpack_graph(payload: bytes) -> Tuple[str, CSRGraph]:
     )
     offset = body_at + head_len
     if len(payload) != offset + sum(size for size, _ in spans):
-        raise GraphTransferError(
-            f"graph image size mismatch for {header.get('graph_id')!r}"
-        )
+        raise GraphTransferError(f"graph image size mismatch for {graph_id!r}")
     arrays = []
     for size, dtype in spans:
         arrays.append(
             np.frombuffer(payload[offset : offset + size], dtype=dtype).copy()
         )
         offset += size
-    graph = CSRGraph(
-        indptr=arrays[0],
-        indices=arrays[1],
-        weights=arrays[2],
-        name=header["name"],
-    )
+    try:
+        graph = CSRGraph(
+            indptr=arrays[0],
+            indices=arrays[1],
+            weights=arrays[2],
+            name=header["name"],
+        )
+    except ValueError as exc:
+        raise GraphTransferError(
+            f"graph image for {graph_id!r} is not a valid CSR graph: {exc}"
+        ) from None
     if graph.fingerprint() != header["fingerprint"]:
         raise GraphTransferError(
-            f"fingerprint mismatch unpacking {header.get('graph_id')!r}: "
+            f"fingerprint mismatch unpacking {graph_id!r}: "
             f"got {graph.fingerprint()[:12]}, "
             f"expected {header['fingerprint'][:12]}"
         )
-    return header["graph_id"], graph
+    return graph_id, graph
 
 
 def engine_config_to_wire(kwargs: Mapping) -> dict:

@@ -2,22 +2,42 @@
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import socket
+import struct
+import threading
 import time
 
 import pytest
 
 from repro.graph.generators import grid_road_network
+from repro.net.frames import (
+    FT_ADOPT,
+    FT_ADOPT_OK,
+    FT_CONFIG,
+    FT_ERROR,
+    FT_HELLO,
+    FT_READY,
+    FT_REQUEST,
+    FT_RESPONSE,
+    FT_SHUTDOWN,
+    decode_json_payload,
+    encode_frame,
+    recv_frame,
+)
 from repro.net.worker import (
     WorkerClient,
     WorkerRequestError,
+    _WorkerProcess,
     query_from_wire,
     query_to_wire,
 )
 from repro.resilience import ScheduledFaultPlan
 from repro.service import QueryEngine, SSSPQuery
 from repro.service.catalog import GraphCatalog
+from repro.service.serial import pack_graph
 
 
 def _client(grids, **kwargs):
@@ -206,3 +226,129 @@ def test_close_is_idempotent(grids, registry):
     client.close()
     client.close()
     assert not client.alive
+
+
+# ----------------------------------------------------------------------
+# malformed frames, driven over a socketpair into an in-thread serve loop
+# ----------------------------------------------------------------------
+class _Link:
+    """The parent end of a socketpair whose other end a serve loop owns."""
+
+    def __init__(self):
+        self.sock, child = socket.socketpair()
+        self.worker = _WorkerProcess(
+            child, shard_index=0, token="t", heartbeat_ms=60_000.0
+        )
+        self.thread = threading.Thread(target=self.worker.serve, daemon=True)
+        self.thread.start()
+        self.corr = 0
+        frame_type, _, _ = recv_frame(self.sock, idle_timeout=30.0)
+        assert frame_type == FT_HELLO
+
+    def call(self, frame_type: int, payload: bytes):
+        """Send one frame; return the ``(type, body)`` answering its corr."""
+        self.corr += 1
+        self.sock.sendall(encode_frame(frame_type, self.corr, payload))
+        got_type, corr, body = recv_frame(self.sock, idle_timeout=30.0)
+        assert corr == self.corr
+        return got_type, decode_json_payload(body)
+
+    def close(self) -> None:
+        self.sock.sendall(encode_frame(FT_SHUTDOWN, 0, b"{}"))
+        self.thread.join(timeout=10.0)
+        self.sock.close()
+
+
+def _json(obj) -> bytes:
+    return json.dumps(obj).encode("utf-8")
+
+
+def _image(graph, edit) -> bytes:
+    """A CRC-valid graph image whose JSON header went through ``edit``."""
+    packed = pack_graph("gamma", graph)
+    (head_len,) = struct.unpack_from("!I", packed, 4)
+    head = _json(edit(json.loads(packed[8 : 8 + head_len])))
+    return packed[:4] + struct.pack("!I", len(head)) + head + packed[8 + head_len :]
+
+
+_ROW = query_to_wire(SSSPQuery("alpha", 0))
+_REQUEST = _json({"queries": [_ROW]})
+_NO_SOURCE = _json({"queries": [{k: v for k, v in _ROW.items() if k != "source"}]})
+
+
+# case -> (frame type, payload builder over the grids, error it names)
+BAD_FRAMES = {
+    "adopt-renamed-key": (
+        FT_ADOPT,
+        lambda g: _image(
+            g["beta"],
+            lambda h: {
+                ("num_edgez" if k == "num_edges" else k): v for k, v in h.items()
+            },
+        ),
+        "GraphTransferError",
+    ),
+    "adopt-list-header": (
+        FT_ADOPT, lambda g: _image(g["beta"], lambda h: list(h.values())),
+        "GraphTransferError",
+    ),
+    "adopt-text-count": (
+        FT_ADOPT, lambda g: _image(g["beta"], lambda h: {**h, "num_nodes": "a"}),
+        "GraphTransferError",
+    ),
+    "adopt-fingerprint-mismatch": (
+        FT_ADOPT,
+        lambda g: _image(g["beta"], lambda h: {**h, "fingerprint": "0" * 64}),
+        "GraphTransferError",
+    ),
+    "config-bad-retry": (
+        FT_CONFIG, lambda g: _json({"engine": {"retry": {"bogus": 1}}}),
+        "TypeError",
+    ),
+    "config-not-json": (FT_CONFIG, lambda g: b"{engine", "FrameError"),
+    "request-without-source": (FT_REQUEST, lambda g: _NO_SOURCE, "KeyError"),
+    "request-without-queries": (FT_REQUEST, lambda g: _json({}), "KeyError"),
+}
+
+
+def _adopt_and_configure(link: _Link, grids) -> None:
+    got_type, _ = link.call(FT_ADOPT, pack_graph("alpha", grids["alpha"]))
+    assert got_type == FT_ADOPT_OK
+    got_type, _ = link.call(FT_CONFIG, _json({"engine": {"max_workers": 1}}))
+    assert got_type == FT_READY
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FRAMES))
+def test_malformed_frame_answers_error_and_keeps_serving(grids, case):
+    frame_type, build, error = BAD_FRAMES[case]
+    link = _Link()
+    try:
+        _adopt_and_configure(link, grids)
+        got_type, body = link.call(frame_type, build(grids))
+        assert got_type == FT_ERROR
+        assert body["retryable"] is False
+        assert body["error"].startswith(f"bad frame: {error}: "), body["error"]
+        assert link.thread.is_alive()
+        # the same worker answers a valid request next
+        got_type, body = link.call(FT_REQUEST, _REQUEST)
+        assert got_type == FT_RESPONSE
+        (row,) = body["responses"]
+        assert row["ok"] is True
+        assert row["fingerprint"] == grids["alpha"].fingerprint()
+    finally:
+        link.close()
+    assert not link.thread.is_alive()
+
+
+def test_bad_first_config_leaves_worker_unconfigured_but_serving(grids):
+    link = _Link()
+    try:
+        bad = _json({"engine": {"retry": {"bogus": 1}}})
+        assert link.call(FT_CONFIG, bad)[0] == FT_ERROR
+        got_type, body = link.call(FT_REQUEST, _REQUEST)
+        assert (got_type, body["retryable"]) == (FT_ERROR, True)
+        assert body["error"] == "worker not configured yet"
+        _adopt_and_configure(link, grids)
+        assert link.call(FT_REQUEST, _REQUEST)[0] == FT_RESPONSE
+    finally:
+        link.close()

@@ -249,58 +249,3 @@ class TestHistogramQuantiles:
         # log-bucketed estimate: within one bucket's width of the truth
         assert h.quantile(0.5) == pytest.approx(0.5, rel=0.45)
         assert h.quantile(0.95) == pytest.approx(0.95, rel=0.45)
-
-
-class TestMergeSnapshot:
-    """Satellite 3 (continued): merging shipped worker deltas."""
-
-    def test_counters_add_and_histograms_merge(self):
-        worker = MetricsRegistry()
-        worker.counter("relax").inc(10)
-        for v in (0.1, 0.2, 0.4):
-            worker.histogram("frontier").observe(v)
-
-        serving = MetricsRegistry()
-        serving.counter("relax").inc(5)
-        serving.histogram("frontier").observe(0.8)
-        serving.merge_snapshot(worker.snapshot())
-
-        assert serving.counter("relax").value == 15
-        h = serving.histogram("frontier")
-        assert h.count == 4
-        assert h.total == pytest.approx(1.5)
-        assert h.minimum == pytest.approx(0.1)
-        assert h.maximum == pytest.approx(0.8)
-
-    def test_merge_into_empty_registry_preserves_totals(self):
-        worker = MetricsRegistry()
-        worker.histogram("h").observe(3.0)
-        worker.histogram("h").observe(5.0)
-        serving = MetricsRegistry()
-        serving.merge_snapshot(worker.snapshot())
-        h = serving.histogram("h")
-        assert h.count == 2 and h.minimum == 3.0 and h.maximum == 5.0
-        assert 3.0 <= h.quantile(0.5) <= 5.0
-
-    def test_merge_empty_histogram_is_a_noop(self):
-        serving = MetricsRegistry()
-        serving.histogram("h").observe(1.0)
-        serving.merge_snapshot({"h": {"type": "histogram", "count": 0}})
-        assert serving.histogram("h").count == 1
-
-    def test_labelled_keys_round_trip_through_merge(self):
-        worker = MetricsRegistry()
-        worker.histogram("lat", labels={"graph": "cal"}).observe(0.2)
-        serving = MetricsRegistry()
-        serving.merge_snapshot(worker.snapshot())
-        assert serving.histogram("lat", labels={"graph": "cal"}).count == 1
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError, match="cannot merge"):
-            MetricsRegistry().merge_snapshot({"x": {"type": "mystery"}})
-
-    def test_type_conflict_rejected(self):
-        serving = MetricsRegistry()
-        serving.counter("x").inc()
-        with pytest.raises(ValueError, match="already registered"):
-            serving.merge_snapshot({"x": {"type": "gauge", "value": 1.0}})

@@ -1,18 +1,13 @@
-"""Tests for trace propagation: contexts, sampling, worker capture."""
-
-import pickle
+"""Tests for trace propagation: contexts, sampling, span events."""
 
 import pytest
 
 from repro import obs
-from repro.obs.registry import BUCKET_BOUNDS
 from repro.obs.telemetry import (
-    TELEMETRY_WIRE_VERSION,
     TraceContext,
     TraceSampler,
-    capture_task,
+    WorkerEvents,
     emit_span,
-    merge_payload,
 )
 
 
@@ -35,15 +30,6 @@ class TestTraceContext:
         assert child.parent_id == root.span_id
         assert child.span_id != root.span_id
         assert child.sampled is False  # the decision sticks down the chain
-
-    def test_wire_round_trip(self):
-        ctx = TraceContext.mint().child()
-        wire = ctx.to_wire()
-        assert pickle.loads(pickle.dumps(wire)) == wire  # envelope-safe
-        assert TraceContext.from_wire(wire) == ctx
-
-    def test_from_wire_none_passes_through(self):
-        assert TraceContext.from_wire(None) is None
 
 
 class TestTraceSampler:
@@ -95,142 +81,15 @@ class TestEmitSpan:
         assert sink.events == []
 
 
-class TestCaptureTask:
-    def _envelope(self, **over):
-        ctx = TraceContext.mint()
-        env = {"ctx": ctx.child().to_wire(), "enqueue_ts": None}
-        env.update(over)
-        return env
-
-    def test_result_and_payload_shape(self):
-        result, payload = capture_task(self._envelope(), lambda: 42)
-        assert result == 42
-        assert payload["v"] == TELEMETRY_WIRE_VERSION
-        assert payload["ctx"]["trace_id"]
-        assert payload["compute_seconds"] >= 0.0
-        assert pickle.loads(pickle.dumps(payload)) == payload
-
-    def test_task_metrics_land_in_payload_not_caller_context(self):
-        outer = obs.MetricsRegistry()
-
-        def task():
-            obs.get_registry().counter("kernel.work").inc(7)
-            return "ok"
-
-        with obs.use(registry=outer):
-            _, payload = capture_task(self._envelope(), task)
-        assert payload["metrics"]["kernel.work"]["value"] == 7
-        assert "kernel.work" not in outer  # buffered, not shared
-
-    def test_task_spans_rooted_under_task(self):
-        def task():
-            with obs.get_spans().span("kernel"):
-                pass
-
-        _, payload = capture_task(self._envelope(), task)
-        paths = [row["path"] for row in payload["spans"]]
-        assert paths == ["task", "task/kernel"]
-
-    def test_unsampled_trace_drops_buffered_events(self):
-        root = TraceContext.mint(sampled=False)
-        env = {"ctx": root.child().to_wire(), "enqueue_ts": None}
-
-        def task():
-            obs.get_events().emit({"type": "run_start"})
-
-        _, payload = capture_task(env, task)
-        assert payload["events"] == []
-        # ...but the metric delta still ships for unsampled traces
-        assert payload["metrics"] is not None
-
-    def test_queue_wait_from_enqueue_ts(self):
-        import time
-
-        env = self._envelope(enqueue_ts=time.time() - 0.05)
-        _, payload = capture_task(env, lambda: None)
-        assert payload["queue_wait_seconds"] >= 0.04
-
-
-class TestMergePayload:
-    def _captured(self, sampled=True):
-        root = TraceContext.mint(sampled=sampled)
-        env = {"ctx": root.child().to_wire(), "enqueue_ts": None}
-
-        def task():
-            obs.get_registry().counter("sssp.relaxations").inc(10)
-            obs.get_registry().histogram("sssp.frontier").observe(5.0)
-            obs.get_events().emit({"type": "run_start", "algorithm": "nearfar"})
-            with obs.get_spans().span("kernel"):
-                pass
-
-        _, payload = capture_task(env, task)
-        return root, payload
-
-    def test_metrics_merge_into_serving_registry(self):
-        _, payload = self._captured()
-        registry = obs.MetricsRegistry()
-        registry.counter("sssp.relaxations").inc(3)
-        merge_payload(
-            payload,
-            registry=registry,
-            events=obs.ListSink(),
-            spans=obs.SpanRecorder(),
-        )
-        assert registry.counter("sssp.relaxations").value == 13
-        assert registry.histogram("sssp.frontier").count == 1
-
-    def test_spans_reroot_under_worker(self):
-        _, payload = self._captured()
-        spans = obs.SpanRecorder()
-        merge_payload(
-            payload,
-            registry=obs.MetricsRegistry(),
-            events=obs.ListSink(),
-            spans=spans,
-        )
-        paths = [s.path for s in spans.profile()]
-        assert "worker/task" in paths
-        assert "worker/task/kernel" in paths
-
-    def test_sampled_events_replay_with_trace_and_worker_stamp(self):
-        root, payload = self._captured()
+class TestWorkerEvents:
+    def test_stamps_a_copy_with_trace_and_worker(self):
         sink = obs.ListSink()
-        merge_payload(
-            payload,
-            registry=obs.MetricsRegistry(),
-            events=sink,
-            spans=obs.SpanRecorder(),
-        )
-        replayed = sink.of_type("run_start")
-        assert len(replayed) == 1
-        assert replayed[0]["trace"] == root.trace_id
-        assert replayed[0]["worker"] is True
-        span_names = [e["name"] for e in sink.of_type("span")]
-        assert "worker/task" in span_names
-        assert "worker/task/kernel" in span_names
-
-    def test_unsampled_merges_metrics_but_stays_silent(self):
-        _, payload = self._captured(sampled=False)
-        registry = obs.MetricsRegistry()
-        sink = obs.ListSink()
-        merge_payload(
-            payload,
-            registry=registry,
-            events=sink,
-            spans=obs.SpanRecorder(),
-        )
-        assert registry.counter("sssp.relaxations").value == 10
-        assert sink.events == []
-
-    def test_returns_worker_context(self):
-        root, payload = self._captured()
-        ctx = merge_payload(
-            payload,
-            registry=obs.MetricsRegistry(),
-            events=obs.ListSink(),
-            spans=obs.SpanRecorder(),
-        )
-        assert ctx is not None and ctx.trace_id == root.trace_id
+        event = {"type": "run_start", "trace": None}
+        WorkerEvents(sink, "abc").emit(event)
+        assert sink.events == [
+            {"type": "run_start", "trace": "abc", "worker": True}
+        ]
+        assert event == {"type": "run_start", "trace": None}
 
 
 class TestThreadScopedContext:

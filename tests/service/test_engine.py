@@ -288,12 +288,32 @@ class TestResilience:
         assert health["retries"]["exhausted"] == 0
 
 
-_CORRUPT_ENVELOPE = (
-    "CorruptResultError: task returned str, expected a (result, telemetry) pair"
-)
+class _FullMatch:
+    """Equal to any string the regex ``pattern`` matches in full."""
+
+    def __init__(self, pattern: str):
+        self.pattern = pattern
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, str) and bool(re.fullmatch(self.pattern, other))
+
+    def __repr__(self) -> str:
+        return f"_FullMatch({self.pattern!r})"
+
+
+# shape -> the validator's message for a corrupted result of that shape
+CORRUPT_ERRORS = {
+    "single-dijkstra": (
+        r"CorruptResultError: distance to source is .*-1\.0.*, expected 0"
+    ),
+    "nearfar-batch": (
+        r"CorruptResultError: batch task returned str, expected 2 results"
+    ),
+}
 
 # scenario -> (fault kind, fault on the first task only?, pool timeout,
-#              attempts, error each retry reports, final error or None)
+#              attempts, error each retry reports (or one per shape),
+#              final error or None)
 RETRY_SCENARIOS = {
     "transient-then-clean": (
         "transient", True, None, 2,
@@ -304,7 +324,7 @@ RETRY_SCENARIOS = {
         "InjectedCrashError: injected worker crash",
         "InjectedCrashError: injected worker crash",
     ),
-    "corrupt-then-clean": ("corrupt", True, None, 2, _CORRUPT_ENVELOPE, None),
+    "corrupt-then-clean": ("corrupt", True, None, 2, CORRUPT_ERRORS, None),
     "hang-then-clean": ("hang", True, 0.05, 2, "timeout after 0.05s", None),
 }
 
@@ -330,6 +350,8 @@ class TestRetryParity:
         kind, first_only, timeout, attempts, retry_error, error = (
             RETRY_SCENARIOS[scenario]
         )
+        if isinstance(retry_error, dict):
+            retry_error = _FullMatch(retry_error[shape])
         plan = replace(
             _plan_with_pattern((kind,), [True, False])
             if first_only
@@ -385,36 +407,31 @@ class TestRetryParity:
             members if error else 0
         )
 
-    @pytest.mark.parametrize(
-        "shape, error",
-        [
-            (
-                "single-dijkstra",
-                r"CorruptResultError: distance to source is .*-1\.0.*, expected 0",
-            ),
-            (
-                "nearfar-batch",
-                r"CorruptResultError: batch task returned str, expected 2 results",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
+    @pytest.mark.parametrize("shape", sorted(CORRUPT_ERRORS))
     def test_corrupt_without_telemetry_names_the_check(
-        self, catalog, shape, error
+        self, catalog, shape, telemetry
     ):
-        """Bare (envelope-free) tasks reach result validation itself."""
+        """Every attempt reaches result validation itself, telemetry on or off."""
         queries = [SSSPQuery("grid", s, a) for s, a in RETRY_SHAPES[shape]]
-        with obs.use():
+        channels = (
+            {"registry": obs.MetricsRegistry(), "events": obs.ListSink()}
+            if telemetry
+            else {}
+        )
+        with obs.use(**channels):
             with QueryEngine(
                 catalog,
                 max_batch=8,
                 fault_plan=FaultPlan(rate=1.0, kinds=("corrupt",)),
                 retry=RetryPolicy(max_attempts=2, base_delay=0.0),
             ) as engine:
-                assert engine.telemetry is False
+                assert engine.telemetry is telemetry
                 responses = engine.run_many(queries)
         assert [(r.ok, r.attempts) for r in responses] == [(False, 2)] * len(
             queries
         )
+        error = CORRUPT_ERRORS[shape]
         for response in responses:
             assert re.fullmatch(error, response.error), response.error
         assert len(engine.cache) == 0

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.generators import grid_road_network
 from repro.resilience import (
@@ -58,6 +63,64 @@ def test_unpack_rejects_truncated_image(graph):
     blob = pack_graph("g", graph)
     with pytest.raises(GraphTransferError):
         unpack_graph(blob[: len(blob) // 2])
+
+
+def _edited_image(graph, edit) -> bytes:
+    """``pack_graph``'s image of ``graph`` with its JSON header through ``edit``."""
+    packed = pack_graph("g", graph)
+    (head_len,) = struct.unpack_from("!I", packed, 4)
+    head = json.dumps(edit(json.loads(packed[8 : 8 + head_len]))).encode("utf-8")
+    return packed[:4] + struct.pack("!I", len(head)) + head + packed[8 + head_len :]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: {("num_edgez" if k == "num_edges" else k): v for k, v in h.items()},
+        lambda h: list(h.values()),
+        lambda h: {**h, "num_nodes": "a"},
+        lambda h: {**h, "num_nodes": -1},
+        lambda h: {**h, "num_edges": 1.5},
+        lambda h: {**h, "graph_id": None},
+        lambda h: {**h, "fingerprint": 7},
+    ],
+    ids=[
+        "renamed-key", "list-header", "text-count", "negative-count",
+        "float-count", "null-id", "int-fingerprint",
+    ],
+)
+def test_unpack_rejects_malformed_header(graph, edit):
+    with pytest.raises(GraphTransferError, match="header"):
+        unpack_graph(_edited_image(graph, edit))
+
+
+def test_unpack_rejects_inconsistent_arrays(graph):
+    blob = bytearray(pack_graph("g", graph))
+    (head_len,) = struct.unpack_from("!I", blob, 4)
+    struct.pack_into("q", blob, 8 + head_len, 1)  # indptr[0] = 1
+    with pytest.raises(GraphTransferError, match="not a valid CSR graph"):
+        unpack_graph(bytes(blob))
+
+
+_SMALL = grid_road_network(3, 3, seed=5)
+_SMALL_IMAGE = pack_graph("small", _SMALL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=len(_SMALL_IMAGE) - 1),
+    value=st.integers(min_value=0, max_value=255),
+)
+def test_one_changed_byte_is_rejected_or_harmless(index, value):
+    """Any one-byte change raises GraphTransferError or changes nothing
+    the fingerprint covers."""
+    blob = bytearray(_SMALL_IMAGE)
+    blob[index] = value
+    try:
+        _, got = unpack_graph(bytes(blob))
+    except GraphTransferError:
+        return
+    assert got.fingerprint() == _SMALL.fingerprint()
 
 
 def test_engine_config_round_trips_scalars():

@@ -1,10 +1,9 @@
 """End-to-end trace propagation through the query engine and pool.
 
-The tentpole acceptance story: one traced query produces spans that
-cover engine -> pool -> worker -> kernel (worker-side spans shipped
-back in the task payload and re-rooted under ``worker/``), and the
-serving registry's labelled ``service.query.*`` histograms fill with
-real latencies.
+One traced query produces spans that cover engine -> pool -> worker
+-> kernel (the pool task's ``worker/`` rows booked by the engine, its
+kernel events stamped with the trace), and the serving registry's
+labelled ``service.query.*`` histograms fill with real latencies.
 """
 
 import pytest
@@ -136,3 +135,148 @@ class TestThreadModeTraces:
         with obs.use():
             with QueryEngine(catalog) as engine:
                 assert engine.stats()["telemetry"] is False
+
+
+KERNEL_EVENTS = ("run_start", "iteration", "run_end")
+GRID_LABELS = {"graph": "grid", "algorithm": "nearfar"}
+
+
+class TestTelemetryContract:
+    """What a telemetry-on engine records for its pool tasks.
+
+    Kernel counters, per-query histograms, the two worker span rows and
+    the stamps on kernel events, checked on cache-off ``nearfar``
+    queries over two pool threads.
+    """
+
+    QUERIES = 6
+
+    def _serve(self, catalog, *, max_batch=1, **channels):
+        queries = [
+            SSSPQuery("grid", s, "nearfar") for s in range(self.QUERIES)
+        ]
+        with obs.use(**channels):
+            with QueryEngine(
+                catalog, max_workers=2, cache_size=0, max_batch=max_batch
+            ) as engine:
+                responses = engine.run_many(queries)
+        assert all(r.ok for r in responses)
+        return responses
+
+    def test_counters_histograms_and_rows_match_the_queries(self, catalog):
+        registry = obs.MetricsRegistry()
+        spans = obs.SpanRecorder()
+        responses = self._serve(
+            catalog, registry=registry, events=obs.ListSink(), spans=spans
+        )
+        assert registry.counter("sssp.relaxations").value == sum(
+            r.relaxations for r in responses
+        )
+        assert registry.counter("sssp.iterations").value == sum(
+            r.iterations for r in responses
+        )
+        for name in ("queue_wait", "compute"):
+            hist = registry.histogram(f"service.query.{name}", labels=GRID_LABELS)
+            assert hist.count == self.QUERIES
+        assert spans.count("worker/task") == self.QUERIES
+        assert spans.count("worker/task/kernel") == self.QUERIES
+
+    def test_batch_task_is_booked_once_against_its_lead(self, catalog):
+        registry = obs.MetricsRegistry()
+        spans = obs.SpanRecorder()
+        responses = self._serve(
+            catalog, max_batch=8, registry=registry, spans=spans
+        )
+        assert registry.counter("sssp.batch.relaxations").value == sum(
+            r.relaxations for r in responses
+        )
+        latency = registry.histogram("service.query.latency", labels=GRID_LABELS)
+        assert latency.count == self.QUERIES
+        for name in ("queue_wait", "compute"):
+            hist = registry.histogram(f"service.query.{name}", labels=GRID_LABELS)
+            assert hist.count == 1
+        assert spans.count("worker/task") == 1
+        assert spans.count("worker/task/kernel") == 1
+
+    def test_sampled_kernel_events_carry_trace_and_worker_stamp(self, catalog):
+        root = TraceContext.mint()
+        sink = obs.ListSink()
+        with obs.use(registry=obs.MetricsRegistry(), events=sink):
+            with QueryEngine(catalog) as engine:
+                response = engine.run(
+                    SSSPQuery("grid", 0, "nearfar", trace=root)
+                )
+        assert response.ok
+        kernel = [e for e in sink.events if e["type"] in KERNEL_EVENTS]
+        assert kernel[0]["type"] == "run_start"
+        assert kernel[-1]["type"] == "run_end"
+        assert len(kernel) == response.iterations + 2
+        for event in kernel:
+            assert event["trace"] == root.trace_id
+            assert event["worker"] is True
+        engine_side = sink.of_type("query_start") + sink.of_type("query_end")
+        assert engine_side and all("worker" not in e for e in engine_side)
+
+    def test_unsampled_query_is_silent_but_counted(self, catalog):
+        root = TraceContext.mint(sampled=False)
+        registry = obs.MetricsRegistry()
+        sink = obs.ListSink()
+        spans = obs.SpanRecorder()
+        with obs.use(registry=registry, events=sink, spans=spans):
+            with QueryEngine(catalog) as engine:
+                response = engine.run(
+                    SSSPQuery("grid", 0, "nearfar", trace=root)
+                )
+        assert response.ok
+        types = {e["type"] for e in sink.events}
+        assert types.isdisjoint({"span", *KERNEL_EVENTS})
+        assert {"query_start", "query_end"} <= types
+        assert registry.counter("sssp.relaxations").value == response.relaxations
+        assert registry.counter("sssp.iterations").value == response.iterations
+        assert spans.count("worker/task") == 1
+
+    def test_concurrent_pool_threads_lose_no_updates(self, catalog):
+        """More pool threads than cores and a short switch interval:
+        every kernel increment and event still lands."""
+        import os
+        import sys
+
+        registry = obs.MetricsRegistry()
+        sink = obs.ListSink()
+        queries = [SSSPQuery("grid", s, "nearfar") for s in range(24)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.use(registry=registry, events=sink):
+                with QueryEngine(
+                    catalog,
+                    max_workers=(os.cpu_count() or 1) + 2,
+                    cache_size=0,
+                    timeout=60.0,
+                ) as engine:
+                    responses = engine.run_many(queries)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.ok for r in responses)
+        iterations = sum(r.iterations for r in responses)
+        assert registry.counter("sssp.iterations").value == iterations
+        assert registry.histogram("sssp.frontier").count == iterations
+        assert registry.counter("sssp.relaxations").value == sum(
+            r.relaxations for r in responses
+        )
+        assert len(sink.of_type("iteration")) == iterations
+        assert len(sink.of_type("run_end")) == len(queries)
+
+    def test_registry_without_sink_fills_histograms_and_rows(self, catalog):
+        """The ``repro serve`` default: a registry and spans, no events."""
+        registry = obs.MetricsRegistry()
+        spans = obs.SpanRecorder()
+        self._serve(catalog, registry=registry, spans=spans)
+        for name in ("latency", "queue_wait", "compute"):
+            hist = registry.histogram(f"service.query.{name}", labels=GRID_LABELS)
+            assert hist.count == self.QUERIES
+        assert registry.histogram(
+            "service.query.compute", labels=GRID_LABELS
+        ).total > 0
+        assert spans.count("worker/task") == self.QUERIES
+        assert spans.count("worker/task/kernel") == self.QUERIES

@@ -508,6 +508,57 @@ class TestBadResilienceOptions:
         )
 
 
+class TestBadSampleRate:
+    """``serve --sample-rate`` outside [0, 1], NaN included, exits with one line."""
+
+    MESSAGE = "bad --sample-rate: sample rate must be in [0, 1]"
+
+    @pytest.mark.parametrize("rate", ["-0.5", "1.5", "nan", "inf"])
+    def test_exits_with_one_line(self, rate):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--scale", "0.003", "-q", "--sample-rate", rate])
+        assert str(exc.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("rate", ["0", "0.5", "1"])
+    def test_in_range_rates_serve(self, rate, capsys, tmp_path):
+        import json
+
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            '{"graph": "cal", "source": 0, "algorithm": "dijkstra"}\n'
+        )
+        argv = [
+            "serve", "--input", str(requests), "--scale", "0.003", "-q",
+            "--sample-rate", rate,
+        ]
+        assert main(argv) == 0
+        (response,) = [
+            json.loads(line) for line in capsys.readouterr().out.splitlines()
+        ]
+        assert response["ok"] is True
+
+    def test_process_exits_1_without_traceback(self):
+        import os
+        import subprocess
+        import sys as _sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [
+                _sys.executable, "-m", "repro", "serve", "--scale", "0.003",
+                "--sample-rate", "-0.5",
+            ],
+            stdin=subprocess.DEVNULL, capture_output=True, text=True,
+            env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip() == self.MESSAGE
+
+
 class TestVersionCommand:
     def test_version(self, capsys):
         from repro import __version__

@@ -184,7 +184,17 @@ STAGE_CALLERS = {
 }
 FRONTIER = "repro.sssp.frontier"
 REMOVED_MODULES = ("repro.sssp.backends", "repro.service.scheduler")
-REMOVED_NAMES = ("ProcessPoolExecutor", "poolbreak")
+REMOVED_NAMES = (
+    "ProcessPoolExecutor",
+    "poolbreak",
+    # the per-task telemetry envelope: pool tasks record in-context
+    "capture_task",
+    "merge_payload",
+    "run_algorithm_traced",
+    "run_algorithm_batch_traced",
+    "TELEMETRY_WIRE_VERSION",
+    "merge_snapshot",
+)
 
 
 def _stage_call_problems(source: str, label: str, stages) -> List[str]:
@@ -259,7 +269,7 @@ def _spelled(node: ast.AST) -> str:
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
-    if isinstance(node, ast.alias):
+    if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
         return node.name
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
@@ -302,9 +312,19 @@ def test_removed_dispatch_layers_not_imported():
         "KINDS = ('crash', 'poolbreak')\n"
         "def apply(kind):\n"
         "    return kind == 'hang'\n"
+        "from repro.obs.telemetry import capture_task, TELEMETRY_WIRE_VERSION\n"
+        "def run_algorithm_traced(graph, envelope):\n"
+        "    return run_algorithm_batch_traced(merge_payload(envelope))\n"
+        "registry.merge_snapshot({})\n"
     )
     assert sorted(_removed_imports(probe, "probe.py")) == [
+        "probe.py:10: names merge_snapshot",
         "probe.py:1: names ProcessPoolExecutor",
         "probe.py:3: names ProcessPoolExecutor",
         "probe.py:4: names poolbreak",
+        "probe.py:7: names TELEMETRY_WIRE_VERSION",
+        "probe.py:7: names capture_task",
+        "probe.py:8: names run_algorithm_traced",
+        "probe.py:9: names merge_payload",
+        "probe.py:9: names run_algorithm_batch_traced",
     ]
