@@ -5,10 +5,12 @@ work of one traversal across machines; serving a *catalog* admits a
 much simpler partition with the same flavour: each graph lives on
 exactly one **shard**, and a shard owns a full, independent serving
 stack — its own :class:`~repro.service.engine.QueryEngine`,
-:class:`~repro.service.pool.ExecutorPool` (thread or process workers),
-result cache and breaker board.  Queries route by graph name; a
-batched ``sources`` array fans to the shard that owns its graph as one
-group, so it still coalesces into batched kernel dispatches there.
+:class:`~repro.service.pool.ExecutorPool` (pool threads), result cache
+and breaker board, in a worker process of its own under
+``shard_mode="process"`` (:mod:`repro.net.worker`).  Queries route by
+graph name; a batched ``sources`` array fans to the shard that owns
+its graph as one group, so it still coalesces into batched kernel
+dispatches there.
 
 Each :class:`Shard` runs one dispatcher thread draining a submission
 queue.  The dispatcher merges whatever is waiting (up to
@@ -290,12 +292,19 @@ class Shard:
         return failed
 
     def _run_items(self, items: List[_WorkItem]) -> None:
+        self._run_cycle(items, self.engine.run_many)
+
+    def _run_cycle(self, items: List[_WorkItem], run) -> None:
+        """Answer the merged groups with one ``run(queries) -> responses``.
+
+        Each group gets its slice of the responses, or the error ``run`` raised.
+        """
         self.cycles += 1
         queries = [q for it in items for q in it.queries]
         self.dispatched += len(queries)
         try:
-            responses = self.engine.run_many(queries)
-        except Exception as exc:  # engine bugs fail the waiters, not us
+            responses = run(queries)
+        except Exception as exc:  # failures fail the waiters, not us
             for it in items:
                 self._resolve(it, error=exc)
             return
@@ -398,7 +407,7 @@ class Shard:
     def stats(self) -> dict:
         return {
             "index": self.index,
-            "graphs": self.engine.pool.graph_ids,
+            "graphs": self.engine.catalog.names(),
             "dispatched": self.dispatched,
             "cycles": self.cycles,
             "dispatcher": self.dispatcher_snapshot(),
@@ -433,7 +442,7 @@ class ShardManager:
     tick_seconds:
         Dispatcher heartbeat bound, forwarded to every shard.
     engine_kwargs:
-        Forwarded to every shard engine (``mode``, ``max_workers``,
+        Forwarded to every shard engine (``max_workers``,
         ``cache_size``, ``max_batch``, retry/breaker/fault plans...).
         Each engine additionally gets ``labels={"shard": "<i>"}`` so
         the shared registry keeps per-shard latency series apart.
@@ -492,10 +501,15 @@ class ShardManager:
         self._failover_graphs: Dict[int, List[str]] = {}
         self._supervisor = None
         self.shards: List[Shard] = []
-        for index in range(shards):
-            self.shards.append(self._build_shard(index, with_faults=True))
-            if admission is not None:
-                admission.register_shard(index)
+        try:
+            for index in range(shards):
+                self.shards.append(self._build_shard(index, with_faults=True))
+                if admission is not None:
+                    admission.register_shard(index)
+        except BaseException:
+            for shard in self.shards:  # no worker or dispatcher outlives us
+                shard.close(cancel_pending=True)
+            raise
         self._events = obs.get_events()
         self._registry = obs.get_registry()
         self._closed = False

@@ -15,16 +15,18 @@ speaks the length-prefixed, checksummed frame protocol of
   HEARTBEAT frames while idle.  Single-threaded by design: a beating
   worker is provably not wedged.
 * :class:`WorkerClient` — the parent side: spawns and handshakes the
-  process, correlates async request/response frames under per-request
-  deadlines and a bounded outstanding-frame window, detects death by
-  EOF *and* ``waitpid`` (SIGKILL/SIGSEGV show up as signal exits),
-  and answers CRC-rejected frames with retryable errors instead of
-  tearing the stream down.
+  process, sends every frame that awaits an answer through one
+  correlated call (a future with a deadline and the frame type that
+  must answer it), detects death by EOF *and* ``waitpid``
+  (SIGKILL/SIGSEGV show up as signal exits), and answers CRC-rejected
+  frames with retryable errors instead of tearing the stream down.
 * :class:`ProcessShard` — a drop-in :class:`~repro.net.shard.Shard`
-  whose dispatch path forwards to the worker.  The supervisor restarts
-  it exactly like a thread shard (``rebuild_shard`` spawns a fresh
-  process and replays graph adoption), and ``--failover adopt``
-  re-adoption crosses the process boundary through
+  whose dispatcher sends each merged group to the worker as one
+  REQUEST frame and waits for the answer, so groups that queue
+  meanwhile share the next frame.  The supervisor restarts it exactly
+  like a thread shard (``rebuild_shard`` spawns a fresh process and
+  replays graph adoption), and ``--failover adopt`` re-adoption
+  crosses the process boundary through
   :meth:`_WorkerEngineProxy.adopt_graph`.
 
 Failure semantics: a dead worker fails all in-flight correlations with
@@ -99,11 +101,6 @@ __all__ = [
 
 #: Generous: a cold worker pays the numpy import before it can HELLO.
 DEFAULT_SPAWN_TIMEOUT = 30.0
-
-#: Outstanding REQUEST frames allowed per worker before submits fail
-#: fast (retryable).  The dispatcher drains in merged groups, so the
-#: window bounds memory, not throughput.
-DEFAULT_WINDOW = 32
 
 DEFAULT_REQUEST_DEADLINE = 60.0
 
@@ -399,24 +396,30 @@ def run_worker(
 # the parent side
 # ----------------------------------------------------------------------
 class _Pending:
-    __slots__ = ("future", "deadline_at", "windowed")
+    """One correlated call: its future, deadline and answering frame type."""
 
-    def __init__(self, future: Future, deadline_at: float, windowed: bool):
+    __slots__ = ("future", "deadline_at", "answer")
+
+    def __init__(self, future: Future, deadline_at: float, answer: int):
         self.future = future
         self.deadline_at = deadline_at
-        self.windowed = windowed
+        self.answer = answer
 
 
 class WorkerClient:
     """Spawn, handshake and drive one shard-worker process.
 
     The client owns the socket: a writer lock serialises frame sends,
-    and a dedicated reader thread correlates everything inbound —
-    RESPONSE / ERROR / ADOPT_OK resolve their correlation id's future,
-    HEARTBEAT refreshes the liveness clock and the cached stats/health
-    payloads, and a CRC-corrupt frame fails only its own correlation.
-    Death (EOF, socket error, or the process reaped by ``waitpid``)
-    fails every in-flight future with a retryable
+    and a dedicated reader thread handles everything inbound.  Every
+    frame that awaits an answer (ADOPT, CONFIG, REQUEST) goes out
+    through :meth:`_call`, which registers a future under the frame's
+    correlation id together with a deadline and the frame type that
+    must answer it (ADOPT_OK, READY, RESPONSE).  An ERROR, an answer of
+    another type, an undecodable answer, a CRC-corrupt frame or the
+    deadline fails that call alone.  HEARTBEAT refreshes the liveness
+    clock and the cached stats/health payloads.  Death (EOF, socket
+    error, the process reaped by ``waitpid``, or the reader itself
+    failing) fails every in-flight future with a retryable
     :class:`WorkerRequestError`.
     """
 
@@ -429,7 +432,6 @@ class WorkerClient:
         fault_plan=None,
         heartbeat_ms: float = 1000.0,
         heartbeat_timeout_ms: Optional[float] = None,
-        window: int = DEFAULT_WINDOW,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
     ):
         self.index = index
@@ -439,8 +441,6 @@ class WorkerClient:
             if heartbeat_timeout_ms is not None
             else max(0.5, 4.0 * self.heartbeat_ms / 1000.0)
         )
-        self.window = int(window)
-        self._window_slots = threading.BoundedSemaphore(self.window)
         self._wlock = threading.Lock()
         self._plock = threading.Lock()
         self._pending: Dict[int, _Pending] = {}
@@ -458,16 +458,20 @@ class WorkerClient:
         self._bytes_out = registry.counter("net.worker.bytes_out", labels)
         self._corrupt_counter = registry.counter("net.worker.frames_corrupt", labels)
         self._hb_miss_counter = registry.counter("net.worker.heartbeat_misses", labels)
-
-        self._spawn(dict(graphs), dict(engine_kwargs or {}), fault_plan, spawn_timeout)
         self._reader = threading.Thread(
             target=self._read_loop,
             name=f"repro-worker-client-{index}",
             daemon=True,
         )
-        self._reader.start()
+        try:
+            self._spawn(
+                dict(graphs), dict(engine_kwargs or {}), fault_plan, spawn_timeout
+            )
+        except BaseException:
+            self.close(graceful=False)
+            raise
 
-    # -- spawn + handshake (synchronous; reader not running yet) -------
+    # -- spawn + handshake ---------------------------------------------
     def _spawn(
         self,
         graphs: Dict[str, "object"],
@@ -475,6 +479,12 @@ class WorkerClient:
         fault_plan,
         spawn_timeout: float,
     ) -> None:
+        """Start the worker, pair it by token, then adopt and configure.
+
+        HELLO is read synchronously: it pairs the child by its spawn
+        token before the reader thread exists.  The graphs and the
+        CONFIG then go through :meth:`_call` like every other frame.
+        """
         import secrets
 
         import repro
@@ -526,129 +536,124 @@ class WorkerClient:
                 ) from None
         finally:
             listener.close()
-        try:
-            if hello.get("wire_version") != WIRE_VERSION:
-                raise HandshakeError(
-                    f"worker {self.index} speaks wire version "
-                    f"{hello.get('wire_version')}, expected {WIRE_VERSION}"
-                )
-            if hello.get("protocol_version") != PROTOCOL_VERSION:
-                raise HandshakeError(
-                    f"worker {self.index} speaks protocol version "
-                    f"{hello.get('protocol_version')}, expected {PROTOCOL_VERSION} "
-                    "(stale handshake: mixed code versions?)"
-                )
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self.sock = sock
-            self.pid = int(hello["pid"])
-            # ship the graphs, fingerprint-checked both ways
-            for graph_id in sorted(graphs):
-                graph = graphs[graph_id]
-                self._handshake_adopt(graph_id, graph, spawn_timeout)
-            corr = self._next_corr()
-            self._send_raw(
-                encode_json_frame(
-                    FT_CONFIG,
-                    corr,
-                    {
-                        "engine": engine_config_to_wire(engine_kwargs),
-                        "heartbeat_ms": self.heartbeat_ms,
-                        "fault_plan": plan_to_wire(fault_plan),
-                    },
-                )
-            )
-            frame_type, got_corr, payload = recv_frame(
-                self.sock, idle_timeout=spawn_timeout
-            )
-            ready = decode_json_payload(payload)
-            if frame_type != FT_READY or got_corr != corr:
-                raise HandshakeError(
-                    f"worker {self.index} answered CONFIG with frame type "
-                    f"{frame_type} corr {got_corr}"
-                )
-            if ready.get("graphs") != self.graph_fingerprints:
-                raise HandshakeError(
-                    f"worker {self.index} READY fingerprints diverge: "
-                    f"{ready.get('graphs')} != {self.graph_fingerprints}"
-                )
-            self.last_stats = ready.get("stats")
-            self.last_health = ready.get("health")
-            self.last_frame = time.monotonic()
-        except BaseException:
-            self._terminate_process(graceful=False)
-            raise
-
-    def _handshake_adopt(self, graph_id: str, graph, timeout: float) -> None:
-        corr = self._next_corr()
-        self._send_raw(encode_frame(FT_ADOPT, corr, pack_graph(graph_id, graph)))
-        frame_type, got_corr, payload = recv_frame(self.sock, idle_timeout=timeout)
-        body = decode_json_payload(payload)
-        expected = graph.fingerprint()
-        if (
-            frame_type != FT_ADOPT_OK
-            or got_corr != corr
-            or body.get("graph") != graph_id
-            or body.get("fingerprint") != expected
-        ):
+        self.sock = sock
+        if hello.get("wire_version") != WIRE_VERSION:
             raise HandshakeError(
-                f"worker {self.index} failed to adopt {graph_id!r}: "
-                f"type={frame_type} corr={got_corr} body={body}"
+                f"worker {self.index} speaks wire version "
+                f"{hello.get('wire_version')}, expected {WIRE_VERSION}"
             )
-        self.graph_fingerprints[graph_id] = expected
+        if hello.get("protocol_version") != PROTOCOL_VERSION:
+            raise HandshakeError(
+                f"worker {self.index} speaks protocol version "
+                f"{hello.get('protocol_version')}, expected {PROTOCOL_VERSION} "
+                "(stale handshake: mixed code versions?)"
+            )
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.pid = int(hello["pid"])
+        self._reader.start()
+        # ship the graphs, fingerprint-checked both ways
+        for graph_id in sorted(graphs):
+            self.adopt_graph(graph_id, graphs[graph_id], timeout=spawn_timeout)
+        config = {
+            "engine": engine_config_to_wire(engine_kwargs),
+            "heartbeat_ms": self.heartbeat_ms,
+            "fault_plan": plan_to_wire(fault_plan),
+        }
+        ready = self._call(FT_CONFIG, config, FT_READY, spawn_timeout).result()
+        if ready.get("graphs") != self.graph_fingerprints:
+            raise HandshakeError(
+                f"worker {self.index} READY fingerprints diverge: "
+                f"{ready.get('graphs')} != {self.graph_fingerprints}"
+            )
+        stats, health = ready.get("stats"), ready.get("health")
+        if not (isinstance(stats, dict) and isinstance(health, dict)):
+            raise HandshakeError(f"worker {self.index} READY lacks stats or health")
+        self.last_stats, self.last_health = stats, health
 
     # -- the reader thread ---------------------------------------------
     def _read_loop(self) -> None:
-        tick = 0.05
-        while not self._dead:
-            try:
-                ready, _, _ = select.select([self.sock], [], [], tick)
-            except (OSError, ValueError):
-                self._mark_dead("socket closed")
-                return
-            if not ready:
-                self._sweep(time.monotonic())
-                continue
-            try:
-                frame_type, corr, payload = recv_frame(
-                    self.sock, idle_timeout=None, frame_timeout=30.0
-                )
-            except FrameCorruptError as exc:
-                self._corrupt_counter.inc()
-                self._finish(
-                    exc.corr,
-                    error=WorkerRequestError(
-                        f"worker {self.index} answered corr {exc.corr} with a "
-                        f"corrupt frame; retry shortly"
-                    ),
-                )
-                continue
-            except (EOFError, OSError, FrameError) as exc:
-                self._mark_dead(self.exit_description() or f"{type(exc).__name__}: {exc}")
-                return
-            self.last_frame = time.monotonic()
-            self._hb_missing = False
-            self._bytes_in.inc(len(payload) + 17)  # header is 17 bytes
-            if frame_type == FT_HEARTBEAT:
-                body = decode_json_payload(payload)
-                if body.get("stats") is not None:
-                    self.last_stats = body["stats"]
-                if body.get("health") is not None:
-                    self.last_health = body["health"]
-                continue
-            if frame_type in (FT_RESPONSE, FT_ADOPT_OK):
-                self._finish(corr, result=decode_json_payload(payload))
-            elif frame_type == FT_ERROR:
-                body = decode_json_payload(payload)
-                if body.get("retryable", True):
-                    error: Exception = WorkerRequestError(
-                        f"worker {self.index}: {body.get('error')}"
+        """Route inbound frames; expire deadlines on idle ticks.
+
+        However the loop ends it marks the client dead, so no pending
+        future outlives its reader.
+        """
+        reason: Optional[str] = None
+        try:
+            while not self._dead:
+                try:
+                    ready, _, _ = select.select([self.sock], [], [], 0.05)
+                except (OSError, ValueError):
+                    reason = "socket closed"
+                    return
+                if not ready:
+                    self._sweep(time.monotonic())
+                    continue
+                try:
+                    frame_type, corr, payload = recv_frame(
+                        self.sock, idle_timeout=None, frame_timeout=30.0
                     )
+                except FrameCorruptError as exc:
+                    self._corrupt_counter.inc()
+                    self._finish(
+                        exc.corr,
+                        error=WorkerRequestError(
+                            f"worker {self.index} answered corr {exc.corr} with a "
+                            f"corrupt frame; retry shortly"
+                        ),
+                    )
+                    continue
+                except (EOFError, OSError, FrameError) as exc:
+                    reason = self.exit_description() or f"{type(exc).__name__}: {exc}"
+                    return
+                self.last_frame = time.monotonic()
+                self._hb_missing = False
+                self._bytes_in.inc(len(payload) + 17)  # header is 17 bytes
+                if frame_type == FT_HEARTBEAT:
+                    self._keep_beat(payload)
                 else:
-                    error = RuntimeError(
-                        f"worker {self.index}: {body.get('error')}"
-                    )
-                self._finish(corr, error=error)
-            # unknown frame types are ignored (forward compatibility)
+                    self._answer(frame_type, corr, payload)
+        except Exception as exc:  # a reader bug must not strand a waiter
+            reason = f"reader failed: {type(exc).__name__}: {exc}"
+        finally:
+            self._mark_dead(reason)
+
+    def _keep_beat(self, payload: bytes) -> None:
+        """Cache a HEARTBEAT's stats and health; non-objects are ignored."""
+        try:
+            body = decode_json_payload(payload)
+        except FrameError:
+            return
+        if isinstance(body.get("stats"), dict):
+            self.last_stats = body["stats"]
+        if isinstance(body.get("health"), dict):
+            self.last_health = body["health"]
+
+    def _answer(self, frame_type: int, corr: int, payload: bytes) -> None:
+        """Settle ``corr``'s call: the expected frame type resolves it.
+
+        An ERROR fails it, retryably unless the worker says otherwise.
+        Like the worker's own ``bad frame:`` answer, another frame type
+        or a body that is not a JSON object fails it non-retryably.
+        """
+        with self._plock:
+            pending = self._pending.get(corr)
+        if pending is None:
+            return  # unsolicited, or already expired or failed on death
+        try:
+            body = decode_json_payload(payload)
+        except FrameError as exc:
+            frame_type = FT_ERROR
+            body = {"error": f"bad frame: {exc}", "retryable": False}
+        if frame_type == pending.answer:
+            self._finish(corr, result=body)
+            return
+        if frame_type != FT_ERROR:
+            body = {
+                "error": f"bad frame: type {frame_type}, expected {pending.answer}",
+                "retryable": False,
+            }
+        kind = WorkerRequestError if body.get("retryable", True) else RuntimeError
+        self._finish(corr, error=kind(f"worker {self.index}: {body.get('error')}"))
 
     def _sweep(self, now: float) -> None:
         """Idle tick: expire deadlines, account heartbeat misses, reap."""
@@ -658,7 +663,6 @@ class WorkerClient:
                 if now >= pending.deadline_at:
                     expired.append((corr, self._pending.pop(corr)))
         for corr, pending in expired:
-            self._release(pending)
             if not pending.future.done():
                 pending.future.set_exception(
                     WorkerRequestError(
@@ -684,8 +688,7 @@ class WorkerClient:
         with self._plock:
             pending = dict(self._pending)
             self._pending.clear()
-        for corr, item in pending.items():
-            self._release(item)
+        for item in pending.values():
             if not item.future.done():
                 item.future.set_exception(
                     WorkerRequestError(
@@ -698,22 +701,11 @@ class WorkerClient:
         except Exception:
             pass
 
-    def _release(self, pending: _Pending) -> None:
-        if pending.windowed:
-            pending.windowed = False
-            try:
-                self._window_slots.release()
-            except ValueError:
-                pass
-
     def _finish(self, corr: int, *, result=None, error=None) -> None:
         with self._plock:
             pending = self._pending.pop(corr, None)
-        if pending is None:
+        if pending is None or pending.future.done():
             return  # already deadline-expired or failed on death
-        self._release(pending)
-        if pending.future.done():
-            return
         if error is not None:
             pending.future.set_exception(error)
         else:
@@ -729,6 +721,35 @@ class WorkerClient:
         with self._wlock:
             self.sock.sendall(data)
         self._bytes_out.inc(len(data))
+
+    def _call(self, frame_type: int, body, answer: int, timeout: float) -> Future:
+        """Send one frame (``body``: bytes, or JSON) that awaits an answer.
+
+        The future resolves to the body of the ``answer`` frame with the
+        same correlation id, or fails (:meth:`_answer`), retryably once
+        ``timeout`` seconds pass or the worker is dead.
+        """
+        future: Future = Future()
+        corr = self._next_corr()
+        with self._plock:
+            self._pending[corr] = _Pending(future, time.monotonic() + timeout, answer)
+        if self.alive:
+            try:
+                self._send_raw(
+                    encode_frame(frame_type, corr, body)
+                    if isinstance(body, bytes)
+                    else encode_json_frame(frame_type, corr, body)
+                )
+            except Exception as exc:
+                self._mark_dead(f"send failed: {type(exc).__name__}: {exc}")
+        if self._dead:  # also when _mark_dead ran before we registered
+            self._finish(
+                corr,
+                error=WorkerRequestError(
+                    f"worker {self.index} is dead ({self.death_reason}); retry shortly"
+                ),
+            )
+        return future
 
     # -- public surface ------------------------------------------------
     @property
@@ -768,62 +789,17 @@ class WorkerClient:
     ) -> "Future[dict]":
         """Send one REQUEST frame; the future resolves to its payload.
 
-        Fails fast (retryably) when the worker is dead or the
-        outstanding-frame window is full.
+        Fails fast (retryably) when the worker is dead.
         """
-        future: Future = Future()
-        if not self.alive:
-            future.set_exception(
-                WorkerRequestError(
-                    f"worker {self.index} is dead "
-                    f"({self.death_reason or self.exit_description()}); retry shortly"
-                )
-            )
-            return future
-        if not self._window_slots.acquire(timeout=deadline_seconds / 4.0):
-            future.set_exception(
-                WorkerRequestError(
-                    f"worker {self.index} window full "
-                    f"({self.window} frames outstanding); retry shortly"
-                )
-            )
-            return future
-        corr = self._next_corr()
-        pending = _Pending(future, time.monotonic() + deadline_seconds, True)
-        with self._plock:
-            self._pending[corr] = pending
-        try:
-            self._send_raw(
-                encode_json_frame(FT_REQUEST, corr, {"queries": wire_queries})
-            )
-        except Exception as exc:
-            self._mark_dead(f"send failed: {type(exc).__name__}: {exc}")
-        # a death racing the send is covered: _mark_dead fails every
-        # registered pending, and we registered before sending
-        if self._dead:
-            self._finish(
-                corr,
-                error=WorkerRequestError(
-                    f"worker {self.index} died during submit; retry shortly"
-                ),
-            )
-        return future
+        return self._call(
+            FT_REQUEST, {"queries": wire_queries}, FT_RESPONSE, deadline_seconds
+        )
 
     def adopt_graph(self, graph_id: str, graph, *, timeout: float = 30.0) -> None:
-        """Synchronously ship one graph (failover adoption path)."""
-        if not self.alive:
-            raise WorkerRequestError(
-                f"worker {self.index} is dead; cannot adopt {graph_id!r}"
-            )
-        future: Future = Future()
-        corr = self._next_corr()
-        with self._plock:
-            self._pending[corr] = _Pending(future, time.monotonic() + timeout, False)
-        try:
-            self._send_raw(encode_frame(FT_ADOPT, corr, pack_graph(graph_id, graph)))
-        except Exception as exc:
-            self._mark_dead(f"send failed: {type(exc).__name__}: {exc}")
-        body = future.result(timeout=timeout)
+        """Ship one graph and wait for its fingerprint-checked ADOPT_OK."""
+        body = self._call(
+            FT_ADOPT, pack_graph(graph_id, graph), FT_ADOPT_OK, timeout
+        ).result()
         expected = graph.fingerprint()
         if body.get("graph") != graph_id or body.get("fingerprint") != expected:
             raise HandshakeError(
@@ -858,9 +834,8 @@ class WorkerClient:
     def close(self, *, graceful: bool = True) -> None:
         self._terminate_process(graceful=graceful and not self._dead)
         self._mark_dead("closed")
-        reader = getattr(self, "_reader", None)
-        if reader is not None and reader is not threading.current_thread():
-            reader.join(timeout=2.0)
+        if self._reader.is_alive() and self._reader is not threading.current_thread():
+            self._reader.join(timeout=2.0)
 
     def snapshot(self) -> dict:
         """JSON-ready worker facts for health rows and ``repro top``."""
@@ -870,16 +845,8 @@ class WorkerClient:
             "heartbeat_age_ms": round(self.beat_age() * 1000.0, 3),
             "heartbeat_timeout_ms": round(self.heartbeat_timeout_seconds * 1000.0, 3),
             "outstanding": len(self._pending),
-            "window": self.window,
             "exit": self.exit_description(),
         }
-
-
-class _WorkerPoolView:
-    """The ``engine.pool`` duck-type the manager's stats path reads."""
-
-    def __init__(self, graph_ids: List[str]):
-        self.graph_ids = sorted(graph_ids)
 
 
 class _WorkerEngineProxy:
@@ -899,16 +866,15 @@ class _WorkerEngineProxy:
     def __init__(self, client: WorkerClient, catalog: GraphCatalog):
         self._client = client
         self.catalog = catalog
-        self.pool = _WorkerPoolView(catalog.names())
 
     def stats(self) -> dict:
-        stats = dict(self._client.last_stats or _EMPTY_STATS)
+        stats = dict(self._client.last_stats)
         stats["worker"] = self._client.snapshot()
         return stats
 
     def health(self) -> dict:
-        health = dict(self._client.last_health or _EMPTY_HEALTH)
-        pool = dict(health.get("pool") or _EMPTY_HEALTH["pool"])
+        health = dict(self._client.last_health)
+        pool = dict(health["pool"])
         pool["alive"] = bool(pool.get("alive", True)) and self._client.alive
         health["pool"] = pool
         health["worker"] = self._client.snapshot()
@@ -917,33 +883,9 @@ class _WorkerEngineProxy:
     def adopt_graph(self, graph_id: str, graph) -> None:
         self._client.adopt_graph(graph_id, graph)
         self.catalog.register(graph_id, graph)
-        self.pool = _WorkerPoolView(self.catalog.names())
 
     def close(self, *, cancel_pending: bool = False) -> None:
         self._client.close(graceful=not cancel_pending)
-
-
-# What the proxy serves before the worker's first stats/health payload
-# lands (shapes match QueryEngine.stats()/health() aggregation keys).
-_EMPTY_STATS = {
-    "queries": 0,
-    "max_batch": 1,
-    "cache": {"hits": 0, "misses": 0, "evictions": 0, "size": 0, "capacity": 0},
-    "pool": {"mode": "thread", "max_workers": 0, "pending": 0},
-    "retries": {"attempts": 0, "exhausted": 0},
-}
-_EMPTY_HEALTH = {
-    "pool": {
-        "mode": "thread",
-        "max_workers": 0,
-        "pending": 0,
-        "alive": True,
-        "lost_workers": 0,
-    },
-    "breakers": [],
-    "breakers_open": 0,
-    "retries": {"attempts": 0, "exhausted": 0, "max_attempts": 0},
-}
 
 
 class ProcessShard(Shard):
@@ -951,11 +893,12 @@ class ProcessShard(Shard):
 
     The parent keeps the dispatcher thread (queueing, merge-draining,
     dispatcher-tier fault injection and the submit/death race handling
-    are inherited unchanged) but ``_run_items`` forwards the merged
-    group to the worker over the frame protocol *without blocking*:
-    responses resolve via the client's reader thread, so the
-    dispatcher keeps beating and draining while requests are in
-    flight (pipelined up to the client's window).
+    are inherited unchanged).  ``_run_items`` sends the merged group
+    to the worker as one REQUEST frame and returns once that round
+    trip has settled, as a thread shard's returns once ``run_many``
+    has.  Groups that arrive meanwhile queue up and leave together in
+    the next frame, where the worker's engine batches same-corridor
+    misses.
     """
 
     def __init__(
@@ -969,7 +912,6 @@ class ProcessShard(Shard):
         heartbeat_ms: float = 1000.0,
         request_deadline_seconds: float = DEFAULT_REQUEST_DEADLINE,
         engine_kwargs: Optional[Mapping] = None,
-        window: int = DEFAULT_WINDOW,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
     ):
         graphs = catalog.load_all()
@@ -979,7 +921,6 @@ class ProcessShard(Shard):
             engine_kwargs=engine_kwargs,
             fault_plan=fault_plan,
             heartbeat_ms=heartbeat_ms,
-            window=window,
             spawn_timeout=spawn_timeout,
         )
         self._request_deadline = float(request_deadline_seconds)
@@ -996,45 +937,23 @@ class ProcessShard(Shard):
     def client(self) -> WorkerClient:
         return self._client
 
-    # -- dispatch forwards to the worker, pipelined --------------------
+    # -- dispatch: one REQUEST frame per cycle, waited on --------------
     def _run_items(self, items) -> None:
-        self.cycles += 1
-        queries = [q for it in items for q in it.queries]
-        self.dispatched += len(queries)
-        try:
-            future = self._client.request(
-                [query_to_wire(q) for q in queries],
-                deadline_seconds=self._request_deadline,
+        self._run_cycle(items, self._round_trip)
+
+    def _round_trip(self, queries: List[SSSPQuery]) -> List[QueryResponse]:
+        """One REQUEST frame, waited on; its rows as responses in order."""
+        body = self._client.request(
+            [query_to_wire(q) for q in queries],
+            deadline_seconds=self._request_deadline,
+        ).result()
+        rows = body["responses"]
+        if len(rows) != len(queries):
+            raise WorkerRequestError(
+                f"worker {self.index} answered {len(rows)} rows "
+                f"for {len(queries)} queries; retry shortly"
             )
-        except Exception as exc:
-            for it in items:
-                self._resolve(it, error=exc)
-            return
-
-        def _settle(done_future) -> None:
-            try:
-                body = done_future.result()
-                rows = body["responses"]
-                if len(rows) != len(queries):
-                    raise WorkerRequestError(
-                        f"worker {self.index} answered {len(rows)} rows "
-                        f"for {len(queries)} queries; retry shortly"
-                    )
-                responses = [
-                    QueryResponse.from_wire(q, row)
-                    for q, row in zip(queries, rows)
-                ]
-            except BaseException as exc:  # noqa: BLE001 — waiters, not us
-                for it in items:
-                    self._resolve(it, error=exc)
-                return
-            offset = 0
-            for it in items:
-                chunk = responses[offset : offset + len(it.queries)]
-                offset += len(it.queries)
-                self._resolve(it, result=chunk)
-
-        future.add_done_callback(_settle)
+        return [QueryResponse.from_wire(q, row) for q, row in zip(queries, rows)]
 
     # -- liveness folds in the worker process --------------------------
     @property
@@ -1054,9 +973,9 @@ class ProcessShard(Shard):
     def beat_age(self, now: Optional[float] = None) -> float:
         """Age of the *worker's* last frame (heartbeats count).
 
-        The parent dispatcher never blocks long in process mode, so
-        its own beat is not the honest liveness signal — the worker's
-        frame stream is.
+        The dispatcher keeps beating while it waits for work even when
+        the worker is wedged, so its own beat is not the honest
+        liveness signal — the worker's frame stream is.
         """
         return self._client.beat_age(now)
 

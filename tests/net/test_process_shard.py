@@ -15,9 +15,10 @@ from repro.net import (
     ShardManager,
     ShardSupervisor,
 )
+from repro.net.worker import HandshakeError, WorkerClient
 from repro.resilience import ScheduledFaultPlan
 from repro.resilience.retry import RestartPolicy
-from repro.service import SSSPQuery, handle_line
+from repro.service import QueryEngine, SSSPQuery, handle_line
 
 
 @pytest.fixture
@@ -221,3 +222,54 @@ def test_frozen_worker_trips_heartbeat_watchdog(catalog, registry):
 def test_shard_manager_rejects_unknown_mode(catalog):
     with pytest.raises(ValueError, match="shard_mode"):
         ShardManager(catalog, shards=1, shard_mode="fiber")
+
+
+def test_groups_queued_during_a_round_trip_share_one_frame(catalog, registry):
+    """The dispatcher waits on each round trip, so queued groups merge."""
+    shard = ProcessShard(0, catalog, engine_kwargs={"max_workers": 1})
+    engine = QueryEngine(catalog, max_workers=1)
+    queries = [SSSPQuery(graph_id="alpha", source=s) for s in range(9)]
+    try:
+        pid = shard.client.proc.pid
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            futures = [shard.submit(queries[:1])]
+            deadline = time.monotonic() + 10.0
+            while shard.cycles < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert shard.cycles == 1
+            for query in queries[1:]:
+                futures.append(shard.submit([query]))
+                time.sleep(0.01)
+        finally:
+            os.kill(pid, signal.SIGCONT)
+        answers = [r for f in futures for r in f.result(timeout=30.0)]
+        assert all(r.ok for r in answers)
+        assert [_strip(r.as_dict()) for r in answers] == [
+            _strip(r.as_dict()) for r in engine.run_many(queries)
+        ]
+        assert shard.cycles == 2
+    finally:
+        shard.close()
+        engine.close()
+
+
+def test_failed_build_closes_the_shards_already_built(
+    catalog, registry, monkeypatch
+):
+    built = []
+    spawn = WorkerClient._spawn
+
+    def spawn_all_but_shard_1(self, *args):
+        if self.index == 1:
+            raise HandshakeError("injected: shard 1 never completes HELLO")
+        spawn(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(WorkerClient, "_spawn", spawn_all_but_shard_1)
+    with pytest.raises(HandshakeError, match="injected"):
+        ShardManager(catalog, shards=2, shard_mode="process", max_workers=1)
+    (client,) = built
+    assert client.proc.poll() is not None  # shard 0's worker has exited
+    assert not client.alive
+    assert not client._reader.is_alive()

@@ -1,4 +1,4 @@
-"""WorkerClient: spawn, handshake, correlation, death, backpressure."""
+"""WorkerClient: spawn, handshake, correlation, death, bad frames."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from repro.net.frames import (
     FT_ADOPT_OK,
     FT_CONFIG,
     FT_ERROR,
+    FT_HEARTBEAT,
     FT_HELLO,
     FT_READY,
     FT_REQUEST,
@@ -26,13 +27,17 @@ from repro.net.frames import (
     decode_json_payload,
     encode_frame,
     recv_frame,
+    send_json_frame,
 )
 from repro.net.worker import (
+    HandshakeError,
     WorkerClient,
     WorkerRequestError,
+    _WorkerEngineProxy,
     _WorkerProcess,
     query_from_wire,
     query_to_wire,
+    run_worker,
 )
 from repro.resilience import ScheduledFaultPlan
 from repro.service import QueryEngine, SSSPQuery
@@ -156,23 +161,6 @@ def test_sigstop_expires_heartbeat_and_request_deadline(grids, registry):
             )
         finally:
             os.kill(client.proc.pid, signal.SIGCONT)
-    finally:
-        client.close()
-
-
-def test_window_full_sheds_retryably(grids, registry):
-    client = _client(grids, window=1)
-    try:
-        os.kill(client.proc.pid, signal.SIGSTOP)
-        try:
-            first = client.request(_wire("alpha", [0]), deadline_seconds=30.0)
-            second = client.request(_wire("alpha", [1]), deadline_seconds=0.2)
-            with pytest.raises(WorkerRequestError, match="window full"):
-                second.result(timeout=5.0)
-        finally:
-            os.kill(client.proc.pid, signal.SIGCONT)
-        # the stalled slot drains once the worker resumes
-        assert first.result(timeout=30.0)["responses"][0]["ok"]
     finally:
         client.close()
 
@@ -352,3 +340,152 @@ def test_bad_first_config_leaves_worker_unconfigured_but_serving(grids):
         assert link.call(FT_REQUEST, _REQUEST)[0] == FT_RESPONSE
     finally:
         link.close()
+
+
+# ----------------------------------------------------------------------
+# bad answers, driven into a client whose worker end is a socketpair
+# ----------------------------------------------------------------------
+class _NoProcess:
+    """The ``Popen`` surface a socketpair-wired client touches."""
+
+    pid = 0
+    returncode = None
+
+    def poll(self):
+        return self.returncode
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+    def terminate(self):
+        self.returncode = -signal.SIGTERM
+
+    kill = terminate
+
+
+@pytest.fixture
+def paired(monkeypatch, registry):
+    """``(client, peer)``: a WorkerClient and the worker end of its socket."""
+    ours, peer = socket.socketpair()
+
+    def spawn(self, graphs, engine_kwargs, fault_plan, spawn_timeout):
+        self.sock, self.proc, self.pid = ours, _NoProcess(), 0
+        self.last_stats = {"queries": 0}
+        self.last_health = {"pool": {"alive": True}}
+        self._reader.start()
+
+    monkeypatch.setattr(WorkerClient, "_spawn", spawn)
+    client = WorkerClient(0, {})
+    yield client, peer
+    client.close()
+    peer.close()
+
+
+def _answer_next(peer, frame_type: int, payload: bytes) -> None:
+    """Read the client's next frame and answer its correlation id."""
+    _, corr, _ = recv_frame(peer, idle_timeout=5.0)
+    peer.sendall(encode_frame(frame_type, corr, payload))
+
+
+@pytest.mark.parametrize("payload", [b"not json", b"[]"], ids=["not-json", "array"])
+def test_undecodable_answer_fails_only_its_request(paired, payload):
+    client, peer = paired
+    bad = client.request(_wire("alpha", [0]), deadline_seconds=1.0)
+    _answer_next(peer, FT_RESPONSE, payload)
+    with pytest.raises(RuntimeError, match="bad frame") as info:
+        bad.result(timeout=1.0)
+    assert not isinstance(info.value, WorkerRequestError)  # same bytes, same failure
+    assert client.alive and client._reader.is_alive()
+    good = client.request(_wire("alpha", [1]), deadline_seconds=1.0)
+    _answer_next(peer, FT_RESPONSE, _json({"responses": []}))
+    assert good.result(timeout=1.0) == {"responses": []}
+
+
+def test_heartbeat_with_non_object_stats_is_ignored(paired):
+    client, peer = paired
+    peer.sendall(encode_frame(FT_HEARTBEAT, 0, _json({"stats": {"queries": 3}})))
+    peer.sendall(encode_frame(FT_HEARTBEAT, 0, _json({"stats": 5, "health": []})))
+    # frames are read in order: once this answer lands, both beats were handled
+    future = client.request(_wire("alpha", [0]), deadline_seconds=1.0)
+    _answer_next(peer, FT_RESPONSE, _json({"responses": []}))
+    future.result(timeout=1.0)
+    assert client.last_stats == {"queries": 3}
+    assert client.last_health == {"pool": {"alive": True}}
+    proxy = _WorkerEngineProxy(client, GraphCatalog())
+    assert proxy.stats()["queries"] == 3
+    assert proxy.health()["pool"]["alive"] is True
+
+
+def test_reader_failure_marks_client_dead(paired, monkeypatch):
+    client, peer = paired
+
+    def boom(self, payload):
+        raise ValueError("reader bug")
+
+    monkeypatch.setattr(WorkerClient, "_keep_beat", boom)
+    future = client.request(_wire("alpha", [0]), deadline_seconds=30.0)
+    peer.sendall(encode_frame(FT_HEARTBEAT, 0, _json({})))
+    with pytest.raises(WorkerRequestError, match="reader failed: ValueError"):
+        future.result(timeout=5.0)
+    assert not client.alive
+
+
+def test_wrong_answer_type_fails_the_call(paired):
+    client, peer = paired
+    future = client.request(_wire("alpha", [0]), deadline_seconds=1.0)
+    _answer_next(peer, FT_READY, _json({}))
+    with pytest.raises(RuntimeError, match=f"bad frame: type {FT_READY}, expected {FT_RESPONSE}"):
+        future.result(timeout=1.0)
+    assert client.alive
+
+
+class _WorkerThread:
+    """A ``Popen`` stand-in that serves the ``shard-worker`` argv on a thread."""
+
+    def __init__(self, argv, **_):
+        opts = dict(zip(argv[4::2], argv[5::2]))
+        self.returncode = None
+        self.thread = threading.Thread(
+            target=run_worker,
+            args=(opts["--connect"],),
+            kwargs={
+                "shard_index": int(opts["--shard"]),
+                "token": opts["--token"],
+                "heartbeat_ms": float(opts["--heartbeat-ms"]),
+            },
+            daemon=True,
+        )
+        self.thread.start()
+
+    def poll(self):
+        return self.returncode
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+    def terminate(self):
+        self.returncode = -signal.SIGTERM
+
+    kill = terminate
+
+
+def test_ready_without_stats_fails_the_spawn_and_closes_the_client(
+    grids, registry, monkeypatch
+):
+    workers = []
+
+    def spawn_thread(argv, **kwargs):
+        workers.append(_WorkerThread(argv, **kwargs))
+        return workers[-1]
+
+    def ready_without_stats(self, corr, payload):
+        graphs = {g: self.catalog.fingerprint(g) for g in self.catalog.names()}
+        send_json_frame(self.sock, FT_READY, corr, {"graphs": graphs})
+
+    monkeypatch.setattr("repro.net.worker.subprocess.Popen", spawn_thread)
+    monkeypatch.setattr(_WorkerProcess, "_handle_config", ready_without_stats)
+    with pytest.raises(HandshakeError, match="READY lacks stats or health"):
+        _client(grids)
+    (worker,) = workers
+    worker.thread.join(timeout=10.0)
+    assert not worker.thread.is_alive()  # the client closed its socket

@@ -30,7 +30,10 @@ argument would bypass it.  For the same reason nothing imports
 dispatcher makes redundant).  Nothing names ``ProcessPoolExecutor`` or
 the ``poolbreak`` fault kind either: process isolation is the process
 shards' job (``--shard-mode process``), and the executor pool is
-thread-only.
+thread-only.  A process shard keeps one REQUEST frame in flight,
+awaits every answer through one correlated call and serves the stats
+and health its worker last sent, so the outstanding-frame window, the
+second handshake path and the proxy's hand-copied fallbacks stay gone.
 """
 
 from __future__ import annotations
@@ -194,6 +197,13 @@ REMOVED_NAMES = (
     "run_algorithm_batch_traced",
     "TELEMETRY_WIRE_VERSION",
     "merge_snapshot",
+    # process shards: one REQUEST in flight, one correlated-call path
+    "DEFAULT_WINDOW",
+    "_window_slots",
+    "_handshake_adopt",
+    "_EMPTY_STATS",
+    "_EMPTY_HEALTH",
+    "_WorkerPoolView",
 )
 
 
@@ -316,9 +326,17 @@ def test_removed_dispatch_layers_not_imported():
         "def run_algorithm_traced(graph, envelope):\n"
         "    return run_algorithm_batch_traced(merge_payload(envelope))\n"
         "registry.merge_snapshot({})\n"
+        "x = (DEFAULT_WINDOW, c._window_slots, c._handshake_adopt, "
+        "_EMPTY_STATS, _EMPTY_HEALTH, _WorkerPoolView)\n"
     )
     assert sorted(_removed_imports(probe, "probe.py")) == [
         "probe.py:10: names merge_snapshot",
+        "probe.py:11: names DEFAULT_WINDOW",
+        "probe.py:11: names _EMPTY_HEALTH",
+        "probe.py:11: names _EMPTY_STATS",
+        "probe.py:11: names _WorkerPoolView",
+        "probe.py:11: names _handshake_adopt",
+        "probe.py:11: names _window_slots",
         "probe.py:1: names ProcessPoolExecutor",
         "probe.py:3: names ProcessPoolExecutor",
         "probe.py:4: names poolbreak",
