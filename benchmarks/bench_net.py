@@ -123,7 +123,6 @@ def test_chaos_recovery(benchmark, emit):
             connections=4,
             duration_seconds=1.5,
             restart_policy=RestartPolicy(budget=5, base_delay=0.05),
-            stall_seconds=0.4,
         ),
     )
     assert report["ok"], report
@@ -179,7 +178,6 @@ def test_process_chaos_recovery(benchmark, emit):
             shard_mode="process",
             heartbeat_ms=150.0,
             restart_policy=RestartPolicy(budget=5, base_delay=0.05),
-            stall_seconds=0.4,
         ),
     )
     assert report["ok"], report

@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--heartbeat-ms", type=float, default=1000.0,
-        help="worker heartbeat interval (process mode); a worker "
+        help="worker heartbeat interval (process mode); an idle worker "
         "silent for ~4 intervals is declared dead and respawned",
     )
     serve.add_argument(
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--failover", choices=["failfast", "adopt", "off"],
         default="failfast",
-        help="shard supervision policy (--listen mode): restart dead "
+        help="shard supervision policy: restart dead "
         "shards and, while one is down, fast-fail its graphs "
         "('failfast') or re-adopt them onto survivors ('adopt'); "
         "'off' disables supervision entirely",
@@ -342,12 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--restart-budget", type=int, default=5,
         help="restarts one shard may consume before the supervisor "
         "declares it permanently failed",
-    )
-    serve.add_argument(
-        "--stall-ms", type=float, default=2000.0,
-        help="queue-age watchdog: a shard with pending work and no "
-        "dispatcher heartbeat for this long is declared hung and "
-        "replaced",
     )
     serve.add_argument(
         "--drain-ms", type=float, default=500.0,
@@ -508,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_net.add_argument(
         "--fault-kind",
         choices=[
-            "shard_crash", "dispatcher_hang", "slow_shard", "conn_drop",
+            "shard_crash", "slow_shard", "conn_drop",
             "worker_kill", "worker_oom", "frame_corrupt",
         ],
         default="shard_crash",
@@ -540,10 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_net.add_argument(
         "--restart-budget", type=int, default=5,
         help="supervisor restart budget for the drill deployment",
-    )
-    chaos_net.add_argument(
-        "--stall-ms", type=float, default=400.0,
-        help="queue-age watchdog threshold for the drill deployment",
     )
     chaos_net.add_argument(
         "--workers", type=int, default=2,
@@ -833,6 +823,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     metrics_path = Path(args.metrics) if args.metrics else None
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
+    if args.restart_budget < 0:
+        raise SystemExit("--restart-budget must be >= 0")
     engine_kwargs = dict(
         max_workers=args.workers,
         timeout=args.timeout,
@@ -855,16 +847,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         with obs.use(registry=registry, events=sink, spans=spans):
             if args.shards > 1 or args.shard_mode == "process":
-                from repro.net import ShardManager
-
-                engine = ShardManager(
-                    catalog,
-                    shards=args.shards,
-                    drain_limit=args.drain_limit,
-                    shard_mode=args.shard_mode,
-                    heartbeat_ms=args.heartbeat_ms,
-                    **engine_kwargs,
-                )
+                engine = _shard_manager(args, catalog, engine_kwargs)
             else:
                 engine = QueryEngine(catalog, **engine_kwargs)
             with engine:
@@ -929,6 +912,34 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _shard_manager(
+    args: argparse.Namespace, catalog, engine_kwargs: dict, admission=None
+):
+    """A ShardManager, supervised per ``--failover``/``--restart-budget``.
+
+    The supervisor attaches to the manager, so ``close()`` stops it.
+    """
+    from repro.net import ShardManager, ShardSupervisor
+    from repro.resilience import RestartPolicy
+
+    manager = ShardManager(
+        catalog,
+        shards=args.shards,
+        drain_limit=args.drain_limit,
+        shard_mode=args.shard_mode,
+        heartbeat_ms=args.heartbeat_ms,
+        admission=admission,
+        **engine_kwargs,
+    )
+    if args.failover != "off":
+        ShardSupervisor(
+            manager,
+            restart_policy=RestartPolicy(budget=args.restart_budget),
+            failover=args.failover,
+        ).start()
+    return manager
+
+
 def _serve_listen(
     args: argparse.Namespace,
     catalog,
@@ -942,22 +953,11 @@ def _serve_listen(
     import asyncio
     import threading
 
-    from repro.net import (
-        AdmissionController,
-        NetServer,
-        ShardManager,
-        ShardSupervisor,
-        parse_listen,
-    )
-    from repro.resilience import RestartPolicy
+    from repro.net import AdmissionController, NetServer, parse_listen
 
     host, port = parse_listen(args.listen)
     if args.max_inflight < 0:
         raise SystemExit("--max-inflight must be >= 0")
-    if args.restart_budget < 0:
-        raise SystemExit("--restart-budget must be >= 0")
-    if args.stall_ms <= 0:
-        raise SystemExit("--stall-ms must be > 0")
     if args.drain_ms < 0:
         raise SystemExit("--drain-ms must be >= 0")
     admission = AdmissionController(
@@ -966,23 +966,7 @@ def _serve_listen(
             args.deadline_ms / 1000.0 if args.deadline_ms > 0 else None
         ),
     )
-    engine = ShardManager(
-        catalog,
-        shards=args.shards,
-        admission=admission,
-        drain_limit=args.drain_limit,
-        shard_mode=args.shard_mode,
-        heartbeat_ms=args.heartbeat_ms,
-        **engine_kwargs,
-    )
-    supervisor = None
-    if args.failover != "off":
-        supervisor = ShardSupervisor(
-            engine,
-            restart_policy=RestartPolicy(budget=args.restart_budget),
-            failover=args.failover,
-            stall_seconds=args.stall_ms / 1000.0,
-        )
+    engine = _shard_manager(args, catalog, engine_kwargs, admission=admission)
     server = NetServer(engine, host=host, port=port, sampler=sampler)
     stop_writer = threading.Event()
     writer = None
@@ -991,14 +975,12 @@ def _serve_listen(
         import signal
 
         await server.start()
-        if supervisor is not None:
-            supervisor.start()
         bound_host, bound_port = server.address
         if not args.quiet:
             failover_note = (
                 f", failover={args.failover} "
                 f"(budget {args.restart_budget})"
-                if supervisor is not None
+                if engine.supervisor is not None
                 else ", supervision off"
             )
             print(
@@ -1397,8 +1379,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     ``--fault-rate`` is not given — an un-faulted drill proves nothing.
     """
     from repro import obs
+    from repro.resilience import verify_answers
     from repro.service import QueryEngine, SSSPQuery
-    from repro.sssp import dijkstra
 
     if args.queries < 1:
         raise SystemExit("--queries must be >= 1")
@@ -1448,36 +1430,17 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             retried = sum(1 for r in responses if r.attempts > 1)
             mismatches = 0
             if not args.no_verify:
-                reference: Dict[int, dict] = {}
-                for query, response in zip(queries, responses):
-                    if not response.ok:
-                        continue
-                    src = query.source
-                    if src not in reference:
-                        clean = dijkstra(graph, src)
-                        finite = clean.finite_distances()
-                        reference[src] = {
-                            "reached": clean.num_reached,
-                            "max_dist": float(finite.max()) if finite.size else None,
-                            "mean_dist": float(finite.mean()) if finite.size else None,
-                        }
-                    ref = reference[src]
-                    wrong = response.reached != ref["reached"]
-                    for field_name in ("max_dist", "mean_dist"):
-                        got, want = getattr(response, field_name), ref[field_name]
-                        if (got is None) != (want is None):
-                            wrong = True
-                        elif got is not None and not np.isclose(
-                            got, want, rtol=1e-9, atol=1e-12
-                        ):
-                            wrong = True
-                    if wrong:
-                        mismatches += 1
-                        print(
-                            f"MISMATCH source={src}: got reached="
-                            f"{response.reached} max={response.max_dist} "
-                            f"mean={response.mean_dist}, want {ref}"
-                        )
+                verification = verify_answers(
+                    catalog, [r.as_dict() for r in responses if r.ok]
+                )
+                mismatches = verification["mismatches"]
+                for sample in verification["mismatch_samples"]:
+                    got = sample["got"]
+                    print(
+                        f"MISMATCH source={got['source']}: got reached="
+                        f"{got['reached']} max={got['max_dist']} "
+                        f"mean={got['mean_dist']}, want {sample['want']}"
+                    )
 
     print(
         f"answered {len(responses) - len(failed)}/{len(responses)} queries "
@@ -1528,8 +1491,6 @@ def _cmd_chaos_net(args: argparse.Namespace) -> int:
         raise SystemExit("--crash-shard must be in [0, --shards)")
     if args.restart_budget < 0:
         raise SystemExit("--restart-budget must be >= 0")
-    if args.stall_ms <= 0:
-        raise SystemExit("--stall-ms must be > 0")
     from repro.resilience import WORKER_FAULT_KINDS
 
     if args.fault_kind in WORKER_FAULT_KINDS and args.shard_mode != "process":
@@ -1555,7 +1516,6 @@ def _cmd_chaos_net(args: argparse.Namespace) -> int:
             fault_kind=args.fault_kind,
             failover=args.failover,
             restart_policy=RestartPolicy(budget=args.restart_budget),
-            stall_seconds=args.stall_ms / 1000.0,
             workers=args.workers,
             zipf_a=args.zipf,
             seed=args.seed,

@@ -11,8 +11,8 @@ answers queries, this package puts that engine on the wire:
   routes by graph name while presenting the single-engine surface to
   the protocol layer;
 * :mod:`~repro.net.supervisor` — :class:`ShardSupervisor` health-checks
-  shard dispatchers (liveness + queue-age watchdog), restarts dead
-  ones under a budgeted exponential backoff, and routes a down shard's
+  shard dispatchers and workers for death (never for slowness), restarts
+  dead ones under a budgeted exponential backoff, and routes a down shard's
   graphs through degraded mode (failover adoption or fast-fail
   ``unavailable`` responses) in the meantime;
 * :mod:`~repro.net.admission` — per-shard token/deadline/breaker

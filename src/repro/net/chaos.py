@@ -14,8 +14,9 @@ the robustness work makes:
    ``hung`` count *is* this claim; the drill fails if it is nonzero.
 2. **no wrong answers** — every successful single-source response is
    cross-checked against a clean Dijkstra run on the same graph and
-   source (the same verification ``repro faults`` applies below the
-   pool).  Failover re-adoption must not change a single distance.
+   source (:func:`~repro.resilience.faults.verify_answers`, the check
+   ``repro faults`` applies below the pool).  Failover re-adoption must
+   not change a single distance.
 3. **bounded recovery** — a crashed shard is restarted and serving
    again within the restart policy's worst-case backoff budget; the
    supervisor's measured downtime is the drill's recovery metric (and
@@ -31,9 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from repro.net.admission import AdmissionController
 from repro.net.loadgen import run_loadgen
@@ -44,6 +43,7 @@ from repro.resilience.faults import (
     NET_FAULT_KINDS,
     WORKER_FAULT_KINDS,
     ScheduledFaultPlan,
+    verify_answers,
 )
 from repro.resilience.retry import RestartPolicy
 from repro.service.catalog import GraphCatalog, default_catalog
@@ -51,53 +51,12 @@ from repro.service.catalog import GraphCatalog, default_catalog
 __all__ = ["run_chaos_drill"]
 
 # kinds that sabotage a shard dispatcher (vs the server's conn_drop)
-_DISPATCHER_KINDS = ("shard_crash", "dispatcher_hang", "slow_shard")
+_DISPATCHER_KINDS = ("shard_crash", "slow_shard")
 
 # kinds after which the drill demands a supervised restart
 # (worker_kill / worker_oom end the worker *process*; the supervisor
 # must detect the death via waitpid and respawn within budget)
-_LETHAL_KINDS = ("shard_crash", "dispatcher_hang", "worker_kill", "worker_oom")
-
-
-def _verify_rows(
-    catalog: GraphCatalog, rows: List[dict]
-) -> Dict[str, object]:
-    """Cross-check collected responses against clean Dijkstra runs."""
-    from repro.sssp import dijkstra
-
-    reference: Dict[tuple, dict] = {}
-    mismatches: List[dict] = []
-    for row in rows:
-        key = (row["graph"], row["source"])
-        ref = reference.get(key)
-        if ref is None:
-            clean = dijkstra(catalog.get(row["graph"]), row["source"])
-            finite = clean.finite_distances()
-            ref = {
-                "reached": clean.num_reached,
-                "max_dist": float(finite.max()) if finite.size else None,
-                "mean_dist": float(finite.mean()) if finite.size else None,
-            }
-            reference[key] = ref
-        wrong = row["reached"] != ref["reached"]
-        for field in ("max_dist", "mean_dist"):
-            got, want = row[field], ref[field]
-            if (got is None) != (want is None):
-                wrong = True
-            elif got is not None and not np.isclose(
-                got, want, rtol=1e-9, atol=1e-12
-            ):
-                wrong = True
-        if wrong and len(mismatches) < 5:
-            mismatches.append({"got": dict(row), "want": dict(ref)})
-        elif wrong:
-            mismatches.append({})  # count-only past the sample cap
-    return {
-        "checked": len(rows),
-        "unique_sources": len(reference),
-        "mismatches": len(mismatches),
-        "mismatch_samples": [m for m in mismatches if m][:5],
-    }
+_LETHAL_KINDS = ("shard_crash", "worker_kill", "worker_oom")
 
 
 async def _recovery_wait(
@@ -124,10 +83,8 @@ def run_chaos_drill(
     crash_at: int = 2,
     crash_shard: int = 0,
     fault_kind: str = "shard_crash",
-    hang_seconds: float = 1.0,
     failover: str = "failfast",
     restart_policy: Optional[RestartPolicy] = None,
-    stall_seconds: float = 0.4,
     check_interval: float = 0.02,
     max_inflight: int = 256,
     deadline_ms: Optional[float] = None,
@@ -168,18 +125,16 @@ def run_chaos_drill(
     if crash_shard < 0 or crash_shard >= shards:
         raise ValueError(f"crash_shard must be in [0, {shards})")
     policy = restart_policy if restart_policy is not None else RestartPolicy()
-    plan = ScheduledFaultPlan(
-        at=(crash_at,), kind=fault_kind, hang_seconds=hang_seconds
-    )
+    plan = ScheduledFaultPlan(at=(crash_at,), kind=fault_kind)
     cat = catalog if catalog is not None else default_catalog(scale)
     collected: List[dict] = []
     lethal = fault_kind in _LETHAL_KINDS
-    # worst-case supervised recovery: detection (a stall must age out)
-    # plus the full backoff budget, plus slack for the rebuild itself
-    # (process mode pays a worker spawn — interpreter + numpy import —
-    # per restart, so it gets extra headroom)
+    # worst-case supervised recovery: the full backoff budget plus
+    # slack for detection and the rebuild itself (process mode pays a
+    # worker spawn — interpreter + numpy import — per restart, so it
+    # gets extra headroom)
     recovery_deadline = (
-        policy.max_recovery_seconds() + stall_seconds + hang_seconds + 5.0
+        policy.max_recovery_seconds() + 5.0
         + (10.0 if shard_mode == "process" else 0.0)
     )
 
@@ -208,7 +163,6 @@ def run_chaos_drill(
         restart_policy=policy,
         failover=failover,
         check_interval=check_interval,
-        stall_seconds=stall_seconds,
     )
     server = NetServer(
         manager,
@@ -250,7 +204,7 @@ def run_chaos_drill(
     try:
         sup_report = supervisor.report()
         verification = (
-            _verify_rows(cat, collected)
+            verify_answers(cat, collected)
             if verify
             else {"checked": 0, "mismatches": 0, "skipped": True}
         )

@@ -27,12 +27,13 @@ pending set, and however the loop exits — a clean ``_STOP``, an
 :class:`~repro.resilience.faults.InjectedShardCrash` — a ``finally``
 fails every unresolved future with a retryable :class:`ShardDiedError`
 and (on abnormal exit) emits a ``shard_died`` event.  Nothing queued
-on a shard can hang forever.  The heartbeat (``last_beat``), pending
-queue age and ``alive`` flag feed the
+on a shard can hang forever.  The ``alive`` flag feeds the
 :class:`~repro.net.supervisor.ShardSupervisor`, which restarts dead
 shards via :meth:`ShardManager.rebuild_shard` and routes their graphs
 through degraded mode (failover adoption onto survivors, or fast-fail
-``unavailable:`` responses) while they are down.
+``unavailable:`` responses) while they are down.  A slow shard is not
+a dead one: work that runs long is bounded by the engine's per-task
+timeout (and, in process mode, by the worker REQUEST deadline).
 
 :class:`ShardManager` is the front-end's view: it exposes the same
 duck-typed surface as a single ``QueryEngine`` (``run`` / ``run_many``
@@ -98,11 +99,9 @@ class Shard:
     ``fault_plan`` (a :class:`~repro.resilience.faults.FaultPlan` or
     :class:`~repro.resilience.faults.ScheduledFaultPlan`) sabotages
     dispatch cycles for chaos drills: ``shard_crash`` kills the
-    dispatcher thread, ``dispatcher_hang`` stalls it for
-    ``hang_seconds``, ``slow_shard`` adds ``slow_seconds`` of latency
+    dispatcher thread, ``slow_shard`` adds ``slow_seconds`` of latency
     per cycle.  Other kinds are ignored here (``conn_drop`` belongs to
-    the server).  ``tick_seconds`` bounds how stale the idle heartbeat
-    may go — the dispatcher wakes at least this often to beat.
+    the server).
     """
 
     def __init__(
@@ -112,12 +111,9 @@ class Shard:
         *,
         drain_limit: int = 64,
         fault_plan=None,
-        tick_seconds: float = 0.25,
     ):
         if drain_limit < 1:
             raise ValueError("drain_limit must be >= 1")
-        if tick_seconds <= 0:
-            raise ValueError("tick_seconds must be positive")
         self.index = index
         self.engine = engine
         self.drain_limit = int(drain_limit)
@@ -126,8 +122,6 @@ class Shard:
         self.cycles = 0
         self.faults_injected = 0
         self.exit_reason: Optional[str] = None
-        self.last_beat = time.monotonic()
-        self._tick = float(tick_seconds)
         self._fault_cycle = 0
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._pending: Dict[_WorkItem, None] = {}
@@ -181,11 +175,7 @@ class Shard:
         clean = False
         try:
             while True:
-                self.last_beat = time.monotonic()
-                try:
-                    item = self._queue.get(timeout=self._tick)
-                except queue.Empty:
-                    continue
+                item = self._queue.get()
                 if item is _STOP:
                     clean = True
                     return
@@ -208,12 +198,10 @@ class Shard:
                         raise InjectedShardCrash(
                             f"injected shard crash (cycle {self.cycles})"
                         )
-                    if fault.kind == "dispatcher_hang":
-                        time.sleep(fault.hang_seconds)
-                    elif fault.kind == "slow_shard":
+                    if fault.kind == "slow_shard":
                         time.sleep(fault.slow_seconds)
                 if self._retired:
-                    return  # replaced while stalled; waiters already failed
+                    return  # replaced meanwhile; waiters already failed
                 self._run_items(items)
         except BaseException as exc:  # noqa: BLE001 — must survive *any* death
             self.exit_reason = f"{type(exc).__name__}: {exc}"
@@ -225,9 +213,7 @@ class Shard:
             return None
         fault = self.fault_plan.decide(self._fault_cycle)
         self._fault_cycle += 1
-        if fault is not None and fault.kind not in (
-            "shard_crash", "dispatcher_hang", "slow_shard"
-        ):
+        if fault is not None and fault.kind not in ("shard_crash", "slow_shard"):
             return None  # not a dispatcher-tier kind; someone else's fault
         return fault
 
@@ -322,10 +308,13 @@ class Shard:
         """Dispatcher thread running and never abnormally exited."""
         return self._thread.is_alive() and self.exit_reason is None
 
-    def beat_age(self, now: Optional[float] = None) -> float:
-        """Seconds since the dispatcher last proved it was making progress."""
-        now = time.monotonic() if now is None else now
-        return max(0.0, now - self.last_beat)
+    def heartbeat_expired(self, now: Optional[float] = None) -> bool:
+        """Never: a dispatcher thread's liveness is :attr:`alive` alone.
+
+        :class:`~repro.net.worker.ProcessShard` overrides this with its
+        worker's idle heartbeat.
+        """
+        return False
 
     def pending_count(self) -> int:
         with self._plock:
@@ -340,31 +329,16 @@ class Shard:
             oldest = min(item.enqueued_at for item in self._pending)
         return max(0.0, now - oldest)
 
-    def stalled(self, stall_seconds: float, now: Optional[float] = None) -> bool:
-        """Work is queued but the dispatcher has stopped beating.
-
-        Both watchdog conditions must hold — a stale heartbeat *and* a
-        group older than the stall budget — so a merely-idle shard is
-        never flagged.  A long legitimate ``run_many`` also trips
-        this; pick ``stall_seconds`` above the worst honest cycle.
-        """
-        now = time.monotonic() if now is None else now
-        return (
-            self.pending_count() > 0
-            and self.beat_age(now) > stall_seconds
-            and self.oldest_pending_age(now) > stall_seconds
-        )
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def retire(self, reason: str) -> None:
-        """Take a dead or hung shard out of service (supervisor path).
+        """Take a dead shard out of service (supervisor path).
 
-        Fails every pending future with a retryable error, wakes a
-        merely-stalled dispatcher so it exits on its own, and closes
-        the engine.  Never joins the thread — a hung dispatcher would
-        block the supervisor; the daemon thread exits when it wakes.
+        Fails every pending future with a retryable error, queues a
+        stop for a dispatcher that outlived its worker process so it
+        exits on its own, and closes the engine.  Never joins the
+        thread: the daemon thread exits when it next wakes.
         """
         if self._retired:
             return
@@ -397,7 +371,6 @@ class Shard:
         return {
             "mode": "thread",
             "alive": self.alive,
-            "beat_age_seconds": round(self.beat_age(), 3),
             "pending": self.pending_count(),
             "oldest_pending_seconds": round(self.oldest_pending_age(), 3),
             "exit_reason": self.exit_reason,
@@ -439,8 +412,6 @@ class ShardManager:
         ``None``) — and only to original shard incarnations: a shard
         the supervisor rebuilds comes back fault-free, so an injected
         crash cannot become a crash loop.
-    tick_seconds:
-        Dispatcher heartbeat bound, forwarded to every shard.
     engine_kwargs:
         Forwarded to every shard engine (``max_workers``,
         ``cache_size``, ``max_batch``, retry/breaker/fault plans...).
@@ -463,7 +434,6 @@ class ShardManager:
         drain_limit: int = 64,
         net_fault_plan=None,
         net_fault_shard: Optional[int] = None,
-        tick_seconds: float = 0.25,
         shard_mode: str = "thread",
         heartbeat_ms: float = 1000.0,
         **engine_kwargs,
@@ -486,7 +456,6 @@ class ShardManager:
         self.heartbeat_ms = float(heartbeat_ms)
         self._engine_kwargs = dict(engine_kwargs)
         self._drain_limit = drain_limit
-        self._tick_seconds = tick_seconds
         self._net_fault_plan = net_fault_plan
         self._net_fault_shard = net_fault_shard
         self._names = list(names)
@@ -529,7 +498,6 @@ class ShardManager:
                 sub,
                 drain_limit=self._drain_limit,
                 fault_plan=plan,
-                tick_seconds=self._tick_seconds,
                 heartbeat_ms=self.heartbeat_ms,
                 engine_kwargs=self._engine_kwargs,
             )
@@ -542,11 +510,7 @@ class ShardManager:
         )
         self.catalog.adopt(engine.catalog)  # reuse shard-loaded graphs
         return Shard(
-            index,
-            engine,
-            drain_limit=self._drain_limit,
-            fault_plan=plan,
-            tick_seconds=self._tick_seconds,
+            index, engine, drain_limit=self._drain_limit, fault_plan=plan
         )
 
     # ------------------------------------------------------------------

@@ -3,16 +3,18 @@
 The serving stack's last single point of failure is the shard
 dispatcher thread (:class:`~repro.net.shard.Shard`) or, with
 ``--shard-mode process``, its worker process: the engine beneath it
-already absorbs task failures (retries, breakers), but a dead or
-wedged dispatcher took its whole catalog partition with it.  :class:`ShardSupervisor` closes that gap with the
-classic supervision loop:
+already absorbs task failures (retries, breakers), but a dead
+dispatcher or worker took its whole catalog partition with it.
+:class:`ShardSupervisor` closes that gap with the classic supervision
+loop:
 
-* **detect** — each check pass health-checks every shard on two
-  signals: the liveness flag (dispatcher thread running and never
-  abnormally exited) and the queue-age watchdog
-  (:meth:`~repro.net.shard.Shard.stalled`: work pending *and* the
-  heartbeat stale past ``stall_seconds``).  A crash is caught on the
-  next pass; a silent hang is caught when its queue ages out.
+* **detect** — each check pass replaces a shard only when it is dead:
+  its dispatcher thread exited, its worker process exited (or missed a
+  REQUEST deadline, which marks the worker dead), or its idle worker
+  stayed silent past the heartbeat timeout
+  (:meth:`~repro.net.shard.Shard.heartbeat_expired`).  A slow shard
+  is not a dead one: long work is bounded by the engine's per-task
+  timeout and the worker REQUEST deadline, never by a guess here.
 * **degrade** — a failed shard is retired (its pending futures fail
   with retryable ``unavailable:`` errors, nothing hangs) and marked
   ``down``.  Under ``failover="adopt"`` its graphs are re-adopted by
@@ -88,10 +90,6 @@ class ShardSupervisor:
         are re-adopted by surviving shards while it is down.
     check_interval:
         Seconds between health passes of the background thread.
-    stall_seconds:
-        Queue-age watchdog threshold: a shard with pending work and no
-        heartbeat for this long is declared hung and replaced.  Must
-        exceed the worst honest dispatch cycle.
     """
 
     def __init__(
@@ -101,7 +99,6 @@ class ShardSupervisor:
         restart_policy: Optional[RestartPolicy] = None,
         failover: str = "failfast",
         check_interval: float = 0.05,
-        stall_seconds: float = 5.0,
     ):
         if failover not in ("failfast", "adopt"):
             raise ValueError(
@@ -109,13 +106,10 @@ class ShardSupervisor:
             )
         if check_interval <= 0:
             raise ValueError("check_interval must be positive")
-        if stall_seconds <= 0:
-            raise ValueError("stall_seconds must be positive")
         self.manager = manager
         self.policy = restart_policy if restart_policy is not None else RestartPolicy()
         self.failover = failover
         self.check_interval = float(check_interval)
-        self.stall_seconds = float(stall_seconds)
         self._watch: Dict[int, _ShardWatch] = {
             shard.index: _ShardWatch() for shard in manager.shards
         }
@@ -173,23 +167,14 @@ class ShardSupervisor:
             return
         shard = self.manager.shards[index]
         if watch.state == STATE_UP:
-            heartbeat_expired = getattr(shard, "heartbeat_expired", None)
             if not shard.alive:
                 self._declare_down(
                     index, now,
                     shard.exit_reason or "dispatcher thread not running",
                 )
-            elif shard.stalled(self.stall_seconds, now):
-                self._declare_down(
-                    index, now,
-                    f"dispatcher stalled: no heartbeat for "
-                    f"{shard.beat_age(now):.2f}s with "
-                    f"{shard.pending_count()} pending group(s)",
-                )
-            elif heartbeat_expired is not None and heartbeat_expired(now):
-                # process-mode shards heartbeat over their worker
-                # socket even when idle; silence means the worker is
-                # wedged or unreachable without any queue to age out
+            elif shard.heartbeat_expired(now):
+                # an idle process-mode worker beats over its socket;
+                # silence means it is wedged or unreachable
                 self._declare_down(
                     index, now,
                     f"worker heartbeat timed out "
@@ -319,7 +304,6 @@ class ShardSupervisor:
         return {
             "failover": self.failover,
             "restart_budget": self.policy.budget,
-            "stall_seconds": self.stall_seconds,
             "degraded": degraded,
             "shards": shards,
         }

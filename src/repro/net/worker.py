@@ -11,8 +11,9 @@ speaks the length-prefixed, checksummed frame protocol of
 * :func:`run_worker` — the worker side: connect back to the parent,
   HELLO handshake (wire version, JSONL protocol version, spawn token),
   adopt packed graphs (fingerprint-verified both ways), build the
-  engine from the CONFIG frame, then answer REQUEST frames and beat
-  HEARTBEAT frames while idle.  Single-threaded by design: a beating
+  engine from the CONFIG frame, then answer REQUEST frames and beat a
+  HEARTBEAT frame (its engine's stats and health) whenever one interval
+  has passed, idle or busy.  Single-threaded by design: a beating
   worker is provably not wedged.
 * :class:`WorkerClient` — the parent side: spawns and handshakes the
   process, sends every frame that awaits an answer through one
@@ -32,7 +33,9 @@ speaks the length-prefixed, checksummed frame protocol of
 Failure semantics: a dead worker fails all in-flight correlations with
 :class:`WorkerRequestError` (a :class:`~repro.net.shard.ShardDiedError`
 subclass, so the manager answers in-band retryable ``unavailable:``
-errors for exactly the dead shard's sources); a corrupt frame fails
+errors for exactly the dead shard's sources); a REQUEST that misses its
+deadline marks the worker dead too, so the supervisor replaces a
+wedged or hopelessly-behind worker; a corrupt frame fails
 only its own correlation id, and so does a malformed one (a CRC-valid
 frame whose handler raises: the worker answers a non-retryable ERROR
 and keeps serving).  Worker-side telemetry is process-local
@@ -102,6 +105,7 @@ __all__ = [
 #: Generous: a cold worker pays the numpy import before it can HELLO.
 DEFAULT_SPAWN_TIMEOUT = 30.0
 
+#: A REQUEST unanswered this long marks its worker dead, to be replaced.
 DEFAULT_REQUEST_DEADLINE = 60.0
 
 
@@ -182,6 +186,7 @@ class _WorkerProcess:
         self.shard_index = shard_index
         self.token = token
         self.heartbeat_seconds = max(0.01, heartbeat_ms / 1000.0)
+        self._beat_due = time.monotonic() + self.heartbeat_seconds
         self.catalog = GraphCatalog()
         self.engine: Optional[QueryEngine] = None
         self.fault_plan = None
@@ -292,6 +297,7 @@ class _WorkerProcess:
         self.sock.sendall(frame)
 
     def _heartbeat(self) -> None:
+        self._beat_due = time.monotonic() + self.heartbeat_seconds
         stats = self.engine.stats() if self.engine is not None else None
         health = self.engine.health() if self.engine is not None else None
         send_json_frame(
@@ -306,6 +312,8 @@ class _WorkerProcess:
         self._hello()
         try:
             while True:
+                if time.monotonic() >= self._beat_due:
+                    self._heartbeat()  # busy too: the parent's stats stay live
                 try:
                     frame_type, corr, payload = recv_frame(
                         self.sock, idle_timeout=self.heartbeat_seconds
@@ -418,9 +426,9 @@ class WorkerClient:
     another type, an undecodable answer, a CRC-corrupt frame or the
     deadline fails that call alone.  HEARTBEAT refreshes the liveness
     clock and the cached stats/health payloads.  Death (EOF, socket
-    error, the process reaped by ``waitpid``, or the reader itself
-    failing) fails every in-flight future with a retryable
-    :class:`WorkerRequestError`.
+    error, the process reaped by ``waitpid``, a REQUEST past its
+    deadline, or the reader itself failing) fails every in-flight
+    future with a retryable :class:`WorkerRequestError`.
     """
 
     def __init__(
@@ -656,12 +664,22 @@ class WorkerClient:
         self._finish(corr, error=kind(f"worker {self.index}: {body.get('error')}"))
 
     def _sweep(self, now: float) -> None:
-        """Idle tick: expire deadlines, account heartbeat misses, reap."""
+        """Idle tick: expire deadlines, account heartbeat misses, reap.
+
+        A REQUEST past its deadline leaves a worker that is wedged or
+        hopelessly behind, so it also marks the client dead and the
+        supervisor replaces the worker.  ADOPT and CONFIG fail alone.
+        """
         expired: List[Tuple[int, _Pending]] = []
         with self._plock:
             for corr, pending in list(self._pending.items()):
                 if now >= pending.deadline_at:
                     expired.append((corr, self._pending.pop(corr)))
+        missed = [corr for corr, pending in expired if pending.answer == FT_RESPONSE]
+        if missed:  # dead before its waiters hear of it
+            self._mark_dead(
+                f"worker pid {self.pid} missed the deadline of corr {missed[0]}"
+            )
         for corr, pending in expired:
             if not pending.future.done():
                 pending.future.set_exception(
@@ -857,8 +875,8 @@ class _WorkerEngineProxy:
     export ``net.worker.*`` transport counters instead), which also
     keeps process-mode responses byte-identical to thread mode's.
     ``stats()`` and ``health()`` serve the last payload the worker
-    shipped (READY, then every heartbeat), never blocking the caller
-    on a round trip.
+    shipped (READY, then every heartbeat, at most one interval old
+    under load too), never blocking the caller on a round trip.
     """
 
     telemetry = False
@@ -908,9 +926,7 @@ class ProcessShard(Shard):
         *,
         drain_limit: int = 64,
         fault_plan=None,
-        tick_seconds: float = 0.25,
         heartbeat_ms: float = 1000.0,
-        request_deadline_seconds: float = DEFAULT_REQUEST_DEADLINE,
         engine_kwargs: Optional[Mapping] = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
     ):
@@ -923,14 +939,12 @@ class ProcessShard(Shard):
             heartbeat_ms=heartbeat_ms,
             spawn_timeout=spawn_timeout,
         )
-        self._request_deadline = float(request_deadline_seconds)
         proxy = _WorkerEngineProxy(self._client, catalog)
         super().__init__(
             index,
             proxy,  # type: ignore[arg-type] — duck-typed engine facade
             drain_limit=drain_limit,
             fault_plan=fault_plan,
-            tick_seconds=tick_seconds,
         )
 
     @property
@@ -945,7 +959,7 @@ class ProcessShard(Shard):
         """One REQUEST frame, waited on; its rows as responses in order."""
         body = self._client.request(
             [query_to_wire(q) for q in queries],
-            deadline_seconds=self._request_deadline,
+            deadline_seconds=DEFAULT_REQUEST_DEADLINE,
         ).result()
         rows = body["responses"]
         if len(rows) != len(queries):
@@ -971,20 +985,17 @@ class ProcessShard(Shard):
         return True
 
     def beat_age(self, now: Optional[float] = None) -> float:
-        """Age of the *worker's* last frame (heartbeats count).
-
-        The dispatcher keeps beating while it waits for work even when
-        the worker is wedged, so its own beat is not the honest
-        liveness signal — the worker's frame stream is.
-        """
+        """Age of the worker's last frame (heartbeats count)."""
         return self._client.beat_age(now)
 
     def heartbeat_expired(self, now: Optional[float] = None) -> bool:
         """Idle-silent worker: no frames and nothing in flight.
 
-        A busy worker that stops answering is covered by
-        :meth:`stalled`; this catches the idle one that stopped
-        heartbeating (wedged or unreachable) with nothing queued.
+        A busy worker sends no frame while it computes, so its silence
+        proves nothing; a busy worker that stops answering is caught by
+        the REQUEST deadline instead (:meth:`WorkerClient._sweep`).
+        This catches the idle one that stopped heartbeating (wedged or
+        unreachable) with nothing queued.
         """
         return (
             self._client.alive

@@ -6,7 +6,8 @@ worker pool; this package is its failure story, plus the controller's:
 * :mod:`~repro.resilience.faults` — a seeded, deterministic
   :class:`FaultPlan` that sabotages pool tasks (crashes, hangs,
   corrupted results, transients, real process deaths) for tests, CI
-  and the ``repro faults`` chaos command;
+  and the ``repro faults`` chaos command, plus :func:`verify_answers`,
+  the Dijkstra check both chaos drills apply to every answer;
 * :mod:`~repro.resilience.retry` — exponential backoff with
   deterministic jitter, a transient/permanent error classifier, and
   result sanity validation (corrupt results are caught, classified
@@ -38,6 +39,7 @@ from repro.resilience.faults import (
     apply_fault,
     plan_from_wire,
     plan_to_wire,
+    verify_answers,
 )
 from repro.resilience.guard import DivergenceGuard, GuardConfig
 from repro.resilience.retry import (
@@ -73,4 +75,5 @@ __all__ = [
     "plan_from_wire",
     "plan_to_wire",
     "validate_result",
+    "verify_answers",
 ]

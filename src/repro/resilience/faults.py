@@ -29,8 +29,6 @@ rejects them, because they sabotage infrastructure, not tasks:
   (raises :class:`InjectedShardCrash`, a ``BaseException`` on purpose:
   it must escape ``except Exception`` handlers the way a real
   interpreter-level death would);
-* ``"dispatcher_hang"`` — the dispatcher stops making progress for
-  ``hang_seconds`` (the supervisor's queue-age watchdog territory);
 * ``"slow_shard"`` — every dispatch cycle pays ``slow_seconds`` extra
   latency (feeds the admission controller's EWMA deadline gate);
 * ``"conn_drop"`` — the server closes a client connection abruptly
@@ -58,6 +56,10 @@ third dispatch cycle) instead of rolling seeded dice per index.
 
 Plans cross the shard-worker process boundary as JSON
 (:func:`plan_to_wire` / :func:`plan_from_wire`).
+
+:func:`verify_answers` is the drills' shared answer check: ``repro
+faults`` and ``repro chaos-net`` both hold every answer they got
+against a clean Dijkstra run.
 
 :class:`DivergentController` is the controller-level fault: a proxy
 that behaves like the wrapped :class:`~repro.core.controller.SetpointController`
@@ -87,6 +89,7 @@ __all__ = [
     "apply_fault",
     "plan_from_wire",
     "plan_to_wire",
+    "verify_answers",
     "DivergentController",
 ]
 
@@ -99,9 +102,7 @@ WORKER_FAULT_KINDS = ("worker_kill", "worker_oom", "frame_corrupt")
 # network-tier kinds: decided by the same seeded machinery, interpreted
 # by repro.net (shard dispatcher / TCP server / worker), never by
 # apply_fault
-NET_FAULT_KINDS = (
-    "shard_crash", "dispatcher_hang", "slow_shard", "conn_drop"
-) + WORKER_FAULT_KINDS
+NET_FAULT_KINDS = ("shard_crash", "slow_shard", "conn_drop") + WORKER_FAULT_KINDS
 
 ALL_FAULT_KINDS = FAULT_KINDS + NET_FAULT_KINDS
 
@@ -345,6 +346,49 @@ def apply_fault(fault: Optional[FaultSpec], call: Callable[[], object]) -> objec
         return call()
     # corrupt
     return _corrupt(call())
+
+
+def verify_answers(catalog, rows) -> dict:
+    """Hold served answers against clean Dijkstra runs.
+
+    ``rows`` are wire-form answers (``graph``, ``source``, ``reached``,
+    ``max_dist``, ``mean_dist``); each distinct ``(graph, source)`` is
+    solved once on ``catalog.get(graph)``.  Returns ``checked``,
+    ``unique_sources``, ``mismatches`` and up to five
+    ``mismatch_samples`` (``{"got": row, "want": reference}``).
+    """
+    import numpy as np
+
+    from repro.sssp import dijkstra
+
+    def differs(got, want) -> bool:
+        if got is None or want is None:
+            return got is not want
+        return not np.isclose(got, want, rtol=1e-9, atol=1e-12)
+
+    reference = {}
+    wrong = []
+    for row in rows:
+        key = (row["graph"], row["source"])
+        if key not in reference:
+            clean = dijkstra(catalog.get(row["graph"]), row["source"])
+            finite = clean.finite_distances()
+            reference[key] = {
+                "reached": clean.num_reached,
+                "max_dist": float(finite.max()) if finite.size else None,
+                "mean_dist": float(finite.mean()) if finite.size else None,
+            }
+        want = reference[key]
+        if row["reached"] != want["reached"] or any(
+            differs(row[f], want[f]) for f in ("max_dist", "mean_dist")
+        ):
+            wrong.append({"got": dict(row), "want": dict(want)})
+    return {
+        "checked": len(rows),
+        "unique_sources": len(reference),
+        "mismatches": len(wrong),
+        "mismatch_samples": wrong[:5],
+    }
 
 
 class DivergentController:

@@ -15,6 +15,7 @@ from repro.net import (
     ShardManager,
     ShardSupervisor,
 )
+from repro.net import worker as worker_module
 from repro.net.worker import HandshakeError, WorkerClient
 from repro.resilience import ScheduledFaultPlan
 from repro.resilience.retry import RestartPolicy
@@ -150,7 +151,6 @@ def test_supervisor_respawns_killed_worker_and_restores_answers(
         mgr,
         restart_policy=policy,
         check_interval=0.02,
-        stall_seconds=2.0,
     )
     supervisor.start()
     try:
@@ -217,6 +217,61 @@ def test_frozen_worker_trips_heartbeat_watchdog(catalog, registry):
         assert supervisor_saw_it
     finally:
         shard.close()
+
+
+def test_busy_worker_keeps_stats_fresh(catalog, registry):
+    """Back-to-back requests leave no idle gap, yet stats keep up."""
+    shard = ProcessShard(
+        0, catalog, heartbeat_ms=100.0, engine_kwargs={"max_workers": 1}
+    )
+    try:
+        assert shard.engine.stats()["queries"] == 0
+        t0 = time.monotonic()
+        sent = 0
+        while time.monotonic() - t0 < 0.6:
+            query = SSSPQuery(graph_id="alpha", source=sent % 100)
+            (response,) = shard.submit([query]).result(timeout=10.0)
+            assert response.ok, response.error
+            sent += 1
+        assert 0 < shard.engine.stats()["queries"] <= sent
+    finally:
+        shard.close()
+
+
+def test_supervisor_replaces_worker_past_its_request_deadline(
+    catalog, registry, monkeypatch
+):
+    """A busy worker that stops answering is dead once its REQUEST expires."""
+    monkeypatch.setattr(worker_module, "DEFAULT_REQUEST_DEADLINE", 0.5)
+    mgr = ShardManager(catalog, shards=1, shard_mode="process", max_workers=1)
+    supervisor = ShardSupervisor(
+        mgr,
+        restart_policy=RestartPolicy(budget=3, base_delay=0.05, jitter=0.0),
+        check_interval=0.02,
+    )
+    supervisor.start()
+    old_proc = mgr.shards[0].client.proc
+    os.kill(old_proc.pid, signal.SIGSTOP)
+    try:
+        (lost,) = mgr.run_many([SSSPQuery(graph_id="alpha", source=0)])
+        assert not lost.ok and "deadline" in lost.error
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline:
+            watch = supervisor.report()["shards"]["0"]
+            if watch["state"] == "up" and watch["restarts"] >= 1:
+                break
+            time.sleep(0.02)
+        watch = supervisor.report()["shards"]["0"]
+        assert watch["state"] == "up" and watch["restarts"] >= 1
+        assert "missed the deadline" in watch["last_reason"]
+        assert mgr.shards[0].client.proc.pid != old_proc.pid
+        assert old_proc.poll() is not None  # the wedged worker was ended
+        assert mgr.run(SSSPQuery(graph_id="alpha", source=0)).ok
+    finally:
+        if old_proc.poll() is None:
+            os.kill(old_proc.pid, signal.SIGCONT)
+        supervisor.stop()
+        mgr.close(cancel_pending=True)
 
 
 def test_shard_manager_rejects_unknown_mode(catalog):

@@ -165,6 +165,22 @@ def test_sigstop_expires_heartbeat_and_request_deadline(grids, registry):
         client.close()
 
 
+def test_missed_request_deadline_marks_the_client_dead(grids, registry):
+    client = _client(grids)
+    try:
+        os.kill(client.proc.pid, signal.SIGSTOP)
+        try:
+            future = client.request(_wire("alpha", [0]), deadline_seconds=0.4)
+            with pytest.raises(WorkerRequestError, match="deadline"):
+                future.result(timeout=10.0)
+            assert not client.alive
+            assert "missed the deadline" in client.death_reason
+        finally:
+            os.kill(client.proc.pid, signal.SIGCONT)
+    finally:
+        client.close()
+
+
 def test_corrupt_response_fails_only_its_frame(grids, registry):
     client = _client(
         grids,

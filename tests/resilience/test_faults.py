@@ -177,7 +177,7 @@ class TestNetFaultKinds:
         )
 
         assert set(NET_FAULT_KINDS) == {
-            "shard_crash", "dispatcher_hang", "slow_shard", "conn_drop",
+            "shard_crash", "slow_shard", "conn_drop",
             "worker_kill", "worker_oom", "frame_corrupt",
         }
         assert set(WORKER_FAULT_KINDS) == {
@@ -193,7 +193,7 @@ class TestNetFaultKinds:
 
     def test_apply_fault_rejects_net_kinds(self):
         """Pool tasks never execute a network-tier fault."""
-        for kind in ("shard_crash", "dispatcher_hang", "slow_shard",
+        for kind in ("shard_crash", "slow_shard",
                      "conn_drop", "worker_kill", "worker_oom",
                      "frame_corrupt"):
             with pytest.raises(ValueError, match="network-tier"):
@@ -204,6 +204,34 @@ class TestNetFaultKinds:
 
         assert issubclass(InjectedShardCrash, BaseException)
         assert not issubclass(InjectedShardCrash, Exception)
+
+
+class TestVerifyAnswers:
+    """verify_answers: the Dijkstra check both chaos drills share."""
+
+    def test_counts_and_samples_a_wrong_answer(self, small_path):
+        from repro.resilience import verify_answers
+        from repro.service import GraphCatalog
+        from repro.sssp import dijkstra
+
+        catalog = GraphCatalog()
+        catalog.register("path", small_path)
+        finite = dijkstra(small_path, 0).finite_distances()
+        right = {
+            "graph": "path",
+            "source": 0,
+            "reached": int(finite.size),
+            "max_dist": float(finite.max()),
+            "mean_dist": float(finite.mean()),
+        }
+        wrong = dict(right, max_dist=right["max_dist"] + 1.0)
+        report = verify_answers(catalog, [right, wrong])
+        assert report["checked"] == 2
+        assert report["unique_sources"] == 1
+        assert report["mismatches"] == 1
+        (sample,) = report["mismatch_samples"]
+        assert sample["got"] == wrong
+        assert sample["want"]["max_dist"] == right["max_dist"]
 
 
 class TestScheduledFaultPlan:
@@ -226,7 +254,7 @@ class TestScheduledFaultPlan:
 
     def test_carries_tuning_knobs(self):
         plan = self._plan(
-            at=(0,), kind="dispatcher_hang", hang_seconds=1.5,
+            at=(0,), kind="hang", hang_seconds=1.5,
         )
         spec = plan.decide(0)
         assert spec.hang_seconds == 1.5

@@ -885,7 +885,6 @@ class TestNetServeAndLoadgen:
                 [
                     "chaos-net", "--scale", "0.003",
                     "--connections", "2", "--duration", "0.8",
-                    "--stall-ms", "300",
                     "--metrics", str(metrics_path),
                 ]
             )
@@ -907,7 +906,7 @@ class TestNetServeAndLoadgen:
                 [
                     "chaos-net", "--scale", "0.003",
                     "--connections", "2", "--duration", "0.8",
-                    "--stall-ms", "300", "--failover", "adopt",
+                    "--failover", "adopt",
                 ]
             )
             == 0
@@ -968,7 +967,7 @@ class TestNetServeAndLoadgen:
                     "--shard-mode", "process",
                     "--fault-kind", "worker_kill",
                     "--connections", "2", "--duration", "0.8",
-                    "--stall-ms", "300", "--heartbeat-ms", "150",
+                    "--heartbeat-ms", "150",
                     "--metrics", str(metrics_path),
                 ]
             )
@@ -1045,3 +1044,107 @@ class TestNetServeAndLoadgen:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+
+def _serve_proc(*flags, **popen):
+    """A ``repro serve`` subprocess (its own interpreter, this ``src``)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", *flags], env=env, **popen
+    )
+
+
+def _read_line(stream, timeout: float) -> str:
+    """One line from a pipe or socket file, or fail after ``timeout``."""
+    import select
+
+    ready, _, _ = select.select([stream], [], [], timeout)
+    assert ready, f"no answer within {timeout}s"
+    line = stream.readline()
+    assert line, "the server closed its end"
+    return line.decode() if isinstance(line, bytes) else line
+
+
+class TestSupervisedServe:
+    """Shards are replaced when dead, never for being slow."""
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_listen_answers_a_request_slower_than_any_guess(self, mode):
+        import json
+        import socket
+        import subprocess
+        import time
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        proc = _serve_proc(
+            "--listen", f"127.0.0.1:{port}", "--scale", "0.003",
+            "--shard-mode", mode, "--fault-rate", "1",
+            "--fault-kinds", "hang", "--fault-hang", "2.5", "-q",
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while True:
+                try:
+                    conn = socket.create_connection(("127.0.0.1", port), 0.5)
+                    break
+                except OSError:
+                    assert proc.poll() is None, "serve --listen exited"
+                    assert time.monotonic() < deadline, "never came up"
+                    time.sleep(0.2)
+            with conn, conn.makefile("rb") as answers:
+                conn.sendall(
+                    b'{"graph": "cal", "source": 0, "algorithm": "nearfar"}\n'
+                )
+                answer = json.loads(_read_line(answers, 30.0))
+                assert answer["ok"], answer
+                conn.sendall(b'{"op": "health"}\n')
+                health = json.loads(_read_line(answers, 10.0))
+            assert health["supervisor"]["shards"]["0"]["restarts"] == 0
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+
+    def test_stdin_serve_restarts_a_killed_worker(self):
+        import json
+        import os
+        import signal
+        import subprocess
+        import time
+
+        proc = _serve_proc(
+            "--scale", "0.003", "--shard-mode", "process", "-q",
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+
+        def ask(request: str) -> dict:
+            proc.stdin.write(request.encode() + b"\n")
+            proc.stdin.flush()
+            return json.loads(_read_line(proc.stdout, 30.0))
+
+        try:
+            health = ask('{"op": "health"}')
+            assert health["supervisor"]["failover"] == "failfast"
+            pid = health["shards"][0]["dispatcher"]["worker"]["pid"]
+            os.kill(pid, signal.SIGKILL)
+            query = '{"graph": "cal", "source": 0, "algorithm": "nearfar"}'
+            deadline = time.monotonic() + 10.0
+            while not ask(query)["ok"]:
+                assert time.monotonic() < deadline, "the shard never came back"
+                time.sleep(0.1)
+            restarts = ask('{"op": "health"}')["supervisor"]["shards"]["0"]
+            assert restarts["restarts"] >= 1
+        finally:
+            proc.stdin.close()
+            proc.wait(timeout=10)
+            proc.stdout.close()

@@ -34,6 +34,9 @@ thread-only.  A process shard keeps one REQUEST frame in flight,
 awaits every answer through one correlated call and serves the stats
 and health its worker last sent, so the outstanding-frame window, the
 second handshake path and the proxy's hand-copied fallbacks stay gone.
+A shard is replaced when it is dead, never for being slow, so nothing
+names the stall watchdog, the dispatcher heartbeat that fed it or the
+``dispatcher_hang`` drill kind; keyword and parameter names count.
 """
 
 from __future__ import annotations
@@ -204,6 +207,15 @@ REMOVED_NAMES = (
     "_EMPTY_STATS",
     "_EMPTY_HEALTH",
     "_WorkerPoolView",
+    # shards are replaced when dead, never for being slow: no stall
+    # watchdog, dispatcher heartbeat or drill fault that only fed it
+    "stall_seconds",
+    "stall_ms",
+    "stall-ms",
+    "tick_seconds",
+    "last_beat",
+    "request_deadline_seconds",
+    "dispatcher_hang",
 )
 
 
@@ -281,6 +293,8 @@ def _spelled(node: ast.AST) -> str:
         return node.attr
     if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
         return node.name
+    if isinstance(node, (ast.arg, ast.keyword)):
+        return node.arg or ""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     return ""
@@ -328,6 +342,9 @@ def test_removed_dispatch_layers_not_imported():
         "registry.merge_snapshot({})\n"
         "x = (DEFAULT_WINDOW, c._window_slots, c._handshake_adopt, "
         "_EMPTY_STATS, _EMPTY_HEALTH, _WorkerPoolView)\n"
+        "def shard(tick_seconds=0.25, *, request_deadline_seconds=60.0):\n"
+        "    return Supervisor(stall_seconds=s.last_beat, kind='dispatcher_hang', "
+        "flag='--stall-ms', ms=a.stall_ms)\n"
     )
     assert sorted(_removed_imports(probe, "probe.py")) == [
         "probe.py:10: names merge_snapshot",
@@ -337,6 +354,13 @@ def test_removed_dispatch_layers_not_imported():
         "probe.py:11: names _WorkerPoolView",
         "probe.py:11: names _handshake_adopt",
         "probe.py:11: names _window_slots",
+        "probe.py:12: names request_deadline_seconds",
+        "probe.py:12: names tick_seconds",
+        "probe.py:13: names dispatcher_hang",
+        "probe.py:13: names last_beat",
+        "probe.py:13: names stall-ms",
+        "probe.py:13: names stall_ms",
+        "probe.py:13: names stall_seconds",
         "probe.py:1: names ProcessPoolExecutor",
         "probe.py:3: names ProcessPoolExecutor",
         "probe.py:4: names poolbreak",
