@@ -16,9 +16,14 @@ The serving acceptance checks for ``repro.net``:
 * **process-mode recovery** — the same drill with
   ``--shard-mode process`` and a ``worker_kill`` fault: the shard's
   worker *process* is SIGKILLed mid-traffic and the supervisor must
-  respawn it (interpreter start + handshake + graph re-adoption)
+  respawn it (interpreter start + handshake + graph transfer)
   within budget; the measured downtime is
   ``bench.net.process_recovery_ms``.
+
+Both downtimes run from the supervisor pass that declares the shard
+down to the start of the pass that rebuilds it, so they cover
+detection and backoff but not the rebuild itself (in process mode, a
+worker spawn).
 
 Emits ``bench.net.qps`` / ``bench.net.p99_ms`` / ``bench.net.shed`` /
 ``bench.net.recovery_ms`` / ``bench.net.process_recovery_ms`` gauges
@@ -109,7 +114,7 @@ def test_chaos_recovery(benchmark, emit):
     """Supervised restart under live traffic: the recovery-time gate.
 
     One seeded ``shard_crash`` drill: the crashed shard's measured
-    downtime (detection + backoff + rebuild) becomes
+    downtime (detection + backoff, not the rebuild) becomes
     ``bench.net.recovery_ms``.  The drill's own invariants (zero hung
     clients, zero errors, zero Dijkstra mismatches, in-budget restart)
     are asserted too — a chaos regression fails the benchmark, not
@@ -142,8 +147,7 @@ def test_chaos_recovery(benchmark, emit):
         "net_chaos_recovery",
         "\n".join(
             [
-                f"shards={SHARDS} fault=shard_crash failover=failfast "
-                f"duration=1.5s",
+                f"shards={SHARDS} fault=shard_crash duration=1.5s",
                 f"sent={summary['sent']} ok={summary['ok']} "
                 f"unavailable={summary['unavailable']} "
                 f"dropped={summary['dropped']} hung={summary['hung']} "
@@ -162,10 +166,12 @@ def test_process_chaos_recovery(benchmark, emit):
 
     The heavyweight path: detection over the worker socket, a
     supervised respawn of a whole Python interpreter, handshake and
-    graph re-adoption before the shard serves again.  The measured
-    downtime becomes ``bench.net.process_recovery_ms`` — much larger
-    than thread-mode recovery (a process spawn imports numpy), which
-    is exactly why it gets its own gate.
+    graph transfer before the shard serves again.  The measured
+    downtime becomes ``bench.net.process_recovery_ms``; like the
+    thread-mode figure it covers detection + backoff but not the
+    rebuild, so it leaves out the worker spawn (about half a second,
+    a process spawn imports numpy) that the shard's clients wait
+    through.
     """
     report = run_once(
         benchmark,
@@ -199,7 +205,7 @@ def test_process_chaos_recovery(benchmark, emit):
         "\n".join(
             [
                 f"shards={SHARDS} shard_mode=process fault=worker_kill "
-                f"failover=failfast duration=1.5s",
+                f"duration=1.5s",
                 f"sent={summary['sent']} ok={summary['ok']} "
                 f"unavailable={summary['unavailable']} "
                 f"dropped={summary['dropped']} hung={summary['hung']} "

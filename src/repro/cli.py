@@ -331,17 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
         "single engine call",
     )
     serve.add_argument(
-        "--failover", choices=["failfast", "adopt", "off"],
-        default="failfast",
-        help="shard supervision policy: restart dead "
-        "shards and, while one is down, fast-fail its graphs "
-        "('failfast') or re-adopt them onto survivors ('adopt'); "
-        "'off' disables supervision entirely",
-    )
-    serve.add_argument(
         "--restart-budget", type=int, default=5,
         help="restarts one shard may consume before the supervisor "
-        "declares it permanently failed",
+        "declares it permanently failed (0: retire a dead shard, never "
+        "restart it); a down shard's graphs answer retryable "
+        "'unavailable' errors",
     )
     serve.add_argument(
         "--drain-ms", type=float, default=500.0,
@@ -526,10 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_net.add_argument(
         "--crash-shard", type=int, default=0,
         help="which shard the dispatcher fault targets",
-    )
-    chaos_net.add_argument(
-        "--failover", choices=["failfast", "adopt"], default="failfast",
-        help="degraded-mode policy while the shard is down",
     )
     chaos_net.add_argument(
         "--restart-budget", type=int, default=5,
@@ -915,7 +905,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _shard_manager(
     args: argparse.Namespace, catalog, engine_kwargs: dict, admission=None
 ):
-    """A ShardManager, supervised per ``--failover``/``--restart-budget``.
+    """A ShardManager under a ShardSupervisor with ``--restart-budget``.
 
     The supervisor attaches to the manager, so ``close()`` stops it.
     """
@@ -931,12 +921,9 @@ def _shard_manager(
         admission=admission,
         **engine_kwargs,
     )
-    if args.failover != "off":
-        ShardSupervisor(
-            manager,
-            restart_policy=RestartPolicy(budget=args.restart_budget),
-            failover=args.failover,
-        ).start()
+    ShardSupervisor(
+        manager, restart_policy=RestartPolicy(budget=args.restart_budget)
+    ).start()
     return manager
 
 
@@ -977,18 +964,12 @@ def _serve_listen(
         await server.start()
         bound_host, bound_port = server.address
         if not args.quiet:
-            failover_note = (
-                f", failover={args.failover} "
-                f"(budget {args.restart_budget})"
-                if engine.supervisor is not None
-                else ", supervision off"
-            )
             print(
                 f"listening on {bound_host}:{bound_port} "
                 f"({len(engine.shards)} {args.shard_mode} shards, "
                 f"graphs {engine.graph_ids}, "
-                f"max in-flight {admission.max_inflight}/shard"
-                f"{failover_note}); "
+                f"max in-flight {admission.max_inflight}/shard, "
+                f"restart budget {args.restart_budget}); "
                 "JSONL protocol + HTTP GET /metrics, /healthz",
                 file=sys.stderr,
             )
@@ -1329,8 +1310,7 @@ def _render_top_frame(data: dict, prev: dict | None) -> str:
         )
         if supervisor:
             line += (
-                f"  |  failover={supervisor.get('failover', '?')}"
-                f", budget {supervisor.get('restart_budget', '?')}"
+                f"  |  budget {supervisor.get('restart_budget', '?')}"
                 f", degraded {supervisor.get('degraded', 0)}"
             )
         lines.append(line)
@@ -1502,8 +1482,8 @@ def _cmd_chaos_net(args: argparse.Namespace) -> int:
         print(
             f"chaos-net: {args.shards} {args.shard_mode} shards, fault "
             f"{args.fault_kind} at cycle {args.crash_at} on shard "
-            f"{args.crash_shard}, failover={args.failover}, "
-            f"{args.connections} connections for {args.duration}s"
+            f"{args.crash_shard}, {args.connections} connections for "
+            f"{args.duration}s"
         )
     with obs.use(registry=registry):
         report = run_chaos_drill(
@@ -1514,7 +1494,6 @@ def _cmd_chaos_net(args: argparse.Namespace) -> int:
             crash_at=args.crash_at,
             crash_shard=args.crash_shard,
             fault_kind=args.fault_kind,
-            failover=args.failover,
             restart_policy=RestartPolicy(budget=args.restart_budget),
             workers=args.workers,
             zipf_a=args.zipf,

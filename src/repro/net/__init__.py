@@ -11,10 +11,9 @@ answers queries, this package puts that engine on the wire:
   routes by graph name while presenting the single-engine surface to
   the protocol layer;
 * :mod:`~repro.net.supervisor` — :class:`ShardSupervisor` health-checks
-  shard dispatchers and workers for death (never for slowness), restarts
-  dead ones under a budgeted exponential backoff, and routes a down shard's
-  graphs through degraded mode (failover adoption or fast-fail
-  ``unavailable`` responses) in the meantime;
+  shard dispatchers and workers for death (never for slowness) and
+  restarts dead ones under a budgeted exponential backoff; meanwhile a
+  down shard's graphs answer retryable ``unavailable`` responses;
 * :mod:`~repro.net.admission` — per-shard token/deadline/breaker
   admission control; overload sheds early with in-band ``overloaded``
   errors instead of queuing past the latency budget;
@@ -29,7 +28,8 @@ answers queries, this package puts that engine on the wire:
   shard workers (``serve --shard-mode process``): each shard engine in
   its own supervised worker process behind a length-prefixed,
   checksummed frame protocol, for OS-level crash isolation (SIGKILL,
-  OOM, segfault) with handshaked respawn and graph re-adoption.
+  OOM, segfault) with a handshaked respawn that re-ships the shard's
+  graphs.
 
 ``docs/serving.md`` walks the full deployment story, including the
 failure modes and recovery section.

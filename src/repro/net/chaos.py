@@ -15,7 +15,7 @@ the robustness work makes:
 2. **no wrong answers** — every successful single-source response is
    cross-checked against a clean Dijkstra run on the same graph and
    source (:func:`~repro.resilience.faults.verify_answers`, the check
-   ``repro faults`` applies below the pool).  Failover re-adoption must
+   ``repro faults`` applies below the pool).  A restarted shard must
    not change a single distance.
 3. **bounded recovery** — a crashed shard is restarted and serving
    again within the restart policy's worst-case backoff budget; the
@@ -83,7 +83,6 @@ def run_chaos_drill(
     crash_at: int = 2,
     crash_shard: int = 0,
     fault_kind: str = "shard_crash",
-    failover: str = "failfast",
     restart_policy: Optional[RestartPolicy] = None,
     check_interval: float = 0.02,
     max_inflight: int = 256,
@@ -161,7 +160,6 @@ def run_chaos_drill(
     supervisor = ShardSupervisor(
         manager,
         restart_policy=policy,
-        failover=failover,
         check_interval=check_interval,
     )
     server = NetServer(
@@ -233,7 +231,6 @@ def run_chaos_drill(
             "kind": fault_kind,
             "at": crash_at,
             "shard": crash_shard,
-            "failover": failover,
         },
         "summary": summary,
         "supervisor": sup_report,

@@ -29,10 +29,10 @@ fails every unresolved future with a retryable :class:`ShardDiedError`
 and (on abnormal exit) emits a ``shard_died`` event.  Nothing queued
 on a shard can hang forever.  The ``alive`` flag feeds the
 :class:`~repro.net.supervisor.ShardSupervisor`, which restarts dead
-shards via :meth:`ShardManager.rebuild_shard` and routes their graphs
-through degraded mode (failover adoption onto survivors, or fast-fail
-``unavailable:`` responses) while they are down.  A slow shard is not
-a dead one: work that runs long is bounded by the engine's per-task
+shards via :meth:`ShardManager.rebuild_shard`; while one is down its
+graphs stay on it and answer retryable ``unavailable:`` responses, so
+every graph is served by its home shard or by nobody.  A slow shard is
+not a dead one: work that runs long is bounded by the engine's per-task
 timeout (and, in process mode, by the worker REQUEST deadline).
 
 :class:`ShardManager` is the front-end's view: it exposes the same
@@ -337,8 +337,11 @@ class Shard:
 
         Fails every pending future with a retryable error, queues a
         stop for a dispatcher that outlived its worker process so it
-        exits on its own, and closes the engine.  Never joins the
-        thread: the daemon thread exits when it next wakes.
+        exits on its own, and closes the engine with its queued tasks
+        cancelled.  Waits on nothing: not the thread (the daemon thread
+        exits when it next wakes), not a pool task still running (one
+        abandoned by the timeout ends on its own), not a wedged worker
+        (it is killed).
         """
         if self._retired:
             return
@@ -419,10 +422,9 @@ class ShardManager:
         the shared registry keeps per-shard latency series apart.
 
     Degraded mode: a shard whose state is not ``"up"`` (the supervisor
-    marks ``down`` / ``restarting`` / ``failed``) answers its groups
-    immediately with in-band ``unavailable: ...`` errors — unless its
-    graphs were failed over onto survivors, in which case routing
-    already points there and requests flow normally.
+    marks ``down`` / ``failed``) answers its groups immediately with
+    in-band ``unavailable: ...`` errors.  Routing never changes: every
+    graph stays on its home shard for the manager's lifetime.
     """
 
     def __init__(
@@ -459,15 +461,12 @@ class ShardManager:
         self._net_fault_plan = net_fault_plan
         self._net_fault_shard = net_fault_shard
         self._names = list(names)
-        # _home is the immutable partition; _assignment is live routing
-        # (failover temporarily points a down shard's graphs elsewhere)
+        # the partition, fixed for the manager's lifetime
         self._home: Dict[str, int] = {
             name: i % shards for i, name in enumerate(names)
         }
-        self._assignment: Dict[str, int] = dict(self._home)
         self._state_lock = threading.Lock()
         self._states: Dict[int, str] = {i: "up" for i in range(shards)}
-        self._failover_graphs: Dict[int, List[str]] = {}
         self._supervisor = None
         self.shards: List[Shard] = []
         try:
@@ -526,11 +525,11 @@ class ShardManager:
 
     @property
     def graph_ids(self) -> List[str]:
-        return sorted(self._assignment)
+        return sorted(self._home)
 
     def shard_of(self, graph_id: str) -> Optional[int]:
         """The owning shard index, or None for an unknown graph."""
-        return self._assignment.get(graph_id)
+        return self._home.get(graph_id)
 
     # ------------------------------------------------------------------
     # supervision surface (ShardSupervisor calls these)
@@ -571,42 +570,6 @@ class ShardManager:
             self.admission.register_shard(index)
         return shard
 
-    def adopt_shard_graphs(self, index: int) -> Dict[str, int]:
-        """Failover: reroute a down shard's graphs onto survivors.
-
-        Each orphaned graph is adopted (round-robin) by a surviving
-        ``up`` shard's engine — the catalog already memoises the CSR
-        arrays, so adoption shares them rather than reloading — and
-        live routing is repointed.  Returns ``{graph: new_shard}``
-        (empty when no survivor exists, in which case the manager
-        falls back to fast-fail ``unavailable:`` responses).
-        """
-        survivors = [
-            s.index
-            for s in self.shards
-            if s.index != index and s.alive and self.shard_state(s.index) == "up"
-        ]
-        if not survivors:
-            return {}
-        moved: Dict[str, int] = {}
-        owned = sorted(n for n, home in self._home.items() if home == index)
-        for k, name in enumerate(owned):
-            target = survivors[k % len(survivors)]
-            self.shards[target].engine.adopt_graph(name, self.catalog.get(name))
-            with self._state_lock:
-                self._assignment[name] = target
-            moved[name] = target
-        self._failover_graphs[index] = list(moved)
-        return moved
-
-    def restore_assignment(self, index: int) -> List[str]:
-        """Point a recovered shard's graphs back home after failover."""
-        restored = self._failover_graphs.pop(index, [])
-        for name in restored:
-            with self._state_lock:
-                self._assignment[name] = index
-        return restored
-
     def submit_many(
         self, queries: List[SSSPQuery]
     ) -> "Future[List[QueryResponse]]":
@@ -621,7 +584,7 @@ class ShardManager:
         results: List[Optional[QueryResponse]] = [None] * len(queries)
         groups: Dict[int, Tuple[List[int], List[SSSPQuery]]] = {}
         for i, query in enumerate(queries):
-            shard_index = self._assignment.get(query.graph_id)
+            shard_index = self._home.get(query.graph_id)
             if shard_index is None:
                 # match QueryEngine._validate's message so sharded and
                 # single-engine deployments answer identically
@@ -770,7 +733,7 @@ class ShardManager:
             "shard_states": {
                 str(i): self.shard_state(i) for i in range(len(self.shards))
             },
-            "assignment": dict(sorted(self._assignment.items())),
+            "assignment": dict(sorted(self._home.items())),
             "admission": (
                 self.admission.snapshot()
                 if self.admission is not None

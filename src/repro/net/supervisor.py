@@ -1,4 +1,4 @@
-"""Shard supervision: detect dead shards, restart them, degrade routing.
+"""Shard supervision: detect dead shards and restart them.
 
 The serving stack's last single point of failure is the shard
 dispatcher thread (:class:`~repro.net.shard.Shard`) or, with
@@ -15,26 +15,28 @@ loop:
   (:meth:`~repro.net.shard.Shard.heartbeat_expired`).  A slow shard
   is not a dead one: long work is bounded by the engine's per-task
   timeout and the worker REQUEST deadline, never by a guess here.
-* **degrade** — a failed shard is retired (its pending futures fail
+* **degrade** — a dead shard is retired (its pending futures fail
   with retryable ``unavailable:`` errors, nothing hangs) and marked
-  ``down``.  Under ``failover="adopt"`` its graphs are re-adopted by
-  surviving shards (catalog memoisation means no reload) and traffic
-  flows on degraded capacity; under ``failover="failfast"`` requests
-  for its graphs fast-fail in-band until it returns.
+  ``down``.  Its graphs stay on their home shard and answer the same
+  retryable ``unavailable:`` in-band until it is back.
 * **restart** — restarts follow a
   :class:`~repro.resilience.retry.RestartPolicy`: exponential backoff
   between attempts and a hard budget, after which the shard is marked
-  ``failed`` and left to the operator.  A successful rebuild restores
-  home routing and re-arms the backoff.
+  ``failed`` and its graphs answer ``unavailable:`` for good (a budget
+  of 0 retires a dead shard without restarting it).  A successful
+  rebuild re-arms the backoff.
 
-Everything observable: ``shard_down`` / ``shard_up`` events,
-``net.shard.restarts`` / ``net.shard.failovers`` counters and the
+Everything observable: ``shard_down`` / ``shard_up`` / ``shard_failed``
+events, the ``net.shard.restarts`` counter and the
 ``net.shard.degraded`` gauge, plus :meth:`report` (surfaced by the
 ``health`` protocol op and ``repro top``).
 
 The loop runs in a daemon thread (:meth:`start`), but every decision
 lives in :meth:`check`, which takes an explicit ``now`` — tests drive
-the whole state machine with a fake clock and zero sleeps.
+the whole state machine with a fake clock and zero sleeps.  Check
+passes run one at a time; the lock :meth:`report` shares with them
+covers bookkeeping only, never a retire or a rebuild, so ``health``
+answers while a worker respawns.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class _ShardWatch:
 
     __slots__ = (
         "state", "restarts", "down_at", "next_attempt_at", "last_reason",
-        "last_recovery_seconds", "failovers",
+        "last_recovery_seconds",
     )
 
     def __init__(self):
@@ -69,11 +71,10 @@ class _ShardWatch:
         self.next_attempt_at: Optional[float] = None
         self.last_reason: Optional[str] = None
         self.last_recovery_seconds: Optional[float] = None
-        self.failovers = 0
 
 
 class ShardSupervisor:
-    """Health-check, restart and degrade-route a ShardManager's shards.
+    """Health-check and restart a ShardManager's shards.
 
     Parameters
     ----------
@@ -84,10 +85,6 @@ class ShardSupervisor:
     restart_policy:
         Backoff + budget for restarts (default
         :class:`~repro.resilience.retry.RestartPolicy`()).
-    failover:
-        ``"failfast"`` (default): a down shard's graphs answer
-        ``unavailable:`` until it restarts.  ``"adopt"``: its graphs
-        are re-adopted by surviving shards while it is down.
     check_interval:
         Seconds between health passes of the background thread.
     """
@@ -97,28 +94,25 @@ class ShardSupervisor:
         manager,
         *,
         restart_policy: Optional[RestartPolicy] = None,
-        failover: str = "failfast",
         check_interval: float = 0.05,
     ):
-        if failover not in ("failfast", "adopt"):
-            raise ValueError(
-                f"failover must be 'failfast' or 'adopt', got {failover!r}"
-            )
         if check_interval <= 0:
             raise ValueError("check_interval must be positive")
         self.manager = manager
         self.policy = restart_policy if restart_policy is not None else RestartPolicy()
-        self.failover = failover
         self.check_interval = float(check_interval)
         self._watch: Dict[int, _ShardWatch] = {
             shard.index: _ShardWatch() for shard in manager.shards
         }
+        # _pass_lock runs check passes one at a time; _lock guards the
+        # _watch rows that report() reads, and is never held across a
+        # retire or a rebuild
+        self._pass_lock = threading.Lock()
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         registry = obs.get_registry()
         self._restart_counter = registry.counter("net.shard.restarts")
-        self._failover_counter = registry.counter("net.shard.failovers")
         self._degraded_gauge = registry.gauge("net.shard.degraded")
         self._events = obs.get_events()
         manager.attach_supervisor(self)
@@ -127,6 +121,7 @@ class ShardSupervisor:
     # the background loop
     # ------------------------------------------------------------------
     def start(self) -> "ShardSupervisor":
+        """Run :meth:`check` every ``check_interval`` on a daemon thread."""
         if self._thread is not None:
             return self
         self._stop.clear()
@@ -137,6 +132,7 @@ class ShardSupervisor:
         return self
 
     def stop(self) -> None:
+        """Stop the background thread (waits up to 5 s for its pass)."""
         self._stop.set()
         thread = self._thread
         if thread is not None:
@@ -156,10 +152,12 @@ class ShardSupervisor:
     def check(self, now: Optional[float] = None) -> None:
         """Run one detect/degrade/restart pass over every shard."""
         now = time.monotonic() if now is None else now
-        with self._lock:
+        with self._pass_lock:
             for index in list(self._watch):
                 self._check_shard(index, now)
-            self._degraded_gauge.set(self.degraded_count())
+            with self._lock:
+                degraded = self.degraded_count()
+            self._degraded_gauge.set(degraded)
 
     def _check_shard(self, index: int, now: float) -> None:
         watch = self._watch[index]
@@ -188,26 +186,13 @@ class ShardSupervisor:
 
     def _declare_down(self, index: int, now: float, reason: str) -> None:
         watch = self._watch[index]
-        watch.state = STATE_DOWN
-        watch.down_at = now
-        watch.last_reason = reason
-        shard = self.manager.shards[index]
-        shard.retire(reason)
+        with self._lock:
+            watch.state = STATE_DOWN
+            watch.down_at = now
+            watch.last_reason = reason
         self.manager.set_shard_state(index, STATE_DOWN)
-        if self.policy.exhausted(watch.restarts):
-            self._declare_failed(index, reason)
-            return
-        watch.restarts += 1
-        watch.next_attempt_at = now + self.policy.delay(
-            watch.restarts, key=f"shard:{index}"
-        )
-        moved: Dict[str, int] = {}
-        if self.failover == "adopt":
-            moved = self.manager.adopt_shard_graphs(index)
-            if moved:
-                watch.failovers += 1
-                self._failover_counter.inc()
-        if self._events.enabled:
+        self.manager.shards[index].retire(reason)
+        if self._spend_restart(index, now, reason) and self._events.enabled:
             self._events.emit(
                 {
                     "type": "shard_down",
@@ -215,20 +200,31 @@ class ShardSupervisor:
                     "reason": reason,
                     "restart": watch.restarts,
                     "budget": self.policy.budget,
-                    "failover": dict(moved) if moved else None,
                 }
             )
 
+    def _spend_restart(self, index: int, now: float, reason: str) -> bool:
+        """Schedule the next restart, or declare the shard failed.
+
+        Returns False once the restart budget is spent.
+        """
+        watch = self._watch[index]
+        if self.policy.exhausted(watch.restarts):
+            self._declare_failed(index, reason)
+            return False
+        with self._lock:
+            watch.restarts += 1
+            watch.next_attempt_at = now + self.policy.delay(
+                watch.restarts, key=f"shard:{index}"
+            )
+        return True
+
     def _declare_failed(self, index: int, reason: str) -> None:
         watch = self._watch[index]
-        watch.state = STATE_FAILED
-        watch.next_attempt_at = None
+        with self._lock:
+            watch.state = STATE_FAILED
+            watch.next_attempt_at = None
         self.manager.set_shard_state(index, STATE_FAILED)
-        if self.failover == "adopt":
-            moved = self.manager.adopt_shard_graphs(index)
-            if moved:
-                watch.failovers += 1
-                self._failover_counter.inc()
         if self._events.enabled:
             self._events.emit(
                 {
@@ -244,22 +240,18 @@ class ShardSupervisor:
         try:
             self.manager.rebuild_shard(index)
         except Exception as exc:  # rebuild itself failed: burn a restart
-            watch.last_reason = f"rebuild failed: {type(exc).__name__}: {exc}"
-            if self.policy.exhausted(watch.restarts):
-                self._declare_failed(index, watch.last_reason)
-                return
-            watch.restarts += 1
-            watch.next_attempt_at = now + self.policy.delay(
-                watch.restarts, key=f"shard:{index}"
-            )
+            reason = f"rebuild failed: {type(exc).__name__}: {exc}"
+            with self._lock:
+                watch.last_reason = reason
+            self._spend_restart(index, now, reason)
             return
-        restored = self.manager.restore_assignment(index)
         self.manager.set_shard_state(index, STATE_UP)
         downtime = (now - watch.down_at) if watch.down_at is not None else 0.0
-        watch.state = STATE_UP
-        watch.down_at = None
-        watch.next_attempt_at = None
-        watch.last_recovery_seconds = downtime
+        with self._lock:
+            watch.state = STATE_UP
+            watch.down_at = None
+            watch.next_attempt_at = None
+            watch.last_recovery_seconds = downtime
         self._restart_counter.inc()
         if self._events.enabled:
             self._events.emit(
@@ -268,7 +260,6 @@ class ShardSupervisor:
                     "shard": index,
                     "restart": watch.restarts,
                     "downtime_ms": round(downtime * 1000.0, 3),
-                    "restored_graphs": restored or None,
                 }
             )
 
@@ -280,6 +271,7 @@ class ShardSupervisor:
         return sum(1 for w in self._watch.values() if w.state != STATE_UP)
 
     def state(self, index: int) -> str:
+        """Shard ``index``'s supervised state: up, down or failed."""
         with self._lock:
             return self._watch[index].state
 
@@ -290,7 +282,6 @@ class ShardSupervisor:
                 str(index): {
                     "state": watch.state,
                     "restarts": watch.restarts,
-                    "failovers": watch.failovers,
                     "last_reason": watch.last_reason,
                     "last_recovery_ms": (
                         round(watch.last_recovery_seconds * 1000.0, 3)
@@ -302,7 +293,6 @@ class ShardSupervisor:
             }
             degraded = self.degraded_count()
         return {
-            "failover": self.failover,
             "restart_budget": self.policy.budget,
             "degraded": degraded,
             "shards": shards,

@@ -13,7 +13,8 @@ speaks the length-prefixed, checksummed frame protocol of
   adopt packed graphs (fingerprint-verified both ways), build the
   engine from the CONFIG frame, then answer REQUEST frames and beat a
   HEARTBEAT frame (its engine's stats and health) whenever one interval
-  has passed, idle or busy.  Single-threaded by design: a beating
+  has passed, idle or busy.  The graph set is fixed at CONFIG: a later
+  ADOPT is a malformed frame.  Single-threaded by design: a beating
   worker is provably not wedged.
 * :class:`WorkerClient` — the parent side: spawns and handshakes the
   process, sends every frame that awaits an answer through one
@@ -25,10 +26,8 @@ speaks the length-prefixed, checksummed frame protocol of
   whose dispatcher sends each merged group to the worker as one
   REQUEST frame and waits for the answer, so groups that queue
   meanwhile share the next frame.  The supervisor restarts it exactly
-  like a thread shard (``rebuild_shard`` spawns a fresh process and
-  replays graph adoption), and ``--failover adopt`` re-adoption
-  crosses the process boundary through
-  :meth:`_WorkerEngineProxy.adopt_graph`.
+  like a thread shard (``rebuild_shard`` spawns a fresh process that
+  adopts the same home graphs in its handshake).
 
 Failure semantics: a dead worker fails all in-flight correlations with
 :class:`WorkerRequestError` (a :class:`~repro.net.shard.ShardDiedError`
@@ -219,9 +218,11 @@ class _WorkerProcess:
 
     def _handle_adopt(self, corr: int, payload: bytes) -> None:
         graph_id, graph = unpack_graph(payload)
-        self.catalog.register(graph_id, graph)
         if self.engine is not None:
-            self.engine.adopt_graph(graph_id, graph)
+            raise ValueError(
+                f"cannot adopt {graph_id!r}: the graph set is fixed at CONFIG"
+            )
+        self.catalog.register(graph_id, graph)
         send_json_frame(
             self.sock,
             FT_ADOPT_OK,
@@ -814,7 +815,11 @@ class WorkerClient:
         )
 
     def adopt_graph(self, graph_id: str, graph, *, timeout: float = 30.0) -> None:
-        """Ship one graph and wait for its fingerprint-checked ADOPT_OK."""
+        """Ship one graph and wait for its fingerprint-checked ADOPT_OK.
+
+        Handshake only: once CONFIG has built the engine, the worker
+        answers ADOPT with a non-retryable ``bad frame:`` ERROR.
+        """
         body = self._call(
             FT_ADOPT, pack_graph(graph_id, graph), FT_ADOPT_OK, timeout
         ).result()
@@ -826,30 +831,31 @@ class WorkerClient:
         self.graph_fingerprints[graph_id] = expected
 
     def _terminate_process(self, *, graceful: bool) -> None:
+        """End the worker process: ask it, or kill it.
+
+        A live worker closed ``graceful`` gets a SHUTDOWN frame and two
+        seconds to exit.  Any other (retired, dead or wedged) gets
+        SIGKILL at once: a stopped process acts on neither a frame nor
+        a SIGTERM.
+        """
         proc = getattr(self, "proc", None)
-        if proc is None:
+        if proc is None or proc.poll() is not None:
             return
+        if graceful:
+            try:
+                self._send_raw(encode_json_frame(FT_SHUTDOWN, 0, {}))
+                proc.wait(timeout=2.0)
+            except Exception:
+                pass
         if proc.poll() is None:
-            if graceful:
-                try:
-                    self._send_raw(encode_json_frame(FT_SHUTDOWN, 0, {}))
-                    proc.wait(timeout=2.0)
-                except Exception:
-                    pass
-            if proc.poll() is None:
-                try:
-                    proc.terminate()
-                    proc.wait(timeout=2.0)
-                except Exception:
-                    pass
-            if proc.poll() is None:
-                try:
-                    proc.kill()
-                    proc.wait(timeout=2.0)
-                except Exception:
-                    pass
+            try:
+                proc.kill()
+                proc.wait(timeout=2.0)
+            except Exception:
+                pass
 
     def close(self, *, graceful: bool = True) -> None:
+        """End the worker process, fail what is in flight, stop the reader."""
         self._terminate_process(graceful=graceful and not self._dead)
         self._mark_dead("closed")
         if self._reader.is_alive() and self._reader is not threading.current_thread():
@@ -897,10 +903,6 @@ class _WorkerEngineProxy:
         health["pool"] = pool
         health["worker"] = self._client.snapshot()
         return health
-
-    def adopt_graph(self, graph_id: str, graph) -> None:
-        self._client.adopt_graph(graph_id, graph)
-        self.catalog.register(graph_id, graph)
 
     def close(self, *, cancel_pending: bool = False) -> None:
         self._client.close(graceful=not cancel_pending)

@@ -339,20 +339,8 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def adopt_graph(self, graph_id: str, graph) -> None:
-        """Serve one more graph, post-construction (shard failover).
-
-        A surviving shard adopts a dead shard's graph: registered in
-        the engine's catalog (already-memoised CSR arrays are shared,
-        not reloaded), made resolvable by validation, and added to the
-        pool so workers can run on it.  Idempotent per (id, graph).
-        """
-        self.catalog.register(graph_id, graph)
-        self._graphs[graph_id] = graph
-        self.pool.add_graph(graph_id, graph)
-
     def close(self, *, cancel_pending: bool = False) -> None:
-        """Shut the worker pool down; ``cancel_pending`` drops queued tasks."""
+        """Shut the pool down; ``cancel_pending`` drops queued tasks, waits for none."""
         self.pool.close(cancel_pending=cancel_pending)
 
     def __enter__(self) -> "QueryEngine":

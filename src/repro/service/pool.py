@@ -12,10 +12,11 @@ each shard's engine (and its pool) inside a supervised ``repro
 shard-worker`` process, which is respawned after SIGKILL, OOM,
 corrupt frames or heartbeat silence (see :mod:`repro.net.worker`).
 
-Per-task timeouts are enforced at result-collection time
-(:meth:`ExecutorPool.run` / :meth:`ExecutorPool.map_ordered` raise
-:class:`PoolTimeoutError`); :meth:`ExecutorPool.close` shuts down
-gracefully and can cancel not-yet-started work.
+The graph set is fixed at construction.  Per-task timeouts are
+enforced at result-collection time (:meth:`ExecutorPool.run` /
+:meth:`ExecutorPool.map_ordered` raise :class:`PoolTimeoutError`);
+:meth:`ExecutorPool.close` shuts down gracefully, or cancels
+not-yet-started work and returns without waiting for running tasks.
 
 **Timed-out tasks cannot be killed.**  ``Future.cancel()`` on a task
 that already started is a no-op for threads, so a hung task keeps its
@@ -77,8 +78,7 @@ class ExecutorPool:
     Parameters
     ----------
     graphs:
-        ``{graph_id: CSRGraph}`` — the graphs tasks may name (more can
-        be added later with :meth:`add_graph`).
+        ``{graph_id: CSRGraph}`` — the graphs tasks may name.
     max_workers:
         Worker count; defaults to :func:`default_max_workers`.
     timeout:
@@ -134,15 +134,20 @@ class ExecutorPool:
         return self._executor
 
     def close(self, *, cancel_pending: bool = False) -> None:
-        """Shut down gracefully.
+        """Shut down; wait for running tasks unless ``cancel_pending``.
 
-        Running tasks always finish; with ``cancel_pending`` queued
-        tasks that have not started are cancelled (their futures raise
-        ``CancelledError``).
+        Without ``cancel_pending`` every submitted task runs and the
+        call returns once all have finished.  With it, queued tasks
+        that have not started are cancelled (their futures raise
+        ``CancelledError``) and the call returns at once: a running
+        task (say, one abandoned by the timeout) cannot be stopped, so
+        it finishes on its own thread without holding the caller.
         """
         self._closed = True
         if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=cancel_pending)
+            self._executor.shutdown(
+                wait=not cancel_pending, cancel_futures=cancel_pending
+            )
             self._executor = None
 
     @property
@@ -175,17 +180,6 @@ class ExecutorPool:
     @property
     def graph_ids(self) -> List[str]:
         return sorted(self._graphs)
-
-    def add_graph(self, graph_id: str, graph: CSRGraph) -> None:
-        """Register a graph after construction (shard failover adoption).
-
-        Workers resolve graphs from the shared dict, so the next
-        submission can name it.
-        """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        with self._lock:
-            self._graphs[graph_id] = graph
 
     def _track(self, future: Future) -> Future:
         with self._lock:

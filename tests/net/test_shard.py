@@ -248,40 +248,6 @@ def test_manager_converts_dead_shard_to_unavailable(catalog):
         mgr.close()
 
 
-def test_adopt_and_restore_assignment_cycle(catalog):
-    """Manager-level failover: orphaned graphs move, then come home."""
-    mgr = ShardManager(catalog, shards=2, max_workers=1)
-    try:
-        graph = next(g for g, s in mgr._home.items() if s == 0)
-        mgr.shards[0].retire("test-induced death")
-        mgr.set_shard_state(0, "down")
-        moved = mgr.adopt_shard_graphs(0)
-        assert moved == {graph: 1}
-        assert mgr.shard_of(graph) == 1
-        assert mgr.run(SSSPQuery(graph_id=graph, source=0)).ok
-        mgr.rebuild_shard(0)
-        restored = mgr.restore_assignment(0)
-        mgr.set_shard_state(0, "up")
-        assert restored == [graph]
-        assert mgr.shard_of(graph) == 0
-        assert mgr.run(SSSPQuery(graph_id=graph, source=0)).ok
-        # the replacement dispatcher runs fault-free
-        assert mgr.shards[0].fault_plan is None
-    finally:
-        mgr.close()
-
-
-def test_adopt_without_survivors_is_a_noop(catalog):
-    mgr = ShardManager(catalog, shards=2, max_workers=1)
-    try:
-        mgr.set_shard_state(0, "down")
-        mgr.set_shard_state(1, "down")
-        assert mgr.adopt_shard_graphs(0) == {}
-        assert mgr.shard_of("alpha") == mgr._home["alpha"]
-    finally:
-        mgr.close()
-
-
 def test_health_serving_only_false_when_all_shards_down(catalog):
     """Satellite: /healthz flips 503 only when the whole fleet is gone."""
     mgr = ShardManager(catalog, shards=2, max_workers=1)

@@ -9,6 +9,7 @@ import socket
 import struct
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -201,15 +202,22 @@ def test_corrupt_response_fails_only_its_frame(grids, registry):
         client.close()
 
 
-def test_adopt_graph_after_handshake(grids, registry):
+def test_adopt_after_config_answers_bad_frame(grids, registry):
+    """A worker's graph set is fixed at CONFIG; a later ADOPT fails alone."""
     client = _client(grids)
     try:
         extra = grid_road_network(6, 6, seed=31)
-        client.adopt_graph("gamma", extra)
-        assert client.graph_fingerprints["gamma"] == extra.fingerprint()
-        body = client.request(_wire("gamma", [0])).result(timeout=30.0)
-        assert body["responses"][0]["ok"]
-        assert body["responses"][0]["fingerprint"] == extra.fingerprint()
+        with pytest.raises(RuntimeError, match="bad frame: ValueError: ") as info:
+            client.adopt_graph("gamma", extra)
+        assert not isinstance(info.value, WorkerRequestError)  # not retryable
+        assert "gamma" not in client.graph_fingerprints
+        assert client.alive
+        body = client.request(_wire("gamma", [0]) + _wire("alpha", [0])).result(
+            timeout=30.0
+        )
+        gamma, alpha = body["responses"]
+        assert not gamma["ok"] and "unknown graph" in gamma["error"]
+        assert alpha["ok"]
     finally:
         client.close()
 
@@ -229,6 +237,36 @@ def test_close_is_idempotent(grids, registry):
     client = _client(grids)
     client.close()
     client.close()
+    assert not client.alive
+
+
+def _stop(pid: int) -> None:
+    """SIGSTOP ``pid`` and return once it is stopped, not just signalled."""
+    os.kill(pid, signal.SIGSTOP)
+    stat = Path(f"/proc/{pid}/stat")
+    if not stat.exists():  # no procfs: give the stop time to land
+        time.sleep(0.2)
+        return
+    deadline = time.monotonic() + 5.0
+    while stat.read_text().rsplit(")", 1)[1].split()[0] != "T":
+        assert time.monotonic() < deadline, f"pid {pid} never stopped"
+        time.sleep(0.005)
+
+
+def test_close_kills_a_stopped_worker_at_once(grids, registry):
+    """A worker that cannot act on a frame or a SIGTERM gets SIGKILL."""
+    client = _client(grids)
+    _stop(client.proc.pid)
+    try:
+        t0 = time.perf_counter()
+        client.close(graceful=False)
+        took = time.perf_counter() - t0
+    finally:
+        if client.proc.poll() is None:
+            os.kill(client.proc.pid, signal.SIGCONT)
+            client.close()
+    assert took < 0.5, took
+    assert client.proc.returncode == -signal.SIGKILL
     assert not client.alive
 
 

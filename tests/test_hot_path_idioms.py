@@ -37,6 +37,10 @@ second handshake path and the proxy's hand-copied fallbacks stay gone.
 A shard is replaced when it is dead, never for being slow, so nothing
 names the stall watchdog, the dispatcher heartbeat that fed it or the
 ``dispatcher_hang`` drill kind; keyword and parameter names count.
+Supervised restart is the only recovery and every graph stays on its
+home shard, so nothing names failover adoption or its knob, and no
+engine or pool gains a graph after construction (``failover`` matches
+as a substring: ``--failover``, ``failovers`` and docstrings count).
 """
 
 from __future__ import annotations
@@ -216,6 +220,13 @@ REMOVED_NAMES = (
     "last_beat",
     "request_deadline_seconds",
     "dispatcher_hang",
+    # restart is the only recovery: no failover adoption, no graph
+    # added to an engine or pool after construction
+    "adopt_shard_graphs",
+    "restore_assignment",
+    "_failover_graphs",
+    "add_graph",
+    "failover",
 )
 
 
@@ -345,6 +356,8 @@ def test_removed_dispatch_layers_not_imported():
         "def shard(tick_seconds=0.25, *, request_deadline_seconds=60.0):\n"
         "    return Supervisor(stall_seconds=s.last_beat, kind='dispatcher_hang', "
         "flag='--stall-ms', ms=a.stall_ms)\n"
+        "m.adopt_shard_graphs(0), m.restore_assignment(0), m._failover_graphs, "
+        "p.add_graph('g', g), Sup(failover='adopt'), '--failover', w.failovers\n"
     )
     assert sorted(_removed_imports(probe, "probe.py")) == [
         "probe.py:10: names merge_snapshot",
@@ -361,6 +374,14 @@ def test_removed_dispatch_layers_not_imported():
         "probe.py:13: names stall-ms",
         "probe.py:13: names stall_ms",
         "probe.py:13: names stall_seconds",
+        "probe.py:14: names _failover_graphs",
+        "probe.py:14: names add_graph",
+        "probe.py:14: names adopt_shard_graphs",
+        "probe.py:14: names failover",
+        "probe.py:14: names failover",
+        "probe.py:14: names failover",
+        "probe.py:14: names failover",
+        "probe.py:14: names restore_assignment",
         "probe.py:1: names ProcessPoolExecutor",
         "probe.py:3: names ProcessPoolExecutor",
         "probe.py:4: names poolbreak",
