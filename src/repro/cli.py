@@ -22,9 +22,9 @@
   ``--metrics FILE --metrics-interval N`` keeps a live metrics
   snapshot on disk for ``repro top``; ``--listen HOST:PORT`` serves
   the same protocol over TCP instead — with catalog sharding
-  (``--shards``), admission control (``--max-inflight``,
-  ``--deadline-ms``) and HTTP ``GET /metrics`` / ``GET /healthz`` on
-  the same port (see ``docs/serving.md``);
+  (``--shards``), admission control (``--max-inflight``, a per-shard
+  bound on in-flight queries) and HTTP ``GET /metrics`` /
+  ``GET /healthz`` on the same port (see ``docs/serving.md``);
 * ``loadgen HOST:PORT`` — closed-loop Zipf load generator against a
   ``serve --listen`` endpoint; prints a JSON summary (qps, latency
   percentiles, shed counts) and ``--metrics FILE`` saves it as
@@ -52,6 +52,7 @@ print); ``--verbose`` adds detail, e.g. a metrics snapshot after an
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -319,16 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-inflight", type=int, default=256,
         help="admission bound on in-flight queries per shard; excess "
         "is shed with in-band 'overloaded' errors (--listen mode)",
-    )
-    serve.add_argument(
-        "--deadline-ms", type=float, default=0.0,
-        help="shed requests whose predicted queue wait exceeds this "
-        "budget instead of queuing them (0 disables; --listen mode)",
-    )
-    serve.add_argument(
-        "--drain-limit", type=int, default=64,
-        help="max queries one shard dispatcher cycle merges into a "
-        "single engine call",
     )
     serve.add_argument(
         "--restart-budget", type=int, default=5,
@@ -796,9 +787,42 @@ def _write_serve_metrics(path: Path, engine, registry, spans) -> None:
     tmp.replace(path)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+@contextlib.contextmanager
+def _serve_metrics_file(args: argparse.Namespace, engine, registry, spans):
+    """Keep the ``--metrics`` file while a ``serve`` transport runs.
+
+    With ``--metrics-interval N`` a writer thread rewrites the file
+    every N seconds; leaving the block stops and joins it, then writes
+    the final snapshot.  Without ``--metrics`` it does nothing.
+    """
     import threading
 
+    if not args.metrics:
+        yield
+        return
+    path = Path(args.metrics)
+    stop = threading.Event()
+    writer = None
+    if args.metrics_interval > 0:
+
+        def _writer_loop() -> None:
+            while not stop.wait(args.metrics_interval):
+                _write_serve_metrics(path, engine, registry, spans)
+
+        writer = threading.Thread(
+            target=_writer_loop, name="serve-metrics-writer", daemon=True
+        )
+        writer.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        if writer is not None:
+            writer.join(timeout=5.0)
+        _write_serve_metrics(path, engine, registry, spans)
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.obs.telemetry import TraceSampler
     from repro.service import QueryEngine, serve_stream
@@ -810,7 +834,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "--sample-rate", lambda: TraceSampler(args.sample_rate)
     )
     catalog = _service_catalog(args)
-    metrics_path = Path(args.metrics) if args.metrics else None
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
     if args.restart_budget < 0:
@@ -826,14 +849,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         try:
             with obs.use(registry=registry, events=sink, spans=spans):
                 return _serve_listen(
-                    args, catalog, engine_kwargs, registry, spans,
-                    sampler, metrics_path,
+                    args, catalog, engine_kwargs, registry, spans, sampler
                 )
         finally:
             if sink is not None:
                 sink.close()
-    stop_writer = threading.Event()
-    writer = None
     try:
         with obs.use(registry=registry, events=sink, spans=spans):
             if args.shards > 1 or args.shard_mode == "process":
@@ -854,37 +874,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         f"cache {args.cache_size}); one JSON request per line",
                         file=sys.stderr,
                     )
-                if metrics_path is not None and args.metrics_interval > 0:
-
-                    def _writer_loop() -> None:
-                        while not stop_writer.wait(args.metrics_interval):
-                            _write_serve_metrics(
-                                metrics_path, engine, registry, spans
+                with _serve_metrics_file(args, engine, registry, spans):
+                    if args.input:
+                        with open(args.input) as fh:
+                            count = serve_stream(
+                                engine, fh, sys.stdout, sampler=sampler
                             )
-
-                    writer = threading.Thread(
-                        target=_writer_loop,
-                        name="serve-metrics-writer",
-                        daemon=True,
-                    )
-                    writer.start()
-                if args.input:
-                    with open(args.input) as fh:
+                    else:
                         count = serve_stream(
-                            engine, fh, sys.stdout, sampler=sampler
+                            engine, sys.stdin, sys.stdout, sampler=sampler
                         )
-                else:
-                    count = serve_stream(
-                        engine, sys.stdin, sys.stdout, sampler=sampler
-                    )
-                stop_writer.set()
-                if writer is not None:
-                    writer.join(timeout=5.0)
                 stats = engine.stats()
-                if metrics_path is not None:
-                    _write_serve_metrics(metrics_path, engine, registry, spans)
     finally:
-        stop_writer.set()
         if sink is not None:
             sink.close()
     if not args.quiet:
@@ -895,8 +896,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{cache['evictions']} evictions)",
             file=sys.stderr,
         )
-        if metrics_path is not None:
-            print(f"metrics written to {metrics_path}", file=sys.stderr)
+        if args.metrics:
+            print(f"metrics written to {args.metrics}", file=sys.stderr)
     if args.verbose:
         _print_metrics_snapshot(registry.snapshot())
     return 0
@@ -915,7 +916,6 @@ def _shard_manager(
     manager = ShardManager(
         catalog,
         shards=args.shards,
-        drain_limit=args.drain_limit,
         shard_mode=args.shard_mode,
         heartbeat_ms=args.heartbeat_ms,
         admission=admission,
@@ -934,11 +934,9 @@ def _serve_listen(
     registry,
     spans,
     sampler,
-    metrics_path: Path | None,
 ) -> int:
     """The ``serve --listen`` path: shards + admission + TCP front-end."""
     import asyncio
-    import threading
 
     from repro.net import AdmissionController, NetServer, parse_listen
 
@@ -947,16 +945,9 @@ def _serve_listen(
         raise SystemExit("--max-inflight must be >= 0")
     if args.drain_ms < 0:
         raise SystemExit("--drain-ms must be >= 0")
-    admission = AdmissionController(
-        max_inflight=args.max_inflight,
-        deadline_seconds=(
-            args.deadline_ms / 1000.0 if args.deadline_ms > 0 else None
-        ),
-    )
+    admission = AdmissionController(max_inflight=args.max_inflight)
     engine = _shard_manager(args, catalog, engine_kwargs, admission=admission)
     server = NetServer(engine, host=host, port=port, sampler=sampler)
-    stop_writer = threading.Event()
-    writer = None
 
     async def _run() -> None:
         import signal
@@ -996,26 +987,12 @@ def _serve_listen(
         await server.stop(drain_seconds=args.drain_ms / 1000.0)
 
     try:
-        if metrics_path is not None and args.metrics_interval > 0:
-
-            def _writer_loop() -> None:
-                while not stop_writer.wait(args.metrics_interval):
-                    _write_serve_metrics(metrics_path, engine, registry, spans)
-
-            writer = threading.Thread(
-                target=_writer_loop, name="serve-metrics-writer", daemon=True
-            )
-            writer.start()
-        asyncio.run(_run())
+        with _serve_metrics_file(args, engine, registry, spans):
+            asyncio.run(_run())
     except KeyboardInterrupt:
         pass
     finally:
-        stop_writer.set()
-        if writer is not None:
-            writer.join(timeout=5.0)
         stats = engine.stats()
-        if metrics_path is not None:
-            _write_serve_metrics(metrics_path, engine, registry, spans)
         engine.close()
     if not args.quiet:
         print(
@@ -1024,8 +1001,8 @@ def _serve_listen(
             f"({stats['queries']} queries, {admission.shed} shed)",
             file=sys.stderr,
         )
-        if metrics_path is not None:
-            print(f"metrics written to {metrics_path}", file=sys.stderr)
+        if args.metrics:
+            print(f"metrics written to {args.metrics}", file=sys.stderr)
     if args.verbose:
         _print_metrics_snapshot(registry.snapshot())
     return 0

@@ -14,9 +14,10 @@ answers queries, this package puts that engine on the wire:
   shard dispatchers and workers for death (never for slowness) and
   restarts dead ones under a budgeted exponential backoff; meanwhile a
   down shard's graphs answer retryable ``unavailable`` responses;
-* :mod:`~repro.net.admission` — per-shard token/deadline/breaker
-  admission control; overload sheds early with in-band ``overloaded``
-  errors instead of queuing past the latency budget;
+* :mod:`~repro.net.admission` — per-shard admission control by one
+  token bound (``--max-inflight``): a group that finds its shard full
+  is shed at once with an in-band ``overloaded`` error instead of
+  queuing without bound;
 * :mod:`~repro.net.loadgen` — closed-loop Zipf load generator
   (``repro loadgen``) for capacity and shedding checks; reconnects
   through drops and bounds every read, so chaos drills measure

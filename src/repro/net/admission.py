@@ -1,23 +1,13 @@
 """Admission control: bound in-flight work, shed the excess early.
 
-The energy framing of the source paper applies to serving too: a query
-that will miss its deadline anyway is pure wasted compute, so the
-cheapest place to handle overload is *before* the work enters a shard.
-:class:`AdmissionController` enforces three gates per shard, in order:
-
-1. **breaker** — sustained shedding trips a per-shard circuit breaker
-   (the existing :class:`~repro.resilience.breaker.BreakerBoard` state
-   machine, keyed ``(shard:<i>, admission)``), after which requests
-   fail fast without touching the token state until a half-open probe
-   gets admitted again.  Any successful admission closes the breaker,
-   so it only stays open while the shard is genuinely saturated.
-2. **tokens** — at most ``max_inflight`` queries may be inside a shard
-   (queued or executing) at once.  Admission takes tokens up front;
-   :meth:`release` returns them when the work settles.
-3. **deadline** — with ``deadline_seconds`` set, a request whose
-   *predicted* queue wait (current in-flight × the shard's EWMA
-   per-query latency) already exceeds the budget is shed instead of
-   queued: the controller never queues work past the deadline budget.
+The energy framing of the source paper applies to serving too: work
+that cannot be served promptly is cheapest to turn away *before* it
+enters a shard.  :class:`AdmissionController` has one gate per shard,
+driven by a measured count rather than a latency guess: at most
+``max_inflight`` queries may be inside a shard (queued or executing)
+at once.  Admission takes tokens up front; :meth:`release` returns
+them when the work settles.  A group that does not fit is shed at
+once, however long the shard has been full.
 
 Every shed increments the ``net.shed`` counter (labelled per shard)
 and answers in-band with an ``overloaded: ...`` protocol error — the
@@ -28,11 +18,9 @@ gauges (also per shard) expose the live occupancy.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro import obs
-from repro.resilience.breaker import BreakerBoard, BreakerConfig
 
 __all__ = ["AdmissionController", "OVERLOADED_PREFIX", "UNAVAILABLE_PREFIX"]
 
@@ -44,58 +32,23 @@ OVERLOADED_PREFIX = "overloaded"
 # this; retryable by definition — the supervisor is already on it
 UNAVAILABLE_PREFIX = "unavailable"
 
-# EWMA weight for the per-query latency estimate the deadline gate
-# uses; 0.2 reacts within ~5 batches without chasing single outliers
-_EWMA_ALPHA = 0.2
-
 
 class AdmissionController:
-    """Token + deadline + breaker admission, per shard.
+    """A per-shard token bound on in-flight queries.
 
     Parameters
     ----------
     max_inflight:
         In-flight query bound per shard (queued + executing).  0 sheds
         everything — the drain/maintenance mode, also handy in tests.
-    deadline_seconds:
-        Optional latency budget: shed when predicted queue wait
-        (in-flight × EWMA per-query seconds) exceeds it.  ``None``
-        disables the gate.
-    breaker:
-        Config for the per-shard admission breaker.  The default opens
-        after 64 consecutive sheds and half-opens after 0.5 s — long
-        enough to matter only under sustained saturation, short enough
-        to re-probe as soon as load relents.  ``failure_threshold=0``
-        disables the breaker gate entirely.
-    clock:
-        Monotonic time source for the admission breaker.  Injectable so
-        tests can drive breaker resets (and the EWMA deadline gate
-        around them) with a fake clock instead of sleeping.
     """
 
-    def __init__(
-        self,
-        max_inflight: int = 256,
-        *,
-        deadline_seconds: Optional[float] = None,
-        breaker: Optional[BreakerConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, max_inflight: int = 256):
         if max_inflight < 0:
             raise ValueError("max_inflight must be >= 0")
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive")
         self.max_inflight = int(max_inflight)
-        self.deadline_seconds = deadline_seconds
-        self.board = BreakerBoard(
-            breaker
-            if breaker is not None
-            else BreakerConfig(failure_threshold=64, reset_seconds=0.5),
-            clock=clock,
-        )
         self._lock = threading.Lock()
         self._inflight: Dict[int, int] = {}
-        self._ewma_seconds: Dict[int, float] = {}
         self.admitted = 0
         self.shed = 0
         self.unavailable = 0
@@ -145,65 +98,29 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # the admission decision
     # ------------------------------------------------------------------
-    def _breaker_key(self, shard: int) -> tuple:
-        return (f"shard:{shard}", "admission")
-
     def try_acquire(self, shard: int, n: int = 1) -> Optional[str]:
         """Admit ``n`` queries into ``shard``, or explain the shed.
 
         Returns ``None`` on admission (tokens taken — pair with
         :meth:`release`) or the ``overloaded: ...`` error string when
-        the request must be shed.
+        the shard has no room for the group.
         """
-        graph_key, alg_key = self._breaker_key(shard)
-        if not self.board.allow(graph_key, alg_key):
-            return self._shed_response(
-                shard, n,
-                f"{OVERLOADED_PREFIX}: shard {shard} admission breaker open "
-                "(sustained shedding; retry shortly)",
-                record_breaker=False,
-            )
         with self._lock:
             inflight = self._inflight.get(shard, 0)
-            if inflight + n > self.max_inflight:
-                reason = (
-                    f"{OVERLOADED_PREFIX}: shard {shard} at "
-                    f"{inflight}/{self.max_inflight} in-flight"
-                )
-                admitted = False
-            elif (
-                self.deadline_seconds is not None
-                and inflight * self._ewma_seconds.get(shard, 0.0)
-                > self.deadline_seconds
-            ):
-                predicted = inflight * self._ewma_seconds[shard]
-                reason = (
-                    f"{OVERLOADED_PREFIX}: shard {shard} predicted wait "
-                    f"{predicted:.3f}s exceeds the {self.deadline_seconds}s "
-                    "deadline budget"
-                )
-                admitted = False
-            else:
+            admitted = inflight + n <= self.max_inflight
+            if admitted:
                 self._inflight[shard] = inflight + n
                 self.admitted += n
-                admitted = True
+            else:
+                self.shed += n
         if admitted:
             self._inflight_gauge(shard).set(inflight + n)
-            # an admission is the breaker's "success": it closes after
-            # sheds stop, and a half-open probe that lands here heals it
-            self.board.record_success(graph_key, alg_key)
             return None
-        return self._shed_response(shard, n, reason)
-
-    def _shed_response(
-        self, shard: int, n: int, reason: str, *, record_breaker: bool = True
-    ) -> str:
-        with self._lock:
-            self.shed += n
+        reason = (
+            f"{OVERLOADED_PREFIX}: shard {shard} at "
+            f"{inflight}/{self.max_inflight} in-flight"
+        )
         self._shed_counter(shard).inc(n)
-        if record_breaker:
-            graph_key, alg_key = self._breaker_key(shard)
-            self.board.record_failure(graph_key, alg_key)
         if self._events.enabled:
             self._events.emit(
                 {"type": "query_shed", "shard": shard, "count": n,
@@ -215,9 +132,7 @@ class AdmissionController:
         """Account a fast-failed group for a down/restarting shard.
 
         Unavailability is the supervisor's problem, not saturation: it
-        counts separately from sheds and never feeds the admission
-        breaker (opening it would keep rejecting traffic *after* the
-        shard recovers).
+        counts separately from sheds and takes no tokens.
         """
         with self._lock:
             self.unavailable += n
@@ -228,29 +143,11 @@ class AdmissionController:
                  "reason": reason}
             )
 
-    def reset_shard(self, shard: int) -> None:
-        """Forget a shard's latency estimate (a restarted shard is new).
-
-        The EWMA learned against the dead dispatcher would keep the
-        deadline gate shedding long after a healthy replacement comes
-        up; a restart starts the estimate over.
-        """
-        with self._lock:
-            self._ewma_seconds.pop(shard, None)
-
-    def release(self, shard: int, n: int, elapsed_seconds: float) -> None:
-        """Return ``n`` tokens; fold the observed latency into the EWMA."""
+    def release(self, shard: int, n: int) -> None:
+        """Return ``n`` tokens to ``shard``."""
         with self._lock:
             inflight = max(0, self._inflight.get(shard, 0) - n)
             self._inflight[shard] = inflight
-            if n > 0 and elapsed_seconds >= 0:
-                per_query = elapsed_seconds / n
-                prev = self._ewma_seconds.get(shard)
-                self._ewma_seconds[shard] = (
-                    per_query
-                    if prev is None
-                    else (1 - _EWMA_ALPHA) * prev + _EWMA_ALPHA * per_query
-                )
         self._inflight_gauge(shard).set(inflight)
 
     # ------------------------------------------------------------------
@@ -261,22 +158,13 @@ class AdmissionController:
             return self._inflight.get(shard, 0)
 
     def snapshot(self) -> dict:
-        """Occupancy, totals and breaker states, JSON-ready."""
+        """Occupancy and totals, JSON-ready."""
         with self._lock:
             inflight = dict(self._inflight)
-            ewma = {
-                shard: round(value, 6)
-                for shard, value in self._ewma_seconds.items()
-            }
         return {
             "max_inflight": self.max_inflight,
-            "deadline_seconds": self.deadline_seconds,
             "admitted": self.admitted,
             "shed": self.shed,
             "unavailable": self.unavailable,
             "inflight": {str(k): v for k, v in sorted(inflight.items())},
-            "ewma_query_seconds": {
-                str(k): v for k, v in sorted(ewma.items())
-            },
-            "breakers": self.board.snapshot(),
         }

@@ -1,7 +1,9 @@
 """The network-tier chaos drill: shard death under live traffic.
 
 ``repro chaos-net`` stands up a real multi-shard TCP deployment —
-catalog, admission control, :class:`~repro.net.shard.ShardManager`,
+the built-in catalog at the drill's ``scale``, admission control (the
+256-query per-shard bound ``serve`` defaults to),
+:class:`~repro.net.shard.ShardManager`,
 :class:`~repro.net.supervisor.ShardSupervisor`,
 :class:`~repro.net.server.NetServer` on an ephemeral port — injects a
 scheduled network-tier fault (a dispatcher crash by default) while the
@@ -46,7 +48,7 @@ from repro.resilience.faults import (
     verify_answers,
 )
 from repro.resilience.retry import RestartPolicy
-from repro.service.catalog import GraphCatalog, default_catalog
+from repro.service.catalog import default_catalog
 
 __all__ = ["run_chaos_drill"]
 
@@ -77,22 +79,15 @@ def run_chaos_drill(
     *,
     shards: int = 2,
     scale: float = 0.005,
-    catalog: Optional[GraphCatalog] = None,
     connections: int = 8,
     duration_seconds: float = 3.0,
     crash_at: int = 2,
     crash_shard: int = 0,
     fault_kind: str = "shard_crash",
     restart_policy: Optional[RestartPolicy] = None,
-    check_interval: float = 0.02,
-    max_inflight: int = 256,
-    deadline_ms: Optional[float] = None,
-    drain_limit: int = 64,
     workers: int = 2,
     zipf_a: float = 1.2,
     seed: int = 7,
-    read_timeout_seconds: float = 10.0,
-    drain_seconds: float = 0.5,
     verify: bool = True,
     shard_mode: str = "thread",
     heartbeat_ms: float = 250.0,
@@ -125,7 +120,7 @@ def run_chaos_drill(
         raise ValueError(f"crash_shard must be in [0, {shards})")
     policy = restart_policy if restart_policy is not None else RestartPolicy()
     plan = ScheduledFaultPlan(at=(crash_at,), kind=fault_kind)
-    cat = catalog if catalog is not None else default_catalog(scale)
+    cat = default_catalog(scale)
     collected: List[dict] = []
     lethal = fault_kind in _LETHAL_KINDS
     # worst-case supervised recovery: the full backoff budget plus
@@ -137,20 +132,13 @@ def run_chaos_drill(
         + (10.0 if shard_mode == "process" else 0.0)
     )
 
-    admission = AdmissionController(
-        max_inflight=max_inflight,
-        deadline_seconds=(
-            deadline_ms / 1000.0 if deadline_ms is not None else None
-        ),
-    )
     shard_fault_kinds = _DISPATCHER_KINDS + (
         WORKER_FAULT_KINDS if shard_mode == "process" else ()
     )
     manager = ShardManager(
         cat,
         shards=shards,
-        admission=admission,
-        drain_limit=drain_limit,
+        admission=AdmissionController(max_inflight=256),
         net_fault_plan=plan if fault_kind in shard_fault_kinds else None,
         net_fault_shard=crash_shard,
         shard_mode=shard_mode,
@@ -160,7 +148,7 @@ def run_chaos_drill(
     supervisor = ShardSupervisor(
         manager,
         restart_policy=policy,
-        check_interval=check_interval,
+        check_interval=0.02,
     )
     server = NetServer(
         manager,
@@ -180,7 +168,7 @@ def run_chaos_drill(
                 duration_seconds=duration_seconds,
                 zipf_a=zipf_a,
                 seed=seed,
-                read_timeout_seconds=read_timeout_seconds,
+                read_timeout_seconds=10.0,
                 collect=collected if verify else None,
             )
             recovered = await _recovery_wait(
@@ -193,7 +181,7 @@ def run_chaos_drill(
                 await serve_task
             except (asyncio.CancelledError, Exception):
                 pass
-            await server.stop(drain_seconds=drain_seconds)
+            await server.stop(drain_seconds=0.5)
         return {"summary": summary, "recovered": recovered}
 
     t0 = time.perf_counter()

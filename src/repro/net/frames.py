@@ -125,7 +125,7 @@ def encode_json_frame(frame_type: int, corr: int, obj) -> bytes:
 def decode_json_payload(payload: bytes) -> dict:
     try:
         obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FrameError(f"undecodable JSON payload: {exc}") from None
     if not isinstance(obj, dict):
         raise FrameError(f"JSON payload must be an object, got {type(obj).__name__}")

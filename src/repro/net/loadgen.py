@@ -65,7 +65,9 @@ class _Tally:
     connection died before the response arrived) or ``hung`` (no
     response within the read timeout).  ``sent == ok + shed +
     unavailable + errors + dropped + hung`` always holds — nothing
-    vanishes, which is the invariant the chaos drill audits.
+    vanishes, which is the invariant the chaos drill audits.  A failed
+    batched (``sources``) answer carries its errors per result, so it
+    is classified by its first failed result's error.
     """
 
     def __init__(self):
@@ -88,6 +90,10 @@ class _Tally:
             if response.get("cache") in ("hit", "coalesced"):
                 self.cache_hits += 1
             return
+        if "error" not in response:
+            response = next(
+                (r for r in response.get("results", ()) if not r.get("ok")), {}
+            )
         error = str(response.get("error", ""))
         if error.startswith(OVERLOADED_PREFIX):
             self.shed += 1
@@ -202,14 +208,11 @@ async def _worker(
             graph_id, nodes = graphs[turn % len(graphs)]
             turn += 1
             request: dict = {"op": "query", "graph": graph_id}
-            source: Optional[int] = None
+            sources = [_draw_source(rng, nodes, zipf_a) for _ in range(batch)]
             if batch > 1:
-                request["sources"] = [
-                    _draw_source(rng, nodes, zipf_a) for _ in range(batch)
-                ]
+                request["sources"] = sources
             else:
-                source = _draw_source(rng, nodes, zipf_a)
-                request["source"] = source
+                request["source"] = sources[0]
             if algorithm:
                 request["algorithm"] = algorithm
             t0 = time.perf_counter()
@@ -240,20 +243,18 @@ async def _worker(
                 continue
             response = json.loads(line)
             tally.record(response, time.perf_counter() - t0)
-            if (
-                collect is not None
-                and response.get("ok")
-                and source is not None
-                and "reached" in response
-            ):
-                collect.append(
+            if collect is not None:
+                results = response.get("results", [response])
+                collect.extend(
                     {
                         "graph": graph_id,
                         "source": source,
-                        "reached": response["reached"],
-                        "max_dist": response["max_dist"],
-                        "mean_dist": response["mean_dist"],
+                        "reached": row["reached"],
+                        "max_dist": row["max_dist"],
+                        "mean_dist": row["mean_dist"],
                     }
+                    for source, row in zip(sources, results)
+                    if row.get("ok") and "reached" in row
                 )
     finally:
         await _close(writer)
@@ -297,8 +298,9 @@ async def run_loadgen(
     ``read_timeout_seconds`` bounds every response wait — a silent
     server costs one ``hung`` count and a reconnect, never a stuck
     worker.  ``collect``, when given a list, receives one row per
-    successful single-source response (graph, source, reached,
-    max_dist, mean_dist) for offline verification against Dijkstra.
+    successful answer — one per source of a batched request — (graph,
+    source, reached, max_dist, mean_dist) for offline verification
+    against Dijkstra.
     """
     if connections < 1:
         raise ValueError("connections must be >= 1")

@@ -14,7 +14,7 @@ dispatches there.
 
 Each :class:`Shard` runs one dispatcher thread draining a submission
 queue.  The dispatcher merges whatever is waiting (up to
-``drain_limit`` queries) into a single
+:data:`_DRAIN_LIMIT` queries) into a single
 :meth:`~repro.service.engine.QueryEngine.run_many` call — cross-
 connection coalescing for free, on top of the engine's own
 same-corridor batching — and a shard's engine is only ever touched by
@@ -65,6 +65,11 @@ __all__ = ["Shard", "ShardDiedError", "ShardManager"]
 
 _STOP = object()
 
+# max queries one dispatcher cycle merges into one engine call: a
+# bigger drain amortises more under load, a smaller one bounds how
+# long a fast query waits behind a merged batch
+_DRAIN_LIMIT = 64
+
 
 class ShardDiedError(RuntimeError):
     """A shard's dispatcher is gone; the work was never attempted.
@@ -91,10 +96,8 @@ class _WorkItem:
 class Shard:
     """One catalog partition: an engine, a queue, a dispatcher thread.
 
-    ``drain_limit`` caps how many queries one dispatcher cycle merges
-    into a single ``run_many`` call; larger drains amortise better
-    under load, smaller drains bound how long a fast query can be
-    held behind a merged batch.
+    One dispatcher cycle merges up to :data:`_DRAIN_LIMIT` queued
+    queries into a single ``run_many`` call.
 
     ``fault_plan`` (a :class:`~repro.resilience.faults.FaultPlan` or
     :class:`~repro.resilience.faults.ScheduledFaultPlan`) sabotages
@@ -109,14 +112,10 @@ class Shard:
         index: int,
         engine: QueryEngine,
         *,
-        drain_limit: int = 64,
         fault_plan=None,
     ):
-        if drain_limit < 1:
-            raise ValueError("drain_limit must be >= 1")
         self.index = index
         self.engine = engine
-        self.drain_limit = int(drain_limit)
         self.fault_plan = fault_plan
         self.dispatched = 0
         self.cycles = 0
@@ -181,7 +180,7 @@ class Shard:
                     return
                 items = [item]
                 total = len(item.queries)
-                while total < self.drain_limit:
+                while total < _DRAIN_LIMIT:
                     try:
                         nxt = self._queue.get_nowait()
                     except queue.Empty:
@@ -407,8 +406,6 @@ class ShardManager:
         Optional :class:`~repro.net.admission.AdmissionController`;
         when present, every ``submit_many`` group passes admission
         before it can reach a dispatcher.
-    drain_limit:
-        Per-shard dispatcher merge bound (see :class:`Shard`).
     net_fault_plan:
         Optional dispatcher-tier fault plan (chaos drills).  Applied
         to the shard named by ``net_fault_shard`` (all shards when
@@ -433,7 +430,6 @@ class ShardManager:
         *,
         shards: int = 1,
         admission: Optional[AdmissionController] = None,
-        drain_limit: int = 64,
         net_fault_plan=None,
         net_fault_shard: Optional[int] = None,
         shard_mode: str = "thread",
@@ -457,7 +453,6 @@ class ShardManager:
         self.shard_mode = shard_mode
         self.heartbeat_ms = float(heartbeat_ms)
         self._engine_kwargs = dict(engine_kwargs)
-        self._drain_limit = drain_limit
         self._net_fault_plan = net_fault_plan
         self._net_fault_shard = net_fault_shard
         self._names = list(names)
@@ -495,7 +490,6 @@ class ShardManager:
             shard = ProcessShard(
                 index,
                 sub,
-                drain_limit=self._drain_limit,
                 fault_plan=plan,
                 heartbeat_ms=self.heartbeat_ms,
                 engine_kwargs=self._engine_kwargs,
@@ -508,9 +502,7 @@ class ShardManager:
             **self._engine_kwargs,
         )
         self.catalog.adopt(engine.catalog)  # reuse shard-loaded graphs
-        return Shard(
-            index, engine, drain_limit=self._drain_limit, fault_plan=plan
-        )
+        return Shard(index, engine, fault_plan=plan)
 
     # ------------------------------------------------------------------
     # engine-facade surface (what ProtocolSession needs)
@@ -554,8 +546,6 @@ class ShardManager:
 
         The old incarnation is retired (pending futures failed, engine
         closed); the replacement serves the same ``_home`` partition.
-        The admission controller forgets the dead dispatcher's latency
-        EWMA so the deadline gate does not shed against a ghost.
         """
         old = self.shards[index]
         old.retire("replaced by supervisor")
@@ -566,7 +556,6 @@ class ShardManager:
                 "net.worker.restarts", {"shard": str(index)}
             ).inc()
         if self.admission is not None:
-            self.admission.reset_shard(index)
             self.admission.register_shard(index)
         return shard
 
@@ -601,7 +590,7 @@ class ShardManager:
             indices.append(i)
             group.append(query)
 
-        pending: List[Tuple[int, List[int], Future, float]] = []
+        pending: List[Tuple[int, List[int], Future]] = []
         for shard_index, (indices, group) in groups.items():
             state = self.shard_state(shard_index)
             if state != "up":
@@ -631,7 +620,7 @@ class ShardManager:
             except RuntimeError as exc:  # died between state check and submit
                 reason = f"{UNAVAILABLE_PREFIX}: {exc}; retry shortly"
                 if self.admission is not None:
-                    self.admission.release(shard_index, len(group), 0.0)
+                    self.admission.release(shard_index, len(group))
                     self.admission.record_unavailable(
                         shard_index, len(group), reason
                     )
@@ -640,7 +629,7 @@ class ShardManager:
                         query=queries[i], ok=False, error=reason
                     )
                 continue
-            pending.append((shard_index, indices, future, time.perf_counter()))
+            pending.append((shard_index, indices, future))
 
         if not pending:
             out.set_result(results)
@@ -649,13 +638,10 @@ class ShardManager:
         lock = threading.Lock()
         remaining = {"n": len(pending)}
 
-        def _make_callback(shard_index: int, indices: List[int], t0: float):
+        def _make_callback(shard_index: int, indices: List[int]):
             def _done(future: Future) -> None:
                 if self.admission is not None:
-                    self.admission.release(
-                        shard_index, len(indices),
-                        time.perf_counter() - t0,
-                    )
+                    self.admission.release(shard_index, len(indices))
                 try:
                     responses = future.result()
                 except ShardDiedError as exc:
@@ -690,10 +676,8 @@ class ShardManager:
 
             return _done
 
-        for shard_index, indices, future, t0 in pending:
-            future.add_done_callback(
-                _make_callback(shard_index, indices, t0)
-            )
+        for shard_index, indices, future in pending:
+            future.add_done_callback(_make_callback(shard_index, indices))
         return out
 
     def run_many(self, queries: List[SSSPQuery]) -> List[QueryResponse]:

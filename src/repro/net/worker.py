@@ -926,7 +926,6 @@ class ProcessShard(Shard):
         index: int,
         catalog: GraphCatalog,
         *,
-        drain_limit: int = 64,
         fault_plan=None,
         heartbeat_ms: float = 1000.0,
         engine_kwargs: Optional[Mapping] = None,
@@ -945,7 +944,6 @@ class ProcessShard(Shard):
         super().__init__(
             index,
             proxy,  # type: ignore[arg-type] — duck-typed engine facade
-            drain_limit=drain_limit,
             fault_plan=fault_plan,
         )
 

@@ -30,7 +30,8 @@ rejects them, because they sabotage infrastructure, not tasks:
   it must escape ``except Exception`` handlers the way a real
   interpreter-level death would);
 * ``"slow_shard"`` — every dispatch cycle pays ``slow_seconds`` extra
-  latency (feeds the admission controller's EWMA deadline gate);
+  latency (a slow shard, not a dead one: the supervisor leaves it
+  serving, and admission sheds only once its in-flight bound is full);
 * ``"conn_drop"`` — the server closes a client connection abruptly
   after reading a request, before answering it.
 

@@ -281,7 +281,7 @@ class ProtocolSession:
             return None
         try:
             request = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep
             return PendingReply({"ok": False, "error": f"invalid JSON: {exc}"})
         if not isinstance(request, dict):
             return PendingReply(

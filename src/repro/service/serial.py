@@ -101,7 +101,7 @@ def unpack_graph(payload: bytes) -> Tuple[str, CSRGraph]:
     body_at = len(_MAGIC) + _HEADER_LEN.size
     try:
         header = json.loads(payload[body_at : body_at + head_len])
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise GraphTransferError(f"bad graph image header: {exc}") from None
     if not isinstance(header, dict):
         raise GraphTransferError(

@@ -1,13 +1,11 @@
-"""AdmissionController: token bound, deadline gate, breaker, metrics."""
+"""AdmissionController: the per-shard token bound and its metrics."""
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
+from repro import obs
 from repro.net.admission import OVERLOADED_PREFIX, AdmissionController
-from repro.resilience.breaker import BreakerConfig
 
 
 def test_admits_within_the_token_bound():
@@ -30,7 +28,7 @@ def test_release_returns_tokens():
     adm = AdmissionController(max_inflight=1)
     assert adm.try_acquire(0) is None
     assert adm.try_acquire(0) is not None
-    adm.release(0, 1, 0.01)
+    adm.release(0, 1)
     assert adm.try_acquire(0) is None
 
 
@@ -47,40 +45,27 @@ def test_max_inflight_zero_sheds_everything():
     assert adm.admitted == 0
 
 
-def test_deadline_gate_uses_predicted_wait():
-    adm = AdmissionController(max_inflight=100, deadline_seconds=0.5)
-    # seed the EWMA at 1s/query via a release
-    assert adm.try_acquire(0, 2) is None
-    adm.release(0, 2, 2.0)
-    # empty shard: predicted wait 0, always admitted
-    assert adm.try_acquire(0, 1) is None
-    # one in flight x 1s EWMA > 0.5s budget -> shed
-    reason = adm.try_acquire(0, 1)
-    assert reason is not None and "deadline" in reason
+def test_an_idle_shard_admits_at_once_after_sustained_shedding():
+    adm = AdmissionController(max_inflight=2)
+    for _ in range(100):  # a group that can never fit: 100 sheds
+        assert adm.try_acquire(0, 3).startswith(OVERLOADED_PREFIX)
+    assert adm.try_acquire(0, 2) is None  # idle shard: no cool-down
+    for _ in range(100):  # a full shard: every shed names the bound
+        assert adm.try_acquire(0) == "overloaded: shard 0 at 2/2 in-flight"
+    adm.release(0, 2)
+    assert adm.try_acquire(0, 2) is None  # drained: admitted at once
 
 
-def test_sustained_shedding_opens_the_breaker():
-    adm = AdmissionController(
-        max_inflight=0,
-        breaker=BreakerConfig(failure_threshold=5, reset_seconds=60.0),
-    )
-    reasons = [adm.try_acquire(0) for _ in range(8)]
+def test_sheds_book_no_breaker_activity():
+    registry, sink = obs.MetricsRegistry(), obs.ListSink()
+    with obs.use(registry=registry, events=sink):
+        adm = AdmissionController(max_inflight=0)
+        reasons = [adm.try_acquire(0) for _ in range(70)]
     assert all(r.startswith(OVERLOADED_PREFIX) for r in reasons)
-    assert "breaker open" in adm.try_acquire(0)
-
-
-def test_an_admission_closes_the_breaker_again():
-    adm = AdmissionController(
-        max_inflight=2,
-        breaker=BreakerConfig(failure_threshold=3, reset_seconds=0.01),
-    )
-    assert adm.try_acquire(0, 2) is None
-    for _ in range(4):
-        adm.try_acquire(0, 1)  # sheds; opens the breaker
-    adm.release(0, 2, 0.01)
-    time.sleep(0.05)  # past reset_seconds: the breaker half-opens
-    assert adm.try_acquire(0, 1) is None  # the probe finds tokens
-    assert adm.try_acquire(0, 1) is None  # breaker closed, tokens remain
+    assert registry.counter("service.breaker.opened").value == 0
+    assert registry.counter("service.breaker.rejections").value == 0
+    assert sink.of_type("breaker_open") == []
+    assert len(sink.of_type("query_shed")) == 70
 
 
 def test_register_shard_precreates_zeroed_metrics(registry):
@@ -102,87 +87,27 @@ def test_shed_counter_and_inflight_gauge_track(registry):
 
 
 def test_snapshot_is_json_ready():
-    adm = AdmissionController(max_inflight=2, deadline_seconds=1.5)
+    adm = AdmissionController(max_inflight=2)
     adm.try_acquire(0)
     adm.try_acquire(0, 2)  # shed
-    adm.release(0, 1, 0.25)
+    adm.release(0, 1)
     snap = adm.snapshot()
     assert snap["max_inflight"] == 2
-    assert snap["deadline_seconds"] == 1.5
     assert snap["admitted"] == 1 and snap["shed"] == 2
     assert snap["inflight"] == {"0": 0}
-    assert snap["ewma_query_seconds"]["0"] == pytest.approx(0.25)
-
-
-def test_stalled_shard_deadline_budget_fake_clock():
-    """Satellite: the EWMA deadline gate under a stalled shard, no sleeps.
-
-    A stuck query plus a 1s/query latency estimate sheds everything by
-    prediction; sustained shedding opens the breaker; time alone does
-    not heal it (the half-open probe still hits the deadline gate); a
-    supervisor-style restart — pending failed out, ``reset_shard`` —
-    does.  The whole arc runs on a fake clock.
-    """
-    now = [0.0]
-    adm = AdmissionController(
-        max_inflight=100,
-        deadline_seconds=0.1,
-        breaker=BreakerConfig(failure_threshold=2, reset_seconds=5.0),
-        clock=lambda: now[0],
-    )
-    # teach the gate this shard runs ~1s/query
-    assert adm.try_acquire(0) is None
-    adm.release(0, 1, 1.0)
-    # one query wedged in the stalled dispatcher
-    assert adm.try_acquire(0) is None
-    # predicted wait 1 x 1.0s >> 0.1s budget: shed by prediction
-    r1, r2 = adm.try_acquire(0), adm.try_acquire(0)
-    assert "deadline" in r1 and "deadline" in r2
-    # two consecutive sheds tripped the breaker
-    assert "breaker open" in adm.try_acquire(0)
-    # past reset_seconds the half-open probe is *still* shed (the shard
-    # is still stalled), so the breaker reopens
-    now[0] += 6.0
-    assert "deadline" in adm.try_acquire(0)
-    assert "breaker open" in adm.try_acquire(0)
-    # the supervisor replaces the dispatcher: the wedged query is failed
-    # out (tokens returned) and the stale estimate is forgotten
-    adm.release(0, 1, 0.0)
-    adm.reset_shard(0)
-    now[0] += 6.0
-    assert adm.try_acquire(0) is None  # probe admitted: breaker closes
-    assert adm.try_acquire(0) is None  # fresh EWMA: the gate is quiet
-    adm.release(0, 2, 0.002)
-    assert adm.snapshot()["ewma_query_seconds"]["0"] < 0.1
 
 
 def test_record_unavailable_counts_separately_and_skips_breaker(registry):
-    adm = AdmissionController(
-        max_inflight=4,
-        breaker=BreakerConfig(failure_threshold=1, reset_seconds=60.0),
-    )
+    adm = AdmissionController(max_inflight=4)
     adm.record_unavailable(0, 3, "unavailable: shard 0 is dead")
     assert adm.unavailable == 3 and adm.shed == 0
-    # unavailability never feeds the admission breaker
+    # unavailability takes no tokens
     assert adm.try_acquire(0) is None
     snap = registry.snapshot()
     assert snap['net.unavailable{shard="0"}']["value"] == 3
     assert adm.snapshot()["unavailable"] == 3
 
 
-def test_reset_shard_forgets_the_latency_estimate():
-    adm = AdmissionController(max_inflight=8, deadline_seconds=0.5)
-    assert adm.try_acquire(0) is None
-    adm.release(0, 1, 10.0)
-    assert adm.try_acquire(0) is None  # empty shard: predicted 0
-    assert adm.try_acquire(0) is not None  # 1 x 10s >> 0.5s
-    adm.reset_shard(0)
-    assert adm.try_acquire(0) is None
-    assert "0" not in adm.snapshot()["ewma_query_seconds"]
-
-
 def test_invalid_configuration_rejected():
     with pytest.raises(ValueError):
         AdmissionController(max_inflight=-1)
-    with pytest.raises(ValueError):
-        AdmissionController(deadline_seconds=0.0)

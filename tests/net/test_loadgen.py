@@ -12,7 +12,7 @@ from repro.net import (
     ShardManager,
     run_loadgen,
 )
-from repro.resilience import ScheduledFaultPlan
+from repro.resilience import ScheduledFaultPlan, verify_answers
 
 
 def _drive(manager, server_kwargs=None, **kwargs):
@@ -152,6 +152,45 @@ def test_collect_hook_captures_single_source_rows(catalog):
     assert set(row) == {"graph", "source", "reached", "max_dist", "mean_dist"}
     assert row["graph"] in ("alpha", "beta")
     assert row["reached"] > 0
+
+
+def test_batched_sheds_count_as_shed_not_errors(catalog):
+    mgr = ShardManager(
+        catalog,
+        shards=2,
+        admission=AdmissionController(max_inflight=0),  # shed everything
+        max_workers=1,
+    )
+    try:
+        summary = _drive(
+            mgr, connections=4, duration_seconds=0.3, zipf_a=1.2, batch=2
+        )
+    finally:
+        mgr.close()
+    assert summary["sent"] > 0
+    assert summary["shed"] == summary["sent"]
+    assert summary["errors"] == 0 and summary["error_samples"] == []
+
+
+def test_collect_hook_captures_one_row_per_batched_source(catalog):
+    mgr = ShardManager(catalog, shards=2, max_workers=2)
+    collected = []
+    try:
+        summary = _drive(
+            mgr,
+            connections=2,
+            duration_seconds=0.3,
+            zipf_a=1.2,
+            batch=2,
+            collect=collected,
+        )
+    finally:
+        mgr.close()
+    assert summary["ok"] == summary["sent"] > 0
+    assert len(collected) == 2 * summary["ok"]
+    verdict = verify_answers(catalog, collected)
+    assert verdict["checked"] == len(collected)
+    assert verdict["mismatches"] == 0
 
 
 def test_unknown_graph_pin_rejected(catalog):

@@ -455,6 +455,20 @@ def test_undecodable_answer_fails_only_its_request(paired, payload):
     assert good.result(timeout=1.0) == {"responses": []}
 
 
+def test_answer_nested_too_deep_fails_only_its_request(paired):
+    client, peer = paired
+    deep = b"[" * 100_000 + b"]" * 100_000  # past any recursion limit
+    bad = client.request(_wire("alpha", [0]), deadline_seconds=1.0)
+    _answer_next(peer, FT_RESPONSE, deep)
+    with pytest.raises(RuntimeError, match="bad frame: undecodable JSON payload"):
+        bad.result(timeout=1.0)
+    peer.sendall(encode_frame(FT_HEARTBEAT, 0, deep))
+    good = client.request(_wire("alpha", [1]), deadline_seconds=1.0)
+    _answer_next(peer, FT_RESPONSE, _json({"responses": []}))
+    assert good.result(timeout=1.0) == {"responses": []}
+    assert client.alive and client._reader.is_alive()
+
+
 def test_heartbeat_with_non_object_stats_is_ignored(paired):
     client, peer = paired
     peer.sendall(encode_frame(FT_HEARTBEAT, 0, _json({"stats": {"queries": 3}})))

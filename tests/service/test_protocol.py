@@ -138,6 +138,16 @@ class TestServeStream:
         assert responses[2]["ok"] is False
         assert responses[3]["op"] == "stats"
 
+    def test_json_nested_too_deep_answers_invalid_json(self, catalog):
+        lines = ["[" * 100_000 + "]" * 100_000, '{"graph": "grid", "source": 0}']
+        out = io.StringIO()
+        with QueryEngine(catalog) as engine:
+            assert serve_stream(engine, lines, out) == 2
+        deep, query = (json.loads(l) for l in out.getvalue().splitlines())
+        assert deep["ok"] is False
+        assert deep["error"].startswith("invalid JSON: maximum recursion depth")
+        assert query["ok"] is True
+
     def test_stream_survives_engine_level_errors(self, catalog):
         lines = [
             '{"graph": "absent", "source": 0}',

@@ -94,6 +94,15 @@ def test_unpack_rejects_malformed_header(graph, edit):
         unpack_graph(_edited_image(graph, edit))
 
 
+def test_unpack_rejects_header_nested_too_deep(graph):
+    packed = pack_graph("g", graph)
+    (head_len,) = struct.unpack_from("!I", packed, 4)
+    head = b"[" * 100_000 + b"]" * 100_000
+    blob = packed[:4] + struct.pack("!I", len(head)) + head + packed[8 + head_len :]
+    with pytest.raises(GraphTransferError, match="bad graph image header"):
+        unpack_graph(blob)
+
+
 def test_unpack_rejects_inconsistent_arrays(graph):
     blob = bytearray(pack_graph("g", graph))
     (head_len,) = struct.unpack_from("!I", blob, 4)

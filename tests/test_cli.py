@@ -1134,3 +1134,77 @@ class TestSupervisedServe:
             proc.stdin.close()
             proc.wait(timeout=10)
             proc.stdout.close()
+
+
+def _metrics_while_serving(path, proc, ready, timeout: float = 30.0) -> dict:
+    """The ``--metrics`` file once ``ready(snapshot)``, read while ``proc`` serves."""
+    import json
+    import time
+
+    deadline = time.monotonic() + timeout
+    while True:
+        assert proc.poll() is None, "serve exited"
+        try:
+            saved = json.loads(path.read_text())
+        except (OSError, ValueError):  # not written yet
+            saved = None
+        if saved is not None and ready(saved):
+            return saved
+        assert time.monotonic() < deadline, f"no ready snapshot in {path}"
+        time.sleep(0.05)
+
+
+class TestServeMetricsInterval:
+    """``--metrics-interval`` rewrites the ``--metrics`` file while serving."""
+
+    def test_stdin_serve_rewrites_metrics_while_serving(self, tmp_path):
+        import json
+        import subprocess
+
+        path = tmp_path / "serve_metrics.json"
+        proc = _serve_proc(
+            "--scale", "0.003", "--metrics", str(path),
+            "--metrics-interval", "0.05", "-q",
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            proc.stdin.write(
+                b'{"graph": "cal", "source": 0, "algorithm": "dijkstra"}\n'
+            )
+            proc.stdin.flush()
+            assert json.loads(_read_line(proc.stdout, 30.0))["ok"]
+            live = _metrics_while_serving(
+                path, proc, lambda s: s["stats"]["queries"] == 1
+            )
+            assert live["schema"] == 2
+        finally:
+            proc.stdin.close()
+            assert proc.wait(timeout=10) == 0
+            proc.stdout.close()
+        final = json.loads(path.read_text())
+        assert final["schema"] == 2 and final["ts"] >= live["ts"]
+
+    def test_listen_serve_rewrites_metrics_while_serving(self, tmp_path):
+        import json
+        import socket
+        import subprocess
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        path = tmp_path / "serve_metrics.json"
+        proc = _serve_proc(
+            "--listen", f"127.0.0.1:{port}", "--scale", "0.003",
+            "--metrics", str(path), "--metrics-interval", "0.05", "-q",
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            live = _metrics_while_serving(path, proc, lambda s: True)
+            assert live["schema"] == 2
+            assert live["stats"]["admission"]["max_inflight"] == 256
+        finally:
+            proc.terminate()
+            assert proc.wait(timeout=10) == 0
+        final = json.loads(path.read_text())
+        assert final["schema"] == 2 and final["ts"] >= live["ts"]

@@ -41,6 +41,11 @@ Supervised restart is the only recovery and every graph stays on its
 home shard, so nothing names failover adoption or its knob, and no
 engine or pool gains a graph after construction (``failover`` matches
 as a substring: ``--failover``, ``failovers`` and docstrings count).
+Admission sheds only when a shard's in-flight bound is full, so nothing
+names the latency-predicting deadline gate (``--deadline-ms``, its
+EWMA and ``reset_shard``), the admission breaker's helpers or the
+``--drain-limit`` knob, whose one value is now a constant of
+``repro/net/shard.py``.
 """
 
 from __future__ import annotations
@@ -227,6 +232,17 @@ REMOVED_NAMES = (
     "_failover_graphs",
     "add_graph",
     "failover",
+    # admission has one gate, the per-shard token bound: no deadline
+    # gate or latency estimate, no admission breaker, no merge knob
+    "deadline_ms",
+    "deadline-ms",
+    "reset_shard",
+    "ewma",
+    "EWMA",
+    "_breaker_key",
+    "record_breaker",
+    "drain_limit",
+    "drain-limit",
 )
 
 
@@ -358,6 +374,8 @@ def test_removed_dispatch_layers_not_imported():
         "flag='--stall-ms', ms=a.stall_ms)\n"
         "m.adopt_shard_graphs(0), m.restore_assignment(0), m._failover_graphs, "
         "p.add_graph('g', g), Sup(failover='adopt'), '--failover', w.failovers\n"
+        "a.reset_shard(0), a._breaker_key(0), f(record_breaker=False, drain_limit=64), "
+        "'--deadline-ms', o.deadline_ms, _ewma_seconds, _EWMA_ALPHA, '--drain-limit'\n"
     )
     assert sorted(_removed_imports(probe, "probe.py")) == [
         "probe.py:10: names merge_snapshot",
@@ -382,6 +400,15 @@ def test_removed_dispatch_layers_not_imported():
         "probe.py:14: names failover",
         "probe.py:14: names failover",
         "probe.py:14: names restore_assignment",
+        "probe.py:15: names EWMA",
+        "probe.py:15: names _breaker_key",
+        "probe.py:15: names deadline-ms",
+        "probe.py:15: names deadline_ms",
+        "probe.py:15: names drain-limit",
+        "probe.py:15: names drain_limit",
+        "probe.py:15: names ewma",
+        "probe.py:15: names record_breaker",
+        "probe.py:15: names reset_shard",
         "probe.py:1: names ProcessPoolExecutor",
         "probe.py:3: names ProcessPoolExecutor",
         "probe.py:4: names poolbreak",
