@@ -35,13 +35,8 @@
   --metrics`` output or ``benchmarks/results/metrics.json``);
   ``--prometheus`` prints Prometheus text exposition instead;
 * ``top <file>`` — live terminal view of a serving session (QPS,
-  cache hit rate, latency percentiles, breaker states, pool depth)
+  cache hit rate, latency percentiles, pool depth and lost workers)
   off the file ``serve --metrics-interval`` maintains;
-* ``faults`` — chaos drill: run a batch of queries through the engine
-  under a seeded fault plan (crashes, hangs, transients, corrupted
-  results), verify every answer against Dijkstra, and report retries,
-  breaker states and pool health; exits non-zero on any wrong or
-  unanswered query;
 * ``version`` — report the package version.
 
 ``--quiet`` suppresses informational chatter (result lines still
@@ -230,11 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--timeout", type=float, default=None,
-            help="per-query timeout in seconds",
-        )
-        p.add_argument(
-            "--retries", type=int, default=3,
-            help="attempts per query on transient failures (1 disables)",
+            help="per-task timeout in seconds: a task past it fails "
+            "its queries at once, after one run",
         )
         p.add_argument(
             "--max-batch", type=int, default=16,
@@ -242,25 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
             "into one batched kernel call (1 disables)",
         )
         p.add_argument(
-            "--breaker-threshold", type=int, default=5,
-            help="consecutive failures before a (graph, algorithm) "
-            "circuit opens (0 disables)",
-        )
-        p.add_argument(
-            "--breaker-reset", type=float, default=30.0,
-            help="seconds an open circuit waits before a half-open probe",
-        )
-        p.add_argument(
             "--fault-rate", type=float, default=0.0,
-            help="inject faults into this fraction of pool tasks (chaos)",
-        )
-        p.add_argument(
-            "--fault-kinds", default="transient,crash,hang",
-            help="comma list from: transient, crash, hang, corrupt",
-        )
-        p.add_argument(
-            "--fault-seed", type=int, default=0,
-            help="seed of the deterministic fault plan",
+            help="inject a hang into this fraction of pool tasks (chaos)",
         )
         p.add_argument(
             "--fault-hang", type=float, default=0.25,
@@ -435,31 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--once", action="store_true",
         help="print a single frame and exit (no screen clearing)",
-    )
-
-    faults = sub.add_parser(
-        "faults",
-        parents=[common],
-        help="chaos drill: query under injected faults, verify, report",
-    )
-    add_service_options(faults)
-    faults.add_argument(
-        "--queries", type=int, default=100,
-        help="how many queries the drill issues",
-    )
-    faults.add_argument(
-        "--algorithm",
-        choices=["dijkstra", "bellman-ford", "delta-stepping", "nearfar", "adaptive", "kla"],
-        default="dijkstra",
-        help="algorithm the drill queries run",
-    )
-    faults.add_argument(
-        "--graph", default="cal",
-        help="catalog graph id the drill targets (default: cal)",
-    )
-    faults.add_argument(
-        "--no-verify", action="store_true",
-        help="skip the per-answer Dijkstra cross-check",
     )
 
     chaos_net = sub.add_parser(
@@ -731,41 +681,19 @@ def _checked_option(flags: str, build):
         raise SystemExit(f"bad {flags}: {exc}") from None
 
 
-def _resilience_kwargs(args: argparse.Namespace, *, default_rate: float = 0.0) -> dict:
-    """retry/breaker/fault_plan engine kwargs from the service options.
+def _fault_plan(args: argparse.Namespace):
+    """The pool fault plan ``--fault-rate``/``--fault-hang`` ask for, or None.
 
-    A bad value exits with one line naming its option, no traceback.
+    A bad value exits with one line naming its options, no traceback.
     """
-    from repro.resilience import BreakerConfig, FaultPlan, RetryPolicy
+    from repro.resilience import FaultPlan
 
-    rate = args.fault_rate if args.fault_rate > 0 else default_rate
-    plan = None
-    if rate > 0:
-        kinds = _checked_option(
-            "--fault-kinds", lambda: FaultPlan.parse_kinds(args.fault_kinds)
-        )
-        plan = _checked_option(
-            "--fault-rate/--fault-hang",
-            lambda: FaultPlan(
-                rate=rate,
-                seed=args.fault_seed,
-                kinds=kinds,
-                hang_seconds=args.fault_hang,
-            ),
-        )
-    return {
-        "retry": _checked_option(
-            "--retries", lambda: RetryPolicy(max_attempts=args.retries)
-        ),
-        "breaker": _checked_option(
-            "--breaker-threshold/--breaker-reset",
-            lambda: BreakerConfig(
-                failure_threshold=args.breaker_threshold,
-                reset_seconds=args.breaker_reset,
-            ),
-        ),
-        "fault_plan": plan,
-    }
+    if args.fault_rate <= 0:
+        return None
+    return _checked_option(
+        "--fault-rate/--fault-hang",
+        lambda: FaultPlan(rate=args.fault_rate, hang_seconds=args.fault_hang),
+    )
 
 
 def _write_serve_metrics(path: Path, engine, registry, spans) -> None:
@@ -843,7 +771,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         cache_size=args.cache_size,
         max_batch=args.max_batch,
-        **_resilience_kwargs(args),
+        fault_plan=_fault_plan(args),
     )
     if args.listen:
         try:
@@ -1091,7 +1019,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             cache_size=args.cache_size,
             max_batch=args.max_batch,
-            **_resilience_kwargs(args),
+            fault_plan=_fault_plan(args),
         )
         with engine:
             graph = engine.pool.graph(args.graph)
@@ -1228,21 +1156,8 @@ def _render_top_frame(data: dict, prev: dict | None) -> str:
         + f"  |  pool {pool.get('mode', '?')}"
         f" x{pool.get('max_workers', '?')}"
         f", depth {pool.get('pending', 0)}"
+        f", workers lost {pool.get('lost_workers', 0)}"
     )
-    retries = health.get("retries", stats.get("retries", {}))
-    lines.append(
-        f"retries {retries.get('attempts', 0)} "
-        f"(exhausted {retries.get('exhausted', 0)})"
-        f"  |  workers lost {pool.get('lost_workers', 0)}"
-        f"  |  breakers open {health.get('breakers_open', 0)}"
-    )
-    open_breakers = [
-        f"{b.get('graph')}/{b.get('algorithm')}:{b.get('state')}"
-        for b in health.get("breakers", [])
-        if b.get("state") != "closed"
-    ]
-    if open_breakers:
-        lines.append("breakers: " + ", ".join(open_breakers))
     admission = stats.get("admission") or health.get("admission")
     if admission:
         inflight = ", ".join(
@@ -1325,104 +1240,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
             time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
-    """Chaos drill: a query batch under injected faults, cross-checked.
-
-    Exit code 0 means every query came back ``ok`` and (unless
-    ``--no-verify``) every answer matched a clean Dijkstra run on the
-    same source.  The drill defaults to a 30% fault rate when
-    ``--fault-rate`` is not given — an un-faulted drill proves nothing.
-    """
-    from repro import obs
-    from repro.resilience import verify_answers
-    from repro.service import QueryEngine, SSSPQuery
-
-    if args.queries < 1:
-        raise SystemExit("--queries must be >= 1")
-    registry = obs.MetricsRegistry()
-    catalog = _service_catalog(args)
-    if args.graph not in catalog:
-        raise SystemExit(
-            f"unknown graph {args.graph!r} (have {catalog.names()}); "
-            "register files with --graph-file NAME=PATH"
-        )
-    kwargs = _resilience_kwargs(args, default_rate=0.3)
-    plan = kwargs["fault_plan"]
-    if not args.quiet:
-        print(
-            f"fault plan: rate={plan.rate}, kinds={','.join(plan.kinds)}, "
-            f"seed={plan.seed}; {args.queries} {args.algorithm!r} queries "
-            f"on {args.graph!r} (retries={args.retries}, "
-            f"breaker={args.breaker_threshold})"
-        )
-    with obs.use(registry=registry):
-        engine = QueryEngine(
-            catalog,
-            max_workers=args.workers,
-            timeout=args.timeout,
-            cache_size=args.cache_size,
-            max_batch=args.max_batch,
-            **kwargs,
-        )
-        with engine:
-            graph = engine.pool.graph(args.graph)
-            rng = np.random.default_rng(args.fault_seed)
-            sources = rng.integers(0, graph.num_nodes, size=args.queries)
-            queries = [
-                SSSPQuery(
-                    graph_id=args.graph,
-                    source=int(s),
-                    algorithm=args.algorithm,
-                )
-                for s in sources
-            ]
-            t0 = time.perf_counter()
-            responses = engine.run_many(queries)
-            wall = time.perf_counter() - t0
-            health = engine.health()
-
-            failed = [r for r in responses if not r.ok]
-            retried = sum(1 for r in responses if r.attempts > 1)
-            mismatches = 0
-            if not args.no_verify:
-                verification = verify_answers(
-                    catalog, [r.as_dict() for r in responses if r.ok]
-                )
-                mismatches = verification["mismatches"]
-                for sample in verification["mismatch_samples"]:
-                    got = sample["got"]
-                    print(
-                        f"MISMATCH source={got['source']}: got reached="
-                        f"{got['reached']} max={got['max_dist']} "
-                        f"mean={got['mean_dist']}, want {sample['want']}"
-                    )
-
-    print(
-        f"answered {len(responses) - len(failed)}/{len(responses)} queries "
-        f"in {wall:.2f}s ({retried} retried; "
-        f"{health['retries']['attempts']} retry attempts, "
-        f"{health['retries']['exhausted']} exhausted)"
-    )
-    print(
-        f"pool: alive={health['pool']['alive']}, "
-        f"lost_workers={health['pool']['lost_workers']}; "
-        f"breakers open: {health['breakers_open']}"
-    )
-    if failed and not args.quiet:
-        for r in failed[:5]:
-            print(f"FAILED source={r.query.source}: {r.error}")
-        if len(failed) > 5:
-            print(f"... and {len(failed) - 5} more failures")
-    if not args.no_verify:
-        verdict = "all verified against Dijkstra" if mismatches == 0 else (
-            f"{mismatches} answers DISAGREE with Dijkstra"
-        )
-        print(verdict)
-    if args.verbose:
-        _print_metrics_snapshot(registry.snapshot())
-    return 0 if not failed and mismatches == 0 else 1
 
 
 def _cmd_chaos_net(args: argparse.Namespace) -> int:
@@ -1670,12 +1487,6 @@ def _render_event(event: dict) -> str | None:
             f"query_end     qid={event.get('qid')} {status}{cache} "
             f"wall={event.get('wall_seconds')}s{trace_tag}"
         )
-    if etype == "query_retry":
-        return (
-            f"query_retry   qid={event.get('qid')} "
-            f"attempt={event.get('attempt')} after {event.get('error')!r} "
-            f"(delay {event.get('delay_seconds')}s)"
-        )
     if etype == "batch_dispatch":
         return (
             f"batch_dispatch {event.get('graph')}/{event.get('algorithm')} "
@@ -1829,7 +1640,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "query": _cmd_query,
         "metrics": _cmd_metrics,
         "top": _cmd_top,
-        "faults": _cmd_faults,
         "chaos-net": _cmd_chaos_net,
         "shard-worker": _cmd_shard_worker,
         "version": _cmd_version,

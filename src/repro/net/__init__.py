@@ -7,7 +7,7 @@ answers queries, this package puts that engine on the wire:
   protocol (one connection = one protocol stream) plus HTTP
   ``GET /metrics`` (Prometheus) and ``GET /healthz`` on the same port;
 * :mod:`~repro.net.shard` — :class:`ShardManager` partitions the graph
-  catalog across N independent engines (own pool, cache, breakers) and
+  catalog across N independent engines (own pool and cache) and
   routes by graph name while presenting the single-engine surface to
   the protocol layer;
 * :mod:`~repro.net.supervisor` — :class:`ShardSupervisor` health-checks

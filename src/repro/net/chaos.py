@@ -16,9 +16,8 @@ the robustness work makes:
    ``hung`` count *is* this claim; the drill fails if it is nonzero.
 2. **no wrong answers** — every successful single-source response is
    cross-checked against a clean Dijkstra run on the same graph and
-   source (:func:`~repro.resilience.faults.verify_answers`, the check
-   ``repro faults`` applies below the pool).  A restarted shard must
-   not change a single distance.
+   source (:func:`~repro.resilience.faults.verify_answers`).  A
+   restarted shard must not change a single distance.
 3. **bounded recovery** — a crashed shard is restarted and serving
    again within the restart policy's worst-case backoff budget; the
    supervisor's measured downtime is the drill's recovery metric (and

@@ -21,11 +21,14 @@ hung load generator.  That makes the tally itself the chaos drill's
 verdict — ``hung == 0`` is the "no client ever waits forever" claim,
 measured rather than asserted.
 
-Results come back as a JSON-ready summary — counts (ok / shed /
-unavailable / errors / dropped / hung), achieved qps, and latency
-percentiles — which the CLI also folds into ``bench.net.*`` gauges in
-a metrics snapshot file, the same schema the benchmark suite and
-``repro top`` read.
+Results come back as a JSON-ready summary — counts (sent / ok / shed
+/ unavailable / errors / dropped / hung), ``cache_hits`` (answered
+sources served from the cache or coalesced, one per source of a
+batched answer), ``qps`` (ok answers per second, so a run that sheds
+does not report its rejections as throughput) and latency percentiles
+— which the CLI also folds into ``bench.net.*`` gauges in a metrics
+snapshot file, the same schema the benchmark suite and ``repro top``
+read.
 """
 
 from __future__ import annotations
@@ -67,7 +70,9 @@ class _Tally:
     unavailable + errors + dropped + hung`` always holds — nothing
     vanishes, which is the invariant the chaos drill audits.  A failed
     batched (``sources``) answer carries its errors per result, so it
-    is classified by its first failed result's error.
+    is classified by its first failed result's error.  ``cache_hits``
+    counts answered sources: each result of an ok batched answer whose
+    ``cache`` is ``hit`` or ``coalesced`` adds one.
     """
 
     def __init__(self):
@@ -87,8 +92,10 @@ class _Tally:
         self.latencies.append(elapsed)
         if response.get("ok"):
             self.ok += 1
-            if response.get("cache") in ("hit", "coalesced"):
-                self.cache_hits += 1
+            self.cache_hits += sum(
+                r.get("cache") in ("hit", "coalesced")
+                for r in response.get("results", (response,))
+            )
             return
         if "error" not in response:
             response = next(
@@ -261,8 +268,11 @@ async def _worker(
 
 
 def summarize(tally: _Tally, wall_seconds: float, connections: int) -> dict:
-    """Fold a run's tally into the JSON-ready loadgen report."""
-    qps = tally.sent / wall_seconds if wall_seconds > 0 else 0.0
+    """Fold a run's tally into the JSON-ready loadgen report.
+
+    ``qps`` counts ok answers per second; ``sent`` keeps every request.
+    """
+    qps = tally.ok / wall_seconds if wall_seconds > 0 else 0.0
     return {
         "connections": connections,
         "wall_seconds": round(wall_seconds, 3),

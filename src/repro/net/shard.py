@@ -5,8 +5,8 @@ work of one traversal across machines; serving a *catalog* admits a
 much simpler partition with the same flavour: each graph lives on
 exactly one **shard**, and a shard owns a full, independent serving
 stack — its own :class:`~repro.service.engine.QueryEngine`,
-:class:`~repro.service.pool.ExecutorPool` (pool threads), result cache
-and breaker board, in a worker process of its own under
+:class:`~repro.service.pool.ExecutorPool` (pool threads) and result
+cache, in a worker process of its own under
 ``shard_mode="process"`` (:mod:`repro.net.worker`).  Queries route by
 graph name; a batched ``sources`` array fans to the shard that owns
 its graph as one group, so it still coalesces into batched kernel
@@ -74,12 +74,10 @@ _DRAIN_LIMIT = 64
 class ShardDiedError(RuntimeError):
     """A shard's dispatcher is gone; the work was never attempted.
 
-    Classified transient: the supervisor restarts shards, so the same
-    request resubmitted shortly is expected to succeed.  The manager
-    answers these in-band with ``unavailable:`` errors.
+    Retryable: the supervisor restarts shards, so the same request
+    resubmitted shortly is expected to succeed.  The manager answers
+    these in-band with ``unavailable:`` errors.
     """
-
-    transient = True
 
 
 class _WorkItem:
@@ -414,7 +412,7 @@ class ShardManager:
         crash cannot become a crash loop.
     engine_kwargs:
         Forwarded to every shard engine (``max_workers``,
-        ``cache_size``, ``max_batch``, retry/breaker/fault plans...).
+        ``cache_size``, ``max_batch``, ``timeout``, ``fault_plan``...).
         Each engine additionally gets ``labels={"shard": "<i>"}`` so
         the shared registry keeps per-shard latency series apart.
 
@@ -709,10 +707,6 @@ class ShardManager:
                 ),
                 "pending": sum(s["pool"]["pending"] for s in shard_stats),
             },
-            "retries": {
-                key: sum(s["retries"][key] for s in shard_stats)
-                for key in ("attempts", "exhausted")
-            },
             "shards": shard_stats,
             "shard_states": {
                 str(i): self.shard_state(i) for i in range(len(self.shards))
@@ -733,7 +727,6 @@ class ShardManager:
         it does not take the deployment off the balancer.
         """
         shard_health = [shard.engine.health() for shard in self.shards]
-        breakers = [b for h in shard_health for b in h["breakers"]]
         shard_rows = []
         serving = 0
         for shard, h in zip(self.shards, shard_health):
@@ -763,17 +756,6 @@ class ShardManager:
                 "lost_workers": sum(
                     h["pool"]["lost_workers"] for h in shard_health
                 ),
-            },
-            "breakers": breakers,
-            "breakers_open": sum(h["breakers_open"] for h in shard_health),
-            "retries": {
-                "attempts": sum(
-                    h["retries"]["attempts"] for h in shard_health
-                ),
-                "exhausted": sum(
-                    h["retries"]["exhausted"] for h in shard_health
-                ),
-                "max_attempts": shard_health[0]["retries"]["max_attempts"],
             },
             "shards": shard_rows,
             "supervisor": (

@@ -3,8 +3,8 @@
 The serving stack's last single point of failure is the shard
 dispatcher thread (:class:`~repro.net.shard.Shard`) or, with
 ``--shard-mode process``, its worker process: the engine beneath it
-already absorbs task failures (retries, breakers), but a dead
-dispatcher or worker took its whole catalog partition with it.
+answers a failed task with an error, but a dead dispatcher or worker
+took its whole catalog partition with it.
 :class:`ShardSupervisor` closes that gap with the classic supervision
 loop:
 

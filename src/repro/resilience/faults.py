@@ -4,21 +4,12 @@ A :class:`FaultPlan` decides, purely from a seed and a task sequence
 number, whether a task is sabotaged and how.  Because the decision is
 a function of ``(seed, index)`` — not of wall clock, thread timing or
 call order within an index — the same plan replays the same faults in
-tests, in CI and at the ``repro faults`` command line.
+tests, in CI and at the command line (``--fault-rate``).
 
-Pool fault kinds (``FAULT_KINDS``, the only kinds ``--fault-kinds``
-accepts):
-
-* ``"transient"`` — raise :class:`InjectedTransientError` before the
-  task body runs (a blip the retry layer should absorb);
-* ``"crash"`` — raise :class:`InjectedCrashError` (a simulated worker
-  crash: classified transient, because a resubmitted task lands on a
-  healthy worker);
-* ``"hang"`` — sleep ``hang_seconds`` before running the task body, so
-  a pool with a shorter per-task timeout sees a hung task;
-* ``"corrupt"`` — run the task body, then hand back a *corrupted*
-  result (negated distances on an SSSP result, a junk string
-  otherwise) that result validation must catch.
+The one pool fault kind (``FAULT_KINDS``) is ``"hang"``: sleep
+``hang_seconds`` before running the task body, so a pool with a
+shorter per-task timeout sees a hung task, and a drill gets long work
+on demand.
 
 Network-tier fault kinds (``NET_FAULT_KINDS``) extend the same plan
 machinery above the pool, into :mod:`repro.net`.  They are *decided*
@@ -58,9 +49,8 @@ third dispatch cycle) instead of rolling seeded dice per index.
 Plans cross the shard-worker process boundary as JSON
 (:func:`plan_to_wire` / :func:`plan_from_wire`).
 
-:func:`verify_answers` is the drills' shared answer check: ``repro
-faults`` and ``repro chaos-net`` both hold every answer they got
-against a clean Dijkstra run.
+:func:`verify_answers` is the drills' answer check: ``repro
+chaos-net`` holds every answer it got against a clean Dijkstra run.
 
 :class:`DivergentController` is the controller-level fault: a proxy
 that behaves like the wrapped :class:`~repro.core.controller.SetpointController`
@@ -83,9 +73,7 @@ __all__ = [
     "WORKER_FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "InjectedCrashError",
     "InjectedShardCrash",
-    "InjectedTransientError",
     "ScheduledFaultPlan",
     "apply_fault",
     "plan_from_wire",
@@ -94,7 +82,7 @@ __all__ = [
     "DivergentController",
 ]
 
-FAULT_KINDS = ("transient", "crash", "hang", "corrupt")
+FAULT_KINDS = ("hang",)
 
 # worker-process kinds: decided by the same machinery, shipped over the
 # frame protocol and interpreted inside `repro shard-worker` processes
@@ -106,14 +94,6 @@ WORKER_FAULT_KINDS = ("worker_kill", "worker_oom", "frame_corrupt")
 NET_FAULT_KINDS = ("shard_crash", "slow_shard", "conn_drop") + WORKER_FAULT_KINDS
 
 ALL_FAULT_KINDS = FAULT_KINDS + NET_FAULT_KINDS
-
-
-class InjectedTransientError(RuntimeError):
-    """A deliberately injected transient failure (retry should absorb it)."""
-
-
-class InjectedCrashError(RuntimeError):
-    """A deliberately injected worker crash (simulated, in-band)."""
 
 
 class InjectedShardCrash(BaseException):
@@ -158,7 +138,7 @@ class FaultPlan:
 
     rate: float
     seed: int = 0
-    kinds: Tuple[str, ...] = ("transient", "crash", "hang")
+    kinds: Tuple[str, ...] = FAULT_KINDS
     hang_seconds: float = 0.25
     slow_seconds: float = 0.05
 
@@ -192,23 +172,6 @@ class FaultPlan:
     def count(self, tasks: int) -> int:
         """How many of the first ``tasks`` submissions get sabotaged."""
         return sum(1 for i in range(tasks) if self.decide(i) is not None)
-
-    @classmethod
-    def parse_kinds(cls, spec: str) -> Tuple[str, ...]:
-        """``"crash,hang"`` -> ``("crash", "hang")``: pool kinds only.
-
-        A pool plan (``--fault-kinds``) can only sabotage what
-        :func:`apply_fault` can apply, so network and worker kinds are
-        rejected here rather than failing every sabotaged task later.
-        """
-        kinds = tuple(k.strip() for k in spec.split(",") if k.strip())
-        for kind in kinds:
-            if kind not in FAULT_KINDS:
-                raise ValueError(
-                    f"unknown fault kind {kind!r} for pool tasks "
-                    f"(have {', '.join(FAULT_KINDS)})"
-                )
-        return kinds
 
 
 @dataclass(frozen=True)
@@ -308,27 +271,6 @@ def plan_from_wire(data: Optional[dict]):
     raise ValueError(f"unknown fault plan wire type {plan_type!r}")
 
 
-def _corrupt(result: object) -> object:
-    """Damage a task result in a way validation must detect."""
-    dist = getattr(result, "dist", None)
-    if dist is not None:
-        try:
-            import numpy as np
-
-            bad = np.where(np.isfinite(dist), -(dist + 1.0), dist)
-            return type(result)(
-                dist=bad,
-                source=result.source,
-                iterations=result.iterations,
-                relaxations=result.relaxations,
-                algorithm=result.algorithm,
-                extra=dict(result.extra or {}, corrupted=True),
-            )
-        except Exception:
-            pass
-    return "corrupted-result"
-
-
 def apply_fault(fault: Optional[FaultSpec], call: Callable[[], object]) -> object:
     """Run ``call`` under ``fault`` (``None`` = run clean)."""
     if fault is None:
@@ -338,15 +280,9 @@ def apply_fault(fault: Optional[FaultSpec], call: Callable[[], object]) -> objec
             f"network-tier fault {fault.kind!r} cannot be applied to a "
             "pool task; it belongs to the repro.net shard/server hooks"
         )
-    if fault.kind == "transient":
-        raise InjectedTransientError("injected transient fault")
-    if fault.kind == "crash":
-        raise InjectedCrashError("injected worker crash")
-    if fault.kind == "hang":
-        time.sleep(fault.hang_seconds)
-        return call()
-    # corrupt
-    return _corrupt(call())
+    # the one pool kind: hang
+    time.sleep(fault.hang_seconds)
+    return call()
 
 
 def verify_answers(catalog, rows) -> dict:

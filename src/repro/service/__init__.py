@@ -21,9 +21,8 @@ turns them into a serving stack:
   ``metrics`` op exposes the serving registry (JSON or Prometheus
   text).
 
-Resilience (retry/backoff, circuit breaking, fault injection, result
-validation) lives in :mod:`repro.resilience` and is wired through the
-pool and engine; the README's *Query service* and *Resilience*
+Resilience (fault injection, result validation) lives in
+:mod:`repro.resilience` and is wired through the pool and engine; the README's *Query service* and *Resilience*
 sections document the wire schema, cache semantics and failure
 handling.
 """

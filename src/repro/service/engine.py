@@ -14,23 +14,20 @@ into something that answers :class:`SSSPQuery` requests:
    in-process, per-query timeouts and graceful shutdown.  Concurrent
    misses on one ``(graph, algorithm, params)`` corridor are coalesced
    into one batched kernel call (``max_batch``).
-4. **resilience** — transient failures (worker crashes, timeouts,
-   corrupted results) are retried with exponential backoff and
-   deterministic jitter
-   (:class:`~repro.resilience.retry.RetryPolicy`); repeated failures
-   on one ``(graph, algorithm)`` corridor open a circuit breaker
-   (:class:`~repro.resilience.breaker.BreakerBoard`) that fails fast
-   until a half-open probe succeeds.  Every pool result is sanity
-   validated before it can reach the cache or a client — a failed (or
-   corrupt) attempt is **never cached**.
+4. **one run per task** — every pool result is sanity validated
+   (:func:`~repro.resilience.retry.validate_result`) before it can
+   reach the cache or a client.  A task that raises, outlives the pool
+   timeout or returns a corrupt result is abandoned, and each query it
+   carried answers the error once: the kernels are deterministic, so a
+   rerun would only repeat the failure.  A failed task is **never
+   cached**, and the next query on its corridor runs afresh.
 
-Every query emits ``query_start`` / ``query_end`` events (plus
-``query_retry`` per retry) and updates ``service.*`` metrics through
-the observability context active when the engine was built, so a
-serve session's hit rate, queue depth, retry totals and latency
-distribution are one ``snapshot()`` away; :meth:`QueryEngine.health`
-bundles pool liveness, breaker states and retry counters for the
-``health`` protocol op.
+Every query emits ``query_start`` / ``query_end`` events and updates
+``service.*`` metrics through the observability context active when
+the engine was built, so a serve session's hit rate, queue depth,
+error count and latency distribution are one ``snapshot()`` away;
+:meth:`QueryEngine.health` reports pool liveness for the ``health``
+protocol op.
 
 When that context is live, every query also carries a
 :class:`~repro.obs.telemetry.TraceContext`: the engine derives a child
@@ -55,14 +52,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.obs.telemetry import TraceContext, WorkerEvents, emit_span
-from repro.resilience.breaker import BreakerBoard, BreakerConfig
 from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import (
-    RetryPolicy,
-    classify_error,
-    validate_result,
-)
-from repro.resilience.retry import CorruptResultError
+from repro.resilience.retry import CorruptResultError, validate_result
 from repro.service.cache import LRUCache
 from repro.service.catalog import GraphCatalog
 from repro.service.pool import ExecutorPool, PoolTimeoutError
@@ -111,7 +102,6 @@ class QueryResponse:
     max_dist: Optional[float] = None
     mean_dist: Optional[float] = None
     wall_seconds: float = 0.0
-    attempts: int = 1
     trace_id: Optional[str] = None
 
     def as_dict(self) -> dict:
@@ -128,8 +118,6 @@ class QueryResponse:
             out["trace"] = self.trace_id
         if not self.ok:
             out["error"] = self.error
-            if self.attempts > 1:
-                out["attempts"] = self.attempts
             return out
         out.update(
             fingerprint=self.fingerprint,
@@ -141,8 +129,6 @@ class QueryResponse:
             mean_dist=self.mean_dist,
             wall_seconds=round(self.wall_seconds, 6),
         )
-        if self.attempts > 1:
-            out["attempts"] = self.attempts
         return out
 
     # Wire fields shipped verbatim between shard-worker processes and
@@ -159,7 +145,6 @@ class QueryResponse:
         "max_dist",
         "mean_dist",
         "wall_seconds",
-        "attempts",
         "trace_id",
     )
 
@@ -208,14 +193,6 @@ class QueryEngine:
         Pool configuration (see :class:`~repro.service.pool.ExecutorPool`).
     cache_size:
         LRU capacity in results (0 disables caching).
-    retry:
-        Retry policy for transient failures (default:
-        :class:`~repro.resilience.retry.RetryPolicy` with 3 attempts;
-        ``RetryPolicy(max_attempts=1)`` disables retrying).
-    breaker:
-        Circuit-breaker config per ``(graph, algorithm)`` (default:
-        open after 5 consecutive failures, half-open after 30 s;
-        ``BreakerConfig(failure_threshold=0)`` disables tripping).
     fault_plan:
         Optional deterministic sabotage for chaos drills, passed to
         the pool (see :class:`~repro.resilience.faults.FaultPlan`).
@@ -241,8 +218,6 @@ class QueryEngine:
         max_workers: Optional[int] = None,
         timeout: Optional[float] = None,
         cache_size: int = 128,
-        retry: Optional[RetryPolicy] = None,
-        breaker: Optional[BreakerConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
         max_batch: int = 1,
         labels: Optional[Mapping[str, str]] = None,
@@ -258,13 +233,9 @@ class QueryEngine:
             fault_plan=fault_plan,
         )
         self.cache = LRUCache(cache_size)
-        self.retry = retry or RetryPolicy()
-        self.breakers = BreakerBoard(breaker)
         self.max_batch = int(max_batch)
         self._extra_labels = dict(labels or {})
         self._qid = 0
-        self.retry_attempts = 0  # extra attempts beyond the first, total
-        self.retry_exhausted = 0  # queries that failed after all attempts
         registry = obs.get_registry()
         self._registry = registry
         self._events = obs.get_events()
@@ -275,8 +246,6 @@ class QueryEngine:
         self._query_counter = registry.counter("service.queries")
         self._error_counter = registry.counter("service.errors")
         self._query_timer = registry.timer("service.query_seconds")
-        self._retry_counter = registry.counter("service.retries")
-        self._exhausted_counter = registry.counter("service.retry_exhausted")
         self._batch_size_hist = registry.histogram("service.batch.size")
         self._batch_coalesced = registry.counter("service.batch.coalesced")
         # labelled per-(graph, algorithm) histogram handles, cached so
@@ -580,8 +549,8 @@ class QueryEngine:
         distinct cache-misses sharing a ``(graph, algorithm, params)``
         corridor are dispatched as one batched kernel call
         (``batch_dispatch`` event, ``service.batch.*`` metrics) while
-        keeping per-query caching, validation, breaker accounting and
-        ``query_start``/``query_end`` events.
+        keeping per-query caching, validation and ``query_start`` /
+        ``query_end`` events.
         """
         responses: List[Optional[QueryResponse]] = [None] * len(queries)
         pending_keys: Dict[CacheKey, bool] = {}
@@ -627,28 +596,11 @@ class QueryEngine:
             if key in pending_keys:
                 coalesced.append((i, key, qid, ctx))
                 continue
-            if not self.breakers.allow(query.graph_id, query.algorithm):
-                self._error_counter.inc()
-                state = self.breakers.get(
-                    query.graph_id, query.algorithm
-                ).snapshot()
-                responses[i] = QueryResponse(
-                    query=query,
-                    ok=False,
-                    error=(
-                        f"circuit breaker {state['state']} for "
-                        f"({query.graph_id!r}, {query.algorithm!r}) after "
-                        f"{state['consecutive_failures']} consecutive failures"
-                    ),
-                    trace_id=ctx.trace_id if ctx else None,
-                )
-                self._emit_end(qid, responses[i], ctx)
-                continue
             pending_keys[key] = True
             misses.append((i, query, key, qid, t0, ctx))
             responses[i] = None  # filled in below
 
-        # settle dispatches in submission order, retrying transients
+        # settle dispatches in submission order
         settled: Dict[CacheKey, QueryResponse] = {}
         for future, clock, members in self._dispatch(misses):
             for miss, response in self._settle(future, clock, members):
@@ -674,7 +626,6 @@ class QueryEngine:
                 max_dist=primary.max_dist,
                 mean_dist=primary.mean_dist,
                 wall_seconds=primary.wall_seconds,
-                attempts=primary.attempts,
                 trace_id=ctx.trace_id if ctx else None,
             )
             if not primary.ok:
@@ -685,141 +636,91 @@ class QueryEngine:
         return responses  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    # failure handling
+    # settling
     # ------------------------------------------------------------------
-    def _emit_retry(
-        self, qid: int, attempt: int, error: str, delay: float
-    ) -> None:
-        if self._events.enabled:
-            self._events.emit(
-                {
-                    "type": "query_retry",
-                    "qid": qid,
-                    "attempt": attempt,
-                    "error": error,
-                    "delay_seconds": round(delay, 4),
-                }
-            )
-
     def _settle(
         self, future, clock: Optional[list], members: List[_Miss]
     ) -> List[Tuple[_Miss, QueryResponse]]:
-        """Wait for one dispatch, retrying it whole; one response per member.
+        """Wait for one dispatch; one response per member.
 
-        Each attempt is bounded by the pool timeout.  Every member
-        result must pass sanity validation before *any* of them can
-        reach the cache or a client — results of one kernel pass stand
-        or fall together, and a corrupted result counts as a transient
-        failure and is re-run.  Errors are **never** cached; the
-        breaker hears one corridor-level verdict per member query (not
-        one per attempt).  A single query is a one-member dispatch
-        whose lone result is wrapped in a list.  With telemetry on, the
-        attempt that passes validation is booked (:meth:`_book_task`).
+        The wait is bounded by the pool timeout.  Every member result
+        must pass sanity validation before *any* of them can reach the
+        cache or a client — results of one kernel pass stand or fall
+        together.  A task that raises, times out or returns a corrupt
+        result is abandoned, and every member answers its error once.
+        Errors are **never** cached.  A single query is a one-member
+        dispatch whose lone result is wrapped in a list.  With
+        telemetry on, a validated task is booked (:meth:`_book_task`).
         """
         lead = members[0][1]
         graph = self._graphs[lead.graph_id]
-        attempt = 1
-        while True:
-            try:
-                results = future.result(timeout=self.pool.timeout)
-                if len(members) == 1:
-                    results = [results]
-                elif (
-                    not isinstance(results, (list, tuple))
-                    or len(results) != len(members)
-                ):
-                    raise CorruptResultError(
-                        f"batch task returned {type(results).__name__}, "
-                        f"expected {len(members)} results"
-                    )
-                for miss, result in zip(members, results):
-                    validate_result(
-                        result,
-                        num_nodes=graph.num_nodes,
-                        source=int(miss[1].source),
-                    )
-                if clock is not None:
-                    self._book_task(lead, members[0][5], clock)
-                now = time.perf_counter()
-                out: List[Tuple[_Miss, QueryResponse]] = []
-                for miss, result in zip(members, results):
-                    _, query, key, _, t0, ctx = miss
-                    self.breakers.record_success(
-                        query.graph_id, query.algorithm
-                    )
-                    response = QueryResponse(
-                        query=query,
-                        ok=True,
-                        cache="miss",
-                        fingerprint=key[0],
-                        wall_seconds=now - t0,
-                        attempts=attempt,
-                        trace_id=ctx.trace_id if ctx else None,
-                        **_summarise(result),  # type: ignore[arg-type]
-                    )
-                    self.cache.put(key, result)
-                    out.append((miss, response))
-                return out
-            except Exception as exc:
-                self.pool.abandon(future)
-                timed_out = isinstance(
-                    exc, (PoolTimeoutError, TimeoutError, FutureTimeoutError)
+        try:
+            results = future.result(timeout=self.pool.timeout)
+            if len(members) == 1:
+                results = [results]
+            elif (
+                not isinstance(results, (list, tuple))
+                or len(results) != len(members)
+            ):
+                raise CorruptResultError(
+                    f"batch task returned {type(results).__name__}, "
+                    f"expected {len(members)} results"
                 )
-                message = (
-                    f"timeout after {self.pool.timeout}s"
-                    if timed_out
-                    else f"{type(exc).__name__}: {exc}"
+            for miss, result in zip(members, results):
+                validate_result(
+                    result,
+                    num_nodes=graph.num_nodes,
+                    source=int(miss[1].source),
                 )
-                transient = classify_error(exc) == "transient"
-                if transient and attempt < self.retry.max_attempts:
-                    delay = self.retry.delay(attempt, members[0][2])
-                    self.retry_attempts += 1
-                    self._retry_counter.inc()
-                    for miss in members:
-                        self._emit_retry(miss[3], attempt, message, delay)
-                    if delay > 0:
-                        time.sleep(delay)
-                    try:
-                        future, clock = self._submit(members)
-                    except Exception as resubmit_exc:
-                        message = (
-                            f"{type(resubmit_exc).__name__}: {resubmit_exc}"
-                        )
-                        transient = False
-                    else:
-                        attempt += 1
-                        continue
-                now = time.perf_counter()
-                failed: List[Tuple[_Miss, QueryResponse]] = []
-                for miss in members:
-                    _, query, _, _, t0, ctx = miss
-                    self.breakers.record_failure(
-                        query.graph_id, query.algorithm
-                    )
-                    self._error_counter.inc()
-                    if transient:
-                        self.retry_exhausted += 1
-                        self._exhausted_counter.inc()
-                    failed.append(
-                        (
-                            miss,
-                            QueryResponse(
-                                query=query,
-                                ok=False,
-                                error=message,
-                                attempts=attempt,
-                                wall_seconds=now - t0,
-                                trace_id=ctx.trace_id if ctx else None,
-                            ),
-                        )
-                    )
-                return failed
+        except Exception as exc:
+            self.pool.abandon(future)
+            timed_out = isinstance(
+                exc, (PoolTimeoutError, TimeoutError, FutureTimeoutError)
+            )
+            message = (
+                f"timeout after {self.pool.timeout}s"
+                if timed_out
+                else f"{type(exc).__name__}: {exc}"
+            )
+            now = time.perf_counter()
+            self._error_counter.inc(len(members))
+            return [
+                (
+                    miss,
+                    QueryResponse(
+                        query=miss[1],
+                        ok=False,
+                        error=message,
+                        wall_seconds=now - miss[4],
+                        trace_id=miss[5].trace_id if miss[5] else None,
+                    ),
+                )
+                for miss in members
+            ]
+        if clock is not None:
+            self._book_task(lead, members[0][5], clock)
+        now = time.perf_counter()
+        out: List[Tuple[_Miss, QueryResponse]] = []
+        for miss, result in zip(members, results):
+            _, query, key, _, t0, ctx = miss
+            response = QueryResponse(
+                query=query,
+                ok=True,
+                cache="miss",
+                fingerprint=key[0],
+                wall_seconds=now - t0,
+                trace_id=ctx.trace_id if ctx else None,
+                **_summarise(result),  # type: ignore[arg-type]
+            )
+            self.cache.put(key, result)
+            out.append((miss, response))
+        return out
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def health(self) -> dict:
-        """Liveness + breaker states + retry totals (the ``health`` op)."""
+        """Pool liveness (the ``health`` op)."""
         return {
             "pool": {
                 "mode": self.pool.mode,
@@ -827,13 +728,6 @@ class QueryEngine:
                 "pending": self.pool.pending,
                 "alive": self.pool.alive,
                 "lost_workers": self.pool.lost_workers,
-            },
-            "breakers": self.breakers.snapshot(),
-            "breakers_open": self.breakers.open_count(),
-            "retries": {
-                "attempts": self.retry_attempts,
-                "exhausted": self.retry_exhausted,
-                "max_attempts": self.retry.max_attempts,
             },
         }
 
@@ -849,10 +743,6 @@ class QueryEngine:
                 "mode": self.pool.mode,
                 "max_workers": self.pool.max_workers,
                 "pending": self.pool.pending,
-            },
-            "retries": {
-                "attempts": self.retry_attempts,
-                "exhausted": self.retry_exhausted,
             },
         }
 

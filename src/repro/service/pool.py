@@ -28,9 +28,9 @@ the straggler eventually finishes) and :attr:`lost_workers` exposes
 the same number in-process.
 
 Deterministic sabotage for tests and chaos drills: pass a
-:class:`~repro.resilience.faults.FaultPlan` and the pool injects the
-planned fault (crash, hang, corrupt result, transient error) into each
-task by submission index.
+:class:`~repro.resilience.faults.FaultPlan` and the pool delays each
+planned task by its ``hang`` (chosen by submission index), so a
+shorter per-task timeout sees a hung task.
 
 The pool publishes ``service.pool.queue_depth`` (gauge) and
 ``service.pool.tasks`` (counter) through the observability context

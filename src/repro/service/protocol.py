@@ -16,14 +16,14 @@ One JSON object per line.  Four operations (``op`` defaults to
   ``{"ok": <all ok>, "count": N, "results": [<per-source response>,
   ...]}`` in source order.
 * ``{"op": "stats"}`` — engine counters: queries served, cache
-  hits/misses/evictions, pool occupancy, retry totals.
+  hits/misses/evictions, pool occupancy.
 * ``{"op": "graphs"}`` — the catalog: id, name, sizes, fingerprint.
-* ``{"op": "health"}`` — the resilience picture: pool liveness (mode,
-  workers, pending, ``alive``, ``lost_workers``), per-(graph,
-  algorithm) circuit-breaker states, and retry totals.
+* ``{"op": "health"}`` — pool liveness (mode, workers, pending,
+  ``alive``, ``lost_workers``); a sharded server adds per-shard rows,
+  admission and supervisor state.
 * ``{"op": "metrics"}`` — the serving registry's metric snapshot
   (labelled ``service.query.*`` histograms with p50/p95/p99, cache and
-  breaker counters, merged worker-side kernel metrics).  With
+  error counters, merged worker-side kernel metrics).  With
   ``"format": "prometheus"`` the snapshot is rendered as Prometheus
   text exposition in the response's ``"text"`` field (see
   :mod:`repro.obs.exposition`).  ``{}`` when the engine was built
@@ -49,7 +49,7 @@ Responses are flushed per line so ``tail -f`` (or a piped consumer)
 sees them live.
 
 Version history: v1 — query/stats/graphs; v2 — ``health`` op,
-``attempts`` on retried responses, param-size bound; v3 — ``sources``
+param-size bound; v3 — ``sources``
 lists on query requests (batched dispatch, one ``results`` line);
 v4 — ``metrics`` op, ``trace`` ids on query responses.
 

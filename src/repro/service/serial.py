@@ -13,8 +13,7 @@ over the frame protocol:
   transfer can never seed a worker with wrong data;
 * :func:`engine_config_to_wire` / :func:`engine_config_from_wire` —
   the :class:`~repro.service.engine.QueryEngine` keyword arguments as
-  a JSON-safe dict (retry/breaker policies flattened to their
-  dataclass fields, fault plans via
+  a JSON-safe dict (scalars as they are, fault plans via
   :func:`repro.resilience.faults.plan_to_wire`).
 """
 
@@ -22,15 +21,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict
 from typing import Mapping, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.resilience.breaker import BreakerConfig
 from repro.resilience.faults import plan_from_wire, plan_to_wire
-from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "pack_graph",
@@ -163,10 +159,6 @@ def engine_config_to_wire(kwargs: Mapping) -> dict:
     for key, value in dict(kwargs).items():
         if key in _SCALAR_KEYS:
             wire[key] = value
-        elif key == "retry":
-            wire[key] = None if value is None else asdict(value)
-        elif key == "breaker":
-            wire[key] = None if value is None else asdict(value)
         elif key == "fault_plan":
             wire[key] = plan_to_wire(value)
         elif key == "labels":
@@ -182,10 +174,6 @@ def engine_config_from_wire(data: Mapping) -> dict:
     for key, value in dict(data).items():
         if key in _SCALAR_KEYS:
             kwargs[key] = value
-        elif key == "retry":
-            kwargs[key] = None if value is None else RetryPolicy(**value)
-        elif key == "breaker":
-            kwargs[key] = None if value is None else BreakerConfig(**value)
         elif key == "fault_plan":
             kwargs[key] = plan_from_wire(value)
         else:

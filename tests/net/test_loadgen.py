@@ -12,6 +12,8 @@ from repro.net import (
     ShardManager,
     run_loadgen,
 )
+from repro.net.admission import OVERLOADED_PREFIX
+from repro.net.loadgen import _Tally, summarize
 from repro.resilience import ScheduledFaultPlan, verify_answers
 
 
@@ -213,3 +215,31 @@ def test_parameter_validation(catalog):
             _drive(mgr, connections=1, duration_seconds=0.0)
     finally:
         mgr.close()
+
+
+def test_qps_counts_ok_answers_not_sheds():
+    tally = _Tally()
+    for _ in range(10):
+        tally.record({"ok": True}, 0.01)
+    for _ in range(90):
+        tally.record({"ok": False, "error": f"{OVERLOADED_PREFIX} shard 0"}, 0.001)
+    summary = summarize(tally, wall_seconds=1.0, connections=1)
+    assert (summary["sent"], summary["ok"], summary["shed"]) == (100, 10, 90)
+    assert summary["qps"] == 10.0
+
+
+def test_batched_cache_hits_count_per_result():
+    tally = _Tally()
+    tally.record(
+        {
+            "ok": True,
+            "count": 3,
+            "results": [
+                {"ok": True, "cache": "hit"},
+                {"ok": True, "cache": "miss"},
+                {"ok": True, "cache": "coalesced"},
+            ],
+        },
+        0.01,
+    )
+    assert tally.cache_hits == 2

@@ -246,7 +246,7 @@ def test_retire_does_not_wait_for_an_abandoned_pool_task(catalog):
     """A pool task the timeout abandoned holds up neither retire nor health()."""
     mgr = _manager(
         catalog,
-        max_workers=2,  # the retry needs a thread the straggler does not hold
+        max_workers=2,
         timeout=0.2,
         fault_plan=ScheduledFaultPlan(at=(0,), kind="hang", hang_seconds=4.0),
         net_fault_plan=ScheduledFaultPlan(at=(1,), kind="shard_crash"),
@@ -260,10 +260,10 @@ def test_retire_does_not_wait_for_an_abandoned_pool_task(catalog):
     sup.start()
     try:
         graph = next(g for g, s in mgr._home.items() if s == 0)
-        # cycle 0: pool task 0 hangs, is abandoned at the timeout, and
-        # the retry answers; the straggler keeps its pool thread
+        # cycle 0: pool task 0 hangs and is abandoned at the timeout,
+        # which answers; the straggler keeps its pool thread
         first = mgr.run(SSSPQuery(graph_id=graph, source=0))
-        assert first.ok and first.attempts == 2
+        assert not first.ok and first.error == "timeout after 0.2s"
         # cycle 1 crashes the dispatcher while the straggler still runs
         crashed = mgr.run(SSSPQuery(graph_id=graph, source=1))
         assert not crashed.ok and crashed.error.startswith("unavailable")
@@ -279,6 +279,9 @@ def test_retire_does_not_wait_for_an_abandoned_pool_task(catalog):
         assert row["state"] == "up" and row["restarts"] >= 1
         assert slowest < 0.5
         assert row["last_recovery_ms"] < 500
+        # the rebuilt engine keeps the pool fault plan: its task 0 hangs too
+        again = mgr.run(SSSPQuery(graph_id=graph, source=2))
+        assert again.error == "timeout after 0.2s"
         assert mgr.run(SSSPQuery(graph_id=graph, source=1)).ok
     finally:
         mgr.close(cancel_pending=True)

@@ -343,8 +343,8 @@ BAD_FRAMES = {
         lambda g: _image(g["beta"], lambda h: {**h, "fingerprint": "0" * 64}),
         "GraphTransferError",
     ),
-    "config-bad-retry": (
-        FT_CONFIG, lambda g: _json({"engine": {"retry": {"bogus": 1}}}),
+    "config-bad-kwarg": (
+        FT_CONFIG, lambda g: _json({"engine": {"max_batch": "8"}}),
         "TypeError",
     ),
     "config-not-json": (FT_CONFIG, lambda g: b"{engine", "FrameError"),
@@ -385,7 +385,7 @@ def test_malformed_frame_answers_error_and_keeps_serving(grids, case):
 def test_bad_first_config_leaves_worker_unconfigured_but_serving(grids):
     link = _Link()
     try:
-        bad = _json({"engine": {"retry": {"bogus": 1}}})
+        bad = _json({"engine": {"max_batch": "8"}})
         assert link.call(FT_CONFIG, bad)[0] == FT_ERROR
         got_type, body = link.call(FT_REQUEST, _REQUEST)
         assert (got_type, body["retryable"]) == (FT_ERROR, True)

@@ -1,13 +1,8 @@
-"""The acceptance drills: a faulted 100-query batch and a divergent run.
+"""The acceptance drill: a run whose controller diverges.
 
-These are the end-to-end guarantees the resilience layer exists for:
-
-* under a seeded fault plan sabotaging ~30% of pool tasks, a 100-query
-  batch returns *correct distances for every query* (cross-checked
-  against clean Dijkstra runs) and the cache is never poisoned;
-* a run whose controller is forced to diverge (NaN deltas) completes
-  through the static-delta fallback with distances identical to plain
-  near-far.
+A run whose controller is forced to diverge (NaN deltas, or violent
+oscillation) completes through the static-delta fallback with
+distances identical to plain near-far.
 """
 
 import itertools
@@ -19,8 +14,7 @@ from repro import obs
 from repro.core import AdaptiveParams
 from repro.core.stepwise import AdaptiveNearFarStepper
 from repro.graph.generators import grid_road_network
-from repro.resilience import DivergentController, FaultPlan, RetryPolicy
-from repro.service import GraphCatalog, QueryEngine, SSSPQuery
+from repro.resilience import DivergentController
 from repro.sssp.dijkstra import dijkstra
 from repro.sssp.nearfar import nearfar_sssp
 from repro.sssp.result import assert_distances_close
@@ -29,73 +23,6 @@ from repro.sssp.result import assert_distances_close
 @pytest.fixture(scope="module")
 def graph():
     return grid_road_network(12, 12, seed=3)
-
-
-@pytest.fixture
-def catalog(graph):
-    cat = GraphCatalog()
-    cat.register("grid", graph)
-    return cat
-
-
-class TestChaosBatch:
-    def test_hundred_queries_under_faults_all_correct(self, catalog, graph):
-        plan = FaultPlan(
-            rate=0.3,
-            seed=11,
-            kinds=("transient", "crash", "hang", "corrupt"),
-            hang_seconds=0.005,
-        )
-        rng = np.random.default_rng(0)
-        queries = [
-            SSSPQuery("grid", int(s), "dijkstra")
-            for s in rng.integers(0, graph.num_nodes, size=100)
-        ]
-        with QueryEngine(
-            catalog,
-            max_workers=4,
-            fault_plan=plan,
-            retry=RetryPolicy(max_attempts=6, base_delay=0.001),
-        ) as engine:
-            responses = engine.run_many(queries)
-
-            bad = [r.error for r in responses if not r.ok]
-            assert not bad, f"unanswered queries under faults: {bad}"
-
-            # every answer — and every cached distance vector — must
-            # match a clean Dijkstra run on the same source
-            reference = {}
-            for query, response in zip(queries, responses):
-                if query.source not in reference:
-                    reference[query.source] = dijkstra(graph, query.source)
-                ref = reference[query.source]
-                assert response.reached == ref.num_reached
-                finite = ref.finite_distances()
-                assert response.max_dist == pytest.approx(float(finite.max()))
-                assert response.mean_dist == pytest.approx(float(finite.mean()))
-                cached = engine.cache.get(engine._cache_key(query))
-                assert cached is not None, "settled query missing from cache"
-                assert_distances_close(cached.dist, ref.dist)
-
-            # the drill was real: faults were injected and absorbed
-            assert engine.retry_attempts > 0
-            assert engine.retry_exhausted == 0
-            assert engine.breakers.open_count() == 0
-
-    def test_poisoned_attempts_never_cached(self, catalog, graph):
-        """Corrupt-only plan at rate 1.0: every first attempt is corrupt,
-        every retry is corrupt too — nothing may reach the cache."""
-        plan = FaultPlan(rate=1.0, seed=0, kinds=("corrupt",))
-        with QueryEngine(
-            catalog,
-            fault_plan=plan,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-        ) as engine:
-            response = engine.run(SSSPQuery("grid", 0, "dijkstra"))
-        assert not response.ok
-        assert response.attempts == 2
-        assert len(engine.cache) == 0
-        assert engine.retry_exhausted == 1
 
 
 class TestDivergentControllerRun:

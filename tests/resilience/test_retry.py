@@ -1,91 +1,10 @@
-"""Unit tests for the retry policy, classifier and result validation."""
-
-from concurrent.futures import BrokenExecutor, CancelledError
-from concurrent.futures import TimeoutError as FutureTimeoutError
+"""Unit tests for the restart policy and result validation."""
 
 import numpy as np
 import pytest
 
-from repro.resilience import (
-    CorruptResultError,
-    InjectedCrashError,
-    InjectedTransientError,
-    RetryPolicy,
-    classify_error,
-    validate_result,
-)
+from repro.resilience import CorruptResultError, RestartPolicy, validate_result
 from repro.sssp.result import SSSPResult
-
-
-class TestRetryPolicy:
-    def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, jitter=0.0)
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.4)
-
-    def test_backoff_caps_at_max(self):
-        policy = RetryPolicy(base_delay=1.0, max_delay=2.5, jitter=0.0)
-        assert policy.delay(10) == pytest.approx(2.5)
-
-    def test_jitter_bounded_and_deterministic(self):
-        policy = RetryPolicy(base_delay=0.1, jitter=0.25, seed=3)
-        d1 = policy.delay(1, key="q")
-        assert 0.075 <= d1 <= 0.125
-        # same (seed, key, attempt) => same delay, on any run or host
-        assert RetryPolicy(base_delay=0.1, jitter=0.25, seed=3).delay(1, key="q") == d1
-
-    def test_distinct_keys_desynchronise(self):
-        policy = RetryPolicy(base_delay=0.1, jitter=0.25, seed=0)
-        assert policy.delay(1, key="a") != policy.delay(1, key="b")
-
-    def test_attempt_must_be_positive(self):
-        with pytest.raises(ValueError, match="attempt"):
-            RetryPolicy().delay(0)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"base_delay": -1.0},
-            {"multiplier": 0.5},
-            {"jitter": 1.0},
-        ],
-    )
-    def test_config_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
-
-class TestClassifier:
-    @pytest.mark.parametrize(
-        "exc",
-        [
-            TimeoutError("t"),
-            FutureTimeoutError(),
-            BrokenExecutor("b"),
-            CancelledError(),
-            ConnectionError("c"),
-            InjectedCrashError("x"),
-            InjectedTransientError("x"),
-            CorruptResultError("x"),
-            MemoryError(),
-            OSError("disk"),
-        ],
-    )
-    def test_transient(self, exc):
-        assert classify_error(exc) == "transient"
-
-    @pytest.mark.parametrize(
-        "exc", [ValueError("v"), KeyError("k"), TypeError("t"), RuntimeError("r")]
-    )
-    def test_permanent(self, exc):
-        assert classify_error(exc) == "permanent"
-
-    def test_transient_attribute_wins(self):
-        exc = RuntimeError("flaky")
-        exc.transient = True
-        assert classify_error(exc) == "transient"
 
 
 def _result(dist, source=0):
@@ -125,8 +44,6 @@ class TestValidateResult:
 
 class TestRestartPolicy:
     def test_delay_schedule_matches_retry_backoff(self):
-        from repro.resilience import RestartPolicy
-
         policy = RestartPolicy(
             budget=4, base_delay=0.1, max_delay=10.0, multiplier=2.0,
             jitter=0.0,
@@ -136,14 +53,10 @@ class TestRestartPolicy:
         assert policy.delay(3) == pytest.approx(0.4)
 
     def test_delay_caps_at_max_delay(self):
-        from repro.resilience import RestartPolicy
-
         policy = RestartPolicy(budget=3, base_delay=10.0, jitter=0.0)
         assert policy.delay(1) == pytest.approx(2.0)  # default max_delay
 
     def test_budget_exhaustion(self):
-        from repro.resilience import RestartPolicy
-
         policy = RestartPolicy(budget=2)
         assert not policy.exhausted(0)
         assert not policy.exhausted(1)
@@ -152,8 +65,6 @@ class TestRestartPolicy:
         assert zero.exhausted(0)
 
     def test_max_recovery_bounds_the_whole_schedule(self):
-        from repro.resilience import RestartPolicy
-
         policy = RestartPolicy(
             budget=3, base_delay=0.1, max_delay=1.0, multiplier=2.0,
             jitter=0.0,
@@ -171,15 +82,35 @@ class TestRestartPolicy:
             )
 
     def test_deterministic_jitter_per_key(self):
-        from repro.resilience import RestartPolicy
-
         a = RestartPolicy(budget=3, jitter=0.3, seed=5)
         b = RestartPolicy(budget=3, jitter=0.3, seed=5)
         assert a.delay(1, key="shard:0") == b.delay(1, key="shard:0")
         assert a.delay(1, key="shard:0") != a.delay(1, key="shard:1")
 
     def test_rejects_negative_budget(self):
-        from repro.resilience import RestartPolicy
-
         with pytest.raises(ValueError, match="budget"):
             RestartPolicy(budget=-1)
+
+    def test_jitter_bounded_and_deterministic(self):
+        policy = RestartPolicy(base_delay=0.1, jitter=0.25, seed=3)
+        d1 = policy.delay(1, key="q")
+        assert 0.075 <= d1 <= 0.125
+        # same (seed, key, restart) => same delay, on any run or host
+        assert RestartPolicy(base_delay=0.1, jitter=0.25, seed=3).delay(1, key="q") == d1
+
+    def test_distinct_keys_desynchronise(self):
+        policy = RestartPolicy(base_delay=0.1, jitter=0.25, seed=0)
+        assert policy.delay(1, key="a") != policy.delay(1, key="b")
+
+    def test_attempt_must_be_positive(self):
+        with pytest.raises(ValueError, match="restart"):
+            RestartPolicy().delay(0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"base_delay": -1.0}, {"multiplier": 0.5}, {"jitter": 1.0}],
+        ids=["base-delay", "multiplier", "jitter"],
+    )
+    def test_config_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            RestartPolicy(**kwargs)

@@ -7,18 +7,10 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.resilience import BreakerConfig, FaultPlan, RetryPolicy
+from repro.resilience import ScheduledFaultPlan
 from repro.service import GraphCatalog, QueryEngine, SSSPQuery
+from repro.service import engine as engine_module
 from repro.sssp.dijkstra import dijkstra
-
-
-def _plan_with_pattern(kinds, pattern, rate=0.5):
-    """The first seed whose fault/clean schedule matches ``pattern``."""
-    for seed in range(10_000):
-        plan = FaultPlan(rate=rate, seed=seed, kinds=kinds)
-        if [plan.decide(i) is not None for i in range(len(pattern))] == pattern:
-            return plan
-    raise AssertionError(f"no seed matches pattern {pattern}")
 
 
 class TestBasicQueries:
@@ -204,75 +196,6 @@ class TestObservability:
 
 
 class TestResilience:
-    def test_transient_fault_is_retried_then_cached(self, catalog, grid):
-        # attempt 0 faulted, attempt 1 clean
-        plan = _plan_with_pattern(("transient",), [True, False])
-        registry = obs.MetricsRegistry()
-        sink = obs.ListSink()
-        with obs.use(registry=registry, events=sink):
-            with QueryEngine(
-                catalog,
-                fault_plan=plan,
-                retry=RetryPolicy(max_attempts=3, base_delay=0.0),
-            ) as engine:
-                response = engine.run(SSSPQuery("grid", 0, "dijkstra"))
-
-        assert response.ok, response.error
-        assert response.attempts == 2
-        assert response.reached == dijkstra(grid, 0).num_reached
-        # the failed attempt was never cached; the good one was
-        assert engine.cache.stats()["size"] == 1
-        assert registry.counter("service.retries").value == 1
-        retries = sink.of_type("query_retry")
-        assert len(retries) == 1
-        assert retries[0]["attempt"] == 1
-        assert "transient" in retries[0]["error"]
-
-    def test_exhausted_retries_fail_without_caching(self, catalog):
-        plan = FaultPlan(rate=1.0, kinds=("crash",))
-        with QueryEngine(
-            catalog,
-            fault_plan=plan,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-        ) as engine:
-            response = engine.run(SSSPQuery("grid", 0, "dijkstra"))
-        assert not response.ok
-        assert response.attempts == 2
-        assert len(engine.cache) == 0
-        assert engine.retry_exhausted == 1
-
-    def test_breaker_opens_and_rejects_fast(self, catalog):
-        plan = FaultPlan(rate=1.0, kinds=("crash",))
-        with QueryEngine(
-            catalog,
-            fault_plan=plan,
-            retry=RetryPolicy(max_attempts=1),
-            breaker=BreakerConfig(failure_threshold=2, reset_seconds=60.0),
-        ) as engine:
-            first = engine.run(SSSPQuery("grid", 0, "dijkstra"))
-            second = engine.run(SSSPQuery("grid", 1, "dijkstra"))
-            third = engine.run(SSSPQuery("grid", 2, "dijkstra"))
-            health = engine.health()
-
-        assert not first.ok and "circuit breaker" not in first.error
-        assert not second.ok
-        assert not third.ok and "circuit breaker" in third.error
-        assert health["breakers_open"] == 1
-        # the rejected query never reached the pool
-        assert health["pool"]["pending"] == 0
-
-    def test_attempts_in_wire_dict_only_when_retried(self, catalog):
-        plan = _plan_with_pattern(("transient",), [True, False])
-        with QueryEngine(
-            catalog,
-            fault_plan=plan,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.0),
-        ) as engine:
-            retried = engine.run(SSSPQuery("grid", 0, "dijkstra")).as_dict()
-            clean = engine.run(SSSPQuery("grid", 1, "dijkstra")).as_dict()
-        assert retried["attempts"] == 2
-        assert "attempts" not in clean
-
     def test_health_shape(self, catalog):
         with QueryEngine(catalog, max_workers=2) as engine:
             engine.run(SSSPQuery("grid", 0, "dijkstra"))
@@ -280,25 +203,6 @@ class TestResilience:
         assert health["pool"]["alive"] is True
         assert health["pool"]["max_workers"] == 2
         assert health["pool"]["lost_workers"] == 0
-        (corridor,) = health["breakers"]
-        assert (corridor["graph"], corridor["algorithm"]) == ("grid", "dijkstra")
-        assert corridor["state"] == "closed"
-        assert health["breakers_open"] == 0
-        assert health["retries"]["attempts"] == 0
-        assert health["retries"]["exhausted"] == 0
-
-
-class _FullMatch:
-    """Equal to any string the regex ``pattern`` matches in full."""
-
-    def __init__(self, pattern: str):
-        self.pattern = pattern
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, str) and bool(re.fullmatch(self.pattern, other))
-
-    def __repr__(self) -> str:
-        return f"_FullMatch({self.pattern!r})"
 
 
 # shape -> the validator's message for a corrupted result of that shape
@@ -311,132 +215,129 @@ CORRUPT_ERRORS = {
     ),
 }
 
-# scenario -> (fault kind, fault on the first task only?, pool timeout,
-#              attempts, error each retry reports (or one per shape),
-#              final error or None)
-RETRY_SCENARIOS = {
-    "transient-then-clean": (
-        "transient", True, None, 2,
-        "InjectedTransientError: injected transient fault", None,
-    ),
-    "crash-until-exhausted": (
-        "crash", False, None, 3,
-        "InjectedCrashError: injected worker crash",
-        "InjectedCrashError: injected worker crash",
-    ),
-    "corrupt-then-clean": ("corrupt", True, None, 2, CORRUPT_ERRORS, None),
-    "hang-then-clean": ("hang", True, 0.05, 2, "timeout after 0.05s", None),
-}
-
 # shape -> the queries one run_many call submits (max_batch=8)
-RETRY_SHAPES = {
+FAILURE_SHAPES = {
     "single-dijkstra": [(0, "dijkstra")],
     "nearfar-batch": [(0, "nearfar"), (5, "nearfar")],
 }
 
+OUT_OF_MEMORY = "cannot allocate the distance vector"
 
-class TestRetryParity:
-    """One retry contract for a single query and a coalesced batch.
 
-    Every cell of shape x scenario must report the same attempts, retry
-    events, counters, cache contents and breaker verdicts; a batch
-    multiplies the per-query outcomes by its member count but is
-    resubmitted (and counted in ``service.retries``) as one task.
+def _negated(result):
+    """``result`` with every finite distance negated and shifted by -1."""
+    dist = np.where(np.isfinite(result.dist), -(result.dist + 1.0), result.dist)
+    return replace(result, dist=dist)
+
+
+class _Runners:
+    """Stand-ins for the engine's two runners that count kernel runs."""
+
+    def __init__(self, monkeypatch, fault):
+        self.calls = 0
+        self.fault = fault
+        single, batch = engine_module.run_algorithm, engine_module.run_algorithm_batch
+
+        def run_algorithm(*args):
+            return self._run(single, args)
+
+        def run_algorithm_batch(*args):
+            return self._run(batch, args)
+
+        monkeypatch.setattr(engine_module, "run_algorithm", run_algorithm)
+        monkeypatch.setattr(engine_module, "run_algorithm_batch", run_algorithm_batch)
+
+    def _run(self, runner, args):
+        self.calls += 1
+        if self.fault == "oom":
+            raise MemoryError(OUT_OF_MEMORY)
+        result = runner(*args)
+        if self.fault != "corrupt":
+            return result
+        if isinstance(result, list):
+            return "corrupted-result"
+        return _negated(result)
+
+
+class TestFailureContract:
+    """A failed pool task runs once, for a single query and a batch alike.
+
+    Whatever fails the task — a hang past the timeout, a corrupt
+    result, a ``MemoryError`` — the dispatch is one pool task, each
+    member answers the error once, and nothing reaches the cache.
     """
 
-    @pytest.mark.parametrize("shape", sorted(RETRY_SHAPES))
-    @pytest.mark.parametrize("scenario", sorted(RETRY_SCENARIOS))
-    def test_retry_table(self, catalog, grid, shape, scenario):
-        kind, first_only, timeout, attempts, retry_error, error = (
-            RETRY_SCENARIOS[scenario]
-        )
-        if isinstance(retry_error, dict):
-            retry_error = _FullMatch(retry_error[shape])
-        plan = replace(
-            _plan_with_pattern((kind,), [True, False])
-            if first_only
-            else FaultPlan(rate=1.0, kinds=(kind,)),
-            hang_seconds=0.3,
-        )
-        queries = [SSSPQuery("grid", s, a) for s, a in RETRY_SHAPES[shape]]
-        members = len(queries)
+    @pytest.mark.parametrize("shape", sorted(FAILURE_SHAPES))
+    @pytest.mark.parametrize("scenario", ["hang", "corrupt", "oom"])
+    def test_failure_table(self, catalog, monkeypatch, shape, scenario):
+        errors = {
+            "hang": "timeout after 0.05s",
+            "corrupt": CORRUPT_ERRORS[shape],
+            "oom": re.escape(f"MemoryError: {OUT_OF_MEMORY}"),
+        }
+        hang = scenario == "hang"
+        runners = _Runners(monkeypatch, None if hang else scenario)
+        queries = [SSSPQuery("grid", s, a) for s, a in FAILURE_SHAPES[shape]]
         registry = obs.MetricsRegistry()
-        sink = obs.ListSink()
-        with obs.use(registry=registry, events=sink):
+        with obs.use(registry=registry, events=obs.ListSink()):
             with QueryEngine(
                 catalog,
                 max_workers=2,
-                timeout=timeout,
+                timeout=0.05 if hang else None,
                 max_batch=8,
-                fault_plan=plan,
-                retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+                fault_plan=ScheduledFaultPlan(at=(0,), kind="hang") if hang else None,
             ) as engine:
                 responses = engine.run_many(queries)
                 cache_size = len(engine.cache)
-                exhausted = engine.retry_exhausted
-                attempts_total = engine.retry_attempts
-                (breaker,) = engine.breakers.snapshot()
 
-        assert [r.attempts for r in responses] == [attempts] * members
-        assert [r.error for r in responses] == [error] * members
-        assert [r.ok for r in responses] == [error is None] * members
+        assert registry.counter("service.pool.tasks").value == 1
+        assert runners.calls == 1
         for response in responses:
-            if response.ok:
-                want = dijkstra(grid, response.query.source).num_reached
-                assert response.reached == want
-        starts = sink.of_type("query_start")
-        per_member = {
-            start["qid"]: [
-                (e["attempt"], e["error"])
-                for e in sink.of_type("query_retry")
-                if e["qid"] == start["qid"]
-            ]
-            for start in starts
-        }
-        expected_retries = [(a, retry_error) for a in range(1, attempts)]
-        assert list(per_member.values()) == [expected_retries] * members
-        assert len(sink.of_type("query_retry")) == (attempts - 1) * members
-        # one resubmission per retry, however many members it carries
-        assert registry.counter("service.retries").value == attempts - 1
-        assert attempts_total == attempts - 1
-        assert exhausted == (members if error else 0)
-        assert registry.counter("service.retry_exhausted").value == exhausted
-        assert cache_size == (0 if error else members)
-        assert breaker["consecutive_failures"] == (members if error else 0)
-        assert registry.counter("service.errors").value == (
-            members if error else 0
-        )
+            assert response.ok is False
+            assert re.fullmatch(errors[scenario], response.error), response.error
+            assert "attempts" not in response.as_dict()
+        assert registry.counter("service.errors").value == len(queries)
+        assert cache_size == 0
 
     @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
     @pytest.mark.parametrize("shape", sorted(CORRUPT_ERRORS))
-    def test_corrupt_without_telemetry_names_the_check(
-        self, catalog, shape, telemetry
+    def test_corrupt_result_names_the_check(
+        self, catalog, monkeypatch, shape, telemetry
     ):
-        """Every attempt reaches result validation itself, telemetry on or off."""
-        queries = [SSSPQuery("grid", s, a) for s, a in RETRY_SHAPES[shape]]
+        """The one run reaches result validation itself, telemetry on or off."""
+        runners = _Runners(monkeypatch, "corrupt")
+        queries = [SSSPQuery("grid", s, a) for s, a in FAILURE_SHAPES[shape]]
         channels = (
             {"registry": obs.MetricsRegistry(), "events": obs.ListSink()}
             if telemetry
             else {}
         )
         with obs.use(**channels):
-            with QueryEngine(
-                catalog,
-                max_batch=8,
-                fault_plan=FaultPlan(rate=1.0, kinds=("corrupt",)),
-                retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-            ) as engine:
+            with QueryEngine(catalog, max_batch=8) as engine:
                 assert engine.telemetry is telemetry
                 responses = engine.run_many(queries)
-        assert [(r.ok, r.attempts) for r in responses] == [(False, 2)] * len(
-            queries
-        )
-        error = CORRUPT_ERRORS[shape]
+        assert runners.calls == 1
+        assert [r.ok for r in responses] == [False] * len(queries)
         for response in responses:
-            assert re.fullmatch(error, response.error), response.error
+            assert re.fullmatch(CORRUPT_ERRORS[shape], response.error), response.error
         assert len(engine.cache) == 0
-        assert engine.retry_attempts == 1
-        assert engine.retry_exhausted == len(queries)
+
+    def test_corridor_answers_after_six_failures(self, catalog, grid, monkeypatch):
+        """Failures leave no state behind: the next clean query runs."""
+        runners = _Runners(monkeypatch, "oom")
+        with QueryEngine(catalog) as engine:
+            failed = [engine.run(SSSPQuery("grid", s, "dijkstra")) for s in range(6)]
+            runners.fault = None
+            query = SSSPQuery("grid", 6, "dijkstra")
+            response = engine.run(query)
+            cached = engine.cache.get(engine._cache_key(query))
+        assert response.ok, response.error
+        assert response.cache == "miss"
+        assert [r.error for r in failed] == [f"MemoryError: {OUT_OF_MEMORY}"] * 6
+        want = dijkstra(grid, 6)
+        assert response.reached == want.num_reached
+        assert cached is not None
+        np.testing.assert_array_equal(cached.dist, want.dist)
 
 
 class TestResponseWireFormat:
@@ -563,38 +464,12 @@ class TestBatching:
         sizes = [e["batch_size"] for e in sink.of_type("batch_dispatch")]
         assert sizes == [2, 2]
 
-    def test_whole_batch_retried_on_transient(self, catalog, grid):
-        # task 0 (the batch) faulted, task 1 (the resubmission) clean
-        plan = _plan_with_pattern(("transient",), [True, False])
-        registry = obs.MetricsRegistry()
-        sink = obs.ListSink()
-        with obs.use(registry=registry, events=sink):
-            with QueryEngine(
-                catalog,
-                max_batch=8,
-                fault_plan=plan,
-                retry=RetryPolicy(max_attempts=3, base_delay=0.0),
-            ) as engine:
-                responses = engine.run_many(self._queries([0, 5]))
-        assert all(r.ok for r in responses), [r.error for r in responses]
-        assert all(r.attempts == 2 for r in responses)
-        assert responses[0].reached == dijkstra(grid, 0).num_reached
-        # one resubmission, but every member reports its retry
-        assert registry.counter("service.retries").value == 1
-        assert len(sink.of_type("query_retry")) == 2
-
-    def test_batch_failure_fails_all_members(self, catalog):
-        plan = FaultPlan(rate=1.0, kinds=("crash",))
-        with QueryEngine(
-            catalog,
-            max_batch=8,
-            fault_plan=plan,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-        ) as engine:
+    def test_batch_failure_fails_all_members(self, catalog, monkeypatch):
+        _Runners(monkeypatch, "oom")
+        with QueryEngine(catalog, max_batch=8) as engine:
             responses = engine.run_many(self._queries([0, 5]))
         assert all(not r.ok for r in responses)
         assert len(engine.cache) == 0
-        assert engine.retry_exhausted == 2
 
     def test_stats_reports_max_batch(self, catalog):
         with QueryEngine(catalog, max_batch=4) as engine:

@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.graph.generators import grid_road_network, path_graph
-from repro.resilience import FaultPlan, InjectedTransientError
+from repro.resilience import FaultPlan
 from repro.service.pool import ExecutorPool, PoolTimeoutError
 from repro.sssp.dijkstra import dijkstra
 
@@ -129,16 +129,20 @@ class TestAbandonAndLostWorkers:
 
 class TestFaultInjection:
     def test_planned_fault_raises_in_thread_mode(self):
-        plan = FaultPlan(rate=1.0, kinds=("transient",))
-        with ExecutorPool({"p": path_graph(3)}, fault_plan=plan) as pool:
-            with pytest.raises(InjectedTransientError):
+        plan = FaultPlan(rate=1.0, kinds=("hang",))
+        with ExecutorPool(
+            {"p": path_graph(3)}, fault_plan=plan, timeout=0.1
+        ) as pool:
+            with pytest.raises(PoolTimeoutError):
                 pool.run("p", _reached, 0)
 
     def test_clean_indices_run_clean(self):
-        plan = plan_with_pattern(("transient",), [False, True])
-        with ExecutorPool({"p": path_graph(3)}, fault_plan=plan) as pool:
+        plan = plan_with_pattern(("hang",), [False, True])
+        with ExecutorPool(
+            {"p": path_graph(3)}, fault_plan=plan, timeout=0.1
+        ) as pool:
             assert pool.run("p", _reached, 0) == 3  # index 0 is clean
-            with pytest.raises(InjectedTransientError):
+            with pytest.raises(PoolTimeoutError):
                 pool.run("p", _reached, 0)  # index 1 is not
 
 

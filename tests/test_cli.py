@@ -269,6 +269,34 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             main(["serve", "--input", requests, "--graph-file", "nopath"])
 
+    def test_serve_accepts_resilience_flags(self, capsys, tmp_path):
+        import json
+
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            '{"graph": "cal", "source": 0, "algorithm": "dijkstra"}\n'
+            '{"op": "health"}\n'
+        )
+        rc = main(
+            [
+                "serve",
+                "--input",
+                str(requests),
+                "--scale",
+                "0.003",
+                "--fault-rate",
+                "0.5",
+                "-q",
+            ]
+        )
+        assert rc == 0
+        query, health = (
+            json.loads(line) for line in capsys.readouterr().out.splitlines()
+        )
+        assert query["ok"] is True
+        assert health["op"] == "health"
+        assert health["pool"]["alive"] is True
+
 
 class TestQueryCommand:
     def test_one_shot_query(self, capsys):
@@ -335,104 +363,18 @@ class TestQueryCommand:
             main(["query", "no-such-graph", "--scale", "0.003"])
 
 
-class TestFaultsCommand:
-    def test_drill_passes_and_reports(self, capsys):
-        rc = main(
-            [
-                "faults",
-                "--queries",
-                "8",
-                "--scale",
-                "0.003",
-                "--fault-rate",
-                "0.4",
-                "--retries",
-                "6",
-                "-q",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "answered 8/8 queries" in out
-        assert "all verified against Dijkstra" in out
-
-    def test_drill_without_verification(self, capsys):
-        rc = main(
-            [
-                "faults",
-                "--queries",
-                "4",
-                "--scale",
-                "0.003",
-                "--no-verify",
-                "-q",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "answered 4/4 queries" in out
-        assert "Dijkstra" not in out
-
-    def test_serve_accepts_resilience_flags(self, capsys, tmp_path):
-        import json
-
-        requests = tmp_path / "requests.jsonl"
-        requests.write_text(
-            '{"graph": "cal", "source": 0, "algorithm": "dijkstra"}\n'
-            '{"op": "health"}\n'
-        )
-        rc = main(
-            [
-                "serve",
-                "--input",
-                str(requests),
-                "--scale",
-                "0.003",
-                "--fault-rate",
-                "0.5",
-                "--fault-kinds",
-                "transient,crash",
-                "--retries",
-                "6",
-                "-q",
-            ]
-        )
-        assert rc == 0
-        query, health = (
-            json.loads(line) for line in capsys.readouterr().out.splitlines()
-        )
-        assert query["ok"] is True
-        assert health["op"] == "health"
-        assert health["pool"]["alive"] is True
-
-
-POOL_KINDS = "(have transient, crash, hang, corrupt)"
-
-
 class TestBadResilienceOptions:
-    """Bad retry/breaker/fault options exit with one line, no traceback."""
+    """Bad fault options exit with one line, no traceback."""
 
     COMMANDS = {
         "serve": ["serve", "--scale", "0.003", "-q"],
         "query": ["query", "cal", "--scale", "0.003", "-q"],
-        "faults": ["faults", "--queries", "2", "--scale", "0.003", "-q"],
     }
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     @pytest.mark.parametrize(
         "options, message",
         [
-            (["--retries", "0"], "bad --retries: max_attempts must be >= 1"),
-            (
-                ["--breaker-threshold", "-1"],
-                "bad --breaker-threshold/--breaker-reset: "
-                "failure_threshold must be >= 0",
-            ),
-            (
-                ["--breaker-reset", "-5"],
-                "bad --breaker-threshold/--breaker-reset: "
-                "reset_seconds must be positive",
-            ),
             (
                 ["--fault-rate", "1.5"],
                 "bad --fault-rate/--fault-hang: rate must be in [0, 1]",
@@ -441,46 +383,20 @@ class TestBadResilienceOptions:
                 ["--fault-rate", "0.5", "--fault-hang", "-1"],
                 "bad --fault-rate/--fault-hang: hang_seconds must be >= 0",
             ),
-            (
-                ["--fault-rate", "0.5", "--fault-kinds", "bogus"],
-                "bad --fault-kinds: unknown fault kind 'bogus' for pool "
-                f"tasks {POOL_KINDS}",
-            ),
         ],
-        ids=[
-            "retries", "breaker-threshold", "breaker-reset", "fault-rate",
-            "fault-hang", "fault-kinds",
-        ],
+        ids=["fault-rate", "fault-hang"],
     )
     def test_exits_with_one_line(self, command, options, message):
         with pytest.raises(SystemExit) as exc:
             main([*self.COMMANDS[command], *options])
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize(
-        "kinds, bad",
-        [("shard_crash,worker_kill", "shard_crash"), ("crash,poolbreak", "poolbreak")],
-    )
-    def test_fault_kinds_accept_only_pool_kinds(self, kinds, bad):
-        """Network/worker kinds cannot sabotage a pool task."""
-        for command in ("faults", "serve"):
-            with pytest.raises(SystemExit) as exc:
-                main(
-                    [
-                        *self.COMMANDS[command],
-                        "--fault-rate", "0.5", "--fault-kinds", kinds,
-                    ]
-                )
-            assert str(exc.value) == (
-                f"bad --fault-kinds: unknown fault kind {bad!r} for pool "
-                f"tasks {POOL_KINDS}"
-            )
-
     def test_help_lists_only_pool_kinds(self, capsys):
         with pytest.raises(SystemExit):
-            main(["faults", "--help"])
+            main(["serve", "--help"])
         out = " ".join(capsys.readouterr().out.split())
-        assert "comma list from: transient, crash, hang, corrupt" in out
+        assert "inject a hang into this fraction of pool tasks" in out
+        assert "--fault-kinds" not in out
         assert "poolbreak" not in out
         assert "--pool-mode" not in out
 
@@ -495,16 +411,16 @@ class TestBadResilienceOptions:
         env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
         proc = subprocess.run(
             [
-                _sys.executable, "-m", "repro", "faults", "--queries", "2",
-                "--scale", "0.003", "--fault-kinds", "worker_kill",
+                _sys.executable, "-m", "repro", "serve", "--scale", "0.003",
+                "--fault-rate", "1.5",
             ],
             capture_output=True, text=True, env=env, timeout=60,
+            stdin=subprocess.DEVNULL,
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.strip() == (
-            "bad --fault-kinds: unknown fault kind 'worker_kill' for pool "
-            f"tasks {POOL_KINDS}"
+            "bad --fault-rate/--fault-hang: rate must be in [0, 1]"
         )
 
 
@@ -1075,7 +991,7 @@ class TestSupervisedServe:
         proc = _serve_proc(
             "--listen", f"127.0.0.1:{port}", "--scale", "0.003",
             "--shard-mode", mode, "--fault-rate", "1",
-            "--fault-kinds", "hang", "--fault-hang", "2.5", "-q",
+            "--fault-hang", "2.5", "-q",
             stderr=subprocess.DEVNULL,
         )
         try:

@@ -45,7 +45,12 @@ Admission sheds only when a shard's in-flight bound is full, so nothing
 names the latency-predicting deadline gate (``--deadline-ms``, its
 EWMA and ``reset_shard``), the admission breaker's helpers or the
 ``--drain-limit`` knob, whose one value is now a constant of
-``repro/net/shard.py``.
+``repro/net/shard.py``.  A failed pool task runs once and answers its
+error, so nothing names the engine's retry loop (``RetryPolicy``,
+``classify_error``, its counters and event), a circuit breaker of any
+kind (``breaker`` matches as a substring), the simulated ``transient``
+and ``crash`` pool faults, or the ``--fault-kinds`` and
+``--fault-seed`` options that only the chaos drill's retries needed.
 """
 
 from __future__ import annotations
@@ -198,7 +203,11 @@ STAGE_CALLERS = {
     ),
 }
 FRONTIER = "repro.sssp.frontier"
-REMOVED_MODULES = ("repro.sssp.backends", "repro.service.scheduler")
+REMOVED_MODULES = (
+    "repro.sssp.backends",
+    "repro.service.scheduler",
+    "repro.resilience.breaker",
+)
 REMOVED_NAMES = (
     "ProcessPoolExecutor",
     "poolbreak",
@@ -243,6 +252,23 @@ REMOVED_NAMES = (
     "record_breaker",
     "drain_limit",
     "drain-limit",
+    # a failed pool task runs once: no retry loop, no circuit breaker,
+    # no simulated pool faults that only a retry could absorb
+    "RetryPolicy",
+    "classify_error",
+    "BreakerBoard",
+    "BreakerConfig",
+    "CircuitBreaker",
+    "breaker",
+    "query_retry",
+    "retry_attempts",
+    "retry_exhausted",
+    "InjectedTransientError",
+    "InjectedCrashError",
+    "parse_kinds",
+    "fault-kinds",
+    "fault-seed",
+    "fault_seed",
 )
 
 
@@ -354,8 +380,15 @@ def test_removed_dispatch_layers_not_imported():
         label = str(path.relative_to(SRC.parent))
         problems += _removed_imports(path.read_text(), label)
     assert not problems, "\n".join(problems)
-    probe = "from repro.sssp import backends\nimport repro.service.scheduler\n"
-    assert len(_removed_imports(probe, "probe.py")) == 2
+    probe = (
+        "from repro.sssp import backends\nimport repro.service.scheduler\n"
+        "from repro.resilience import breaker\n"
+    )
+    assert [p for p in _removed_imports(probe, "probe.py") if " imports " in p] == [
+        "probe.py:1: imports repro.sssp.backends",
+        "probe.py:2: imports repro.service.scheduler",
+        "probe.py:3: imports repro.resilience.breaker",
+    ]
     probe = (
         "from concurrent.futures import ProcessPoolExecutor\n"
         "import concurrent.futures as cf\n"
@@ -376,6 +409,12 @@ def test_removed_dispatch_layers_not_imported():
         "p.add_graph('g', g), Sup(failover='adopt'), '--failover', w.failovers\n"
         "a.reset_shard(0), a._breaker_key(0), f(record_breaker=False, drain_limit=64), "
         "'--deadline-ms', o.deadline_ms, _ewma_seconds, _EWMA_ALPHA, '--drain-limit'\n"
+        "RetryPolicy(), classify_error(e), BreakerConfig(), e.retry_attempts, "
+        "e.retry_exhausted, {'type': 'query_retry'}, InjectedCrashError, "
+        "InjectedTransientError, FaultPlan.parse_kinds('hang'), '--fault-kinds', "
+        "'--fault-seed', a.fault_seed\n"
+        "class CircuitBreaker: pass\n"
+        "def board(): return BreakerBoard()\n"
     )
     assert sorted(_removed_imports(probe, "probe.py")) == [
         "probe.py:10: names merge_snapshot",
@@ -402,6 +441,8 @@ def test_removed_dispatch_layers_not_imported():
         "probe.py:14: names restore_assignment",
         "probe.py:15: names EWMA",
         "probe.py:15: names _breaker_key",
+        "probe.py:15: names breaker",
+        "probe.py:15: names breaker",
         "probe.py:15: names deadline-ms",
         "probe.py:15: names deadline_ms",
         "probe.py:15: names drain-limit",
@@ -409,6 +450,20 @@ def test_removed_dispatch_layers_not_imported():
         "probe.py:15: names ewma",
         "probe.py:15: names record_breaker",
         "probe.py:15: names reset_shard",
+        "probe.py:16: names BreakerConfig",
+        "probe.py:16: names InjectedCrashError",
+        "probe.py:16: names InjectedTransientError",
+        "probe.py:16: names RetryPolicy",
+        "probe.py:16: names classify_error",
+        "probe.py:16: names fault-kinds",
+        "probe.py:16: names fault-seed",
+        "probe.py:16: names fault_seed",
+        "probe.py:16: names parse_kinds",
+        "probe.py:16: names query_retry",
+        "probe.py:16: names retry_attempts",
+        "probe.py:16: names retry_exhausted",
+        "probe.py:17: names CircuitBreaker",
+        "probe.py:18: names BreakerBoard",
         "probe.py:1: names ProcessPoolExecutor",
         "probe.py:3: names ProcessPoolExecutor",
         "probe.py:4: names poolbreak",
