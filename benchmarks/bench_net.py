@@ -8,17 +8,18 @@ The serving acceptance checks for ``repro.net``:
   **zero** sheds and zero errors at trivial load — shedding on an idle
   box would mean admission control is mis-tuned, and any error would
   mean the socket protocol diverges from the stdin one.
-* **recovery** — the network-tier chaos drill (a shard dispatcher
-  crash under live traffic, supervised restart) must pass its three
-  invariants and restart the shard quickly; the measured downtime is
-  the ``bench.net.recovery_ms`` gauge.
+* **recovery** — the network-tier chaos drill (a crash the drill arms
+  on a live shard's dispatcher thread, under live traffic, then a
+  supervised restart) must pass its three invariants and restart the
+  shard quickly; the measured downtime is the ``bench.net.recovery_ms``
+  gauge.
 
 * **process-mode recovery** — the same drill with
-  ``--shard-mode process`` and a ``worker_kill`` fault: the shard's
-  worker *process* is SIGKILLed mid-traffic and the supervisor must
-  respawn it (interpreter start + handshake + graph transfer)
-  within budget; the measured downtime is
-  ``bench.net.process_recovery_ms``.
+  ``--shard-mode process`` and ``worker_kill``: the drill itself sends
+  SIGKILL to the shard's worker *process* mid-traffic (once the shard
+  has begun dispatch cycle ``crash_at``), and the supervisor must
+  respawn it (interpreter start + handshake + graph transfer) within
+  budget; the measured downtime is ``bench.net.process_recovery_ms``.
 
 Both downtimes run from the supervisor pass that declares the shard
 down to the start of the pass that rebuilds it, so they cover
@@ -162,7 +163,7 @@ def test_chaos_recovery(benchmark, emit):
 
 
 def test_process_chaos_recovery(benchmark, emit):
-    """Worker-process SIGKILL under live traffic: the process-mode gate.
+    """A drill-sent worker-process SIGKILL under live traffic: the process-mode gate.
 
     The heavyweight path: detection over the worker socket, a
     supervised respawn of a whole Python interpreter, handshake and

@@ -31,6 +31,9 @@
   ``bench.net.*`` gauges;
 * ``query`` — issue one-shot queries against the graph catalog and
   print the JSONL responses;
+* ``chaos-net`` — the network-tier chaos drill: kill one shard of a
+  live TCP deployment for real (SIGKILL its worker process, or crash
+  its dispatcher thread) and audit hangs, answers and recovery;
 * ``metrics <file>`` — summarise a metrics JSON file (``serve
   --metrics`` output or ``benchmarks/results/metrics.json``);
   ``--prometheus`` prints Prometheus text exposition instead;
@@ -41,7 +44,9 @@
 
 ``--quiet`` suppresses informational chatter (result lines still
 print); ``--verbose`` adds detail, e.g. a metrics snapshot after an
-``sssp`` run.  Both are accepted before or after the subcommand.
+``sssp`` run.  Both are accepted before or after the subcommand.  An
+option value out of range exits 1 with one line, ``bad --FLAG:
+reason``, never a traceback.
 """
 
 from __future__ import annotations
@@ -233,14 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="coalesce up to N concurrent same-corridor queries "
             "into one batched kernel call (1 disables)",
         )
-        p.add_argument(
-            "--fault-rate", type=float, default=0.0,
-            help="inject a hang into this fraction of pool tasks (chaos)",
-        )
-        p.add_argument(
-            "--fault-hang", type=float, default=0.25,
-            help="seconds an injected hang sleeps",
-        )
 
     serve = sub.add_parser(
         "serve",
@@ -415,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_net = sub.add_parser(
         "chaos-net",
         parents=[common],
-        help="network-tier chaos drill: crash a shard under live "
+        help="network-tier chaos drill: kill a shard under live "
         "traffic, audit hangs/answers/recovery",
     )
     chaos_net.add_argument(
@@ -435,14 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds of live traffic the drill sustains",
     )
     chaos_net.add_argument(
-        "--fault-kind",
-        choices=[
-            "shard_crash", "slow_shard", "conn_drop",
-            "worker_kill", "worker_oom", "frame_corrupt",
-        ],
+        "--fault-kind", choices=["shard_crash", "worker_kill"],
         default="shard_crash",
-        help="which network-tier fault to inject (worker_* and "
-        "frame_corrupt need --shard-mode process)",
+        help="how the shard dies: its dispatcher thread crashes "
+        "(shard_crash), or its worker process is SIGKILLed (worker_kill, "
+        "needs --shard-mode process)",
     )
     chaos_net.add_argument(
         "--shard-mode", choices=["thread", "process"], default="thread",
@@ -455,12 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_net.add_argument(
         "--crash-at", type=int, default=2,
-        help="dispatch cycle (or connection index, for conn_drop) the "
-        "fault fires at",
+        help="dispatch cycle (counted from 0) at which the shard dies",
     )
     chaos_net.add_argument(
         "--crash-shard", type=int, default=0,
-        help="which shard the dispatcher fault targets",
+        help="which shard the drill kills",
     )
     chaos_net.add_argument(
         "--restart-budget", type=int, default=5,
@@ -664,7 +657,7 @@ def _service_catalog(args: argparse.Namespace):
     """The catalog for serve/query: built-ins plus --graph-file entries."""
     from repro.service import default_catalog
 
-    catalog = default_catalog(args.scale)
+    catalog = default_catalog(_bounded("--scale", args.scale, 0, strict=True))
     for spec in args.graph_file:
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
@@ -681,18 +674,27 @@ def _checked_option(flags: str, build):
         raise SystemExit(f"bad {flags}: {exc}") from None
 
 
-def _fault_plan(args: argparse.Namespace):
-    """The pool fault plan ``--fault-rate``/``--fault-hang`` ask for, or None.
+def _bounded(flag: str, value, low, *, strict: bool = False):
+    """``value`` if it is ``>= low`` (``> low`` when ``strict``), else a one-line exit.
 
-    A bad value exits with one line naming its options, no traceback.
+    An unset option (``None``) passes; NaN fails either bound.
     """
-    from repro.resilience import FaultPlan
 
-    if args.fault_rate <= 0:
-        return None
-    return _checked_option(
-        "--fault-rate/--fault-hang",
-        lambda: FaultPlan(rate=args.fault_rate, hang_seconds=args.fault_hang),
+    def check():
+        if value is None or (value > low if strict else value >= low):
+            return value
+        raise ValueError(f"must be {'>' if strict else '>='} {low}, got {value}")
+
+    return _checked_option(flag, check)
+
+
+def _engine_kwargs(args: argparse.Namespace) -> dict:
+    """The engine keywords ``serve`` and ``query`` share, each option checked."""
+    return dict(
+        max_workers=_bounded("--workers", args.workers, 1),
+        timeout=_bounded("--timeout", args.timeout, 0, strict=True),
+        cache_size=_bounded("--cache-size", args.cache_size, 0),
+        max_batch=_bounded("--max-batch", args.max_batch, 1),
     )
 
 
@@ -762,17 +764,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "--sample-rate", lambda: TraceSampler(args.sample_rate)
     )
     catalog = _service_catalog(args)
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    if args.restart_budget < 0:
-        raise SystemExit("--restart-budget must be >= 0")
-    engine_kwargs = dict(
-        max_workers=args.workers,
-        timeout=args.timeout,
-        cache_size=args.cache_size,
-        max_batch=args.max_batch,
-        fault_plan=_fault_plan(args),
-    )
+    _bounded("--shards", args.shards, 1)
+    _bounded("--restart-budget", args.restart_budget, 0)
+    engine_kwargs = _engine_kwargs(args)
     if args.listen:
         try:
             with obs.use(registry=registry, events=sink, spans=spans):
@@ -845,7 +839,7 @@ def _shard_manager(
         catalog,
         shards=args.shards,
         shard_mode=args.shard_mode,
-        heartbeat_ms=args.heartbeat_ms,
+        heartbeat_ms=_bounded("--heartbeat-ms", args.heartbeat_ms, 0, strict=True),
         admission=admission,
         **engine_kwargs,
     )
@@ -868,11 +862,9 @@ def _serve_listen(
 
     from repro.net import AdmissionController, NetServer, parse_listen
 
-    host, port = parse_listen(args.listen)
-    if args.max_inflight < 0:
-        raise SystemExit("--max-inflight must be >= 0")
-    if args.drain_ms < 0:
-        raise SystemExit("--drain-ms must be >= 0")
+    host, port = _checked_option("--listen", lambda: parse_listen(args.listen))
+    _bounded("--max-inflight", args.max_inflight, 0)
+    _bounded("--drain-ms", args.drain_ms, 0)
     admission = AdmissionController(max_inflight=args.max_inflight)
     engine = _shard_manager(args, catalog, engine_kwargs, admission=admission)
     server = NetServer(engine, host=host, port=port, sampler=sampler)
@@ -940,14 +932,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro import obs
-    from repro.net import run_loadgen
+    from repro.net import parse_listen, run_loadgen
 
-    if args.connections < 1:
-        raise SystemExit("--connections must be >= 1")
-    if args.duration <= 0:
-        raise SystemExit("--duration must be > 0")
-    if args.batch < 1:
-        raise SystemExit("--batch must be >= 1")
+    _checked_option("target", lambda: parse_listen(args.target))
+    _bounded("--connections", args.connections, 1)
+    _bounded("--duration", args.duration, 0, strict=True)
+    _bounded("--batch", args.batch, 1)
     try:
         summary = asyncio.run(
             run_loadgen(
@@ -995,8 +985,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.service import QueryEngine, SSSPQuery
 
-    if args.repeat < 1:
-        raise SystemExit("--repeat must be >= 1")
+    _bounded("--repeat", args.repeat, 1)
     params = {}
     if args.delta is not None:
         params["delta"] = args.delta
@@ -1013,14 +1002,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "register files with --graph-file NAME=PATH"
         )
     with obs.use(registry=registry):
-        engine = QueryEngine(
-            catalog,
-            max_workers=args.workers,
-            timeout=args.timeout,
-            cache_size=args.cache_size,
-            max_batch=args.max_batch,
-            fault_plan=_fault_plan(args),
-        )
+        engine = QueryEngine(catalog, **_engine_kwargs(args))
         with engine:
             graph = engine.pool.graph(args.graph)
             sources = list(args.source or [])
@@ -1214,8 +1196,7 @@ def _render_top_frame(data: dict, prev: dict | None) -> str:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    if args.interval <= 0:
-        raise SystemExit("--interval must be > 0")
+    _bounded("--interval", args.interval, 0, strict=True)
     path = Path(args.file)
     prev: dict | None = None
     try:
@@ -1248,40 +1229,40 @@ def _cmd_chaos_net(args: argparse.Namespace) -> int:
     Exit code 0 means the drill's three claims held: zero hung
     clients (every request terminated in-band or by reconnect), zero
     wrong answers (Dijkstra cross-check, unless ``--no-verify``), and
-    — for lethal fault kinds — the crashed shard restarted within the
-    supervisor's budget.
+    the killed shard restarted within the supervisor's budget.
     """
     from repro import obs
     from repro.net import run_chaos_drill
     from repro.resilience import RestartPolicy
+    from repro.service import default_catalog
 
-    if args.connections < 1:
-        raise SystemExit("--connections must be >= 1")
-    if args.duration <= 0:
-        raise SystemExit("--duration must be > 0")
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    if not 0 <= args.crash_shard < args.shards:
-        raise SystemExit("--crash-shard must be in [0, --shards)")
-    if args.restart_budget < 0:
-        raise SystemExit("--restart-budget must be >= 0")
-    from repro.resilience import WORKER_FAULT_KINDS
-
-    if args.fault_kind in WORKER_FAULT_KINDS and args.shard_mode != "process":
+    _bounded("--connections", args.connections, 1)
+    _bounded("--duration", args.duration, 0, strict=True)
+    _bounded("--shards", args.shards, 1)
+    _bounded("--crash-at", args.crash_at, 0)
+    _bounded("--restart-budget", args.restart_budget, 0)
+    _bounded("--workers", args.workers, 1)
+    _bounded("--scale", args.scale, 0, strict=True)
+    _bounded("--heartbeat-ms", args.heartbeat_ms, 0, strict=True)
+    # a shard per graph at most, as the drill's ShardManager builds
+    shards = min(args.shards, len(default_catalog(args.scale).names()))
+    if not 0 <= args.crash_shard < shards:
         raise SystemExit(
-            f"--fault-kind {args.fault_kind} needs --shard-mode process"
+            f"bad --crash-shard: must be in [0, {shards}), got {args.crash_shard}"
         )
+    if args.fault_kind == "worker_kill" and args.shard_mode != "process":
+        raise SystemExit("--fault-kind worker_kill needs --shard-mode process")
     registry = obs.MetricsRegistry()
     if not args.quiet:
         print(
-            f"chaos-net: {args.shards} {args.shard_mode} shards, fault "
+            f"chaos-net: {shards} {args.shard_mode} shards, fault "
             f"{args.fault_kind} at cycle {args.crash_at} on shard "
             f"{args.crash_shard}, {args.connections} connections for "
             f"{args.duration}s"
         )
     with obs.use(registry=registry):
         report = run_chaos_drill(
-            shards=args.shards,
+            shards=shards,
             scale=args.scale,
             connections=args.connections,
             duration_seconds=args.duration,

@@ -22,9 +22,11 @@ answers queries, this package puts that engine on the wire:
   (``repro loadgen``) for capacity and shedding checks; reconnects
   through drops and bounds every read, so chaos drills measure
   client-visible hangs instead of suffering them;
-* :mod:`~repro.net.chaos` — the ``repro chaos-net`` drill: a faulted
-  multi-shard server under live load, audited for zero hangs, correct
-  distances (Dijkstra cross-check) and in-budget recovery;
+* :mod:`~repro.net.chaos` — the ``repro chaos-net`` drill: a
+  multi-shard server under live load loses a shard for real (a
+  SIGKILLed worker process, or a crash armed on a dispatcher thread)
+  and is audited for zero hangs, correct distances (Dijkstra
+  cross-check) and in-budget recovery;
 * :mod:`~repro.net.worker` / :mod:`~repro.net.frames` — out-of-process
   shard workers (``serve --shard-mode process``): each shard engine in
   its own supervised worker process behind a length-prefixed,

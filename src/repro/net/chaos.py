@@ -5,10 +5,9 @@ the built-in catalog at the drill's ``scale``, admission control (the
 256-query per-shard bound ``serve`` defaults to),
 :class:`~repro.net.shard.ShardManager`,
 :class:`~repro.net.supervisor.ShardSupervisor`,
-:class:`~repro.net.server.NetServer` on an ephemeral port — injects a
-scheduled network-tier fault (a dispatcher crash by default) while the
-closed-loop load generator is driving it, and audits the three claims
-the robustness work makes:
+:class:`~repro.net.server.NetServer` on an ephemeral port — kills one
+shard for real while the closed-loop load generator is driving it, and
+audits the three claims the robustness work makes:
 
 1. **no hangs** — every client request terminates: an answer, an
    in-band retryable error (``overloaded`` / ``unavailable``), or a
@@ -18,20 +17,33 @@ the robustness work makes:
    cross-checked against a clean Dijkstra run on the same graph and
    source (:func:`~repro.resilience.faults.verify_answers`).  A
    restarted shard must not change a single distance.
-3. **bounded recovery** — a crashed shard is restarted and serving
+3. **bounded recovery** — the dead shard is restarted and serving
    again within the restart policy's worst-case backoff budget; the
    supervisor's measured downtime is the drill's recovery metric (and
    CI's ``bench.net.recovery_ms`` gate).
 
-Everything is deterministic where it can be: the fault is a
-:class:`~repro.resilience.faults.ScheduledFaultPlan` (fires at an
-exact dispatch cycle on an exact shard), sources are seeded, and the
+The victim shard dies one of two ways, both from outside the serving
+code:
+
+* ``worker_kill`` (process shards) — a watcher beside the load
+  generator SIGKILLs the shard's worker process once the shard has
+  begun dispatch cycle ``crash_at``, as the OOM killer or a segfault
+  would;
+* ``shard_crash`` (either shard mode) — the drill arms
+  :attr:`~repro.net.shard.Shard.crash_at` on the live shard, so its
+  dispatcher thread dies instead of starting that cycle.  The thread
+  is the one component nothing outside the process can kill.
+
+Everything is deterministic where it can be: the death lands at an
+exact dispatch cycle on an exact shard, sources are seeded, and the
 restart schedule is the seeded :class:`~repro.resilience.retry.RestartPolicy`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 import time
 from typing import List, Optional
 
@@ -40,24 +52,19 @@ from repro.net.loadgen import run_loadgen
 from repro.net.server import NetServer
 from repro.net.shard import ShardManager
 from repro.net.supervisor import ShardSupervisor
-from repro.resilience.faults import (
-    NET_FAULT_KINDS,
-    WORKER_FAULT_KINDS,
-    ScheduledFaultPlan,
-    verify_answers,
-)
+from repro.net.worker import ProcessShard
+from repro.resilience.faults import verify_answers
 from repro.resilience.retry import RestartPolicy
 from repro.service.catalog import default_catalog
 
 __all__ = ["run_chaos_drill"]
 
-# kinds that sabotage a shard dispatcher (vs the server's conn_drop)
-_DISPATCHER_KINDS = ("shard_crash", "slow_shard")
 
-# kinds after which the drill demands a supervised restart
-# (worker_kill / worker_oom end the worker *process*; the supervisor
-# must detect the death via waitpid and respawn within budget)
-_LETHAL_KINDS = ("shard_crash", "worker_kill", "worker_oom")
+async def _kill_worker(shard: ProcessShard, crash_at: int) -> None:
+    """SIGKILL ``shard``'s worker process once it has begun cycle ``crash_at``."""
+    while shard.cycles <= crash_at:
+        await asyncio.sleep(0.005)
+    os.kill(shard.client.pid, signal.SIGKILL)
 
 
 async def _recovery_wait(
@@ -94,34 +101,34 @@ def run_chaos_drill(
     """Run one seeded network-tier chaos drill; return its report.
 
     The report's ``ok`` is the drill verdict: zero hung clients, zero
-    non-retryable errors, zero Dijkstra mismatches, and (for lethal
-    fault kinds) the crashed shard restarted within the recovery
-    deadline.  ``repro chaos-net`` exits nonzero when ``ok`` is False;
-    the CI smoke job and the recovery benchmark both run through here.
+    non-retryable errors, zero Dijkstra mismatches, and the killed
+    shard restarted within the recovery deadline.  ``repro chaos-net``
+    exits nonzero when ``ok`` is False; the CI smoke job and the
+    recovery benchmark both run through here.
     """
-    if fault_kind not in NET_FAULT_KINDS:
+    if fault_kind not in ("shard_crash", "worker_kill"):
         raise ValueError(
-            f"fault_kind must be one of {', '.join(NET_FAULT_KINDS)}; "
-            f"got {fault_kind!r}"
+            f"fault_kind must be shard_crash or worker_kill; got {fault_kind!r}"
         )
     if shard_mode not in ("thread", "process"):
         raise ValueError(
             f"shard_mode must be 'thread' or 'process', got {shard_mode!r}"
         )
-    if fault_kind in WORKER_FAULT_KINDS and shard_mode != "process":
+    if fault_kind == "worker_kill" and shard_mode != "process":
         raise ValueError(
-            f"fault kind {fault_kind!r} needs shard_mode='process' "
-            "(it sabotages the worker process)"
+            "fault kind 'worker_kill' needs shard_mode='process' "
+            "(it kills the worker process)"
         )
     if shards < 1:
         raise ValueError("shards must be >= 1")
+    if crash_at < 0:
+        raise ValueError("crash_at must be >= 0")
+    cat = default_catalog(scale)
+    shards = min(shards, len(cat.names()))  # as many as the manager builds
     if crash_shard < 0 or crash_shard >= shards:
         raise ValueError(f"crash_shard must be in [0, {shards})")
     policy = restart_policy if restart_policy is not None else RestartPolicy()
-    plan = ScheduledFaultPlan(at=(crash_at,), kind=fault_kind)
-    cat = default_catalog(scale)
     collected: List[dict] = []
-    lethal = fault_kind in _LETHAL_KINDS
     # worst-case supervised recovery: the full backoff budget plus
     # slack for detection and the rebuild itself (process mode pays a
     # worker spawn — interpreter + numpy import — per restart, so it
@@ -130,49 +137,50 @@ def run_chaos_drill(
         policy.max_recovery_seconds() + 5.0
         + (10.0 if shard_mode == "process" else 0.0)
     )
-
-    shard_fault_kinds = _DISPATCHER_KINDS + (
-        WORKER_FAULT_KINDS if shard_mode == "process" else ()
-    )
     manager = ShardManager(
         cat,
         shards=shards,
         admission=AdmissionController(max_inflight=256),
-        net_fault_plan=plan if fault_kind in shard_fault_kinds else None,
-        net_fault_shard=crash_shard,
         shard_mode=shard_mode,
         heartbeat_ms=heartbeat_ms,
         max_workers=workers,
     )
+    victim = manager.shards[crash_shard]
+    if fault_kind == "shard_crash":
+        victim.crash_at = crash_at
     supervisor = ShardSupervisor(
         manager,
         restart_policy=policy,
         check_interval=0.02,
     )
-    server = NetServer(
-        manager,
-        port=0,
-        fault_plan=plan if fault_kind == "conn_drop" else None,
-    )
+    server = NetServer(manager, port=0)
 
     async def _drill() -> dict:
         await server.start()
         host, port = server.address
         serve_task = asyncio.ensure_future(server.serve_forever())
         supervisor.start()
+        watcher = (
+            asyncio.ensure_future(_kill_worker(victim, crash_at))
+            if fault_kind == "worker_kill"
+            else None
+        )
         try:
-            summary = await run_loadgen(
-                f"{host}:{port}",
-                connections=connections,
-                duration_seconds=duration_seconds,
-                zipf_a=zipf_a,
-                seed=seed,
-                read_timeout_seconds=10.0,
-                collect=collected if verify else None,
-            )
-            recovered = await _recovery_wait(
-                supervisor, recovery_deadline if lethal else 0.2
-            )
+            try:
+                summary = await run_loadgen(
+                    f"{host}:{port}",
+                    connections=connections,
+                    duration_seconds=duration_seconds,
+                    zipf_a=zipf_a,
+                    seed=seed,
+                    read_timeout_seconds=10.0,
+                    collect=collected if verify else None,
+                )
+            finally:
+                if watcher is not None:  # the load ended: so does the watch
+                    watcher.cancel()
+                    await asyncio.gather(watcher, return_exceptions=True)
+            recovered = await _recovery_wait(supervisor, recovery_deadline)
         finally:
             supervisor.stop()
             serve_task.cancel()
@@ -203,7 +211,7 @@ def run_chaos_drill(
         if s["last_recovery_ms"] is not None
     ]
     restarts = sum(s["restarts"] for s in sup_report["shards"].values())
-    recovered = bool(outcome["recovered"]) and (not lethal or restarts > 0)
+    recovered = bool(outcome["recovered"]) and restarts > 0
     ok = (
         summary["hung"] == 0
         and summary["errors"] == 0

@@ -125,9 +125,9 @@ async def _discover_graphs(
 ) -> List[dict]:
     """One ``graphs`` op round-trip: the catalog rows (id, nodes, ...).
 
-    Retries a few times: a chaos drill's ``conn_drop`` fault (or any
-    flaky network) can kill this very connection, and the load run
-    should start anyway.
+    Retries a few times: a server that closes the connection unanswered
+    (a restart, a flaky network) should not stop the load run from
+    starting.
     """
     last_error: Optional[BaseException] = None
     for _ in range(attempts):
@@ -242,7 +242,7 @@ async def _worker(
                 reader = writer = None
                 continue
             if not line:
-                # clean EOF mid-request (e.g. an injected conn_drop):
+                # clean EOF mid-request (the server closed unanswered):
                 # the request died with the connection — reconnect
                 tally.record_dropped()
                 await _close(writer)

@@ -30,10 +30,7 @@ malformed JSON and oversized ``sources`` batches get protocol error
 envelopes; an over-long line gets one error line and then the
 connection closes; a final line without a trailing newline (partial
 write before EOF) is still processed; a mid-request disconnect just
-tears down that one connection.  A ``fault_plan`` with ``conn_drop``
-makes that last case injectable: the chosen connection is closed
-abruptly after its first request line, exactly the rude-client /
-flaky-network behaviour the loadgen's reconnect path must absorb.
+tears down that one connection.
 """
 
 from __future__ import annotations
@@ -68,9 +65,9 @@ def parse_listen(listen: str) -> Tuple[str, int]:
     try:
         port = int(port_text)
     except ValueError:
-        raise ValueError(f"invalid --listen {listen!r}; expected HOST:PORT")
+        raise ValueError(f"expected HOST:PORT, got {listen!r}") from None
     if not 0 <= port <= 65535:
-        raise ValueError(f"invalid port {port} in --listen {listen!r}")
+        raise ValueError(f"port {port} is not in 0-65535")
     return host, port
 
 
@@ -88,12 +85,6 @@ class NetServer:
     sampler:
         Optional trace sampler forwarded to each connection's
         :class:`~repro.service.protocol.ProtocolSession`.
-    fault_plan:
-        Optional :class:`~repro.resilience.faults.FaultPlan` /
-        :class:`~repro.resilience.faults.ScheduledFaultPlan` consulted
-        once per accepted connection (indexed by arrival order); a
-        ``conn_drop`` decision closes that connection right after its
-        first request line, unanswered.  Other kinds are ignored here.
     """
 
     def __init__(
@@ -103,17 +94,14 @@ class NetServer:
         host: str = "127.0.0.1",
         port: int = 0,
         sampler=None,
-        fault_plan=None,
     ):
         self.engine = engine
         self.host = host
         self.port = port
         self.sampler = sampler
-        self.fault_plan = fault_plan
         self.connections_total = 0
         self.responses_total = 0
         self.http_requests = 0
-        self.conns_dropped = 0
         self._open_connections = 0
         self._busy = 0  # connections currently inside request handling
         self._conn_tasks: Set["asyncio.Task"] = set()
@@ -124,8 +112,6 @@ class NetServer:
         self._conn_gauge = registry.gauge("net.connections")
         self._conn_counter = registry.counter("net.connections.opened")
         self._http_counter = registry.counter("net.http.requests")
-        self._drop_counter = registry.counter("net.connections.dropped")
-        self._events = obs.get_events()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -202,17 +188,9 @@ class NetServer:
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    def _conn_fault(self, index: int) -> bool:
-        """True when ``fault_plan`` says to drop connection ``index``."""
-        if self.fault_plan is None:
-            return False
-        fault = self.fault_plan.decide(index)
-        return fault is not None and fault.kind == "conn_drop"
-
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        conn_index = self.connections_total
         self.connections_total += 1
         self._open_connections += 1
         self._conn_gauge.set(self._open_connections)
@@ -226,15 +204,6 @@ class NetServer:
             except _LineTooLong:
                 return
             if first is None:
-                return
-            if self._conn_fault(conn_index):
-                # injected abrupt close: request read, never answered
-                self.conns_dropped += 1
-                self._drop_counter.inc()
-                if self._events.enabled:
-                    self._events.emit(
-                        {"type": "conn_dropped", "connection": conn_index}
-                    )
                 return
             match = _HTTP_REQUEST_RE.match(first.rstrip(b"\n"))
             if match:

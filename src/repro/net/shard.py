@@ -23,8 +23,9 @@ its own dispatcher, so the engines need no cross-request locking.
 A dispatcher is also a single point of failure for its shard, so the
 loop is survivable by construction: every queued group is tracked in a
 pending set, and however the loop exits — a clean ``_STOP``, an
-``Exception``, or a ``BaseException`` such as an injected
-:class:`~repro.resilience.faults.InjectedShardCrash` — a ``finally``
+``Exception``, or a ``BaseException`` such as the
+:class:`~repro.resilience.faults.InjectedShardCrash` a drill arms
+through :attr:`Shard.crash_at` — a ``finally``
 fails every unresolved future with a retryable :class:`ShardDiedError`
 and (on abnormal exit) emits a ``shard_died`` event.  Nothing queued
 on a shard can hang forever.  The ``alive`` flag feeds the
@@ -97,29 +98,20 @@ class Shard:
     One dispatcher cycle merges up to :data:`_DRAIN_LIMIT` queued
     queries into a single ``run_many`` call.
 
-    ``fault_plan`` (a :class:`~repro.resilience.faults.FaultPlan` or
-    :class:`~repro.resilience.faults.ScheduledFaultPlan`) sabotages
-    dispatch cycles for chaos drills: ``shard_crash`` kills the
-    dispatcher thread, ``slow_shard`` adds ``slow_seconds`` of latency
-    per cycle.  Other kinds are ignored here (``conn_drop`` belongs to
-    the server).
+    ``crash_at`` arms a chaos drill's one-shot dispatcher death: set on
+    a live shard (never passed in), it makes the dispatcher raise
+    :class:`~repro.resilience.faults.InjectedShardCrash` instead of
+    starting cycle ``crash_at`` (counted from 0).  A shard the
+    supervisor rebuilds is a new object, so it comes back unarmed.
     """
 
-    def __init__(
-        self,
-        index: int,
-        engine: QueryEngine,
-        *,
-        fault_plan=None,
-    ):
+    def __init__(self, index: int, engine: QueryEngine):
         self.index = index
         self.engine = engine
-        self.fault_plan = fault_plan
+        self.crash_at: Optional[int] = None
         self.dispatched = 0
         self.cycles = 0
-        self.faults_injected = 0
         self.exit_reason: Optional[str] = None
-        self._fault_cycle = 0
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._pending: Dict[_WorkItem, None] = {}
         self._plock = threading.Lock()
@@ -188,15 +180,10 @@ class Shard:
                         break
                     items.append(nxt)
                     total += len(nxt.queries)
-                fault = self._next_fault()
-                if fault is not None:
-                    self.faults_injected += 1
-                    if fault.kind == "shard_crash":
-                        raise InjectedShardCrash(
-                            f"injected shard crash (cycle {self.cycles})"
-                        )
-                    if fault.kind == "slow_shard":
-                        time.sleep(fault.slow_seconds)
+                if self.crash_at is not None and self.cycles >= self.crash_at:
+                    raise InjectedShardCrash(
+                        f"injected shard crash (cycle {self.cycles})"
+                    )
                 if self._retired:
                     return  # replaced meanwhile; waiters already failed
                 self._run_items(items)
@@ -204,15 +191,6 @@ class Shard:
             self.exit_reason = f"{type(exc).__name__}: {exc}"
         finally:
             self._on_loop_exit(clean)
-
-    def _next_fault(self):
-        if self.fault_plan is None:
-            return None
-        fault = self.fault_plan.decide(self._fault_cycle)
-        self._fault_cycle += 1
-        if fault is not None and fault.kind not in ("shard_crash", "slow_shard"):
-            return None  # not a dispatcher-tier kind; someone else's fault
-        return fault
 
     def _on_loop_exit(self, clean: bool) -> None:
         """However the loop ended, nothing pending may hang (satellite fix).
@@ -374,7 +352,6 @@ class Shard:
             "pending": self.pending_count(),
             "oldest_pending_seconds": round(self.oldest_pending_age(), 3),
             "exit_reason": self.exit_reason,
-            "faults_injected": self.faults_injected,
         }
 
     def stats(self) -> dict:
@@ -404,15 +381,9 @@ class ShardManager:
         Optional :class:`~repro.net.admission.AdmissionController`;
         when present, every ``submit_many`` group passes admission
         before it can reach a dispatcher.
-    net_fault_plan:
-        Optional dispatcher-tier fault plan (chaos drills).  Applied
-        to the shard named by ``net_fault_shard`` (all shards when
-        ``None``) — and only to original shard incarnations: a shard
-        the supervisor rebuilds comes back fault-free, so an injected
-        crash cannot become a crash loop.
     engine_kwargs:
         Forwarded to every shard engine (``max_workers``,
-        ``cache_size``, ``max_batch``, ``timeout``, ``fault_plan``...).
+        ``cache_size``, ``max_batch``, ``timeout``).
         Each engine additionally gets ``labels={"shard": "<i>"}`` so
         the shared registry keeps per-shard latency series apart.
 
@@ -428,8 +399,6 @@ class ShardManager:
         *,
         shards: int = 1,
         admission: Optional[AdmissionController] = None,
-        net_fault_plan=None,
-        net_fault_shard: Optional[int] = None,
         shard_mode: str = "thread",
         heartbeat_ms: float = 1000.0,
         **engine_kwargs,
@@ -451,8 +420,6 @@ class ShardManager:
         self.shard_mode = shard_mode
         self.heartbeat_ms = float(heartbeat_ms)
         self._engine_kwargs = dict(engine_kwargs)
-        self._net_fault_plan = net_fault_plan
-        self._net_fault_shard = net_fault_shard
         self._names = list(names)
         # the partition, fixed for the manager's lifetime
         self._home: Dict[str, int] = {
@@ -464,7 +431,7 @@ class ShardManager:
         self.shards: List[Shard] = []
         try:
             for index in range(shards):
-                self.shards.append(self._build_shard(index, with_faults=True))
+                self.shards.append(self._build_shard(index))
                 if admission is not None:
                     admission.register_shard(index)
         except BaseException:
@@ -475,12 +442,8 @@ class ShardManager:
         self._registry = obs.get_registry()
         self._closed = False
 
-    def _build_shard(self, index: int, *, with_faults: bool) -> Shard:
+    def _build_shard(self, index: int) -> Shard:
         owned = [n for n in self._names if self._home[n] == index]
-        plan = None
-        if with_faults and self._net_fault_plan is not None:
-            if self._net_fault_shard is None or self._net_fault_shard == index:
-                plan = self._net_fault_plan
         if self.shard_mode == "process":
             from repro.net.worker import ProcessShard
 
@@ -488,7 +451,6 @@ class ShardManager:
             shard = ProcessShard(
                 index,
                 sub,
-                fault_plan=plan,
                 heartbeat_ms=self.heartbeat_ms,
                 engine_kwargs=self._engine_kwargs,
             )
@@ -500,7 +462,7 @@ class ShardManager:
             **self._engine_kwargs,
         )
         self.catalog.adopt(engine.catalog)  # reuse shard-loaded graphs
-        return Shard(index, engine, fault_plan=plan)
+        return Shard(index, engine)
 
     # ------------------------------------------------------------------
     # engine-facade surface (what ProtocolSession needs)
@@ -547,7 +509,7 @@ class ShardManager:
         """
         old = self.shards[index]
         old.retire("replaced by supervisor")
-        shard = self._build_shard(index, with_faults=False)
+        shard = self._build_shard(index)
         self.shards[index] = shard
         if self.shard_mode == "process":
             self._registry.counter(

@@ -89,7 +89,6 @@ from repro.service.serial import (
     pack_graph,
     unpack_graph,
 )
-from repro.resilience.faults import WORKER_FAULT_KINDS, plan_from_wire, plan_to_wire
 
 __all__ = [
     "HandshakeError",
@@ -148,28 +147,6 @@ def query_from_wire(data: Mapping) -> SSSPQuery:
 # ----------------------------------------------------------------------
 # the worker side (runs inside `repro shard-worker`)
 # ----------------------------------------------------------------------
-def _die_oom() -> None:
-    """Simulate an OOM kill: clamp our address space, then allocate.
-
-    ``resource.setrlimit(RLIMIT_AS)`` makes the failure real (the
-    allocator genuinely cannot map more memory), and ``os._exit(137)``
-    mirrors the exit status the kernel OOM killer produces.
-    """
-    try:
-        import resource
-
-        _, hard = resource.getrlimit(resource.RLIMIT_AS)
-        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, hard))
-        hog = []
-        while True:
-            hog.append(bytearray(16 << 20))
-    except MemoryError:
-        pass
-    except Exception:
-        pass
-    os._exit(137)
-
-
 class _WorkerProcess:
     """The worker's single-threaded serve loop over one parent socket."""
 
@@ -188,18 +165,6 @@ class _WorkerProcess:
         self._beat_due = time.monotonic() + self.heartbeat_seconds
         self.catalog = GraphCatalog()
         self.engine: Optional[QueryEngine] = None
-        self.fault_plan = None
-        self._request_index = 0
-
-    # -- faults --------------------------------------------------------
-    def _next_worker_fault(self):
-        if self.fault_plan is None:
-            return None
-        fault = self.fault_plan.decide(self._request_index)
-        self._request_index += 1
-        if fault is not None and fault.kind not in WORKER_FAULT_KINDS:
-            return None  # dispatcher-tier kinds run on the parent side
-        return fault
 
     # -- frame handlers ------------------------------------------------
     def _hello(self) -> None:
@@ -236,12 +201,9 @@ class _WorkerProcess:
         heartbeat_seconds = max(
             0.01, float(cfg.get("heartbeat_ms", self.heartbeat_seconds * 1000.0)) / 1000.0
         )
-        fault_plan = plan_from_wire(cfg.get("fault_plan"))
         engine = QueryEngine(self.catalog, **kwargs)
         # applied only once the whole frame parsed: a bad CONFIG changes nothing
-        self.heartbeat_seconds, self.fault_plan, self.engine = (
-            heartbeat_seconds, fault_plan, engine,
-        )
+        self.heartbeat_seconds, self.engine = heartbeat_seconds, engine
         send_json_frame(
             self.sock,
             FT_READY,
@@ -258,11 +220,6 @@ class _WorkerProcess:
         )
 
     def _handle_request(self, corr: int, payload: bytes) -> None:
-        fault = self._next_worker_fault()
-        if fault is not None and fault.kind == "worker_kill":
-            os.kill(os.getpid(), signal.SIGKILL)
-        if fault is not None and fault.kind == "worker_oom":
-            _die_oom()
         if self.engine is None:
             send_json_frame(
                 self.sock,
@@ -286,16 +243,12 @@ class _WorkerProcess:
                 },
             )
             return
-        frame = encode_json_frame(
+        send_json_frame(
+            self.sock,
             FT_RESPONSE,
             corr,
             {"responses": [r.to_wire() for r in responses]},
         )
-        if fault is not None and fault.kind == "frame_corrupt":
-            frame = bytearray(frame)
-            frame[-1] ^= 0xFF  # flip a payload bit *after* the CRC was set
-            frame = bytes(frame)
-        self.sock.sendall(frame)
 
     def _heartbeat(self) -> None:
         self._beat_due = time.monotonic() + self.heartbeat_seconds
@@ -438,7 +391,6 @@ class WorkerClient:
         graphs: Mapping[str, "object"],
         *,
         engine_kwargs: Optional[Mapping] = None,
-        fault_plan=None,
         heartbeat_ms: float = 1000.0,
         heartbeat_timeout_ms: Optional[float] = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
@@ -473,9 +425,7 @@ class WorkerClient:
             daemon=True,
         )
         try:
-            self._spawn(
-                dict(graphs), dict(engine_kwargs or {}), fault_plan, spawn_timeout
-            )
+            self._spawn(dict(graphs), dict(engine_kwargs or {}), spawn_timeout)
         except BaseException:
             self.close(graceful=False)
             raise
@@ -485,7 +435,6 @@ class WorkerClient:
         self,
         graphs: Dict[str, "object"],
         engine_kwargs: Dict,
-        fault_plan,
         spawn_timeout: float,
     ) -> None:
         """Start the worker, pair it by token, then adopt and configure.
@@ -566,7 +515,6 @@ class WorkerClient:
         config = {
             "engine": engine_config_to_wire(engine_kwargs),
             "heartbeat_ms": self.heartbeat_ms,
-            "fault_plan": plan_to_wire(fault_plan),
         }
         ready = self._call(FT_CONFIG, config, FT_READY, spawn_timeout).result()
         if ready.get("graphs") != self.graph_fingerprints:
@@ -912,8 +860,8 @@ class ProcessShard(Shard):
     """A Shard whose engine lives in a separate worker process.
 
     The parent keeps the dispatcher thread (queueing, merge-draining,
-    dispatcher-tier fault injection and the submit/death race handling
-    are inherited unchanged).  ``_run_items`` sends the merged group
+    the drill's ``crash_at`` and the submit/death race handling are
+    inherited unchanged).  ``_run_items`` sends the merged group
     to the worker as one REQUEST frame and returns once that round
     trip has settled, as a thread shard's returns once ``run_many``
     has.  Groups that arrive meanwhile queue up and leave together in
@@ -926,7 +874,6 @@ class ProcessShard(Shard):
         index: int,
         catalog: GraphCatalog,
         *,
-        fault_plan=None,
         heartbeat_ms: float = 1000.0,
         engine_kwargs: Optional[Mapping] = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
@@ -936,15 +883,12 @@ class ProcessShard(Shard):
             index,
             graphs,
             engine_kwargs=engine_kwargs,
-            fault_plan=fault_plan,
             heartbeat_ms=heartbeat_ms,
             spawn_timeout=spawn_timeout,
         )
         proxy = _WorkerEngineProxy(self._client, catalog)
         super().__init__(
-            index,
-            proxy,  # type: ignore[arg-type] — duck-typed engine facade
-            fault_plan=fault_plan,
+            index, proxy  # type: ignore[arg-type] — duck-typed engine facade
         )
 
     @property

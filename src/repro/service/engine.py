@@ -52,7 +52,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.obs.telemetry import TraceContext, WorkerEvents, emit_span
-from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import CorruptResultError, validate_result
 from repro.service.cache import LRUCache
 from repro.service.catalog import GraphCatalog
@@ -193,9 +192,6 @@ class QueryEngine:
         Pool configuration (see :class:`~repro.service.pool.ExecutorPool`).
     cache_size:
         LRU capacity in results (0 disables caching).
-    fault_plan:
-        Optional deterministic sabotage for chaos drills, passed to
-        the pool (see :class:`~repro.resilience.faults.FaultPlan`).
     max_batch:
         Coalescing width: concurrent cache-miss queries on the same
         ``(graph, algorithm, params)`` corridor are dispatched as one
@@ -218,7 +214,6 @@ class QueryEngine:
         max_workers: Optional[int] = None,
         timeout: Optional[float] = None,
         cache_size: int = 128,
-        fault_plan: Optional[FaultPlan] = None,
         max_batch: int = 1,
         labels: Optional[Mapping[str, str]] = None,
     ):
@@ -230,7 +225,6 @@ class QueryEngine:
             self._graphs,
             max_workers=max_workers,
             timeout=timeout,
-            fault_plan=fault_plan,
         )
         self.cache = LRUCache(cache_size)
         self.max_batch = int(max_batch)

@@ -27,11 +27,6 @@ slots currently held by abandoned-but-running tasks (decremented if
 the straggler eventually finishes) and :attr:`lost_workers` exposes
 the same number in-process.
 
-Deterministic sabotage for tests and chaos drills: pass a
-:class:`~repro.resilience.faults.FaultPlan` and the pool delays each
-planned task by its ``hang`` (chosen by submission index), so a
-shorter per-task timeout sees a hung task.
-
 The pool publishes ``service.pool.queue_depth`` (gauge) and
 ``service.pool.tasks`` (counter) through the observability context
 active at construction (see :mod:`repro.obs.context`).  The pool
@@ -50,7 +45,6 @@ from typing import Callable, List, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.graph.csr import CSRGraph
-from repro.resilience.faults import FaultPlan, FaultSpec, apply_fault
 
 __all__ = [
     "ExecutorPool",
@@ -68,10 +62,6 @@ def default_max_workers() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _run_faulted(fault: FaultSpec, fn: Callable, graph, args, kwargs):
-    return apply_fault(fault, lambda: fn(graph, *args, **kwargs))
-
-
 class ExecutorPool:
     """A thread pool over a fixed set of named graphs.
 
@@ -84,10 +74,6 @@ class ExecutorPool:
     timeout:
         Per-task timeout in seconds applied by :meth:`run` and
         :meth:`map_ordered` (``None`` = wait forever).
-    fault_plan:
-        Optional :class:`~repro.resilience.faults.FaultPlan`; when set,
-        each submission is sabotaged (or not) per the plan's seeded
-        decision for its submission index.
     """
 
     # reported by stats/health; worker processes are the shards' job
@@ -99,7 +85,6 @@ class ExecutorPool:
         *,
         max_workers: Optional[int] = None,
         timeout: Optional[float] = None,
-        fault_plan: Optional[FaultPlan] = None,
     ):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
@@ -108,12 +93,10 @@ class ExecutorPool:
         self._graphs = dict(graphs)
         self.max_workers = max_workers or default_max_workers()
         self.timeout = timeout
-        self.fault_plan = fault_plan
         self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._lock = threading.Lock()
         self._pending = 0
-        self._task_index = 0
         self._lost_workers = 0
         registry = obs.get_registry()
         self._depth_gauge = registry.gauge("service.pool.queue_depth")
@@ -204,19 +187,7 @@ class ExecutorPool:
                 f"unknown graph {graph_id!r} (have {self.graph_ids})"
             )
         executor = self._ensure_executor()
-        graph = self._graphs[graph_id]
-        fault = None
-        if self.fault_plan is not None:
-            with self._lock:
-                index = self._task_index
-                self._task_index += 1
-            fault = self.fault_plan.decide(index)
-        if fault is not None:
-            future = executor.submit(
-                _run_faulted, fault, fn, graph, args, kwargs
-            )
-        else:
-            future = executor.submit(fn, graph, *args, **kwargs)
+        future = executor.submit(fn, self._graphs[graph_id], *args, **kwargs)
         return self._track(future)
 
     def abandon(self, future: Future) -> bool:

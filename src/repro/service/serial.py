@@ -13,8 +13,7 @@ over the frame protocol:
   transfer can never seed a worker with wrong data;
 * :func:`engine_config_to_wire` / :func:`engine_config_from_wire` —
   the :class:`~repro.service.engine.QueryEngine` keyword arguments as
-  a JSON-safe dict (scalars as they are, fault plans via
-  :func:`repro.resilience.faults.plan_to_wire`).
+  a JSON-safe dict (every one a scalar).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.resilience.faults import plan_from_wire, plan_to_wire
 
 __all__ = [
     "pack_graph",
@@ -159,8 +157,6 @@ def engine_config_to_wire(kwargs: Mapping) -> dict:
     for key, value in dict(kwargs).items():
         if key in _SCALAR_KEYS:
             wire[key] = value
-        elif key == "fault_plan":
-            wire[key] = plan_to_wire(value)
         elif key == "labels":
             continue
         elif value is not None:
@@ -174,8 +170,6 @@ def engine_config_from_wire(data: Mapping) -> dict:
     for key, value in dict(data).items():
         if key in _SCALAR_KEYS:
             kwargs[key] = value
-        elif key == "fault_plan":
-            kwargs[key] = plan_from_wire(value)
         else:
             raise ValueError(f"unknown engine kwarg {key!r} on the wire")
     return kwargs

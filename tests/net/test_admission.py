@@ -56,15 +56,12 @@ def test_an_idle_shard_admits_at_once_after_sustained_shedding():
     assert adm.try_acquire(0, 2) is None  # drained: admitted at once
 
 
-def test_sheds_book_no_breaker_activity():
+def test_every_shed_answers_overloaded_and_emits_query_shed():
     registry, sink = obs.MetricsRegistry(), obs.ListSink()
     with obs.use(registry=registry, events=sink):
         adm = AdmissionController(max_inflight=0)
         reasons = [adm.try_acquire(0) for _ in range(70)]
     assert all(r.startswith(OVERLOADED_PREFIX) for r in reasons)
-    assert registry.counter("service.breaker.opened").value == 0
-    assert registry.counter("service.breaker.rejections").value == 0
-    assert sink.of_type("breaker_open") == []
     assert len(sink.of_type("query_shed")) == 70
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import itertools
+import json
 
 import pytest
 
@@ -14,12 +16,12 @@ from repro.net import (
 )
 from repro.net.admission import OVERLOADED_PREFIX
 from repro.net.loadgen import _Tally, summarize
-from repro.resilience import ScheduledFaultPlan, verify_answers
+from repro.resilience import verify_answers
 
 
-def _drive(manager, server_kwargs=None, **kwargs):
+def _drive(manager, **kwargs):
     async def main():
-        server = NetServer(manager, port=0, **(server_kwargs or {}))
+        server = NetServer(manager, port=0)
         await server.start()
         try:
             host, port = server.address
@@ -102,8 +104,8 @@ def test_dead_shard_traffic_classified_unavailable(catalog):
         shards=1,
         max_workers=1,
         admission=AdmissionController(max_inflight=64),
-        net_fault_plan=ScheduledFaultPlan(at=(0,), kind="shard_crash"),
     )
+    mgr.shards[0].crash_at = 0
     try:
         summary = _drive(
             mgr, connections=2, duration_seconds=0.4, zipf_a=1.2
@@ -116,21 +118,38 @@ def test_dead_shard_traffic_classified_unavailable(catalog):
     assert _invariant(summary)
 
 
-def test_reconnects_through_connection_drops(catalog):
-    mgr = ShardManager(catalog, shards=1, max_workers=2)
-    try:
-        summary = _drive(
-            mgr,
-            server_kwargs={
-                "fault_plan": ScheduledFaultPlan(at=(0, 3), kind="conn_drop")
-            },
-            connections=2,
-            duration_seconds=0.4,
-            zipf_a=1.2,
-        )
-    finally:
-        mgr.close()
-    assert summary["dropped"] >= 1
+def test_reconnects_through_connection_drops():
+    """Connections a server closes unanswered count as dropped, never hung."""
+    accepted = itertools.count()
+
+    async def stub(reader, writer):
+        # connection 0 is the graph discovery; 1 and 3 close on their
+        # first query, unanswered, so each worker meets one drop
+        index = next(accepted)
+        try:
+            while line := await reader.readline():
+                request = json.loads(line)
+                if request.get("op") == "graphs":
+                    reply = {"ok": True, "graphs": [{"id": "alpha", "nodes": 16}]}
+                elif index in (1, 3):
+                    return
+                else:
+                    reply = {"ok": True, "graph": "alpha", "source": request["source"]}
+                writer.write(json.dumps(reply).encode() + b"\n")
+                await writer.drain()
+        finally:
+            writer.close()
+
+    async def main():
+        server = await asyncio.start_server(stub, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        async with server:
+            return await run_loadgen(
+                f"{host}:{port}", connections=2, duration_seconds=0.4, zipf_a=1.2
+            )
+
+    summary = asyncio.run(main())
+    assert summary["dropped"] == 2
     assert summary["ok"] > 0  # the workers reconnected and kept going
     assert summary["hung"] == 0 and summary["errors"] == 0
     assert _invariant(summary)

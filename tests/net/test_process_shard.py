@@ -17,7 +17,6 @@ from repro.net import (
 )
 from repro.net import worker as worker_module
 from repro.net.worker import HandshakeError, WorkerClient
-from repro.resilience import ScheduledFaultPlan
 from repro.resilience.retry import RestartPolicy
 from repro.service import QueryEngine, SSSPQuery, handle_line
 
@@ -104,16 +103,17 @@ def test_stats_and_health_surface_worker_facts(process_manager):
 
 def test_worker_kill_mid_batch_fails_only_dead_shards_sources(catalog, registry):
     """A worker death mid-batch must never surface partial distances."""
-    mgr = ShardManager(
-        catalog,
-        shards=2,
-        shard_mode="process",
-        max_workers=1,
-        net_fault_plan=ScheduledFaultPlan(at=(0,), kind="worker_kill"),
-        net_fault_shard=0,
-    )
+    mgr = ShardManager(catalog, shards=2, shard_mode="process", max_workers=1)
+    victim = mgr.shards[0].client
+    send = victim.request
+
+    def kill_then_send(*args, **kwargs):  # the worker dies as its batch leaves
+        os.kill(victim.pid, signal.SIGKILL)
+        return send(*args, **kwargs)
+
+    victim.request = kill_then_send
     try:
-        # one batch spanning both shards: alpha (shard 0, sabotaged)
+        # one batch spanning both shards: alpha (shard 0, killed)
         # and beta (shard 1, healthy)
         queries = [
             SSSPQuery(graph_id="alpha", source=0),

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.net import AdmissionController, ShardDiedError, ShardManager
-from repro.resilience import ScheduledFaultPlan
 from repro.service import GraphCatalog, QueryEngine, SSSPQuery, handle_line
 
 
@@ -185,12 +184,8 @@ def test_engine_crash_fails_only_that_group(manager):
 
 def test_dispatcher_death_fails_pending_futures(catalog):
     """Satellite: a dying dispatch loop fails its queue, never strands it."""
-    mgr = ShardManager(
-        catalog,
-        shards=1,
-        max_workers=1,
-        net_fault_plan=ScheduledFaultPlan(at=(0,), kind="shard_crash"),
-    )
+    mgr = ShardManager(catalog, shards=1, max_workers=1)
+    mgr.shards[0].crash_at = 0
     try:
         fut = mgr.shards[0].submit([SSSPQuery(graph_id="alpha", source=0)])
         with pytest.raises(ShardDiedError):
@@ -204,13 +199,25 @@ def test_dispatcher_death_fails_pending_futures(catalog):
         mgr.close()
 
 
+def test_crash_at_lets_earlier_cycles_run(catalog):
+    """An armed shard answers the cycles before ``crash_at``, then dies once."""
+    mgr = ShardManager(catalog, shards=1, max_workers=1)
+    shard = mgr.shards[0]
+    assert shard.crash_at is None  # unarmed unless a drill sets it
+    shard.crash_at = 1
+    try:
+        (first,) = shard.submit([SSSPQuery(graph_id="alpha", source=0)]).result(timeout=5)
+        assert first.ok, first.error
+        with pytest.raises(ShardDiedError, match=r"injected shard crash \(cycle 1\)"):
+            shard.submit([SSSPQuery(graph_id="alpha", source=1)]).result(timeout=5)
+        assert shard.cycles == 1 and not shard.alive
+    finally:
+        mgr.close()
+
+
 def test_submit_to_dead_shard_is_retryable(catalog):
-    mgr = ShardManager(
-        catalog,
-        shards=1,
-        max_workers=1,
-        net_fault_plan=ScheduledFaultPlan(at=(0,), kind="shard_crash"),
-    )
+    mgr = ShardManager(catalog, shards=1, max_workers=1)
+    mgr.shards[0].crash_at = 0
     try:
         with pytest.raises(ShardDiedError):
             mgr.shards[0].submit(
@@ -225,13 +232,8 @@ def test_submit_to_dead_shard_is_retryable(catalog):
 def test_manager_converts_dead_shard_to_unavailable(catalog):
     """No supervisor attached: dead-shard traffic fast-fails in-band."""
     adm = AdmissionController(max_inflight=8)
-    mgr = ShardManager(
-        catalog,
-        shards=1,
-        max_workers=1,
-        admission=adm,
-        net_fault_plan=ScheduledFaultPlan(at=(0,), kind="shard_crash"),
-    )
+    mgr = ShardManager(catalog, shards=1, max_workers=1, admission=adm)
+    mgr.shards[0].crash_at = 0
     try:
         with pytest.raises(ShardDiedError):
             mgr.shards[0].submit(

@@ -10,6 +10,7 @@ clock: what they pin is that neither holds the lock ``report()`` takes.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 
@@ -17,8 +18,9 @@ import pytest
 
 from repro import obs
 from repro.net import AdmissionController, ShardManager, ShardSupervisor
-from repro.resilience import RestartPolicy, ScheduledFaultPlan
+from repro.resilience import RestartPolicy
 from repro.service import SSSPQuery
+from repro.service import engine as engine_module
 
 
 def _manager(catalog, **kwargs):
@@ -29,12 +31,21 @@ def _manager(catalog, **kwargs):
 
 def _crash_shard0(catalog, **kwargs):
     """A manager whose shard 0 dispatcher dies on its first cycle."""
-    return _manager(
-        catalog,
-        net_fault_plan=ScheduledFaultPlan(at=(0,), kind="shard_crash"),
-        net_fault_shard=0,
-        **kwargs,
-    )
+    mgr = _manager(catalog, **kwargs)
+    mgr.shards[0].crash_at = 0
+    return mgr
+
+
+def _sleep_first_run(monkeypatch, seconds):
+    """The engines' single-source runner sleeps ``seconds`` before its first run."""
+    real, runs = engine_module.run_algorithm, itertools.count()
+
+    def run_algorithm(*args, **kwargs):
+        if next(runs) == 0:
+            time.sleep(seconds)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "run_algorithm", run_algorithm)
 
 
 def _kill(mgr, index=0, timeout=2.0):
@@ -103,13 +114,10 @@ def test_restart_budget_exhaustion_marks_failed(catalog):
         mgr.close()
 
 
-def test_slow_cycle_is_not_a_dead_shard_fake_clock(catalog):
+def test_slow_cycle_is_not_a_dead_shard_fake_clock(catalog, monkeypatch):
     """A pool task far slower than any guess leaves its shard up."""
-    mgr = _manager(
-        catalog,
-        shards=1,
-        fault_plan=ScheduledFaultPlan(at=(0,), kind="hang", hang_seconds=1.0),
-    )
+    _sleep_first_run(monkeypatch, 1.0)
+    mgr = _manager(catalog, shards=1)
     try:
         sup = ShardSupervisor(mgr, restart_policy=RestartPolicy(budget=0))
         future = mgr.submit_many([SSSPQuery(graph_id="alpha", source=0)])
@@ -236,22 +244,17 @@ def test_restart_preserves_catalog_and_cache_keys(catalog):
         assert after_crashed.ok
         assert after_other.ok
         assert after_other.fingerprint == before.fingerprint
-        # replacement shard runs fault-free: no crash loop
-        assert mgr.shards[0].fault_plan is None
+        # the replacement is a new shard, unarmed: no crash loop
+        assert mgr.shards[0].crash_at is None
     finally:
         mgr.close()
 
 
-def test_retire_does_not_wait_for_an_abandoned_pool_task(catalog):
+def test_retire_does_not_wait_for_an_abandoned_pool_task(catalog, monkeypatch):
     """A pool task the timeout abandoned holds up neither retire nor health()."""
-    mgr = _manager(
-        catalog,
-        max_workers=2,
-        timeout=0.2,
-        fault_plan=ScheduledFaultPlan(at=(0,), kind="hang", hang_seconds=4.0),
-        net_fault_plan=ScheduledFaultPlan(at=(1,), kind="shard_crash"),
-        net_fault_shard=0,
-    )
+    _sleep_first_run(monkeypatch, 4.0)
+    mgr = _manager(catalog, max_workers=2, timeout=0.2)
+    mgr.shards[0].crash_at = 1
     sup = ShardSupervisor(
         mgr,
         restart_policy=RestartPolicy(budget=3, base_delay=0.05, jitter=0.0),
@@ -260,7 +263,7 @@ def test_retire_does_not_wait_for_an_abandoned_pool_task(catalog):
     sup.start()
     try:
         graph = next(g for g, s in mgr._home.items() if s == 0)
-        # cycle 0: pool task 0 hangs and is abandoned at the timeout,
+        # cycle 0: the first run sleeps and is abandoned at the timeout,
         # which answers; the straggler keeps its pool thread
         first = mgr.run(SSSPQuery(graph_id=graph, source=0))
         assert not first.ok and first.error == "timeout after 0.2s"
@@ -279,9 +282,9 @@ def test_retire_does_not_wait_for_an_abandoned_pool_task(catalog):
         assert row["state"] == "up" and row["restarts"] >= 1
         assert slowest < 0.5
         assert row["last_recovery_ms"] < 500
-        # the rebuilt engine keeps the pool fault plan: its task 0 hangs too
+        # the rebuilt shard starts clean: its first query answers
         again = mgr.run(SSSPQuery(graph_id=graph, source=2))
-        assert again.error == "timeout after 0.2s"
+        assert again.ok, again.error
         assert mgr.run(SSSPQuery(graph_id=graph, source=1)).ok
     finally:
         mgr.close(cancel_pending=True)
@@ -292,10 +295,9 @@ def test_health_answers_while_a_shard_rebuilds(catalog, monkeypatch):
     mgr = _crash_shard0(catalog)
     build = ShardManager._build_shard
 
-    def slow_rebuild(self, index, *, with_faults):
-        if not with_faults:  # a replacement, not the first build
-            time.sleep(1.0)
-        return build(self, index, with_faults=with_faults)
+    def slow_rebuild(self, index):  # patched after the first build
+        time.sleep(1.0)
+        return build(self, index)
 
     monkeypatch.setattr(ShardManager, "_build_shard", slow_rebuild)
     try:

@@ -40,7 +40,6 @@ from repro.net.worker import (
     query_to_wire,
     run_worker,
 )
-from repro.resilience import ScheduledFaultPlan
 from repro.service import QueryEngine, SSSPQuery
 from repro.service.catalog import GraphCatalog
 from repro.service.serial import pack_graph
@@ -178,26 +177,6 @@ def test_missed_request_deadline_marks_the_client_dead(grids, registry):
             assert "missed the deadline" in client.death_reason
         finally:
             os.kill(client.proc.pid, signal.SIGCONT)
-    finally:
-        client.close()
-
-
-def test_corrupt_response_fails_only_its_frame(grids, registry):
-    client = _client(
-        grids,
-        fault_plan=ScheduledFaultPlan(at=(0,), kind="frame_corrupt"),
-    )
-    try:
-        with pytest.raises(WorkerRequestError):
-            client.request(_wire("alpha", [0])).result(timeout=30.0)
-        assert (
-            registry.counter("net.worker.frames_corrupt", {"shard": "0"}).value
-            == 1
-        )
-        # the stream resynced: the very next request succeeds
-        body = client.request(_wire("alpha", [0])).result(timeout=30.0)
-        assert body["responses"][0]["ok"]
-        assert client.alive
     finally:
         client.close()
 
@@ -422,7 +401,7 @@ def paired(monkeypatch, registry):
     """``(client, peer)``: a WorkerClient and the worker end of its socket."""
     ours, peer = socket.socketpair()
 
-    def spawn(self, graphs, engine_kwargs, fault_plan, spawn_timeout):
+    def spawn(self, graphs, engine_kwargs, spawn_timeout):
         self.sock, self.proc, self.pid = ours, _NoProcess(), 0
         self.last_stats = {"queries": 0}
         self.last_health = {"pool": {"alive": True}}
@@ -439,6 +418,26 @@ def _answer_next(peer, frame_type: int, payload: bytes) -> None:
     """Read the client's next frame and answer its correlation id."""
     _, corr, _ = recv_frame(peer, idle_timeout=5.0)
     peer.sendall(encode_frame(frame_type, corr, payload))
+
+
+def test_corrupt_response_fails_only_its_frame(paired, registry):
+    """A RESPONSE whose CRC does not match fails its request alone, retryably."""
+    client, peer = paired
+    bad = client.request(_wire("alpha", [0]), deadline_seconds=1.0)
+    _, corr, _ = recv_frame(peer, idle_timeout=5.0)
+    frame = bytearray(encode_frame(FT_RESPONSE, corr, _json({"responses": []})))
+    frame[-1] ^= 0xFF  # a payload bit flipped after the CRC was set
+    peer.sendall(bytes(frame))
+    with pytest.raises(WorkerRequestError, match="corrupt frame"):
+        bad.result(timeout=1.0)
+    assert (
+        registry.counter("net.worker.frames_corrupt", {"shard": "0"}).value == 1
+    )
+    # the stream resynced: the very next request succeeds
+    good = client.request(_wire("alpha", [1]), deadline_seconds=1.0)
+    _answer_next(peer, FT_RESPONSE, _json({"responses": []}))
+    assert good.result(timeout=1.0) == {"responses": []}
+    assert client.alive
 
 
 @pytest.mark.parametrize("payload", [b"not json", b"[]"], ids=["not-json", "array"])

@@ -1,13 +1,13 @@
 """Integration tests for the query engine: cache, dedup, obs, errors."""
 
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.resilience import ScheduledFaultPlan
 from repro.service import GraphCatalog, QueryEngine, SSSPQuery
 from repro.service import engine as engine_module
 from repro.sssp.dijkstra import dijkstra
@@ -223,6 +223,9 @@ FAILURE_SHAPES = {
 
 OUT_OF_MEMORY = "cannot allocate the distance vector"
 
+# how long a "hang" runner sleeps before its run: past any test timeout
+HANG_SECONDS = 0.25
+
 
 def _negated(result):
     """``result`` with every finite distance negated and shifted by -1."""
@@ -231,7 +234,11 @@ def _negated(result):
 
 
 class _Runners:
-    """Stand-ins for the engine's two runners that count kernel runs."""
+    """Stand-ins for the engine's two runners that count kernel runs.
+
+    ``fault`` makes every run hang (sleep :data:`HANG_SECONDS` first),
+    raise ``MemoryError`` (``"oom"``) or return a corrupt result.
+    """
 
     def __init__(self, monkeypatch, fault):
         self.calls = 0
@@ -251,6 +258,8 @@ class _Runners:
         self.calls += 1
         if self.fault == "oom":
             raise MemoryError(OUT_OF_MEMORY)
+        if self.fault == "hang":
+            time.sleep(HANG_SECONDS)
         result = runner(*args)
         if self.fault != "corrupt":
             return result
@@ -275,17 +284,15 @@ class TestFailureContract:
             "corrupt": CORRUPT_ERRORS[shape],
             "oom": re.escape(f"MemoryError: {OUT_OF_MEMORY}"),
         }
-        hang = scenario == "hang"
-        runners = _Runners(monkeypatch, None if hang else scenario)
+        runners = _Runners(monkeypatch, scenario)
         queries = [SSSPQuery("grid", s, a) for s, a in FAILURE_SHAPES[shape]]
         registry = obs.MetricsRegistry()
         with obs.use(registry=registry, events=obs.ListSink()):
             with QueryEngine(
                 catalog,
                 max_workers=2,
-                timeout=0.05 if hang else None,
+                timeout=0.05 if scenario == "hang" else None,
                 max_batch=8,
-                fault_plan=ScheduledFaultPlan(at=(0,), kind="hang") if hang else None,
             ) as engine:
                 responses = engine.run_many(queries)
                 cache_size = len(engine.cache)

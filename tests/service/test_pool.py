@@ -6,7 +6,6 @@ import pytest
 
 from repro import obs
 from repro.graph.generators import grid_road_network, path_graph
-from repro.resilience import FaultPlan
 from repro.service.pool import ExecutorPool, PoolTimeoutError
 from repro.sssp.dijkstra import dijkstra
 
@@ -18,20 +17,6 @@ def _reached(graph, source):
 def _sleep_then(graph, source, seconds):
     time.sleep(seconds)
     return source
-
-
-def plan_with_pattern(kinds, pattern, rate=0.5):
-    """The first seed whose fault schedule matches ``pattern`` exactly.
-
-    Deterministic (FaultPlan.decide is a pure function of seed and
-    index), so tests get e.g. "task 0 faulted, task 1 clean" without
-    hard-coding magic seeds that silently rot.
-    """
-    for seed in range(10_000):
-        plan = FaultPlan(rate=rate, seed=seed, kinds=kinds)
-        if [plan.decide(i) is not None for i in range(len(pattern))] == pattern:
-            return plan
-    raise AssertionError(f"no seed matches pattern {pattern}")
 
 
 class TestConstruction:
@@ -125,25 +110,6 @@ class TestAbandonAndLostWorkers:
             assert pool.abandon(queued) is True  # cancelled before starting
             assert pool.lost_workers == 0
             assert blocker.result() == 0
-
-
-class TestFaultInjection:
-    def test_planned_fault_raises_in_thread_mode(self):
-        plan = FaultPlan(rate=1.0, kinds=("hang",))
-        with ExecutorPool(
-            {"p": path_graph(3)}, fault_plan=plan, timeout=0.1
-        ) as pool:
-            with pytest.raises(PoolTimeoutError):
-                pool.run("p", _reached, 0)
-
-    def test_clean_indices_run_clean(self):
-        plan = plan_with_pattern(("hang",), [False, True])
-        with ExecutorPool(
-            {"p": path_graph(3)}, fault_plan=plan, timeout=0.1
-        ) as pool:
-            assert pool.run("p", _reached, 0) == 3  # index 0 is clean
-            with pytest.raises(PoolTimeoutError):
-                pool.run("p", _reached, 0)  # index 1 is not
 
 
 class TestMetrics:

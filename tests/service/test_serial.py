@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import grid_road_network
-from repro.resilience import FaultPlan, ScheduledFaultPlan
 from repro.service.serial import (
     GraphTransferError,
     engine_config_from_wire,
@@ -136,20 +135,6 @@ def test_engine_config_round_trips_scalars():
     }
     wire = engine_config_to_wire(kwargs)
     assert engine_config_from_wire(wire) == kwargs
-
-
-def test_engine_config_round_trips_policies():
-    kwargs = {
-        "fault_plan": ScheduledFaultPlan(at=(2,), kind="worker_kill"),
-    }
-    got = engine_config_from_wire(engine_config_to_wire(kwargs))
-    assert got["fault_plan"] == kwargs["fault_plan"]
-
-
-def test_engine_config_round_trips_seeded_fault_plan():
-    kwargs = {"fault_plan": FaultPlan(rate=0.5, seed=9, kinds=("hang",))}
-    got = engine_config_from_wire(engine_config_to_wire(kwargs))
-    assert got["fault_plan"] == kwargs["fault_plan"]
 
 
 def test_engine_config_drops_labels_keeps_none_scalars():

@@ -284,8 +284,8 @@ class TestServeCommand:
                 str(requests),
                 "--scale",
                 "0.003",
-                "--fault-rate",
-                "0.5",
+                "--timeout",
+                "30",
                 "-q",
             ]
         )
@@ -363,42 +363,66 @@ class TestQueryCommand:
             main(["query", "no-such-graph", "--scale", "0.003"])
 
 
-class TestBadResilienceOptions:
-    """Bad fault options exit with one line, no traceback."""
+# option values serve and query reject alike: (options, the one line)
+_SHARED_BAD = {
+    "workers": (["--workers", "0"], "bad --workers: must be >= 1, got 0"),
+    "max-batch": (["--max-batch", "0"], "bad --max-batch: must be >= 1, got 0"),
+    "timeout-0": (["--timeout", "0"], "bad --timeout: must be > 0, got 0.0"),
+    "timeout-neg": (["--timeout", "-1"], "bad --timeout: must be > 0, got -1.0"),
+    "cache-size": (["--cache-size", "-1"], "bad --cache-size: must be >= 0, got -1"),
+    "scale": (["--scale", "-1"], "bad --scale: must be > 0, got -1.0"),
+}
+_SERVE = ["serve", "--scale", "0.003", "-q"]
+_QUERY = ["query", "cal", "--scale", "0.003", "-q"]
+_BAD_OPTIONS = {
+    **{
+        f"{command[0]}-{case}": (command + options, message)
+        for command in (_SERVE, _QUERY)
+        for case, (options, message) in _SHARED_BAD.items()
+    },
+    "listen-nonsense": (
+        _SERVE + ["--listen", "nonsense"],
+        "bad --listen: expected HOST:PORT, got 'nonsense'",
+    ),
+    "listen-port": (
+        _SERVE + ["--listen", "127.0.0.1:99999"],
+        "bad --listen: port 99999 is not in 0-65535",
+    ),
+    "serve-heartbeat": (
+        _SERVE + ["--shards", "2", "--heartbeat-ms", "0"],
+        "bad --heartbeat-ms: must be > 0, got 0.0",
+    ),
+    "loadgen-target": (
+        ["loadgen", "notanaddress"],
+        "bad target: expected HOST:PORT, got 'notanaddress'",
+    ),
+    "chaos-crash-at": (["chaos-net", "--crash-at", "-1"], "bad --crash-at: must be >= 0, got -1"),
+    "chaos-workers": (["chaos-net", "--workers", "0"], "bad --workers: must be >= 1, got 0"),
+    "chaos-scale": (["chaos-net", "--scale", "-1"], "bad --scale: must be > 0, got -1.0"),
+    "chaos-heartbeat": (
+        ["chaos-net", "--heartbeat-ms", "0"],
+        "bad --heartbeat-ms: must be > 0, got 0.0",
+    ),
+}
 
-    COMMANDS = {
-        "serve": ["serve", "--scale", "0.003", "-q"],
-        "query": ["query", "cal", "--scale", "0.003", "-q"],
-    }
 
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    @pytest.mark.parametrize(
-        "options, message",
-        [
-            (
-                ["--fault-rate", "1.5"],
-                "bad --fault-rate/--fault-hang: rate must be in [0, 1]",
-            ),
-            (
-                ["--fault-rate", "0.5", "--fault-hang", "-1"],
-                "bad --fault-rate/--fault-hang: hang_seconds must be >= 0",
-            ),
-        ],
-        ids=["fault-rate", "fault-hang"],
-    )
-    def test_exits_with_one_line(self, command, options, message):
+class TestBadOptionValues:
+    """An option value out of range exits with one line, no traceback."""
+
+    @pytest.mark.parametrize("case", sorted(_BAD_OPTIONS))
+    def test_exits_with_one_line(self, case):
+        argv, message = _BAD_OPTIONS[case]
         with pytest.raises(SystemExit) as exc:
-            main([*self.COMMANDS[command], *options])
+            main(argv)
         assert str(exc.value) == message
 
-    def test_help_lists_only_pool_kinds(self, capsys):
+    def test_help_names_no_removed_option(self, capsys):
         with pytest.raises(SystemExit):
             main(["serve", "--help"])
         out = " ".join(capsys.readouterr().out.split())
-        assert "inject a hang into this fraction of pool tasks" in out
-        assert "--fault-kinds" not in out
-        assert "poolbreak" not in out
-        assert "--pool-mode" not in out
+        for removed in ("--fault-rate", "--fault-hang", "--fault-kinds", "poolbreak",
+                        "--pool-mode"):
+            assert removed not in out
 
     def test_process_exits_1_without_traceback(self):
         import os
@@ -412,16 +436,14 @@ class TestBadResilienceOptions:
         proc = subprocess.run(
             [
                 _sys.executable, "-m", "repro", "serve", "--scale", "0.003",
-                "--fault-rate", "1.5",
+                "--workers", "0",
             ],
             capture_output=True, text=True, env=env, timeout=60,
             stdin=subprocess.DEVNULL,
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.strip() == (
-            "bad --fault-rate/--fault-hang: rate must be in [0, 1]"
-        )
+        assert proc.stderr.strip() == "bad --workers: must be >= 1, got 0"
 
 
 class TestBadSampleRate:
@@ -853,9 +875,8 @@ class TestNetServeAndLoadgen:
         assert strip(process) == strip(threaded)
 
     def test_chaos_net_rejects_worker_kinds_in_thread_mode(self):
-        for kind in ("worker_kill", "worker_oom", "frame_corrupt"):
-            with pytest.raises(SystemExit, match="process"):
-                main(["chaos-net", "--fault-kind", kind])
+        with pytest.raises(SystemExit, match="process"):
+            main(["chaos-net", "--fault-kind", "worker_kill"])
 
     def test_chaos_net_process_mode_gates_recovery_metric(
         self, tmp_path, capsys
@@ -980,6 +1001,7 @@ class TestSupervisedServe:
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_listen_answers_a_request_slower_than_any_guess(self, mode):
+        """An honest long request answers: 256 Bellman-Ford sources, 3-4 s on 2 vCPUs."""
         import json
         import socket
         import subprocess
@@ -990,8 +1012,7 @@ class TestSupervisedServe:
             port = probe.getsockname()[1]
         proc = _serve_proc(
             "--listen", f"127.0.0.1:{port}", "--scale", "0.003",
-            "--shard-mode", mode, "--fault-rate", "1",
-            "--fault-hang", "2.5", "-q",
+            "--shard-mode", mode, "-q",
             stderr=subprocess.DEVNULL,
         )
         try:
@@ -1004,10 +1025,11 @@ class TestSupervisedServe:
                     assert proc.poll() is None, "serve --listen exited"
                     assert time.monotonic() < deadline, "never came up"
                     time.sleep(0.2)
+            heavy = {
+                "graph": "cal", "sources": list(range(256)), "algorithm": "bellman-ford",
+            }
             with conn, conn.makefile("rb") as answers:
-                conn.sendall(
-                    b'{"graph": "cal", "source": 0, "algorithm": "nearfar"}\n'
-                )
+                conn.sendall(json.dumps(heavy).encode() + b"\n")
                 answer = json.loads(_read_line(answers, 30.0))
                 assert answer["ok"], answer
                 conn.sendall(b'{"op": "health"}\n')

@@ -51,6 +51,12 @@ error, so nothing names the engine's retry loop (``RetryPolicy``,
 kind (``breaker`` matches as a substring), the simulated ``transient``
 and ``crash`` pool faults, or the ``--fault-kinds`` and
 ``--fault-seed`` options that only the chaos drill's retries needed.
+Chaos drills kill real shards (a SIGKILLed worker, a crash armed on a
+live dispatcher through ``Shard.crash_at``), so nothing names a fault
+plan, its wire form, the per-layer hooks that consulted it, the kinds
+only tests drove (``slow_shard``, ``conn_drop``, ``worker_oom``,
+``frame_corrupt``), the ``--fault-rate``/``--fault-hang`` options or the
+drop counter that only ever counted injected drops.
 """
 
 from __future__ import annotations
@@ -269,6 +275,32 @@ REMOVED_NAMES = (
     "fault-kinds",
     "fault-seed",
     "fault_seed",
+    # chaos drills kill real shards: no fault plan threaded through the
+    # pool, engine, shards, workers and server, and no flag that set one
+    "FaultPlan",
+    "FaultSpec",
+    "apply_fault",
+    "plan_to_wire",
+    "plan_from_wire",
+    "FAULT_KINDS",
+    "fault_plan",
+    "net_fault_shard",
+    "_next_fault",
+    "_next_worker_fault",
+    "_die_oom",
+    "faults_injected",
+    "slow_shard",
+    "conn_drop",
+    "worker_oom",
+    "frame_corrupt",
+    "fault-rate",
+    "fault_rate",
+    "fault-hang",
+    "fault_hang",
+    "hang_seconds",
+    "slow_seconds",
+    "conns_dropped",
+    "connections.dropped",
 )
 
 
@@ -415,6 +447,12 @@ def test_removed_dispatch_layers_not_imported():
         "'--fault-seed', a.fault_seed\n"
         "class CircuitBreaker: pass\n"
         "def board(): return BreakerBoard()\n"
+        "ScheduledFaultPlan(at=(0,), kind='slow_shard', slow_seconds=0.3), FaultSpec('hang'), "
+        "apply_fault(f, g), plan_to_wire(p), plan_from_wire(w), NET_FAULT_KINDS, "
+        "Shard(0, e, fault_plan=p, net_fault_shard=0), s._next_fault(), w._next_worker_fault(), "
+        "_die_oom(), s.faults_injected, ('conn_drop', 'worker_oom', 'frame_corrupt'), "
+        "'--fault-rate', a.fault_rate, '--fault-hang', a.fault_hang, hang_seconds, "
+        "n.conns_dropped, 'net.connections.dropped'\n"
     )
     assert sorted(_removed_imports(probe, "probe.py")) == [
         "probe.py:10: names merge_snapshot",
@@ -451,6 +489,7 @@ def test_removed_dispatch_layers_not_imported():
         "probe.py:15: names record_breaker",
         "probe.py:15: names reset_shard",
         "probe.py:16: names BreakerConfig",
+        "probe.py:16: names FaultPlan",
         "probe.py:16: names InjectedCrashError",
         "probe.py:16: names InjectedTransientError",
         "probe.py:16: names RetryPolicy",
@@ -464,6 +503,30 @@ def test_removed_dispatch_layers_not_imported():
         "probe.py:16: names retry_exhausted",
         "probe.py:17: names CircuitBreaker",
         "probe.py:18: names BreakerBoard",
+        "probe.py:19: names FAULT_KINDS",
+        "probe.py:19: names FaultPlan",
+        "probe.py:19: names FaultSpec",
+        "probe.py:19: names _die_oom",
+        "probe.py:19: names _next_fault",
+        "probe.py:19: names _next_worker_fault",
+        "probe.py:19: names apply_fault",
+        "probe.py:19: names conn_drop",
+        "probe.py:19: names connections.dropped",
+        "probe.py:19: names conns_dropped",
+        "probe.py:19: names fault-hang",
+        "probe.py:19: names fault-rate",
+        "probe.py:19: names fault_hang",
+        "probe.py:19: names fault_plan",
+        "probe.py:19: names fault_rate",
+        "probe.py:19: names faults_injected",
+        "probe.py:19: names frame_corrupt",
+        "probe.py:19: names hang_seconds",
+        "probe.py:19: names net_fault_shard",
+        "probe.py:19: names plan_from_wire",
+        "probe.py:19: names plan_to_wire",
+        "probe.py:19: names slow_seconds",
+        "probe.py:19: names slow_shard",
+        "probe.py:19: names worker_oom",
         "probe.py:1: names ProcessPoolExecutor",
         "probe.py:3: names ProcessPoolExecutor",
         "probe.py:4: names poolbreak",
