@@ -54,6 +54,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -1608,7 +1609,8 @@ def _cmd_shard_worker(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code (141, quietly,
+    when the reader of stdout closes it early, as after SIGPIPE)."""
     args = build_parser().parse_args(argv)
     handlers = {
         "experiment": _cmd_experiment,
@@ -1625,7 +1627,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "shard-worker": _cmd_shard_worker,
         "version": _cmd_version,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except BrokenPipeError:
+        # stdout is gone: point it at /dev/null so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -61,13 +61,11 @@ class AdvanceModel:
             raise ValueError("stage workloads must be non-negative")
         if x1 == 0:
             return  # an empty frontier carries no degree information
-        x1f, x2f = float(x1), float(x2)
-        residual = x2f - self.sgd.value * x1f
-        grad = -2.0 * residual * x1f
-        hess = 2.0 * x1f * x1f
-        self.sgd.update(grad, hess)
-        if self.sgd.value < self.d_min:
-            self.sgd.value = self.d_min
+        sgd = self.sgd
+        x1f = float(x1)
+        residual = float(x2) - sgd.value * x1f
+        if sgd.update(-2.0 * residual * x1f, 2.0 * x1f * x1f) < self.d_min:
+            sgd.value = self.d_min
 
     def predict(self, x1: int) -> float:
         """``X̂^(2)`` for a frontier of size ``x1``."""

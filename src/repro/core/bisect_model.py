@@ -77,12 +77,11 @@ class BisectModel:
             raise ValueError("stage workloads must be non-negative")
         if delta_change == 0.0:
             return
-        residual = float(x1_next) - (float(x4) + self.sgd.value * delta_change)
+        sgd = self.sgd
+        residual = float(x1_next) - (float(x4) + sgd.value * delta_change)
         grad = -2.0 * residual * delta_change
-        hess = 2.0 * delta_change * delta_change
-        self.sgd.update(grad, hess)
-        if self.sgd.value < self.alpha_min:
-            self.sgd.value = self.alpha_min
+        if sgd.update(grad, 2.0 * delta_change * delta_change) < self.alpha_min:
+            sgd.value = self.alpha_min
 
     def predict(self, x4: int, delta_change: float) -> float:
         """``X̂_{k+1}^(1)`` after applying ``delta_change`` to a frontier of ``x4``."""

@@ -19,7 +19,9 @@ is the paper's deployment (controller on the CPU, kernels on the GPU).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from time import perf_counter
+from typing import NamedTuple
 
 from repro.core.advance_model import AdvanceModel
 from repro.core.bisect_model import BisectModel
@@ -81,23 +83,18 @@ class ControllerConfig:
             raise ValueError("sgd_mode must be 'adaptive' or 'fixed'")
 
 
-@dataclass(frozen=True)
-class DeltaDecision:
-    """What the controller decided for the next iteration."""
+class DeltaDecision(NamedTuple):
+    """What the controller decided for the next iteration.
+
+    A named tuple: one is built per iteration, and a frozen dataclass
+    costs three times as much to build (1.3 vs 0.4 µs).
+    """
 
     delta: float
     delta_change: float
     alpha_used: float
     target_frontier: float
     bootstrapped: bool
-
-
-@dataclass
-class _PendingObservation:
-    """BISECT-MODEL training sample awaiting its X^(1)_next label."""
-
-    x4: int
-    delta_change: float
 
 
 class SetpointController:
@@ -127,10 +124,13 @@ class SetpointController:
             convergence_updates=config.bootstrap_updates,
             sgd_mode=config.sgd_mode,
         )
-        self._pending: _PendingObservation | None = None
-        # span-based controller CPU accounting (§5.2 overhead): always
-        # on, because the overhead *is* a result the paper reports
-        self.spans = SpanRecorder()
+        # BISECT-MODEL sample (X^(4), Δδ) awaiting its X^(1)_next label
+        self._pending: tuple[int, float] | None = None
+        # controller CPU accounting (§5.2 overhead): always on, because
+        # the overhead *is* a result the paper reports; one perf_counter
+        # pair per call, booked as [calls, seconds] under the call's name
+        self.seconds = 0.0
+        self._calls = {n: [0, 0.0] for n in ("begin_iteration", "observe_advance", "plan")}
         self.decisions: int = 0
         # optional metrics fan-out (no-op unless a registry is active)
         reg = obs.get_registry()
@@ -146,17 +146,18 @@ class SetpointController:
         The pending (X^(4), Δδ) pair from the previous iteration predicted
         this X^(1); now that it is observed, run the Algorithm-1 step.
         """
-        with self.spans.span("begin_iteration"):
-            if self._pending is not None:
-                self.bisect_model.observe(
-                    self._pending.x4, self._pending.delta_change, x1
-                )
-                self._pending = None
+        t0 = perf_counter()
+        if self._pending is not None:
+            x4, delta_change = self._pending
+            self.bisect_model.observe(x4, delta_change, x1)
+            self._pending = None
+        self._book("begin_iteration", perf_counter() - t0)
 
     def observe_advance(self, x1: int, x2: int) -> None:
         """ADVANCE-MODEL training step from the true (X^(1), X^(2))."""
-        with self.spans.span("observe_advance"):
-            self.advance_model.observe(x1, x2)
+        t0 = perf_counter()
+        self.advance_model.observe(x1, x2)
+        self._book("observe_advance", perf_counter() - t0)
 
     def invalidate_pending(self) -> None:
         """Drop the pending BISECT-MODEL sample.
@@ -198,25 +199,26 @@ class SetpointController:
             Occupancy and upper bound of the current far-queue
             partition, feeding the Eq. 8 bootstrap.
         """
-        sp = self.spans.span("plan")
-        with sp:
-            decision = self._plan(
-                x4,
-                window_lower=window_lower,
-                window_split=window_split,
-                far_total=far_total,
-                far_partition_size=far_partition_size,
-                far_partition_upper=far_partition_upper,
-            )
+        t0 = perf_counter()
+        decision = self._plan(
+            x4, window_lower, window_split, far_total, far_partition_size, far_partition_upper
+        )
+        elapsed = perf_counter() - t0
+        self._book("plan", elapsed)
         self.decisions += 1
-        self._m_plan.observe(sp.elapsed)
+        self._m_plan.observe(elapsed)
         self._m_decisions.inc()
         return decision
+
+    def _book(self, name: str, elapsed: float) -> None:
+        stat = self._calls[name]
+        stat[0] += 1
+        stat[1] += elapsed
+        self.seconds += elapsed
 
     def _plan(
         self,
         x4: int,
-        *,
         window_lower: float,
         window_split: float,
         far_total: int,
@@ -229,13 +231,8 @@ class SetpointController:
         if far_total == 0 and float(x4) <= target_x1:
             # under target with an empty far queue: the knob is inert
             self._pending = None
-            return DeltaDecision(
-                delta=self.delta,
-                delta_change=0.0,
-                alpha_used=self.bisect_model.alpha,
-                target_frontier=target_x1,
-                bootstrapped=not self.bisect_model.converged,
-            )
+            model = self.bisect_model
+            return DeltaDecision(self.delta, 0.0, model.alpha, target_x1, not model.converged)
 
         bootstrapped = cfg.use_bootstrap and not self.bisect_model.converged
         if bootstrapped:
@@ -263,14 +260,8 @@ class SetpointController:
         change = new_delta - self.delta
         self.delta = new_delta
 
-        self._pending = _PendingObservation(x4=x4, delta_change=change)
-        return DeltaDecision(
-            delta=new_delta,
-            delta_change=change,
-            alpha_used=alpha,
-            target_frontier=target_x1,
-            bootstrapped=bootstrapped,
-        )
+        self._pending = (x4, change)
+        return DeltaDecision(new_delta, change, alpha, target_x1, bootstrapped)
 
     def _bootstrap_alpha(
         self,
@@ -308,9 +299,11 @@ class SetpointController:
     # reporting
     # ------------------------------------------------------------------
     @property
-    def seconds(self) -> float:
-        """Cumulative controller CPU time (§5.2 overhead), from spans."""
-        return self.spans.total_seconds
+    def spans(self) -> SpanRecorder:
+        """Profile of the calls, one path each; sums to :attr:`seconds`."""
+        spans = SpanRecorder()
+        spans.merge({"path": p, "count": c, "seconds": t} for p, (c, t) in self._calls.items() if c)
+        return spans
 
     @property
     def d(self) -> float:

@@ -73,35 +73,41 @@ class AdaptiveSGD:
     def update(self, grad: float, hess: float) -> float:
         """One Algorithm-1 step given this iteration's ∇ and ∇².
 
-        Returns the new parameter value.
+        Returns the new parameter value.  Two run per controller
+        iteration, so fields are read once and ``max``/``min`` are
+        spelled as conditionals that pick the same operand, NaN included.
         """
         if not (hess >= 0):  # also rejects NaN
             raise ValueError(f"second derivative must be >= 0, got {hess}")
-        tinv = 1.0 / max(self.tau, 1.0)
+        tau = self.tau
+        tinv = 1.0 / (1.0 if 1.0 > tau else tau)  # 1 / max(τ, 1)
+        keep = 1.0 - tinv
 
-        self.g_bar = (1.0 - tinv) * self.g_bar + tinv * grad
-        self.v_bar = (1.0 - tinv) * self.v_bar + tinv * grad * grad
-        self.h_bar = (1.0 - tinv) * self.h_bar + tinv * hess
+        g_bar = self.g_bar = keep * self.g_bar + tinv * grad
+        v_bar = self.v_bar = keep * self.v_bar + tinv * grad * grad
+        h_bar = self.h_bar = keep * self.h_bar + tinv * hess
 
-        v = max(self.v_bar, self.epsilon)
-        h = max(self.h_bar, self.epsilon)
-        mu = (self.g_bar * self.g_bar) / (h * v)
-        self.last_mu = mu
+        eps = self.epsilon
+        v = eps if eps > v_bar else v_bar  # max(v̄, ε)
+        h = eps if eps > h_bar else h_bar  # max(h̄, ε)
+        g2 = g_bar * g_bar
+        mu = self.last_mu = g2 / (h * v)
 
         # line 7: adapt the memory constant; ḡ²/v̄ ∈ [0, 1] because the
         # EMA of squares dominates the square of the EMA
-        ratio = min(1.0, (self.g_bar * self.g_bar) / v)
-        self.tau = (1.0 - ratio) * self.tau + 1.0
+        ratio = g2 / v
+        self.tau = (1.0 - (ratio if ratio < 1.0 else 1.0)) * tau + 1.0
 
         step = mu * grad
-        cap = self.max_relative_step * max(abs(self.value), self.step_floor)
+        value = self.value
+        cap = self.max_relative_step * max(abs(value), self.step_floor)
         if step > cap:
             step = cap
         elif step < -cap:
             step = -cap
-        self.value -= step
+        value = self.value = value - step
         self.updates += 1
-        return self.value
+        return value
 
     def reset(self, value: float | None = None) -> None:
         """Forget all state (optionally resetting θ)."""

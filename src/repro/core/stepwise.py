@@ -19,6 +19,7 @@ drives this stepper to completion.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
@@ -157,8 +158,9 @@ class AdaptiveNearFarStepper:
             raise ValueError("setpoint must be positive")
         self.controller.setpoint = float(value)
 
-    def step(self) -> Optional[IterationRecord]:
-        """Run one outer iteration; ``None`` once the run has finished."""
+    def step(self, *, record: bool = True) -> Optional[IterationRecord]:
+        """Run one outer iteration; ``None`` once the run has finished,
+        and always with ``record=False``, which builds no record."""
         if self.done:
             return None
         self.iterations += 1
@@ -232,7 +234,7 @@ class AdaptiveNearFarStepper:
         if (
             not self.fallback
             and self.iterations % params.refresh_period == 0
-            and np.isfinite(alpha)
+            and math.isfinite(alpha)
             and alpha > 0
         ):
             partitions.refresh_boundaries(controller.setpoint, alpha)
@@ -283,8 +285,11 @@ class AdaptiveNearFarStepper:
                 }
             )
 
-        now = float(controller.seconds)
-        record = IterationRecord(
+        now = controller.seconds
+        seconds, self._controller_prev_seconds = now - self._controller_prev_seconds, now
+        if not record:
+            return None
+        return IterationRecord(
             k=self.iterations - 1,
             x1=x1,
             x2=adv.x2,
@@ -299,10 +304,8 @@ class AdaptiveNearFarStepper:
             far_scanned=far_scanned,
             d_estimate=controller.d,
             alpha_estimate=controller.alpha,
-            controller_seconds=now - self._controller_prev_seconds,
+            controller_seconds=seconds,
         )
-        self._controller_prev_seconds = now
-        return record
 
     # ------------------------------------------------------------------
     # divergence fallback
@@ -343,8 +346,8 @@ class AdaptiveNearFarStepper:
         """Drive to completion, appending records to ``trace`` if given."""
         params = self.params
         while not self.done:
-            record = self.step()
-            if trace is not None and record is not None:
+            record = self.step(record=trace is not None)
+            if record is not None:
                 trace.append(record)
             if params.max_iterations and self.iterations >= params.max_iterations:
                 break

@@ -6,9 +6,9 @@ this substrate offers:
 
 * the **measured** wall-clock time the Python controller spent per
   run, normalised per second of wall-clock algorithm time.  Both
-  numbers come from the same :class:`repro.obs.spans.SpanRecorder`
-  clock: the experiment times the whole run in a span, and the
-  controller times itself with its own recorder.
+  numbers read the same ``perf_counter`` clock: the experiment times
+  the whole run in a :class:`repro.obs.spans.SpanRecorder` span, and
+  the controller times each of its calls itself.
 * the **simulated** platform view: the modelled per-iteration CPU
   overhead as a fraction of simulated device time.
 

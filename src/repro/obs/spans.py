@@ -12,12 +12,13 @@ controller and the overhead experiment used to carry around: every
 timed region in the package now reads the same clock through the same
 accounting.
 
-:class:`SpanRecorder` is always cheap enough to keep on (one
-``perf_counter`` pair and a dict update per span), so objects that
-*need* timing (the controller) own a private recorder
-unconditionally; code that only wants timing when observability is on
-goes through the active context's recorder, which defaults to
-:data:`NULL_SPANS`.
+:class:`SpanRecorder` is cheap enough to keep on per request (one
+``perf_counter`` pair, a stack push and pop and a locked dict update
+per span); code that only wants timing when observability is on goes
+through the active context's recorder, which defaults to
+:data:`NULL_SPANS`.  The set-point controller, timed on every
+iteration, books its own ``perf_counter`` pairs and hands out the same
+flat profile as :attr:`SetpointController.spans`.
 """
 
 from __future__ import annotations

@@ -29,6 +29,10 @@ Detection rules (any one trips the guard):
 Thresholds are deliberately conservative: a settling controller
 under-shoots and corrects, which is two or three alternations, not
 ``window`` of them at full amplitude.
+
+The sign test is incremental (the guard runs every iteration): each
+series counts its run of alternating nonzero diffs, and the means are
+summed only once that run spans the window.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from itertools import islice
+from typing import Optional
 
 __all__ = ["GuardConfig", "DivergenceGuard"]
 
@@ -58,19 +63,36 @@ class GuardConfig:
             raise ValueError("oscillation_ratio must be positive")
 
 
-def _alternating_and_violent(values: Deque[float], ratio: float) -> bool:
-    """Every consecutive diff flips sign and mean |diff| > ratio*mean|v|."""
-    seq = list(values)
-    diffs = [b - a for a, b in zip(seq, seq[1:])]
-    if len(diffs) < 2 or any(d == 0.0 for d in diffs):
-        return False
-    if any((a > 0) == (b > 0) for a, b in zip(diffs, diffs[1:])):
-        return False
-    mean_level = sum(abs(v) for v in seq) / len(seq)
-    if mean_level <= 0:
-        return False
-    mean_swing = sum(abs(d) for d in diffs) / len(diffs)
-    return mean_swing > ratio * mean_level
+class _Series:
+    """One watched series: its last ``window`` values, and the length of
+    the run of nonzero sign-alternating diffs ending at the newest."""
+
+    __slots__ = ("values", "run", "rising")
+
+    def __init__(self, window: int):
+        self.values, self.run, self.rising = deque(maxlen=window), 0, False
+
+    def oscillates(self, value: float, ratio: float) -> bool:
+        """Append ``value``; True when every diff in the window is
+        nonzero and flips the sign of the one before it, and the mean
+        |diff| exceeds ``ratio`` × the mean |value|."""
+        values = self.values
+        if values:
+            diff = value - values[-1]
+            if diff == 0.0:
+                self.run = 0
+            else:
+                rising = diff > 0
+                self.run = self.run + 1 if rising != self.rising else 1
+                self.rising = rising
+        values.append(value)
+        if self.run < values.maxlen - 1:
+            return False
+        mean_level = sum(abs(v) for v in values) / len(values)
+        if mean_level <= 0:
+            return False
+        diffs = [b - a for a, b in zip(values, islice(values, 1, None))]
+        return sum(abs(d) for d in diffs) / len(diffs) > ratio * mean_level
 
 
 class DivergenceGuard:
@@ -84,8 +106,8 @@ class DivergenceGuard:
         self.last_good_delta = initial_delta
         self.diverged = False
         self.reason: Optional[str] = None
-        self._deltas: Deque[float] = deque(maxlen=self.config.window)
-        self._x2s: Deque[float] = deque(maxlen=self.config.window)
+        self._deltas = _Series(self.config.window)
+        self._x2s = _Series(self.config.window)
 
     def observe(self, delta: float, x2: float) -> bool:
         """Feed one decision; returns True the moment divergence is seen.
@@ -105,14 +127,12 @@ class DivergenceGuard:
                 f"runaway delta {delta:.3g} "
                 f"(initial {self.initial_delta:.3g}, ratio limit {cfg.max_ratio:g})"
             )
-        self._deltas.append(float(delta))
-        self._x2s.append(float(x2))
-        if len(self._deltas) == cfg.window:
-            if _alternating_and_violent(self._deltas, cfg.oscillation_ratio):
-                return self._trip("oscillating delta (alternating slew-limit steps)")
-            if _alternating_and_violent(self._x2s, cfg.oscillation_ratio):
-                return self._trip("oscillating advance workload X^(2)")
-        self.last_good_delta = float(delta)
+        delta = float(delta)
+        if self._deltas.oscillates(delta, cfg.oscillation_ratio):
+            return self._trip("oscillating delta (alternating slew-limit steps)")
+        if self._x2s.oscillates(float(x2), cfg.oscillation_ratio):
+            return self._trip("oscillating advance workload X^(2)")
+        self.last_good_delta = delta
         return False
 
     def _trip(self, reason: str) -> bool:

@@ -127,3 +127,59 @@ class TestRobustness:
             sgd.update(1e6 if i % 2 == 0 else -1e6, 1.0)
         # alternating sign gradients keep g_bar ~ 0 => mu ~ 0
         assert sgd.last_mu < 1e-3
+
+
+def _reference_update(sgd: AdaptiveSGD, grad: float, hess: float) -> float:
+    """Algorithm 1 written line for line, with ``max``/``min`` calls.
+
+    Kept as the executable reference for :meth:`AdaptiveSGD.update`,
+    which reads each field once and spells ``max``/``min`` as
+    conditionals: every field must come out bit-identical.
+    """
+    if not (hess >= 0):
+        raise ValueError(f"second derivative must be >= 0, got {hess}")
+    tinv = 1.0 / max(sgd.tau, 1.0)
+    sgd.g_bar = (1.0 - tinv) * sgd.g_bar + tinv * grad
+    sgd.v_bar = (1.0 - tinv) * sgd.v_bar + tinv * grad * grad
+    sgd.h_bar = (1.0 - tinv) * sgd.h_bar + tinv * hess
+    v = max(sgd.v_bar, sgd.epsilon)
+    h = max(sgd.h_bar, sgd.epsilon)
+    mu = (sgd.g_bar * sgd.g_bar) / (h * v)
+    sgd.last_mu = mu
+    ratio = min(1.0, (sgd.g_bar * sgd.g_bar) / v)
+    sgd.tau = (1.0 - ratio) * sgd.tau + 1.0
+    step = mu * grad
+    cap = sgd.max_relative_step * max(abs(sgd.value), sgd.step_floor)
+    if step > cap:
+        step = cap
+    elif step < -cap:
+        step = -cap
+    sgd.value -= step
+    sgd.updates += 1
+    return sgd.value
+
+
+_EDGE = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, float("inf"), float("-inf"), float("nan")])
+_NUMBER = st.one_of(_EDGE, st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestMatchesReference:
+    @given(
+        start=_NUMBER,
+        steps=st.lists(st.tuples(_NUMBER, _NUMBER.map(abs)), min_size=1, max_size=20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_update_is_bit_identical(self, start, steps):
+        fields = ("value", "g_bar", "v_bar", "h_bar", "tau", "last_mu")
+        sgd, ref = AdaptiveSGD(value=start), AdaptiveSGD(value=start)
+        for grad, hess in steps:
+            try:
+                want = _reference_update(ref, grad, hess)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    sgd.update(grad, hess)
+                return
+            assert float(sgd.update(grad, hess)).hex() == float(want).hex()
+            for name in fields:
+                assert float(getattr(sgd, name)).hex() == float(getattr(ref, name)).hex(), name
+            assert sgd.updates == ref.updates

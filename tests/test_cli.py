@@ -446,6 +446,33 @@ class TestBadOptionValues:
         assert proc.stderr.strip() == "bad --workers: must be >= 1, got 0"
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early ends the command quietly."""
+
+    def test_serve_ends_without_traceback(self):
+        import json
+        import subprocess
+
+        # 400 answers (~120 KB) overflow the pipe, so writes after the
+        # close must fail; repeated sources answer from the cache
+        lines = "".join(
+            json.dumps({"graph": "cal", "source": i % 40, "algorithm": "dijkstra"}) + "\n"
+            for i in range(400)
+        )
+        proc = _serve_proc(
+            "--scale", "0.005", "-q",
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdin.write(lines.encode())
+        proc.stdin.close()
+        assert json.loads(_read_line(proc.stdout, 60))["ok"]
+        proc.stdout.close()
+        assert proc.wait(timeout=60) in (0, 141)
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert "Traceback" not in stderr, stderr
+
+
 class TestBadSampleRate:
     """``serve --sample-rate`` outside [0, 1], NaN included, exits with one line."""
 

@@ -15,10 +15,12 @@ gate, so the idiom is checked at the source.
 
 A batched sweep over a 2-source batch touches ~100 keys per stage, so
 there numpy's Python-level function wrappers cost more than the data.
-A second banned set keeps them out of ``repro/sssp/frontier.py`` and the
-sweep ``while`` loop of ``batched_nearfar_sssp`` (setup code outside the
-loop may keep them); per call on 300 elements, the method forms save
-1-2 µs each (see :data:`WRAPPERS`).
+A second banned set keeps them out of ``repro/sssp/frontier.py``, the
+sweep ``while`` loop of ``batched_nearfar_sssp`` and the per-iteration
+methods of the self-tuning stepper and its far queue (setup code may
+keep them); per call on 300 elements, the method forms save 1-2 µs each
+(see :data:`WRAPPERS`).  The stepper's controller and divergence guard
+run every iteration too, so the first set covers them.
 
 The near+far solvers must also call the ``repro.sssp.frontier`` stage
 functions by their module-level names: the repo benchmark's tracer
@@ -75,6 +77,8 @@ HOT_PATH = sorted(
         *(SRC / "sssp").rglob("*.py"),
         SRC / "core" / "stepwise.py",
         SRC / "core" / "partitions.py",
+        SRC / "core" / "controller.py",
+        SRC / "resilience" / "guard.py",
         SRC / "extensions" / "widest_path.py",
     ]
 )
@@ -154,8 +158,29 @@ def test_guard_catches_each_idiom():
     assert "sorted_unique" in problems[1]
 
 
+def _functions(*names: str):
+    """Scope: every function or method called one of ``names`` (each must exist)."""
+
+    def scope(tree: ast.AST) -> List[ast.FunctionDef]:
+        found = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in names
+        ]
+        missing = sorted(set(names) - {node.name for node in found})
+        assert not missing, f"no function named {missing} to check"
+        return found
+
+    return scope
+
+
 # module -> where the wrapper ban applies (None: the whole file)
-WRAPPER_SCOPES = {"sssp/frontier.py": None, "sssp/batch_kernels.py": _sweep_loops}
+WRAPPER_SCOPES = {
+    "sssp/frontier.py": None,
+    "sssp/batch_kernels.py": _sweep_loops,
+    "core/stepwise.py": _functions("step", "_pull_from_far", "_drain"),
+    "core/partitions.py": _functions("insert", "extract_below", "refresh_boundaries"),
+}
 
 
 @pytest.mark.parametrize("module", sorted(WRAPPER_SCOPES))
@@ -165,7 +190,7 @@ def test_no_numpy_wrappers_on_the_sweep_path(module):
     if scope is not None:
         assert scope(ast.parse(source)), f"{module}: no sweep loop found to check"
     problems = _violations(source, module, WRAPPERS, scope)
-    assert not problems, "numpy wrapper on the batched sweep path:\n" + "\n".join(problems)
+    assert not problems, "numpy wrapper on a per-sweep path:\n" + "\n".join(problems)
 
 
 def test_wrapper_guard_catches_each_idiom():
