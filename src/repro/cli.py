@@ -286,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--heartbeat-ms", type=float, default=1000.0,
-        help="worker heartbeat interval (process mode); an idle worker "
-        "silent for ~4 intervals is declared dead and respawned",
+        help="worker heartbeat interval (process mode): the dispatcher "
+        "beats its worker between cycles; a beat unanswered for "
+        "max(0.5 s, 4 intervals) marks the worker dead, and it is respawned",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=256,
@@ -497,10 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--token", required=True,
         help="spawn token echoed in the HELLO frame (pairs child to parent)",
-    )
-    worker.add_argument(
-        "--heartbeat-ms", type=float, default=1000.0,
-        help="idle heartbeat interval",
     )
 
     sub.add_parser("version", parents=[common], help="print the package version")
@@ -1600,12 +1597,7 @@ def _cmd_shard_worker(args: argparse.Namespace) -> int:
     """
     from repro.net.worker import run_worker
 
-    return run_worker(
-        args.connect,
-        shard_index=args.shard,
-        token=args.token,
-        heartbeat_ms=args.heartbeat_ms,
-    )
+    return run_worker(args.connect, shard_index=args.shard, token=args.token)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -36,7 +36,8 @@ code:
 
 Everything is deterministic where it can be: the death lands at an
 exact dispatch cycle on an exact shard, sources are seeded, and the
-restart schedule is the seeded :class:`~repro.resilience.retry.RestartPolicy`.
+restart schedule is the deterministic
+:class:`~repro.resilience.retry.RestartPolicy`.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ socket.  Each frame is::
 
     !I   payload length (bytes; bounded by MAX_FRAME_BYTES)
     !B   frame type (FT_* constants)
-    !Q   correlation id (request/response matching; 0 = unsolicited)
+    !Q   correlation id (an answer carries its frame's; HELLO and SHUTDOWN use 0)
     !I   CRC-32 over (type, correlation id, payload)
 
 followed by the payload.  The CRC covers the type and correlation id
@@ -17,8 +17,9 @@ damaged correlation id with a retryable error instead of tearing the
 connection down (:class:`FrameCorruptError` carries both fields).
 
 The codec is deliberately transport-blocking (plain ``socket`` calls):
-the worker side is a single-threaded loop and the client side runs a
-dedicated reader thread, so asyncio never crosses the process
+the worker side is a single-threaded loop that only answers, and the
+client side makes each exchange a send followed by a receive on the
+calling thread, one at a time, so asyncio never crosses the process
 boundary.
 """
 
@@ -55,9 +56,10 @@ __all__ = [
     "recv_frame",
 ]
 
-#: Version of *this* frame layout — checked in the HELLO handshake,
+#: Version of *this* frame protocol — checked in the HELLO handshake,
 #: independent of the JSONL protocol version the front-end speaks.
-WIRE_VERSION = 1
+#: Version 2: the worker answers a HEARTBEAT and sends none unasked.
+WIRE_VERSION = 2
 
 #: Upper bound on a single frame's payload; large enough for a packed
 #: multi-million-edge graph image, small enough to catch a garbled
@@ -156,7 +158,7 @@ def _recv_exact(
     """Read exactly ``n`` bytes.
 
     The first ``recv`` runs under ``first_timeout`` (``socket.timeout``
-    propagates — the caller treats it as an idle tick); once any byte
+    propagates — the caller treats it as a missed deadline); once any byte
     has arrived (or when ``mid_frame`` is already set) the remaining
     reads run under ``rest_timeout`` and a timeout there is a *fatal*
     :class:`FrameError`, because a partial frame means the stream can
@@ -191,7 +193,7 @@ def recv_frame(
     """Read one frame; returns ``(frame_type, corr, payload)``.
 
     Raises ``socket.timeout`` if no frame *starts* within
-    ``idle_timeout`` (callers use this as their heartbeat tick),
+    ``idle_timeout`` (callers use this as their answer deadline),
     :class:`EOFError` on orderly close, :class:`FrameCorruptError` on a
     CRC mismatch (stream still usable), and :class:`FrameError` when
     the stream is beyond recovery (oversize or mid-frame stall).

@@ -18,7 +18,10 @@ queue.  The dispatcher merges whatever is waiting (up to
 :meth:`~repro.service.engine.QueryEngine.run_many` call — cross-
 connection coalescing for free, on top of the engine's own
 same-corridor batching — and a shard's engine is only ever touched by
-its own dispatcher, so the engines need no cross-request locking.
+its own dispatcher, so the engines need no cross-request locking.  In
+process mode the dispatcher is also the shard's only front-end thread:
+it exchanges each merged group with its worker as one REQUEST frame and
+beats the worker between cycles (:class:`~repro.net.worker.ProcessShard`).
 
 A dispatcher is also a single point of failure for its shard, so the
 loop is survivable by construction: every queued group is tracked in a
@@ -164,7 +167,7 @@ class Shard:
         clean = False
         try:
             while True:
-                item = self._queue.get()
+                item = self._next_item()
                 if item is _STOP:
                     clean = True
                     return
@@ -252,6 +255,10 @@ class Shard:
                 pass
         return failed
 
+    def _next_item(self):
+        """Block for the next queued item (a process shard beats meanwhile)."""
+        return self._queue.get()
+
     def _run_items(self, items: List[_WorkItem]) -> None:
         self._run_cycle(items, self.engine.run_many)
 
@@ -282,14 +289,6 @@ class Shard:
     def alive(self) -> bool:
         """Dispatcher thread running and never abnormally exited."""
         return self._thread.is_alive() and self.exit_reason is None
-
-    def heartbeat_expired(self, now: Optional[float] = None) -> bool:
-        """Never: a dispatcher thread's liveness is :attr:`alive` alone.
-
-        :class:`~repro.net.worker.ProcessShard` overrides this with its
-        worker's idle heartbeat.
-        """
-        return False
 
     def pending_count(self) -> int:
         with self._plock:

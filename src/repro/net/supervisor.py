@@ -8,13 +8,14 @@ took its whole catalog partition with it.
 :class:`ShardSupervisor` closes that gap with the classic supervision
 loop:
 
-* **detect** — each check pass replaces a shard only when it is dead:
-  its dispatcher thread exited, its worker process exited (or missed a
-  REQUEST deadline, which marks the worker dead), or its idle worker
-  stayed silent past the heartbeat timeout
-  (:meth:`~repro.net.shard.Shard.heartbeat_expired`).  A slow shard
-  is not a dead one: long work is bounded by the engine's per-task
-  timeout and the worker REQUEST deadline, never by a guess here.
+* **detect** — each check pass asks every shard one question,
+  :attr:`~repro.net.shard.Shard.alive`, and replaces it only when it is
+  dead: its dispatcher thread exited, or its worker process exited or
+  missed an exchange's deadline (a REQUEST while busy, a heartbeat the
+  dispatcher sends while idle), which marks the worker dead.  A slow
+  shard is not a dead one: long work is bounded by the engine's
+  per-task timeout and the worker REQUEST deadline, never by a guess
+  here.
 * **degrade** — a dead shard is retired (its pending futures fail
   with retryable ``unavailable:`` errors, nothing hangs) and marked
   ``down``.  Its graphs stay on their home shard and answer the same
@@ -24,7 +25,9 @@ loop:
   between attempts and a hard budget, after which the shard is marked
   ``failed`` and its graphs answer ``unavailable:`` for good (a budget
   of 0 retires a dead shard without restarting it).  A successful
-  rebuild re-arms the backoff.
+  rebuild re-arms the backoff.  The recovery time it records runs from
+  the pass that declared the shard down to the end of the rebuild, so
+  a process shard's worker spawn counts.
 
 Everything observable: ``shard_down`` / ``shard_up`` / ``shard_failed``
 events, the ``net.shard.restarts`` counter and the
@@ -170,14 +173,6 @@ class ShardSupervisor:
                     index, now,
                     shard.exit_reason or "dispatcher thread not running",
                 )
-            elif shard.heartbeat_expired(now):
-                # an idle process-mode worker beats over its socket;
-                # silence means it is wedged or unreachable
-                self._declare_down(
-                    index, now,
-                    f"worker heartbeat timed out "
-                    f"({shard.beat_age(now):.2f}s since last frame)",
-                )
             return
         # state == down: restart when the backoff window opens
         if watch.next_attempt_at is not None and now < watch.next_attempt_at:
@@ -237,6 +232,7 @@ class ShardSupervisor:
 
     def _attempt_restart(self, index: int, now: float) -> None:
         watch = self._watch[index]
+        started = time.monotonic()
         try:
             self.manager.rebuild_shard(index)
         except Exception as exc:  # rebuild itself failed: burn a restart
@@ -245,8 +241,10 @@ class ShardSupervisor:
                 watch.last_reason = reason
             self._spend_restart(index, now, reason)
             return
+        rebuild = time.monotonic() - started
         self.manager.set_shard_state(index, STATE_UP)
-        downtime = (now - watch.down_at) if watch.down_at is not None else 0.0
+        # `now` was read before the rebuild, and the shard serves only after it
+        downtime = rebuild + (now - watch.down_at if watch.down_at is not None else 0.0)
         with self._lock:
             watch.state = STATE_UP
             watch.down_at = None

@@ -11,43 +11,44 @@ speaks the length-prefixed, checksummed frame protocol of
 * :func:`run_worker` — the worker side: connect back to the parent,
   HELLO handshake (wire version, JSONL protocol version, spawn token),
   adopt packed graphs (fingerprint-verified both ways), build the
-  engine from the CONFIG frame, then answer REQUEST frames and beat a
-  HEARTBEAT frame (its engine's stats and health) whenever one interval
-  has passed, idle or busy.  The graph set is fixed at CONFIG: a later
-  ADOPT is a malformed frame.  Single-threaded by design: a beating
-  worker is provably not wedged.
+  engine from the CONFIG frame, then answer REQUEST and HEARTBEAT
+  frames.  After HELLO it sends only answers.  The graph set is fixed
+  at CONFIG: a later ADOPT is a malformed frame.
 * :class:`WorkerClient` — the parent side: spawns and handshakes the
-  process, sends every frame that awaits an answer through one
-  correlated call (a future with a deadline and the frame type that
-  must answer it), detects death by EOF *and* ``waitpid``
-  (SIGKILL/SIGSEGV show up as signal exits), and answers CRC-rejected
-  frames with retryable errors instead of tearing the stream down.
+  process, then makes each exchange a send followed by a receive on
+  the calling thread, one at a time (ADOPT, CONFIG, REQUEST and
+  HEARTBEAT each await one answer under a deadline), and detects death
+  by EOF *and* ``waitpid`` (SIGKILL/SIGSEGV show up as signal exits).
+  A CRC-rejected answer fails its exchange retryably without tearing
+  the stream down.
 * :class:`ProcessShard` — a drop-in :class:`~repro.net.shard.Shard`
   whose dispatcher sends each merged group to the worker as one
-  REQUEST frame and waits for the answer, so groups that queue
-  meanwhile share the next frame.  The supervisor restarts it exactly
-  like a thread shard (``rebuild_shard`` spawns a fresh process that
-  adopts the same home graphs in its handshake).
+  REQUEST frame and reads the answer itself, so groups that queue
+  meanwhile share the next frame.  Before it waits for work it beats
+  the worker once per ``heartbeat_ms``.  The supervisor restarts it
+  exactly like a thread shard (``rebuild_shard`` spawns a fresh process
+  that adopts the same home graphs in its handshake).
 
-Failure semantics: a dead worker fails all in-flight correlations with
-:class:`WorkerRequestError` (a :class:`~repro.net.shard.ShardDiedError`
-subclass, so the manager answers in-band retryable ``unavailable:``
-errors for exactly the dead shard's sources); a REQUEST that misses its
-deadline marks the worker dead too, so the supervisor replaces a
-wedged or hopelessly-behind worker; a corrupt frame fails
-only its own correlation id, and so does a malformed one (a CRC-valid
-frame whose handler raises: the worker answers a non-retryable ERROR
-and keeps serving).  Worker-side telemetry is process-local
-by construction — the worker runs under a null observability context
-so its answers are byte-identical to thread mode's; the front-end
-instead exports ``net.worker.*`` counters (restarts, heartbeat
-misses, corrupt frames, bytes in/out) labelled ``{"shard": i}``.
+Failure semantics: a dead worker fails the exchange in flight and
+every later one with :class:`WorkerRequestError` (a
+:class:`~repro.net.shard.ShardDiedError` subclass, so the manager
+answers in-band retryable ``unavailable:`` errors for exactly the dead
+shard's sources); a REQUEST or a beat that misses its deadline marks
+the worker dead too, so the supervisor replaces a wedged worker, idle
+or busy; a corrupt answer fails only its own exchange, and so does a
+malformed frame (a CRC-valid frame whose handler raises: the worker
+answers a non-retryable ERROR and keeps serving).  Worker-side
+telemetry is process-local by construction — the worker runs under a
+null observability context so its answers are byte-identical to thread
+mode's; the front-end instead exports ``net.worker.*`` counters
+(restarts, heartbeat misses, corrupt frames, bytes in/out) labelled
+``{"shard": i}``.
 """
 
 from __future__ import annotations
 
 import os
-import select
+import queue
 import signal
 import socket
 import subprocess
@@ -56,7 +57,7 @@ import threading
 import time
 from concurrent.futures import Future
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro import obs
 from repro.net.frames import (
@@ -148,21 +149,16 @@ def query_from_wire(data: Mapping) -> SSSPQuery:
 # the worker side (runs inside `repro shard-worker`)
 # ----------------------------------------------------------------------
 class _WorkerProcess:
-    """The worker's single-threaded serve loop over one parent socket."""
+    """The worker's single-threaded serve loop over one parent socket.
 
-    def __init__(
-        self,
-        sock: socket.socket,
-        *,
-        shard_index: int,
-        token: str,
-        heartbeat_ms: float,
-    ):
+    After HELLO it only answers: every frame it sends carries the
+    correlation id of the frame it read.
+    """
+
+    def __init__(self, sock: socket.socket, *, shard_index: int, token: str):
         self.sock = sock
         self.shard_index = shard_index
         self.token = token
-        self.heartbeat_seconds = max(0.01, heartbeat_ms / 1000.0)
-        self._beat_due = time.monotonic() + self.heartbeat_seconds
         self.catalog = GraphCatalog()
         self.engine: Optional[QueryEngine] = None
 
@@ -198,12 +194,8 @@ class _WorkerProcess:
     def _handle_config(self, corr: int, payload: bytes) -> None:
         cfg = decode_json_payload(payload)
         kwargs = engine_config_from_wire(cfg.get("engine", {}))
-        heartbeat_seconds = max(
-            0.01, float(cfg.get("heartbeat_ms", self.heartbeat_seconds * 1000.0)) / 1000.0
-        )
-        engine = QueryEngine(self.catalog, **kwargs)
-        # applied only once the whole frame parsed: a bad CONFIG changes nothing
-        self.heartbeat_seconds, self.engine = heartbeat_seconds, engine
+        # built before it is kept: a bad CONFIG changes nothing
+        self.engine = QueryEngine(self.catalog, **kwargs)
         send_json_frame(
             self.sock,
             FT_READY,
@@ -250,14 +242,13 @@ class _WorkerProcess:
             {"responses": [r.to_wire() for r in responses]},
         )
 
-    def _heartbeat(self) -> None:
-        self._beat_due = time.monotonic() + self.heartbeat_seconds
+    def _handle_heartbeat(self, corr: int) -> None:
         stats = self.engine.stats() if self.engine is not None else None
         health = self.engine.health() if self.engine is not None else None
         send_json_frame(
             self.sock,
             FT_HEARTBEAT,
-            0,
+            corr,
             {"pid": os.getpid(), "stats": stats, "health": health},
         )
 
@@ -266,15 +257,8 @@ class _WorkerProcess:
         self._hello()
         try:
             while True:
-                if time.monotonic() >= self._beat_due:
-                    self._heartbeat()  # busy too: the parent's stats stay live
                 try:
-                    frame_type, corr, payload = recv_frame(
-                        self.sock, idle_timeout=self.heartbeat_seconds
-                    )
-                except socket.timeout:
-                    self._heartbeat()
-                    continue
+                    frame_type, corr, payload = recv_frame(self.sock)
                 except FrameCorruptError as exc:
                     # parent→worker corruption: answer that corr
                     # retryably; the stream itself is still in sync
@@ -294,6 +278,8 @@ class _WorkerProcess:
                         self._handle_config(corr, payload)
                     elif frame_type == FT_REQUEST:
                         self._handle_request(corr, payload)
+                    elif frame_type == FT_HEARTBEAT:
+                        self._handle_heartbeat(corr)
                     else:
                         send_json_frame(
                             self.sock,
@@ -332,13 +318,7 @@ class _WorkerProcess:
                 pass
 
 
-def run_worker(
-    connect: str,
-    *,
-    shard_index: int,
-    token: str,
-    heartbeat_ms: float = 1000.0,
-) -> int:
+def run_worker(connect: str, *, shard_index: int, token: str) -> int:
     """Entry point for ``repro shard-worker`` (one process, one shard).
 
     Connects back to the parent at ``host:port``, handshakes, and
@@ -348,41 +328,25 @@ def run_worker(
     host, _, port = connect.rpartition(":")
     sock = socket.create_connection((host or "127.0.0.1", int(port)), timeout=10.0)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    worker = _WorkerProcess(
-        sock, shard_index=shard_index, token=token, heartbeat_ms=heartbeat_ms
-    )
-    return worker.serve()
+    return _WorkerProcess(sock, shard_index=shard_index, token=token).serve()
 
 
 # ----------------------------------------------------------------------
 # the parent side
 # ----------------------------------------------------------------------
-class _Pending:
-    """One correlated call: its future, deadline and answering frame type."""
-
-    __slots__ = ("future", "deadline_at", "answer")
-
-    def __init__(self, future: Future, deadline_at: float, answer: int):
-        self.future = future
-        self.deadline_at = deadline_at
-        self.answer = answer
-
-
 class WorkerClient:
     """Spawn, handshake and drive one shard-worker process.
 
-    The client owns the socket: a writer lock serialises frame sends,
-    and a dedicated reader thread handles everything inbound.  Every
-    frame that awaits an answer (ADOPT, CONFIG, REQUEST) goes out
-    through :meth:`_call`, which registers a future under the frame's
-    correlation id together with a deadline and the frame type that
-    must answer it (ADOPT_OK, READY, RESPONSE).  An ERROR, an answer of
-    another type, an undecodable answer, a CRC-corrupt frame or the
-    deadline fails that call alone.  HEARTBEAT refreshes the liveness
-    clock and the cached stats/health payloads.  Death (EOF, socket
-    error, the process reaped by ``waitpid``, a REQUEST past its
-    deadline, or the reader itself failing) fails every in-flight
-    future with a retryable :class:`WorkerRequestError`.
+    Every exchange is a send followed by a receive on the calling
+    thread, one at a time under one lock (:meth:`_exchange`): ADOPT is
+    answered by ADOPT_OK, CONFIG by READY, REQUEST by RESPONSE and
+    HEARTBEAT by HEARTBEAT.  An ERROR, an answer of another type, an
+    undecodable answer or a CRC-corrupt frame fails that exchange
+    alone.  Death (EOF, a socket error, the process reaped by
+    ``waitpid``, or an exchange past its deadline) fails the exchange
+    and every later one with a retryable :class:`WorkerRequestError`.
+    A beat unanswered within ``max(0.5 s, 4 * heartbeat_ms)`` counts a
+    heartbeat miss and marks the worker dead.
     """
 
     def __init__(
@@ -392,38 +356,24 @@ class WorkerClient:
         *,
         engine_kwargs: Optional[Mapping] = None,
         heartbeat_ms: float = 1000.0,
-        heartbeat_timeout_ms: Optional[float] = None,
         spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
     ):
         self.index = index
-        self.heartbeat_ms = float(heartbeat_ms)
-        self.heartbeat_timeout_seconds = (
-            float(heartbeat_timeout_ms) / 1000.0
-            if heartbeat_timeout_ms is not None
-            else max(0.5, 4.0 * self.heartbeat_ms / 1000.0)
-        )
-        self._wlock = threading.Lock()
-        self._plock = threading.Lock()
-        self._pending: Dict[int, _Pending] = {}
+        self.heartbeat_timeout_seconds = max(0.5, 4.0 * float(heartbeat_ms) / 1000.0)
+        self._lock = threading.Lock()  # held for a whole exchange
         self._corr = 0
         self._dead = False
         self.death_reason: Optional[str] = None
-        self.last_frame = time.monotonic()
+        self.beat_answered_at = time.monotonic()
         self.last_stats: Optional[dict] = None
         self.last_health: Optional[dict] = None
         self.graph_fingerprints: Dict[str, str] = {}
-        self._hb_missing = False
         registry = obs.get_registry()
         labels = {"shard": str(index)}
         self._bytes_in = registry.counter("net.worker.bytes_in", labels)
         self._bytes_out = registry.counter("net.worker.bytes_out", labels)
         self._corrupt_counter = registry.counter("net.worker.frames_corrupt", labels)
         self._hb_miss_counter = registry.counter("net.worker.heartbeat_misses", labels)
-        self._reader = threading.Thread(
-            target=self._read_loop,
-            name=f"repro-worker-client-{index}",
-            daemon=True,
-        )
         try:
             self._spawn(dict(graphs), dict(engine_kwargs or {}), spawn_timeout)
         except BaseException:
@@ -439,9 +389,8 @@ class WorkerClient:
     ) -> None:
         """Start the worker, pair it by token, then adopt and configure.
 
-        HELLO is read synchronously: it pairs the child by its spawn
-        token before the reader thread exists.  The graphs and the
-        CONFIG then go through :meth:`_call` like every other frame.
+        HELLO pairs the child by its spawn token.  The graphs and the
+        CONFIG then go through :meth:`_exchange` like every other frame.
         """
         import secrets
 
@@ -472,8 +421,6 @@ class WorkerClient:
                     str(self.index),
                     "--token",
                     token,
-                    "--heartbeat-ms",
-                    str(self.heartbeat_ms),
                 ],
                 env=env,
                 stdout=subprocess.DEVNULL,
@@ -508,15 +455,11 @@ class WorkerClient:
             )
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.pid = int(hello["pid"])
-        self._reader.start()
         # ship the graphs, fingerprint-checked both ways
         for graph_id in sorted(graphs):
             self.adopt_graph(graph_id, graphs[graph_id], timeout=spawn_timeout)
-        config = {
-            "engine": engine_config_to_wire(engine_kwargs),
-            "heartbeat_ms": self.heartbeat_ms,
-        }
-        ready = self._call(FT_CONFIG, config, FT_READY, spawn_timeout).result()
+        config = {"engine": engine_config_to_wire(engine_kwargs)}
+        ready = self._exchange(FT_CONFIG, config, FT_READY, spawn_timeout)
         if ready.get("graphs") != self.graph_fingerprints:
             raise HandshakeError(
                 f"worker {self.index} READY fingerprints diverge: "
@@ -527,213 +470,100 @@ class WorkerClient:
             raise HandshakeError(f"worker {self.index} READY lacks stats or health")
         self.last_stats, self.last_health = stats, health
 
-    # -- the reader thread ---------------------------------------------
-    def _read_loop(self) -> None:
-        """Route inbound frames; expire deadlines on idle ticks.
+    # -- the exchange --------------------------------------------------
+    def _next_corr(self) -> int:
+        self._corr += 1  # under the exchange lock
+        return self._corr
 
-        However the loop ends it marks the client dead, so no pending
-        future outlives its reader.
-        """
-        reason: Optional[str] = None
-        try:
-            while not self._dead:
-                try:
-                    ready, _, _ = select.select([self.sock], [], [], 0.05)
-                except (OSError, ValueError):
-                    reason = "socket closed"
-                    return
-                if not ready:
-                    self._sweep(time.monotonic())
-                    continue
-                try:
-                    frame_type, corr, payload = recv_frame(
-                        self.sock, idle_timeout=None, frame_timeout=30.0
-                    )
-                except FrameCorruptError as exc:
-                    self._corrupt_counter.inc()
-                    self._finish(
-                        exc.corr,
-                        error=WorkerRequestError(
-                            f"worker {self.index} answered corr {exc.corr} with a "
-                            f"corrupt frame; retry shortly"
-                        ),
-                    )
-                    continue
-                except (EOFError, OSError, FrameError) as exc:
-                    reason = self.exit_description() or f"{type(exc).__name__}: {exc}"
-                    return
-                self.last_frame = time.monotonic()
-                self._hb_missing = False
-                self._bytes_in.inc(len(payload) + 17)  # header is 17 bytes
-                if frame_type == FT_HEARTBEAT:
-                    self._keep_beat(payload)
-                else:
-                    self._answer(frame_type, corr, payload)
-        except Exception as exc:  # a reader bug must not strand a waiter
-            reason = f"reader failed: {type(exc).__name__}: {exc}"
-        finally:
-            self._mark_dead(reason)
+    def _exchange(self, frame_type: int, body, answer: int, timeout: float) -> dict:
+        """Send one frame (``body``: bytes, or JSON) and read its answer.
 
-    def _keep_beat(self, payload: bytes) -> None:
-        """Cache a HEARTBEAT's stats and health; non-objects are ignored."""
-        try:
-            body = decode_json_payload(payload)
-        except FrameError:
-            return
-        if isinstance(body.get("stats"), dict):
-            self.last_stats = body["stats"]
-        if isinstance(body.get("health"), dict):
-            self.last_health = body["health"]
-
-    def _answer(self, frame_type: int, corr: int, payload: bytes) -> None:
-        """Settle ``corr``'s call: the expected frame type resolves it.
-
-        An ERROR fails it, retryably unless the worker says otherwise.
+        Returns the body of the ``answer`` frame that carries the sent
+        correlation id; frames with another id are skipped.  An ERROR
+        fails the exchange, retryably unless the worker says otherwise.
         Like the worker's own ``bad frame:`` answer, another frame type
-        or a body that is not a JSON object fails it non-retryably.
+        or a body that is not a JSON object fails it non-retryably.  A
+        corrupt answer fails it retryably.  EOF, a socket error, an
+        unrecoverable frame or no answer within ``timeout`` seconds
+        marks the worker dead.
         """
-        with self._plock:
-            pending = self._pending.get(corr)
-        if pending is None:
-            return  # unsolicited, or already expired or failed on death
-        try:
-            body = decode_json_payload(payload)
-        except FrameError as exc:
-            frame_type = FT_ERROR
-            body = {"error": f"bad frame: {exc}", "retryable": False}
-        if frame_type == pending.answer:
-            self._finish(corr, result=body)
-            return
-        if frame_type != FT_ERROR:
-            body = {
-                "error": f"bad frame: type {frame_type}, expected {pending.answer}",
-                "retryable": False,
-            }
-        kind = WorkerRequestError if body.get("retryable", True) else RuntimeError
-        self._finish(corr, error=kind(f"worker {self.index}: {body.get('error')}"))
-
-    def _sweep(self, now: float) -> None:
-        """Idle tick: expire deadlines, account heartbeat misses, reap.
-
-        A REQUEST past its deadline leaves a worker that is wedged or
-        hopelessly behind, so it also marks the client dead and the
-        supervisor replaces the worker.  ADOPT and CONFIG fail alone.
-        """
-        expired: List[Tuple[int, _Pending]] = []
-        with self._plock:
-            for corr, pending in list(self._pending.items()):
-                if now >= pending.deadline_at:
-                    expired.append((corr, self._pending.pop(corr)))
-        missed = [corr for corr, pending in expired if pending.answer == FT_RESPONSE]
-        if missed:  # dead before its waiters hear of it
-            self._mark_dead(
-                f"worker pid {self.pid} missed the deadline of corr {missed[0]}"
-            )
-        for corr, pending in expired:
-            if not pending.future.done():
-                pending.future.set_exception(
-                    WorkerRequestError(
-                        f"worker {self.index} deadline exceeded on corr {corr}; "
-                        "retry shortly"
-                    )
+        with self._lock:
+            if not self.alive:
+                raise WorkerRequestError(
+                    f"worker {self.index} is dead ({self.death_reason}); retry shortly"
                 )
-        if self.proc.poll() is not None:
-            self._mark_dead(self.exit_description())
-            return
-        if (
-            now - self.last_frame > self.heartbeat_timeout_seconds
-            and not self._hb_missing
-        ):
-            self._hb_missing = True
-            self._hb_miss_counter.inc()
+            corr = self._next_corr()
+            data = (
+                encode_frame(frame_type, corr, body)
+                if isinstance(body, bytes)
+                else encode_json_frame(frame_type, corr, body)
+            )
+            deadline_at = time.monotonic() + timeout
+            try:
+                self.sock.sendall(data)
+                self._bytes_out.inc(len(data))
+                got_corr = None
+                while got_corr != corr:
+                    remaining = deadline_at - time.monotonic()
+                    if remaining <= 0:
+                        raise socket.timeout
+                    got, got_corr, payload = recv_frame(
+                        self.sock, idle_timeout=remaining, frame_timeout=30.0
+                    )
+                    self._bytes_in.inc(len(payload) + 17)  # header is 17 bytes
+            except FrameCorruptError:
+                self._corrupt_counter.inc()
+                raise WorkerRequestError(
+                    f"worker {self.index} answered corr {corr} with a corrupt frame; "
+                    "retry shortly"
+                ) from None
+            except (EOFError, OSError, FrameError) as exc:
+                if not isinstance(exc, socket.timeout):
+                    reason = self.exit_description() or f"{type(exc).__name__}: {exc}"
+                elif frame_type == FT_HEARTBEAT:
+                    self._hb_miss_counter.inc()
+                    reason = f"worker pid {self.pid} missed the heartbeat of corr {corr}"
+                else:
+                    reason = f"worker pid {self.pid} missed the deadline of corr {corr}"
+                self._mark_dead(reason)
+                raise WorkerRequestError(
+                    f"worker {self.index} died ({self.death_reason}); retry shortly"
+                ) from None
+        try:
+            reply = decode_json_payload(payload)
+        except FrameError as exc:
+            raise RuntimeError(f"worker {self.index}: bad frame: {exc}") from None
+        if got == answer:
+            return reply
+        if got != FT_ERROR:
+            raise RuntimeError(
+                f"worker {self.index}: bad frame: type {got}, expected {answer}"
+            )
+        kind = WorkerRequestError if reply.get("retryable", True) else RuntimeError
+        raise kind(f"worker {self.index}: {reply.get('error')}")
 
     def _mark_dead(self, reason: Optional[str]) -> None:
         if self._dead:
             return
         self._dead = True
         self.death_reason = reason or "worker connection lost"
-        with self._plock:
-            pending = dict(self._pending)
-            self._pending.clear()
-        for item in pending.values():
-            if not item.future.done():
-                item.future.set_exception(
-                    WorkerRequestError(
-                        f"worker {self.index} died ({self.death_reason}); "
-                        "retry shortly"
-                    )
-                )
+        try:  # shut down first: it wakes an exchange blocked in recv
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except Exception:
+            pass
         try:
             self.sock.close()
         except Exception:
             pass
 
-    def _finish(self, corr: int, *, result=None, error=None) -> None:
-        with self._plock:
-            pending = self._pending.pop(corr, None)
-        if pending is None or pending.future.done():
-            return  # already deadline-expired or failed on death
-        if error is not None:
-            pending.future.set_exception(error)
-        else:
-            pending.future.set_result(result)
-
-    # -- sends ---------------------------------------------------------
-    def _next_corr(self) -> int:
-        with self._wlock:
-            self._corr += 1
-            return self._corr
-
-    def _send_raw(self, data: bytes) -> None:
-        with self._wlock:
-            self.sock.sendall(data)
-        self._bytes_out.inc(len(data))
-
-    def _call(self, frame_type: int, body, answer: int, timeout: float) -> Future:
-        """Send one frame (``body``: bytes, or JSON) that awaits an answer.
-
-        The future resolves to the body of the ``answer`` frame with the
-        same correlation id, or fails (:meth:`_answer`), retryably once
-        ``timeout`` seconds pass or the worker is dead.
-        """
-        future: Future = Future()
-        corr = self._next_corr()
-        with self._plock:
-            self._pending[corr] = _Pending(future, time.monotonic() + timeout, answer)
-        if self.alive:
-            try:
-                self._send_raw(
-                    encode_frame(frame_type, corr, body)
-                    if isinstance(body, bytes)
-                    else encode_json_frame(frame_type, corr, body)
-                )
-            except Exception as exc:
-                self._mark_dead(f"send failed: {type(exc).__name__}: {exc}")
-        if self._dead:  # also when _mark_dead ran before we registered
-            self._finish(
-                corr,
-                error=WorkerRequestError(
-                    f"worker {self.index} is dead ({self.death_reason}); retry shortly"
-                ),
-            )
-        return future
-
     # -- public surface ------------------------------------------------
     @property
     def alive(self) -> bool:
-        # a reaped process is dead even if the reader has not seen EOF
+        # a reaped process is dead even if no exchange has seen EOF
         # yet: record it here so death_reason is set whenever alive is False
         if not self._dead and self.proc.poll() is not None:
             self._mark_dead(self.exit_description())
         return not self._dead
-
-    def beat_age(self, now: Optional[float] = None) -> float:
-        now = time.monotonic() if now is None else now
-        return max(0.0, now - self.last_frame)
-
-    def heartbeat_expired(self, now: Optional[float] = None) -> bool:
-        """No frame (not even a heartbeat) for the timeout window."""
-        return self.beat_age(now) > self.heartbeat_timeout_seconds
 
     def exit_description(self) -> Optional[str]:
         """How the process ended, per ``waitpid`` (None while running)."""
@@ -754,13 +584,38 @@ class WorkerClient:
         *,
         deadline_seconds: float = DEFAULT_REQUEST_DEADLINE,
     ) -> "Future[dict]":
-        """Send one REQUEST frame; the future resolves to its payload.
+        """Exchange one REQUEST frame; the future returned is already resolved.
 
-        Fails fast (retryably) when the worker is dead.
+        It holds the RESPONSE payload, or the exchange's error
+        (retryable when the worker is dead).
         """
-        return self._call(
-            FT_REQUEST, {"queries": wire_queries}, FT_RESPONSE, deadline_seconds
+        future: Future = Future()
+        try:
+            future.set_result(
+                self._exchange(
+                    FT_REQUEST, {"queries": wire_queries}, FT_RESPONSE, deadline_seconds
+                )
+            )
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def beat(self) -> None:
+        """Exchange one HEARTBEAT; keep the stats and health it carries.
+
+        Stats or health that are not objects leave the cached ones in
+        place.  Raises like any exchange; unanswered within
+        ``heartbeat_timeout_seconds`` it counts a heartbeat miss and
+        marks the worker dead.
+        """
+        body = self._exchange(
+            FT_HEARTBEAT, {}, FT_HEARTBEAT, self.heartbeat_timeout_seconds
         )
+        self.beat_answered_at = time.monotonic()
+        if isinstance(body.get("stats"), dict):
+            self.last_stats = body["stats"]
+        if isinstance(body.get("health"), dict):
+            self.last_health = body["health"]
 
     def adopt_graph(self, graph_id: str, graph, *, timeout: float = 30.0) -> None:
         """Ship one graph and wait for its fingerprint-checked ADOPT_OK.
@@ -768,9 +623,9 @@ class WorkerClient:
         Handshake only: once CONFIG has built the engine, the worker
         answers ADOPT with a non-retryable ``bad frame:`` ERROR.
         """
-        body = self._call(
+        body = self._exchange(
             FT_ADOPT, pack_graph(graph_id, graph), FT_ADOPT_OK, timeout
-        ).result()
+        )
         expected = graph.fingerprint()
         if body.get("graph") != graph_id or body.get("fingerprint") != expected:
             raise HandshakeError(
@@ -781,20 +636,22 @@ class WorkerClient:
     def _terminate_process(self, *, graceful: bool) -> None:
         """End the worker process: ask it, or kill it.
 
-        A live worker closed ``graceful`` gets a SHUTDOWN frame and two
-        seconds to exit.  Any other (retired, dead or wedged) gets
-        SIGKILL at once: a stopped process acts on neither a frame nor
-        a SIGTERM.
+        A live worker closed ``graceful`` with no exchange in flight
+        gets a SHUTDOWN frame and two seconds to exit.  Any other
+        (retired, dead, busy or wedged) gets SIGKILL at once: a stopped
+        process acts on neither a frame nor a SIGTERM.
         """
         proc = getattr(self, "proc", None)
         if proc is None or proc.poll() is not None:
             return
-        if graceful:
+        if graceful and self._lock.acquire(blocking=False):
             try:
-                self._send_raw(encode_json_frame(FT_SHUTDOWN, 0, {}))
+                self.sock.sendall(encode_json_frame(FT_SHUTDOWN, 0, {}))
                 proc.wait(timeout=2.0)
             except Exception:
                 pass
+            finally:
+                self._lock.release()
         if proc.poll() is None:
             try:
                 proc.kill()
@@ -803,20 +660,20 @@ class WorkerClient:
                 pass
 
     def close(self, *, graceful: bool = True) -> None:
-        """End the worker process, fail what is in flight, stop the reader."""
+        """End the worker process; an exchange blocked on it fails."""
         self._terminate_process(graceful=graceful and not self._dead)
         self._mark_dead("closed")
-        if self._reader.is_alive() and self._reader is not threading.current_thread():
-            self._reader.join(timeout=2.0)
 
     def snapshot(self) -> dict:
         """JSON-ready worker facts for health rows and ``repro top``."""
         return {
             "pid": getattr(self, "pid", None),
             "alive": self.alive,
-            "heartbeat_age_ms": round(self.beat_age() * 1000.0, 3),
+            "heartbeat_age_ms": round(
+                max(0.0, time.monotonic() - self.beat_answered_at) * 1000.0, 3
+            ),
             "heartbeat_timeout_ms": round(self.heartbeat_timeout_seconds * 1000.0, 3),
-            "outstanding": len(self._pending),
+            "outstanding": int(self._lock.locked()),
             "exit": self.exit_description(),
         }
 
@@ -829,8 +686,9 @@ class _WorkerEngineProxy:
     export ``net.worker.*`` transport counters instead), which also
     keeps process-mode responses byte-identical to thread mode's.
     ``stats()`` and ``health()`` serve the last payload the worker
-    shipped (READY, then every heartbeat, at most one interval old
-    under load too), never blocking the caller on a round trip.
+    answered (READY, then every beat its dispatcher exchanges between
+    cycles, so at most about one interval old under load too), never
+    blocking the caller on a round trip.
     """
 
     telemetry = False
@@ -861,12 +719,15 @@ class ProcessShard(Shard):
 
     The parent keeps the dispatcher thread (queueing, merge-draining,
     the drill's ``crash_at`` and the submit/death race handling are
-    inherited unchanged).  ``_run_items`` sends the merged group
-    to the worker as one REQUEST frame and returns once that round
-    trip has settled, as a thread shard's returns once ``run_many``
+    inherited unchanged) and no other.  ``_run_items`` sends the merged
+    group to the worker as one REQUEST frame and returns once that
+    exchange has settled, as a thread shard's returns once ``run_many``
     has.  Groups that arrive meanwhile queue up and leave together in
     the next frame, where the worker's engine batches same-corridor
-    misses.
+    misses.  Before the dispatcher waits for work it beats the worker
+    if one ``heartbeat_ms`` interval has passed since its last beat,
+    and it waits no longer than until the next beat is due, so beats
+    flow while idle and between cycles under load.
     """
 
     def __init__(
@@ -886,6 +747,8 @@ class ProcessShard(Shard):
             heartbeat_ms=heartbeat_ms,
             spawn_timeout=spawn_timeout,
         )
+        self._beat_seconds = heartbeat_ms / 1000.0
+        self._beat_due = time.monotonic() + self._beat_seconds
         proxy = _WorkerEngineProxy(self._client, catalog)
         super().__init__(
             index, proxy  # type: ignore[arg-type] — duck-typed engine facade
@@ -895,12 +758,28 @@ class ProcessShard(Shard):
     def client(self) -> WorkerClient:
         return self._client
 
-    # -- dispatch: one REQUEST frame per cycle, waited on --------------
+    # -- dispatch: one REQUEST frame per cycle, a beat between ---------
+    def _next_item(self):
+        """The next queued item; beats the worker whenever one is due."""
+        while True:
+            now = time.monotonic()
+            if now >= self._beat_due:
+                try:
+                    self._client.beat()
+                except RuntimeError:
+                    pass  # keeps the old stats; alive reports a death
+                now = time.monotonic()
+                self._beat_due = now + self._beat_seconds
+            try:
+                return self._queue.get(timeout=self._beat_due - now)
+            except queue.Empty:
+                pass
+
     def _run_items(self, items) -> None:
         self._run_cycle(items, self._round_trip)
 
     def _round_trip(self, queries: List[SSSPQuery]) -> List[QueryResponse]:
-        """One REQUEST frame, waited on; its rows as responses in order."""
+        """One REQUEST exchange; its rows as responses in order."""
         body = self._client.request(
             [query_to_wire(q) for q in queries],
             deadline_seconds=DEFAULT_REQUEST_DEADLINE,
@@ -927,25 +806,6 @@ class ProcessShard(Shard):
                 )
             return False
         return True
-
-    def beat_age(self, now: Optional[float] = None) -> float:
-        """Age of the worker's last frame (heartbeats count)."""
-        return self._client.beat_age(now)
-
-    def heartbeat_expired(self, now: Optional[float] = None) -> bool:
-        """Idle-silent worker: no frames and nothing in flight.
-
-        A busy worker sends no frame while it computes, so its silence
-        proves nothing; a busy worker that stops answering is caught by
-        the REQUEST deadline instead (:meth:`WorkerClient._sweep`).
-        This catches the idle one that stopped heartbeating (wedged or
-        unreachable) with nothing queued.
-        """
-        return (
-            self._client.alive
-            and self.pending_count() == 0
-            and self._client.heartbeat_expired(now)
-        )
 
     def dispatcher_snapshot(self) -> dict:
         snap = super().dispatcher_snapshot()

@@ -3,11 +3,11 @@
 :class:`RestartPolicy` is how the shard supervisor
 (:mod:`repro.net.supervisor`) paces the restarts of a dead shard: a
 budget of attempts, spaced by capped exponential backoff with
-deterministic jitter.  The delay before restart ``r`` is ``base *
-multiplier**(r-1)``, capped at ``max_delay``, then spread by
-``±jitter`` using a RNG seeded from ``(seed, key, r)``, so two runs
-with the same seed restart on the same schedule and two shards with
-different keys do not restart in lockstep.
+deterministic jitter.  The delay before restart ``r`` is
+``BASE_DELAY * MULTIPLIER**(r-1)``, capped at ``MAX_DELAY``, then
+spread by ``±JITTER`` using a RNG seeded from ``(SEED, key, r)``, so
+every deployment restarts on the same schedule and two shards with
+different keys do not restart in lockstep.  The budget is the one knob.
 
 :func:`validate_result` is the engine's check on every pool result
 before it is cached or answered.  A result that fails it raises
@@ -28,6 +28,17 @@ __all__ = [
     "validate_result",
 ]
 
+#: Seconds before the first restart of a component.
+BASE_DELAY = 0.05
+#: Cap on the delay before any one restart.
+MAX_DELAY = 2.0
+#: Growth of the delay from one restart to the next.
+MULTIPLIER = 2.0
+#: Relative spread of each delay, drawn per (SEED, key, restart).
+JITTER = 0.1
+#: Seed of the jitter draws.
+SEED = 0
+
 
 class CorruptResultError(RuntimeError):
     """A task returned, but its result fails sanity validation."""
@@ -40,46 +51,31 @@ class RestartPolicy:
     ``budget`` caps how many restarts one component may consume before
     the supervisor declares it permanently failed, and :meth:`delay`
     spaces the attempts with capped exponential backoff and
-    deterministic jitter (so two supervised deployments with the same
-    seed restart on the same schedule).
+    deterministic jitter (so every supervised deployment restarts on
+    the same schedule).
     """
 
     budget: int = 5
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-    multiplier: float = 2.0
-    jitter: float = 0.1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
 
     def delay(self, restart: int, key: object = None) -> float:
         """Backoff before restart number ``restart`` (1 = first restart).
 
-        Deterministic in ``(seed, key, restart)``; ``key`` names the
+        Deterministic in ``(SEED, key, restart)``; ``key`` names the
         component being restarted (the supervisor passes ``shard:i``)
         so distinct components de-synchronise.
         """
         if restart < 1:
             raise ValueError("restart must be >= 1")
-        delay = min(
-            self.base_delay * self.multiplier ** (restart - 1), self.max_delay
-        )
-        if self.jitter and delay > 0:
-            # crc32, not hash(): str hashing is salted per process and
-            # would make the jitter irreproducible across runs
-            material = repr((self.seed, key, restart)).encode()
-            rng = random.Random(zlib.crc32(material))
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return delay
+        delay = min(BASE_DELAY * MULTIPLIER ** (restart - 1), MAX_DELAY)
+        # crc32, not hash(): str hashing is salted per process and
+        # would make the jitter irreproducible across runs
+        material = repr((SEED, key, restart)).encode()
+        rng = random.Random(zlib.crc32(material))
+        return delay * (1.0 + JITTER * (2.0 * rng.random() - 1.0))
 
     def exhausted(self, restarts: int) -> bool:
         """True once ``restarts`` attempts have consumed the budget."""
@@ -88,15 +84,15 @@ class RestartPolicy:
     def max_recovery_seconds(self) -> float:
         """Upper bound on the total backoff a full budget can spend.
 
-        Jitter-inclusive (worst case ``1 + jitter`` per delay) — the
+        Jitter-inclusive (worst case ``1 + JITTER`` per delay) — the
         chaos drill uses this as its "recovered within the restart
         budget" deadline.
         """
         total = sum(
-            min(self.base_delay * self.multiplier ** (k - 1), self.max_delay)
+            min(BASE_DELAY * MULTIPLIER ** (k - 1), MAX_DELAY)
             for k in range(1, self.budget + 1)
         )
-        return total * (1.0 + self.jitter)
+        return total * (1.0 + JITTER)
 
 
 def validate_result(result: object, *, num_nodes: int, source: int) -> None:

@@ -9,8 +9,8 @@ Closures and lambdas work as task functions.
 
 Process isolation lives one layer up: ``--shard-mode process`` runs
 each shard's engine (and its pool) inside a supervised ``repro
-shard-worker`` process, which is respawned after SIGKILL, OOM,
-corrupt frames or heartbeat silence (see :mod:`repro.net.worker`).
+shard-worker`` process, which is respawned after SIGKILL, OOM, a
+missed heartbeat or a missed REQUEST deadline (see :mod:`repro.net.worker`).
 
 The graph set is fixed at construction.  Per-task timeouts are
 enforced at result-collection time (:meth:`ExecutorPool.run` /

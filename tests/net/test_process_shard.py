@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -146,11 +147,8 @@ def test_supervisor_respawns_killed_worker_and_restores_answers(
         heartbeat_ms=100.0,
         max_workers=1,
     )
-    policy = RestartPolicy(budget=3, base_delay=0.05, max_delay=0.2, jitter=0.0)
     supervisor = ShardSupervisor(
-        mgr,
-        restart_policy=policy,
-        check_interval=0.02,
+        mgr, restart_policy=RestartPolicy(budget=3), check_interval=0.02
     )
     supervisor.start()
     try:
@@ -191,30 +189,53 @@ def test_idle_heartbeat_keeps_worker_alive(catalog, registry):
     try:
         time.sleep(0.5)  # several heartbeat intervals of pure idleness
         assert shard.alive
-        assert not shard.heartbeat_expired()
-        assert shard.beat_age() < 1.0
         snap = shard.dispatcher_snapshot()
         assert snap["mode"] == "process"
-        assert snap["worker"]["alive"] is True
+        worker = snap["worker"]
+        assert worker["alive"] is True
+        # the idle dispatcher beat its worker: the last answer is fresh
+        assert worker["heartbeat_age_ms"] < 250.0, worker
+        assert worker["heartbeat_timeout_ms"] == 500.0
+        assert (
+            registry.counter("net.worker.heartbeat_misses", {"shard": "0"}).value
+            == 0
+        )
     finally:
         shard.close()
 
 
 def test_frozen_worker_trips_heartbeat_watchdog(catalog, registry):
+    """An idle stopped worker misses its dispatcher's beat and is dead."""
     shard = ProcessShard(0, catalog, heartbeat_ms=80.0)
-    supervisor_saw_it = False
     try:
         os.kill(shard.client.proc.pid, signal.SIGSTOP)
         try:
             deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if shard.heartbeat_expired():
-                    supervisor_saw_it = True
-                    break
+            while shard.alive and time.monotonic() < deadline:
                 time.sleep(0.02)
         finally:
             os.kill(shard.client.proc.pid, signal.SIGCONT)
-        assert supervisor_saw_it
+        assert not shard.alive
+        assert "missed the heartbeat" in shard.exit_reason, shard.exit_reason
+        assert (
+            registry.counter("net.worker.heartbeat_misses", {"shard": "0"}).value
+            == 1
+        )
+    finally:
+        shard.close()
+
+
+def test_process_shard_owns_one_front_end_thread(catalog, registry):
+    """After the handshake a process shard adds its dispatcher and no other thread."""
+    before = set(threading.enumerate())
+    shard = ProcessShard(0, catalog, heartbeat_ms=50.0)
+    try:
+        assert shard.submit([SSSPQuery(graph_id="alpha", source=0)]).result(
+            timeout=30.0
+        )[0].ok
+        time.sleep(0.2)  # beats flow meanwhile
+        added = set(threading.enumerate()) - before
+        assert [t.name for t in added] == ["repro-shard-0"]
     finally:
         shard.close()
 
@@ -245,9 +266,7 @@ def test_supervisor_replaces_worker_past_its_request_deadline(
     monkeypatch.setattr(worker_module, "DEFAULT_REQUEST_DEADLINE", 0.5)
     mgr = ShardManager(catalog, shards=1, shard_mode="process", max_workers=1)
     supervisor = ShardSupervisor(
-        mgr,
-        restart_policy=RestartPolicy(budget=3, base_delay=0.05, jitter=0.0),
-        check_interval=0.02,
+        mgr, restart_policy=RestartPolicy(budget=3), check_interval=0.02
     )
     supervisor.start()
     old_proc = mgr.shards[0].client.proc
@@ -264,6 +283,39 @@ def test_supervisor_replaces_worker_past_its_request_deadline(
         watch = supervisor.report()["shards"]["0"]
         assert watch["state"] == "up" and watch["restarts"] >= 1
         assert "missed the deadline" in watch["last_reason"]
+        assert mgr.shards[0].client.proc.pid != old_proc.pid
+        assert old_proc.poll() is not None  # the wedged worker was ended
+        assert mgr.run(SSSPQuery(graph_id="alpha", source=0)).ok
+    finally:
+        if old_proc.poll() is None:
+            os.kill(old_proc.pid, signal.SIGCONT)
+        supervisor.stop()
+        mgr.close(cancel_pending=True)
+
+
+def test_supervisor_replaces_an_idle_worker_that_misses_its_beat(
+    catalog, registry
+):
+    """An idle worker that stops answering is dead once a beat goes unanswered."""
+    mgr = ShardManager(
+        catalog, shards=1, shard_mode="process", heartbeat_ms=80.0, max_workers=1
+    )
+    supervisor = ShardSupervisor(
+        mgr, restart_policy=RestartPolicy(budget=3), check_interval=0.02
+    )
+    supervisor.start()
+    old_proc = mgr.shards[0].client.proc
+    os.kill(old_proc.pid, signal.SIGSTOP)
+    try:
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline:
+            watch = supervisor.report()["shards"]["0"]
+            if watch["state"] == "up" and watch["restarts"] >= 1:
+                break
+            time.sleep(0.02)
+        watch = supervisor.report()["shards"]["0"]
+        assert watch["state"] == "up" and watch["restarts"] >= 1
+        assert "missed the heartbeat" in watch["last_reason"]
         assert mgr.shards[0].client.proc.pid != old_proc.pid
         assert old_proc.poll() is not None  # the wedged worker was ended
         assert mgr.run(SSSPQuery(graph_id="alpha", source=0)).ok
@@ -327,4 +379,3 @@ def test_failed_build_closes_the_shards_already_built(
     (client,) = built
     assert client.proc.poll() is not None  # shard 0's worker has exited
     assert not client.alive
-    assert not client._reader.is_alive()

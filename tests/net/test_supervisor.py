@@ -62,12 +62,7 @@ def _kill(mgr, index=0, timeout=2.0):
 def test_crash_detected_and_restarted_fake_clock(catalog):
     mgr = _crash_shard0(catalog)
     try:
-        sup = ShardSupervisor(
-            mgr,
-            restart_policy=RestartPolicy(
-                budget=3, base_delay=10.0, max_delay=100.0, jitter=0.0
-            ),
-        )
+        sup = ShardSupervisor(mgr, restart_policy=RestartPolicy(budget=3))
         graph = _kill(mgr)
         t0 = 1000.0
         sup.check(now=t0)
@@ -76,11 +71,12 @@ def test_crash_detected_and_restarted_fake_clock(catalog):
         # degraded mode: the dead shard's graph fast-fails in-band
         r = mgr.run(SSSPQuery(graph_id=graph, source=1))
         assert not r.ok and r.error.startswith("unavailable")
-        # inside the backoff window nothing happens
-        sup.check(now=t0 + 5.0)
+        # inside the backoff window (0.05 s, jittered by 10%) nothing happens
+        delay = sup.policy.delay(1, key="shard:0")
+        sup.check(now=t0 + delay - 0.001)
         assert sup.state(0) == "down"
         # past the window: rebuilt, routing restored, serving again
-        sup.check(now=t0 + 10.5)
+        sup.check(now=t0 + delay + 0.001)
         assert sup.state(0) == "up"
         assert mgr.shard_state(0) == "up"
         assert mgr.run(SSSPQuery(graph_id=graph, source=1)).ok
@@ -139,9 +135,7 @@ def test_background_thread_restarts_without_fake_clock(catalog, registry):
     """The integration path: real thread, real (small) backoff."""
     mgr = _crash_shard0(catalog)
     sup = ShardSupervisor(
-        mgr,
-        restart_policy=RestartPolicy(budget=3, base_delay=0.01, jitter=0.0),
-        check_interval=0.01,
+        mgr, restart_policy=RestartPolicy(budget=3), check_interval=0.01
     )
     sup.start()
     try:
@@ -174,12 +168,7 @@ def test_shard_down_and_up_events_emitted(catalog):
     with obs.use(events=_Sink()):
         mgr = _crash_shard0(catalog)
         try:
-            sup = ShardSupervisor(
-                mgr,
-                restart_policy=RestartPolicy(
-                    budget=2, base_delay=0.0, jitter=0.0
-                ),
-            )
+            sup = ShardSupervisor(mgr, restart_policy=RestartPolicy(budget=2))
             _kill(mgr)
             sup.check(now=1.0)
             sup.check(now=2.0)
@@ -230,10 +219,7 @@ def test_restart_preserves_catalog_and_cache_keys(catalog):
     """A rebuilt shard serves the same graphs with the same fingerprints."""
     mgr = _crash_shard0(catalog)
     try:
-        sup = ShardSupervisor(
-            mgr,
-            restart_policy=RestartPolicy(budget=2, base_delay=0.0, jitter=0.0),
-        )
+        sup = ShardSupervisor(mgr, restart_policy=RestartPolicy(budget=2))
         before = mgr.run(SSSPQuery(graph_id="beta", source=0))
         graph = _kill(mgr)
         sup.check(now=1.0)
@@ -256,9 +242,7 @@ def test_retire_does_not_wait_for_an_abandoned_pool_task(catalog, monkeypatch):
     mgr = _manager(catalog, max_workers=2, timeout=0.2)
     mgr.shards[0].crash_at = 1
     sup = ShardSupervisor(
-        mgr,
-        restart_policy=RestartPolicy(budget=3, base_delay=0.05, jitter=0.0),
-        check_interval=0.02,
+        mgr, restart_policy=RestartPolicy(budget=3), check_interval=0.02
     )
     sup.start()
     try:
@@ -301,10 +285,7 @@ def test_health_answers_while_a_shard_rebuilds(catalog, monkeypatch):
 
     monkeypatch.setattr(ShardManager, "_build_shard", slow_rebuild)
     try:
-        sup = ShardSupervisor(
-            mgr,
-            restart_policy=RestartPolicy(budget=2, base_delay=0.0, jitter=0.0),
-        )
+        sup = ShardSupervisor(mgr, restart_policy=RestartPolicy(budget=2))
         _kill(mgr)
         sup.check(now=1.0)
         assert sup.state(0) == "down"
@@ -322,5 +303,38 @@ def test_health_answers_while_a_shard_rebuilds(catalog, monkeypatch):
         assert sup.state(0) == "up"
         assert len(took) >= 10
         assert max(took) < 0.2, max(took)
+    finally:
+        mgr.close()
+
+
+def test_recovery_time_includes_the_rebuild_fake_clock(catalog, monkeypatch):
+    """A shard serves again only once its rebuild returns, so that counts."""
+    mgr = _crash_shard0(catalog)
+    rebuild = ShardManager.rebuild_shard
+
+    def slow_rebuild(self, index):
+        time.sleep(0.2)
+        return rebuild(self, index)
+
+    monkeypatch.setattr(ShardManager, "rebuild_shard", slow_rebuild)
+    events = []
+
+    class _Sink:
+        enabled = True
+
+        def emit(self, event):
+            events.append(event)
+
+    try:
+        with obs.use(events=_Sink()):
+            sup = ShardSupervisor(mgr, restart_policy=RestartPolicy(budget=2))
+            _kill(mgr)
+            sup.check(now=1.0)
+            sup.check(now=1.06)  # past the first backoff (at most 0.055 s)
+        assert sup.state(0) == "up"
+        recovery_ms = sup.report()["shards"]["0"]["last_recovery_ms"]
+        assert recovery_ms >= 200.0, recovery_ms
+        up = next(e for e in events if e["type"] == "shard_up")
+        assert up["downtime_ms"] == recovery_ms
     finally:
         mgr.close()

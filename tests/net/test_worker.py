@@ -1,9 +1,11 @@
-"""WorkerClient: spawn, handshake, correlation, death, bad frames."""
+"""WorkerClient: spawn, handshake, exchanges, beats, death, bad frames."""
 
 from __future__ import annotations
 
 import json
 import os
+import queue
+import select
 import signal
 import socket
 import struct
@@ -25,6 +27,7 @@ from repro.net.frames import (
     FT_REQUEST,
     FT_RESPONSE,
     FT_SHUTDOWN,
+    FrameError,
     decode_json_payload,
     encode_frame,
     recv_frame,
@@ -100,27 +103,6 @@ def test_handshake_records_graph_fingerprints(grids, registry):
         client.close()
 
 
-def test_concurrent_requests_correlate_correctly(grids, registry):
-    client = _client(grids)
-    try:
-        futures = [
-            (s, client.request(_wire("alpha", [s])))
-            for s in range(8)
-        ]
-        engine_cat = GraphCatalog()
-        engine_cat.register("alpha", grids["alpha"])
-        engine = QueryEngine(engine_cat, max_workers=1)
-        try:
-            for source, future in futures:
-                row = future.result(timeout=30.0)["responses"][0]
-                want = engine.run(SSSPQuery(graph_id="alpha", source=source))
-                assert row["max_dist"] == want.max_dist, source
-        finally:
-            engine.close()
-    finally:
-        client.close()
-
-
 def test_sigkill_fails_inflight_and_subsequent_requests(grids, registry):
     client = _client(grids)
     try:
@@ -130,8 +112,8 @@ def test_sigkill_fails_inflight_and_subsequent_requests(grids, registry):
         while client.alive and time.monotonic() < deadline:
             time.sleep(0.01)
         assert not client.alive
-        # the reader may see the EOF before waitpid reaps the corpse;
-        # either way the death is recorded and exit_description is exact
+        # waitpid reaps the corpse through alive, before any exchange
+        # sees the EOF; the death is recorded and exit_description is exact
         assert client.death_reason
         assert "SIGKILL" in client.exit_description()
         with pytest.raises(WorkerRequestError, match="retry"):
@@ -141,28 +123,31 @@ def test_sigkill_fails_inflight_and_subsequent_requests(grids, registry):
 
 
 def test_sigstop_expires_heartbeat_and_request_deadline(grids, registry):
-    client = _client(grids, heartbeat_timeout_ms=300.0)
+    """A stopped worker misses its beat when idle, its deadline when busy."""
+    idle, busy = _client(grids), _client(grids)
     try:
-        assert not client.heartbeat_expired()
-        os.kill(client.proc.pid, signal.SIGSTOP)
+        idle.beat()
+        assert idle.snapshot()["heartbeat_timeout_ms"] == 500.0
+        for client in (idle, busy):
+            os.kill(client.proc.pid, signal.SIGSTOP)
         try:
-            future = client.request(_wire("alpha", [0]), deadline_seconds=0.4)
+            t0 = time.monotonic()
+            with pytest.raises(WorkerRequestError, match="missed the heartbeat"):
+                idle.beat()
+            assert 0.45 < time.monotonic() - t0 < 5.0
+            assert not idle.alive
+            future = busy.request(_wire("alpha", [0]), deadline_seconds=0.4)
             with pytest.raises(WorkerRequestError, match="deadline"):
                 future.result(timeout=10.0)
-            deadline = time.monotonic() + 5.0
-            while not client.heartbeat_expired() and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert client.heartbeat_expired()
-            assert (
-                registry.counter(
-                    "net.worker.heartbeat_misses", {"shard": "0"}
-                ).value
-                >= 1
-            )
+            assert not busy.alive
+            misses = registry.counter("net.worker.heartbeat_misses", {"shard": "0"})
+            assert misses.value == 1  # the REQUEST's deadline is not a beat
         finally:
-            os.kill(client.proc.pid, signal.SIGCONT)
+            for client in (idle, busy):
+                os.kill(client.proc.pid, signal.SIGCONT)
     finally:
-        client.close()
+        idle.close()
+        busy.close()
 
 
 def test_missed_request_deadline_marks_the_client_dead(grids, registry):
@@ -257,9 +242,7 @@ class _Link:
 
     def __init__(self):
         self.sock, child = socket.socketpair()
-        self.worker = _WorkerProcess(
-            child, shard_index=0, token="t", heartbeat_ms=60_000.0
-        )
+        self.worker = _WorkerProcess(child, shard_index=0, token="t")
         self.thread = threading.Thread(target=self.worker.serve, daemon=True)
         self.thread.start()
         self.corr = 0
@@ -396,114 +379,176 @@ class _NoProcess:
     kill = terminate
 
 
+class _FakeWorker:
+    """The worker end of a paired client's socket, answering on a helper thread.
+
+    Each frame the client sends is answered by the next queued reply:
+    ``reply(corr)`` returns the bytes to send back.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.replies: "queue.SimpleQueue" = queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def answer(self, frame_type: int, payload: bytes, *, corrupt=False) -> None:
+        """Queue one answer of ``frame_type`` to the next frame's corr."""
+
+        def reply(corr: int) -> bytes:
+            frame = bytearray(encode_frame(frame_type, corr, payload))
+            if corrupt:
+                frame[-1] ^= 0xFF  # a payload bit flipped after the CRC was set
+            return bytes(frame)
+
+        self.replies.put(reply)
+
+    def _serve(self) -> None:
+        try:
+            while True:
+                _, corr, _ = recv_frame(self.sock)
+                reply = self.replies.get()
+                if reply is None:  # the test is over
+                    return
+                self.sock.sendall(reply(corr))
+        except (EOFError, OSError, FrameError):
+            return
+
+
 @pytest.fixture
 def paired(monkeypatch, registry):
-    """``(client, peer)``: a WorkerClient and the worker end of its socket."""
+    """``(client, worker)``: a WorkerClient and a fake worker on its socket."""
     ours, peer = socket.socketpair()
 
     def spawn(self, graphs, engine_kwargs, spawn_timeout):
         self.sock, self.proc, self.pid = ours, _NoProcess(), 0
         self.last_stats = {"queries": 0}
         self.last_health = {"pool": {"alive": True}}
-        self._reader.start()
 
     monkeypatch.setattr(WorkerClient, "_spawn", spawn)
     client = WorkerClient(0, {})
-    yield client, peer
+    worker = _FakeWorker(peer)
+    yield client, worker
     client.close()
+    worker.replies.put(None)
+    worker.thread.join(timeout=5.0)
     peer.close()
 
 
-def _answer_next(peer, frame_type: int, payload: bytes) -> None:
-    """Read the client's next frame and answer its correlation id."""
-    _, corr, _ = recv_frame(peer, idle_timeout=5.0)
-    peer.sendall(encode_frame(frame_type, corr, payload))
+_EMPTY = _json({"responses": []})
+
+
+def _good_request_follows(client, worker) -> None:
+    """The stream is still framed: the next exchange succeeds."""
+    worker.answer(FT_RESPONSE, _EMPTY)
+    future = client.request(_wire("alpha", [1]), deadline_seconds=1.0)
+    assert future.result(timeout=1.0) == {"responses": []}
+    assert client.alive
 
 
 def test_corrupt_response_fails_only_its_frame(paired, registry):
     """A RESPONSE whose CRC does not match fails its request alone, retryably."""
-    client, peer = paired
+    client, worker = paired
+    worker.answer(FT_RESPONSE, _EMPTY, corrupt=True)
     bad = client.request(_wire("alpha", [0]), deadline_seconds=1.0)
-    _, corr, _ = recv_frame(peer, idle_timeout=5.0)
-    frame = bytearray(encode_frame(FT_RESPONSE, corr, _json({"responses": []})))
-    frame[-1] ^= 0xFF  # a payload bit flipped after the CRC was set
-    peer.sendall(bytes(frame))
     with pytest.raises(WorkerRequestError, match="corrupt frame"):
         bad.result(timeout=1.0)
     assert (
         registry.counter("net.worker.frames_corrupt", {"shard": "0"}).value == 1
     )
-    # the stream resynced: the very next request succeeds
-    good = client.request(_wire("alpha", [1]), deadline_seconds=1.0)
-    _answer_next(peer, FT_RESPONSE, _json({"responses": []}))
-    assert good.result(timeout=1.0) == {"responses": []}
-    assert client.alive
+    _good_request_follows(client, worker)
 
 
 @pytest.mark.parametrize("payload", [b"not json", b"[]"], ids=["not-json", "array"])
 def test_undecodable_answer_fails_only_its_request(paired, payload):
-    client, peer = paired
+    client, worker = paired
+    worker.answer(FT_RESPONSE, payload)
     bad = client.request(_wire("alpha", [0]), deadline_seconds=1.0)
-    _answer_next(peer, FT_RESPONSE, payload)
     with pytest.raises(RuntimeError, match="bad frame") as info:
         bad.result(timeout=1.0)
     assert not isinstance(info.value, WorkerRequestError)  # same bytes, same failure
-    assert client.alive and client._reader.is_alive()
-    good = client.request(_wire("alpha", [1]), deadline_seconds=1.0)
-    _answer_next(peer, FT_RESPONSE, _json({"responses": []}))
-    assert good.result(timeout=1.0) == {"responses": []}
+    _good_request_follows(client, worker)
 
 
 def test_answer_nested_too_deep_fails_only_its_request(paired):
-    client, peer = paired
+    client, worker = paired
     deep = b"[" * 100_000 + b"]" * 100_000  # past any recursion limit
+    worker.answer(FT_RESPONSE, deep)
     bad = client.request(_wire("alpha", [0]), deadline_seconds=1.0)
-    _answer_next(peer, FT_RESPONSE, deep)
     with pytest.raises(RuntimeError, match="bad frame: undecodable JSON payload"):
         bad.result(timeout=1.0)
-    peer.sendall(encode_frame(FT_HEARTBEAT, 0, deep))
-    good = client.request(_wire("alpha", [1]), deadline_seconds=1.0)
-    _answer_next(peer, FT_RESPONSE, _json({"responses": []}))
-    assert good.result(timeout=1.0) == {"responses": []}
-    assert client.alive and client._reader.is_alive()
+    worker.answer(FT_HEARTBEAT, deep)
+    with pytest.raises(RuntimeError, match="bad frame: undecodable JSON payload"):
+        client.beat()
+    assert client.last_stats == {"queries": 0}
+    _good_request_follows(client, worker)
 
 
 def test_heartbeat_with_non_object_stats_is_ignored(paired):
-    client, peer = paired
-    peer.sendall(encode_frame(FT_HEARTBEAT, 0, _json({"stats": {"queries": 3}})))
-    peer.sendall(encode_frame(FT_HEARTBEAT, 0, _json({"stats": 5, "health": []})))
-    # frames are read in order: once this answer lands, both beats were handled
-    future = client.request(_wire("alpha", [0]), deadline_seconds=1.0)
-    _answer_next(peer, FT_RESPONSE, _json({"responses": []}))
-    future.result(timeout=1.0)
+    client, worker = paired
+    worker.answer(FT_HEARTBEAT, _json({"stats": {"queries": 3}}))
+    client.beat()
+    worker.answer(FT_HEARTBEAT, _json({"stats": 5, "health": []}))
+    client.beat()
     assert client.last_stats == {"queries": 3}
     assert client.last_health == {"pool": {"alive": True}}
     proxy = _WorkerEngineProxy(client, GraphCatalog())
     assert proxy.stats()["queries"] == 3
     assert proxy.health()["pool"]["alive"] is True
-
-
-def test_reader_failure_marks_client_dead(paired, monkeypatch):
-    client, peer = paired
-
-    def boom(self, payload):
-        raise ValueError("reader bug")
-
-    monkeypatch.setattr(WorkerClient, "_keep_beat", boom)
-    future = client.request(_wire("alpha", [0]), deadline_seconds=30.0)
-    peer.sendall(encode_frame(FT_HEARTBEAT, 0, _json({})))
-    with pytest.raises(WorkerRequestError, match="reader failed: ValueError"):
-        future.result(timeout=5.0)
-    assert not client.alive
+    assert proxy.stats()["worker"]["heartbeat_age_ms"] < 1000.0
 
 
 def test_wrong_answer_type_fails_the_call(paired):
-    client, peer = paired
+    client, worker = paired
+    worker.answer(FT_READY, _json({}))
     future = client.request(_wire("alpha", [0]), deadline_seconds=1.0)
-    _answer_next(peer, FT_READY, _json({}))
     with pytest.raises(RuntimeError, match=f"bad frame: type {FT_READY}, expected {FT_RESPONSE}"):
         future.result(timeout=1.0)
     assert client.alive
+
+
+def test_error_answer_honours_its_retryable_flag(paired):
+    client, worker = paired
+    worker.answer(FT_ERROR, _json({"error": "not yet", "retryable": True}))
+    with pytest.raises(WorkerRequestError, match="worker 0: not yet"):
+        client.request(_wire("alpha", [0])).result(timeout=1.0)
+    worker.answer(FT_ERROR, _json({"error": "bad frame: KeyError", "retryable": False}))
+    with pytest.raises(RuntimeError, match="worker 0: bad frame: KeyError") as info:
+        client.request(_wire("alpha", [0])).result(timeout=1.0)
+    assert not isinstance(info.value, WorkerRequestError)
+    _good_request_follows(client, worker)
+
+
+def test_close_wakes_a_blocked_exchange(paired):
+    """Closing from another thread fails the exchange waiting on the socket."""
+    client, worker = paired
+    closer = threading.Timer(0.2, client.close, kwargs={"graceful": False})
+    closer.start()
+    t0 = time.monotonic()
+    future = client.request(_wire("alpha", [0]), deadline_seconds=30.0)
+    with pytest.raises(WorkerRequestError, match="closed"):
+        future.result(timeout=1.0)
+    assert time.monotonic() - t0 < 5.0
+    closer.join()
+    assert not client.alive
+
+
+def test_idle_worker_sends_nothing_until_asked(grids):
+    """After HELLO the worker only answers: an idle one stays silent."""
+    link = _Link()
+    try:
+        _adopt_and_configure(link, grids)
+        ready, _, _ = select.select([link.sock], [], [], 0.5)
+        assert ready == []  # no unsolicited frame, heartbeat or otherwise
+        got_type, body = link.call(FT_HEARTBEAT, b"{}")
+        assert got_type == FT_HEARTBEAT
+        assert body["pid"] == os.getpid()
+        assert body["stats"]["queries"] == 0
+        assert body["health"]["pool"]["alive"] is True
+        ready, _, _ = select.select([link.sock], [], [], 0.2)
+        assert ready == []
+    finally:
+        link.close()
 
 
 class _WorkerThread:
@@ -515,11 +560,7 @@ class _WorkerThread:
         self.thread = threading.Thread(
             target=run_worker,
             args=(opts["--connect"],),
-            kwargs={
-                "shard_index": int(opts["--shard"]),
-                "token": opts["--token"],
-                "heartbeat_ms": float(opts["--heartbeat-ms"]),
-            },
+            kwargs={"shard_index": int(opts["--shard"]), "token": opts["--token"]},
             daemon=True,
         )
         self.thread.start()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.resilience import CorruptResultError, RestartPolicy, validate_result
+from repro.resilience import retry
 from repro.sssp.result import SSSPResult
 
 
@@ -44,17 +45,16 @@ class TestValidateResult:
 
 class TestRestartPolicy:
     def test_delay_schedule_matches_retry_backoff(self):
-        policy = RestartPolicy(
-            budget=4, base_delay=0.1, max_delay=10.0, multiplier=2.0,
-            jitter=0.0,
-        )
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.4)
+        policy = RestartPolicy(budget=4)
+        for restart, base in ((1, 0.05), (2, 0.1), (3, 0.2)):
+            assert base * (1 - retry.JITTER) <= policy.delay(restart) <= base * (
+                1 + retry.JITTER
+            )
 
     def test_delay_caps_at_max_delay(self):
-        policy = RestartPolicy(budget=3, base_delay=10.0, jitter=0.0)
-        assert policy.delay(1) == pytest.approx(2.0)  # default max_delay
+        policy = RestartPolicy(budget=10)
+        # 0.05 * 2**7 = 6.4 s uncapped
+        assert policy.delay(8) == pytest.approx(retry.MAX_DELAY, rel=retry.JITTER)
 
     def test_budget_exhaustion(self):
         policy = RestartPolicy(budget=2)
@@ -65,25 +65,17 @@ class TestRestartPolicy:
         assert zero.exhausted(0)
 
     def test_max_recovery_bounds_the_whole_schedule(self):
-        policy = RestartPolicy(
-            budget=3, base_delay=0.1, max_delay=1.0, multiplier=2.0,
-            jitter=0.0,
-        )
-        # 0.1 + 0.2 + 0.4, no jitter slack
-        assert policy.max_recovery_seconds() == pytest.approx(0.7)
-        jittered = RestartPolicy(
-            budget=3, base_delay=0.1, max_delay=1.0, multiplier=2.0,
-            jitter=0.5,
-        )
-        assert jittered.max_recovery_seconds() == pytest.approx(0.7 * 1.5)
+        policy = RestartPolicy(budget=3)
+        # 0.05 + 0.1 + 0.2, each with its worst-case jitter
+        assert policy.max_recovery_seconds() == pytest.approx(0.35 * 1.1)
         for restart in (1, 2, 3):
-            assert jittered.delay(restart, key="shard:0") <= (
-                jittered.max_recovery_seconds()
+            assert policy.delay(restart, key="shard:0") <= (
+                policy.max_recovery_seconds()
             )
 
     def test_deterministic_jitter_per_key(self):
-        a = RestartPolicy(budget=3, jitter=0.3, seed=5)
-        b = RestartPolicy(budget=3, jitter=0.3, seed=5)
+        a = RestartPolicy(budget=3)
+        b = RestartPolicy(budget=3)
         assert a.delay(1, key="shard:0") == b.delay(1, key="shard:0")
         assert a.delay(1, key="shard:0") != a.delay(1, key="shard:1")
 
@@ -92,25 +84,15 @@ class TestRestartPolicy:
             RestartPolicy(budget=-1)
 
     def test_jitter_bounded_and_deterministic(self):
-        policy = RestartPolicy(base_delay=0.1, jitter=0.25, seed=3)
-        d1 = policy.delay(1, key="q")
-        assert 0.075 <= d1 <= 0.125
-        # same (seed, key, restart) => same delay, on any run or host
-        assert RestartPolicy(base_delay=0.1, jitter=0.25, seed=3).delay(1, key="q") == d1
+        d1 = RestartPolicy().delay(1, key="q")
+        assert 0.045 <= d1 <= 0.055
+        # same (SEED, key, restart) => same delay, on any run or host
+        assert RestartPolicy(budget=1).delay(1, key="q") == d1
 
     def test_distinct_keys_desynchronise(self):
-        policy = RestartPolicy(base_delay=0.1, jitter=0.25, seed=0)
+        policy = RestartPolicy()
         assert policy.delay(1, key="a") != policy.delay(1, key="b")
 
     def test_attempt_must_be_positive(self):
         with pytest.raises(ValueError, match="restart"):
             RestartPolicy().delay(0)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"base_delay": -1.0}, {"multiplier": 0.5}, {"jitter": 1.0}],
-        ids=["base-delay", "multiplier", "jitter"],
-    )
-    def test_config_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RestartPolicy(**kwargs)

@@ -32,10 +32,14 @@ argument would bypass it.  For the same reason nothing imports
 dispatcher makes redundant).  Nothing names ``ProcessPoolExecutor`` or
 the ``poolbreak`` fault kind either: process isolation is the process
 shards' job (``--shard-mode process``), and the executor pool is
-thread-only.  A process shard keeps one REQUEST frame in flight,
-awaits every answer through one correlated call and serves the stats
-and health its worker last sent, so the outstanding-frame window, the
-second handshake path and the proxy's hand-copied fallbacks stay gone.
+thread-only.  A process shard's dispatcher makes each exchange with
+its worker a send followed by a receive on its own thread, one at a
+time, beats the worker itself between cycles and serves the stats and
+health its worker last answered, so the outstanding-frame window, the
+second handshake path, the proxy's hand-copied fallbacks, the client's
+reader thread with its table of pending calls, and the worker's
+unasked heartbeat with its timer stay gone (``heartbeat_timeout_ms``
+is still a health-row key, so it is not banned).
 A shard is replaced when it is dead, never for being slow, so nothing
 names the stall watchdog, the dispatcher heartbeat that fed it or the
 ``dispatcher_hang`` drill kind; keyword and parameter names count.
@@ -256,6 +260,17 @@ REMOVED_NAMES = (
     "_EMPTY_STATS",
     "_EMPTY_HEALTH",
     "_WorkerPoolView",
+    # one exchange at a time on the dispatcher's thread: no reader
+    # thread, pending table or send lock, and no beat the worker sends
+    # unasked or the supervisor checks apart from alive
+    "_read_loop",
+    "_Pending",
+    "_send_raw",
+    "worker-client",
+    "_keep_beat",
+    "last_frame",
+    "heartbeat_seconds",
+    "heartbeat_expired",
     # shards are replaced when dead, never for being slow: no stall
     # watchdog, dispatcher heartbeat or drill fault that only fed it
     "stall_seconds",
@@ -478,6 +493,8 @@ def test_removed_dispatch_layers_not_imported():
         "_die_oom(), s.faults_injected, ('conn_drop', 'worker_oom', 'frame_corrupt'), "
         "'--fault-rate', a.fault_rate, '--fault-hang', a.fault_hang, hang_seconds, "
         "n.conns_dropped, 'net.connections.dropped'\n"
+        "c._read_loop(), _Pending(f, 0.0, 6), c._send_raw(b''), 'repro-worker-client-0', "
+        "c._keep_beat(p), c.last_frame, w.heartbeat_seconds, s.heartbeat_expired(now)\n"
     )
     assert sorted(_removed_imports(probe, "probe.py")) == [
         "probe.py:10: names merge_snapshot",
@@ -553,6 +570,14 @@ def test_removed_dispatch_layers_not_imported():
         "probe.py:19: names slow_shard",
         "probe.py:19: names worker_oom",
         "probe.py:1: names ProcessPoolExecutor",
+        "probe.py:20: names _Pending",
+        "probe.py:20: names _keep_beat",
+        "probe.py:20: names _read_loop",
+        "probe.py:20: names _send_raw",
+        "probe.py:20: names heartbeat_expired",
+        "probe.py:20: names heartbeat_seconds",
+        "probe.py:20: names last_frame",
+        "probe.py:20: names worker-client",
         "probe.py:3: names ProcessPoolExecutor",
         "probe.py:4: names poolbreak",
         "probe.py:7: names TELEMETRY_WIRE_VERSION",
