@@ -3,11 +3,16 @@
 ``test_serving_telemetry_overhead`` times the same serving workload
 through the query engine with telemetry off (null obs context — the
 engine's bare pre-telemetry task path, by construction) and with full
-telemetry on (registry + events + spans + per-query traces), and
-records the on/off ratio in ``benchmarks/results/metrics.json``
-(``bench.overhead.telemetry_*`` gauges) for the CI perf gate.
+telemetry on (registry + events + spans + per-query traces), in
+interleaved off/on pairs that alternate which side runs first, and
+records the median of the per-pair on/off ratios in
+``benchmarks/results/metrics.json`` (``bench.overhead.telemetry_*``
+gauges) for the CI perf gate: the interleaved-median estimator of
+``bench/compare.py``, so a host that changes speed between passes moves
+both sides of a pair alike.
 """
 
+import statistics
 import time
 
 from conftest import run_once
@@ -49,7 +54,7 @@ def test_noop_instrumentation_overhead(benchmark, config, emit):
 
 SERVE_SCALE = 0.02
 SERVE_QUERIES = 24
-SERVE_REPS = 3
+SERVE_PASSES = 9  # interleaved off/on pairs
 
 
 def test_serving_telemetry_overhead(benchmark, emit):
@@ -57,10 +62,15 @@ def test_serving_telemetry_overhead(benchmark, emit):
     from repro.experiments.report import format_table
     from repro.service import QueryEngine, SSSPQuery, default_catalog
 
+    # one catalog with its graph built up front: a fresh catalog builds
+    # ``cal`` lazily on the first query, inside the timed window
+    catalog = default_catalog(SERVE_SCALE)
+    catalog.get("cal")
+
     def run_workload() -> float:
         """One full serving pass; caching off so every query computes."""
         engine = QueryEngine(
-            default_catalog(SERVE_SCALE),
+            catalog,
             max_workers=2,
             cache_size=0,
             max_batch=1,
@@ -75,39 +85,59 @@ def test_serving_telemetry_overhead(benchmark, emit):
         assert all(r.ok for r in responses)
         return elapsed
 
-    def measure(telemetry: bool) -> float:
-        best = float("inf")
-        for _ in range(SERVE_REPS):
-            if telemetry:
-                with obs.use(
-                    registry=obs.MetricsRegistry(),
-                    events=obs.ListSink(),
-                    spans=obs.SpanRecorder(),
-                ):
-                    best = min(best, run_workload())
-            else:
-                # nested bare use() shadows the session registry with
-                # the null context: the engine sees no telemetry at all
-                with obs.use():
-                    best = min(best, run_workload())
-        return best
+    def timed(telemetry: bool) -> float:
+        if telemetry:
+            with obs.use(
+                registry=obs.MetricsRegistry(),
+                events=obs.ListSink(),
+                spans=obs.SpanRecorder(),
+            ):
+                return run_workload()
+        # nested bare use() shadows the session registry with the null
+        # context: the engine sees no telemetry at all
+        with obs.use():
+            return run_workload()
 
-    off_s = measure(telemetry=False)
-    on_s, _ = run_once(benchmark, lambda: (measure(telemetry=True), None))
-    ratio = on_s / off_s
+    def interleaved():
+        """``(off_s, on_s)`` per pass; odd passes run the on side first."""
+        passes = []
+        for i in range(SERVE_PASSES):
+            order = (True, False) if i % 2 else (False, True)
+            seconds = {telemetry: timed(telemetry) for telemetry in order}
+            passes.append((seconds[False], seconds[True]))
+        return passes
+
+    passes = run_once(benchmark, interleaved)
+    ratios = [on / off for off, on in passes]
+    ratio = statistics.median(ratios)
+    off_s = statistics.median(off for off, _ in passes)
+    on_s = statistics.median(on for _, on in passes)
 
     rows = [
         {
-            "queries": SERVE_QUERIES,
+            "pass": i,
+            "first": "on" if i % 2 else "off",
+            "telemetry off (s)": round(off, 4),
+            "telemetry on (s)": round(on, 4),
+            "on/off ratio": round(on / off, 3),
+        }
+        for i, (off, on) in enumerate(passes)
+    ]
+    rows.append(
+        {
+            "pass": "median",
+            "first": "-",
             "telemetry off (s)": round(off_s, 4),
             "telemetry on (s)": round(on_s, 4),
             "on/off ratio": round(ratio, 3),
         }
-    ]
+    )
     emit(
         "serving_telemetry_overhead",
         banner("Serving path: telemetry on vs off")
         + "\n"
+        + f"{SERVE_QUERIES} queries per pass; on/off ratio = median of the "
+        f"{SERVE_PASSES} per-pass ratios\n"
         + format_table(rows),
     )
 

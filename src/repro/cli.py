@@ -1447,7 +1447,10 @@ def _render_event(event: dict) -> str | None:
 
     Covers the serving vocabulary (``query_*``, ``batch_dispatch``)
     and the kernel batch events (``batch_run_start`` / ``batch_run_end``)
-    that used to fall through to raw dicts, plus v2 ``span`` events.
+    that used to fall through to raw dicts, plus v2 ``span`` events and
+    a run's ``run_start`` / ``iterations`` / ``run_end``; an
+    ``iterations`` event shows its row count, the sum and peak of
+    X^(2) and its first and last delta.
     """
     etype = event.get("type")
     trace_tag = f" trace={event['trace'][:8]}" if event.get("trace") else ""
@@ -1498,6 +1501,15 @@ def _render_event(event: dict) -> str | None:
             f"on {event.get('graph')} source={event.get('source')}"
             f"{worker_tag}{trace_tag}"
         )
+    if etype == "iterations":
+        x2 = [v for v in event.get("x2") or () if v is not None]
+        deltas = [v for v in event.get("delta") or () if v is not None]
+        window = f" delta {deltas[0]:.4g}..{deltas[-1]:.4g}" if deltas else ""
+        return (
+            f"iterations    rows={len(event.get('x1') or ())} "
+            f"x2 sum={sum(x2):,} max={max(x2, default=0):,}"
+            f"{window}{worker_tag}{trace_tag}"
+        )
     if etype == "run_end":
         return (
             f"run_end       iterations={event.get('iterations')} "
@@ -1510,9 +1522,9 @@ def _render_event(event: dict) -> str | None:
 def _show_event_log(path: Path, quiet: bool) -> int:
     """Summarise a ``.events.jsonl`` log: counts, then rendered lines.
 
-    ``iteration`` events (one per SSSP iteration — often thousands)
-    are counted but not listed; everything else prints one line each,
-    unknown types as raw JSON so nothing is silently dropped.
+    Every event prints one line (a run's ``iterations`` columns too),
+    unknown types as raw JSON so nothing is silently dropped; a v2
+    log's per-iteration ``iteration`` events are counted, not listed.
     """
     counts: Dict[str, int] = {}
     lines = []

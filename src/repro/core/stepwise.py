@@ -2,8 +2,11 @@
 
 :class:`AdaptiveNearFarStepper` exposes the algorithm one outer
 iteration at a time: each :meth:`step` runs advance → filter →
-bisect-frontier → rebalancer and returns that iteration's
-:class:`~repro.instrument.trace.IterationRecord`.
+bisect-frontier → rebalancer and returns that iteration's row as an
+:class:`~repro.instrument.trace.IterationRecord`, keeping the row in
+``rows`` when something will read it.  :meth:`finish` ends the run: it
+books the rows into the observability context once
+(:func:`~repro.instrument.trace.publish_run`) and returns the result.
 
 This is the integration point for *outer* control loops that need to
 react between iterations — most importantly the power-target servo of
@@ -31,7 +34,7 @@ from repro.core.controller import (
 )
 from repro.core.partitions import FarQueuePartitions, FlatFarQueue
 from repro.graph.csr import CSRGraph
-from repro.instrument.trace import IterationRecord, RunTrace
+from repro.instrument.trace import IterationRecord, RunTrace, publish_run
 from repro.obs import context as obs
 from repro.obs.events import EVENT_SCHEMA_VERSION
 from repro.resilience.guard import DivergenceGuard, GuardConfig
@@ -81,7 +84,7 @@ class AdaptiveNearFarStepper:
             initial_d=max(graph.average_degree, 1.0),
         )
         queue_cls = FarQueuePartitions if params.use_partitions else FlatFarQueue
-        self.partitions = queue_cls(initial_boundary=graph.average_weight)
+        self.partitions = queue_cls(initial_boundary=suggest_delta(graph))
 
         # divergence watchdog: a blown-up controller (NaN/runaway delta,
         # limit-cycle oscillation) degrades the run to plain near-far
@@ -110,21 +113,16 @@ class AdaptiveNearFarStepper:
         self.iterations = 0
         self.relaxations = 0
         self._controller_prev_seconds = 0.0
-
-        # observability handles, bound to the context active at
-        # construction (all no-op by default)
+        # one row per iteration (repro.instrument.trace.ROW_FIELDS),
+        # kept while something reads them: the observability context
+        # active at construction, booked once by finish(), or a trace
+        # passed to run()
         ctx = obs.current()
-        reg = ctx.registry
-        self._events = ctx.events
-        self._m_iterations = reg.counter("sssp.iterations")
-        self._m_relaxations = reg.counter("sssp.relaxations")
-        self._m_frontier = reg.histogram("sssp.frontier")
-        self._m_parallelism = reg.histogram("sssp.parallelism")
-        self._m_to_far = reg.counter("sssp.queue.moved_to_far")
-        self._m_from_far = reg.counter("sssp.queue.moved_from_far")
-        self._m_far_scanned = reg.counter("sssp.queue.far_scanned")
-        self._m_drains = reg.counter("sssp.queue.drains")
-        self._m_fallbacks = reg.counter("controller.fallbacks")
+        self._registry, self._events = ctx.registry, ctx.events
+        self.rows: list = []
+        self._keep_rows = ctx.registry.enabled or ctx.events.enabled
+        self._finished = False
+        self._m_fallbacks = ctx.registry.counter("controller.fallbacks")
         if self._events.enabled:
             self._events.emit(
                 {
@@ -159,8 +157,9 @@ class AdaptiveNearFarStepper:
         self.controller.setpoint = float(value)
 
     def step(self, *, record: bool = True) -> Optional[IterationRecord]:
-        """Run one outer iteration; ``None`` once the run has finished,
-        and always with ``record=False``, which builds no record."""
+        """Run one outer iteration and return its record; ``None`` once
+        the run has finished, and always with ``record=False``, which
+        builds no record."""
         if self.done:
             return None
         self.iterations += 1
@@ -257,55 +256,18 @@ class AdaptiveNearFarStepper:
             if not self.fallback:
                 controller.invalidate_pending()
 
-        self._m_iterations.inc()
-        self._m_relaxations.inc(adv.relaxations)
-        self._m_frontier.observe(x1)
-        self._m_parallelism.observe(adv.x2)
-        if moved_to_far:
-            self._m_to_far.inc(moved_to_far)
-        if moved_from_far:
-            self._m_from_far.inc(moved_from_far)
-        if far_scanned:
-            self._m_far_scanned.inc(far_scanned)
-        if drains:
-            self._m_drains.inc(drains)
-        if self._events.enabled:
-            self._events.emit(
-                {
-                    "type": "iteration",
-                    "k": self.iterations - 1,
-                    "x1": x1,
-                    "x2": adv.x2,
-                    "x3": x3,
-                    "x4": x4,
-                    "delta": decision.delta,
-                    "far_size": partitions.total(),
-                    "d": controller.d,
-                    "alpha": controller.alpha,
-                }
-            )
-
         now = controller.seconds
         seconds, self._controller_prev_seconds = now - self._controller_prev_seconds, now
-        if not record:
+        if not (record or self._keep_rows):
             return None
-        return IterationRecord(
-            k=self.iterations - 1,
-            x1=x1,
-            x2=adv.x2,
-            x3=x3,
-            x4=x4,
-            delta=decision.delta,
-            split=self.split,
-            far_size=partitions.total(),
-            drains=drains,
-            moved_from_far=moved_from_far,
-            moved_to_far=moved_to_far,
-            far_scanned=far_scanned,
-            d_estimate=controller.d,
-            alpha_estimate=controller.alpha,
-            controller_seconds=seconds,
+        row = (
+            x1, adv.x2, x3, x4, decision.delta, self.split, partitions.total(),
+            drains, moved_from_far, moved_to_far, far_scanned,
+            controller.d, controller.alpha, seconds,
         )
+        if self._keep_rows:
+            self.rows.append(row)
+        return IterationRecord(self.iterations - 1, *row) if record else None
 
     # ------------------------------------------------------------------
     # divergence fallback
@@ -343,24 +305,29 @@ class AdaptiveNearFarStepper:
             )
 
     def run(self, trace: RunTrace | None = None) -> SSSPResult:
-        """Drive to completion, appending records to ``trace`` if given."""
+        """Drive to completion and :meth:`finish`; ``trace`` gets the
+        rows of the steps run here."""
         params = self.params
+        if trace is not None:
+            self._keep_rows = True
+        start = len(self.rows)
         while not self.done:
-            record = self.step(record=trace is not None)
-            if record is not None:
-                trace.append(record)
+            self.step(record=False)
             if params.max_iterations and self.iterations >= params.max_iterations:
                 break
+        if trace is not None:
+            trace.rows.extend(self.rows[start:])
+        return self.finish()
+
+    def finish(self) -> SSSPResult:
+        """End the run: book its rows once (the ``sssp.*`` metrics, the
+        ``iterations`` and ``run_end`` events), then return :meth:`result`.
+        An outer loop that drives :meth:`step` itself calls this when it
+        stops; later calls book nothing."""
         result = self.result()
-        if self._events.enabled:
-            self._events.emit(
-                {
-                    "type": "run_end",
-                    "iterations": result.iterations,
-                    "relaxations": result.relaxations,
-                    "reached": result.num_reached,
-                }
-            )
+        if not self._finished:
+            self._finished = True
+            publish_run(self._registry, self._events, self.rows, result.num_reached)
         return result
 
     def result(self) -> SSSPResult:

@@ -221,7 +221,7 @@ def power_target_sssp(
             break
 
     return PowerTargetResult(
-        result=stepper.result(),
+        result=stepper.finish(),
         trace=trace,
         platform=platform,
         setpoint_history=np.asarray(setpoints),

@@ -20,10 +20,11 @@ controller cost does not); EXPERIMENTS.md discusses the scaling.
 of the observability layer itself on the fixed-delta hot path: it
 times ``nearfar_sssp`` with the hooks disabled (the default null
 registry) and enabled (live registry + in-memory event sink), and
-estimates the per-run cost of the disabled hooks directly by timing
-the null-handle calls the run would make.  That estimate is the
-"no-op by default" guarantee: it must stay far below 5% of the run's
-wall time.
+estimates the per-run cost of the disabled hooks directly by replaying
+the calls the run makes: one row appended per iteration and one
+end-of-run :func:`~repro.instrument.trace.publish_run` against the null
+context.  That estimate is the "no-op by default" guarantee: it must
+stay far below 5% of the run's wall time.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.experiments.report import banner, format_table
 from repro.experiments.runner import pick_source, scaled_setpoints
 from repro.gpusim.device import get_device
 from repro.gpusim.executor import simulate_run
+from repro.instrument.trace import RunTrace, publish_run
 from repro.obs import ListSink, MetricsRegistry, SpanRecorder, use
 
 __all__ = [
@@ -77,27 +79,25 @@ def run_overhead(config: ExperimentConfig | None = None) -> List[dict]:
     return rows
 
 
-def estimate_noop_hook_seconds(iterations: int, hooks_per_iteration: int = 10) -> float:
-    """Wall-clock cost of the *disabled* hooks for a run of ``iterations``.
+def estimate_noop_hook_seconds(trace: RunTrace) -> float:
+    """Wall-clock cost of the *disabled* hooks for the run in ``trace``.
 
-    Times the exact calls an instrumented iteration makes against the
-    null registry (counter incs + histogram observes) and scales by the
-    iteration count.  This is the honest form of the "<5% regression
-    with the registry disabled" claim: the only thing the disabled
-    instrumentation adds to the seed hot path is these calls.
+    With observability off, all a near+far run adds to the bare
+    algorithm is one row tuple built and appended per iteration and one
+    :func:`~repro.instrument.trace.publish_run` call against the null
+    registry and sink when it ends.  This times exactly those calls for
+    the run's rows: the honest form of the "<5% regression with the
+    registry disabled" claim.
     """
+    from repro.obs.events import NULL_EVENTS
     from repro.obs.registry import NULL_REGISTRY
 
-    counter = NULL_REGISTRY.counter("x")
-    hist = NULL_REGISTRY.histogram("x")
-    calls = max(iterations * hooks_per_iteration, 1)
+    rows: list = []
     t0 = time.perf_counter()
-    for _ in range(calls):
-        counter.inc(1)
-        hist.observe(1)
-    elapsed = time.perf_counter() - t0
-    # each loop round did one counter + one histogram call = 2 hooks
-    return elapsed / 2.0
+    for row in trace.rows:
+        rows.append((*row,))
+    publish_run(NULL_REGISTRY, NULL_EVENTS, rows, 0, (0, 0, 0))
+    return time.perf_counter() - t0
 
 
 def run_instrumentation_overhead(
@@ -111,22 +111,17 @@ def run_instrumentation_overhead(
     for name, graph in config.datasets().items():
         source = pick_source(graph)
 
-        def _run() -> int:
-            result, _ = nearfar_sssp(graph, source, collect_trace=False)
-            return result.iterations
-
+        _, trace = nearfar_sssp(graph, source)  # also warms up the timed runs
         spans = SpanRecorder()
-        iterations = 0
-        for _ in range(repeats):  # hooks off: the default null context
-            with spans.span("off"):
-                iterations = _run()
-        for _ in range(repeats):  # hooks on: live registry + event sink
-            with use(registry=MetricsRegistry(), events=ListSink()):
-                with spans.span("on"):
-                    _run()
+        for _ in range(repeats):  # interleaved: the null context, then live ones
+            with use(), spans.span("off"):
+                nearfar_sssp(graph, source, collect_trace=False)
+            with use(registry=MetricsRegistry(), events=ListSink()), spans.span("on"):
+                nearfar_sssp(graph, source, collect_trace=False)
         off = spans.total("off") / repeats
         on = spans.total("on") / repeats
-        noop = estimate_noop_hook_seconds(iterations)
+        iterations = len(trace)
+        noop = estimate_noop_hook_seconds(trace)
         rows.append(
             {
                 "dataset": name,

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.controller import ControllerConfig, SetpointController
 from repro.graph.csr import CSRGraph
-from repro.instrument.trace import IterationRecord, RunTrace
+from repro.instrument.trace import RunTrace
 from repro.sssp.frontier import edge_offsets, sorted_unique
 from repro.sssp.result import SSSPResult
 
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -204,21 +205,10 @@ def _run_widest(
             if controller:
                 controller.invalidate_pending()
 
-        trace.append(
-            IterationRecord(
-                k=iterations - 1,
-                x1=x1,
-                x2=x2,
-                x3=x3,
-                x4=x4,
-                delta=delta_now,
-                split=split,
-                far_size=int(far.size),
-                drains=drains,
-                moved_from_far=moved_from_far,
-                d_estimate=controller.d if controller else float("nan"),
-                alpha_estimate=controller.alpha if controller else float("nan"),
-            )
+        d, alpha = (controller.d, controller.alpha) if controller else (_NAN, _NAN)
+        trace.rows.append(
+            (x1, x2, x3, x4, delta_now, split, int(far.size), drains,
+             moved_from_far, 0, 0, d, alpha, 0.0)
         )
         if max_iterations and iterations >= max_iterations:
             break

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.instrument.trace import IterationRecord, RunTrace
+from repro.instrument.trace import ROW_DEFAULTS, ROW_FIELDS, IterationRecord, RunTrace
 
 __all__ = [
     "trace_to_dict",
@@ -44,7 +44,7 @@ def _clean(value: Any) -> Any:
 
 
 def trace_to_dict(trace: RunTrace) -> dict:
-    """A JSON-ready dict with every iteration record."""
+    """A JSON-ready dict with one record object per row, every field named."""
     return {
         "schema": _SCHEMA_VERSION,
         "algorithm": trace.algorithm,
@@ -52,8 +52,8 @@ def trace_to_dict(trace: RunTrace) -> dict:
         "source": int(trace.source),
         "meta": {k: _clean(v) for k, v in trace.meta.items()},
         "records": [
-            {k: _clean(v) for k, v in dataclasses.asdict(rec).items()}
-            for rec in trace.records
+            {"k": k, **dict(zip(ROW_FIELDS, map(_clean, row + ROW_DEFAULTS[len(row):])))}
+            for k, row in enumerate(trace.rows)
         ],
     }
 

@@ -1,8 +1,8 @@
 """Per-iteration execution traces.
 
-Every frontier-based SSSP run in this package emits one
-:class:`IterationRecord` per outer iteration ``k``, carrying the
-paper's four stage-workload counters:
+Every frontier-based SSSP run in this package produces one row per
+outer iteration ``k``, carrying the paper's four stage-workload
+counters:
 
 * ``x1`` — input frontier size (advance input),
 * ``x2`` — advance output size, i.e. the total neighbour-list length of
@@ -12,6 +12,13 @@ paper's four stage-workload counters:
 * ``x3`` — filter output size (unique improved vertices),
 * ``x4`` — frontier size entering bisect-far-queue / the rebalancer.
 
+A row is a tuple of :class:`IterationRecord`'s fields after ``k``
+(:data:`ROW_FIELDS`; ``k`` is its position).  The near+far solvers
+append one row per iteration and, when the run ends, book the
+``sssp.*`` metrics and the ``iterations`` event from the rows with
+:func:`publish_run`.  A :class:`RunTrace` keeps the rows and builds
+records only when a reader asks.
+
 The trace is the contract between the algorithms and both the
 controller (:mod:`repro.core`) and the platform simulator
 (:mod:`repro.gpusim.executor`), which replays traces into
@@ -20,12 +27,20 @@ time/energy/power.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["IterationRecord", "RunTrace"]
+__all__ = [
+    "IterationRecord",
+    "NEARFAR_WIDTH",
+    "ROW_DEFAULTS",
+    "ROW_FIELDS",
+    "RunTrace",
+    "publish_run",
+]
 
 
 @dataclass
@@ -58,27 +73,44 @@ class IterationRecord:
         return self.x2
 
 
+_FIELDS = dataclasses.fields(IterationRecord)
+ROW_FIELDS = tuple(f.name for f in _FIELDS[1:])
+NEARFAR_WIDTH = ROW_FIELDS.index("drains") + 1  # a fixed-delta row: x1 .. drains
+ROW_DEFAULTS = tuple(f.default for f in _FIELDS[1:])  # what a short row leaves out
+_INDEX = {name: i for i, name in enumerate(ROW_FIELDS)}
+
+
 @dataclass
 class RunTrace:
-    """All iteration records of one SSSP run, plus run-level metadata.
+    """All iteration rows of one SSSP run, plus run-level metadata.
 
-    ``meta`` carries run-level scalars the records cannot (the
-    set-point of an adaptive run, the fixed delta of a baseline run,
-    …); consumers such as ``repro trace diff`` use it to pick the
-    right analysis target without re-deriving it from the records.
+    A row may stop early (a fixed-delta row after ``drains``); the
+    fields it leaves out read as the record's defaults.  ``meta``
+    carries run-level scalars the rows cannot (the set-point of an
+    adaptive run, the fixed delta of a baseline run, …); consumers such
+    as ``repro trace diff`` use it to pick the right analysis target
+    without re-deriving it from the rows.
     """
 
     algorithm: str
     graph_name: str
     source: int
-    records: List[IterationRecord] = field(default_factory=list)
+    rows: List[tuple] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     def append(self, rec: IterationRecord) -> None:
-        self.records.append(rec)
+        """Add ``rec`` as the next row; its ``k`` must be that row's index."""
+        if rec.k != len(self.rows):
+            raise ValueError(f"record k={rec.k} appended as row {len(self.rows)}")
+        self.rows.append(tuple(getattr(rec, name) for name in ROW_FIELDS))
+
+    @property
+    def records(self) -> List[IterationRecord]:
+        """The rows as :class:`IterationRecord` objects (built on each call)."""
+        return [IterationRecord(k, *row) for k, row in enumerate(self.rows)]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[IterationRecord]:
         return iter(self.records)
@@ -88,7 +120,13 @@ class RunTrace:
     # ------------------------------------------------------------------
     def column(self, name: str) -> np.ndarray:
         """A column across iterations, e.g. ``trace.column('x2')``."""
-        return np.asarray([getattr(r, name) for r in self.records], dtype=np.float64)
+        if name == "k":
+            return np.arange(len(self.rows), dtype=np.float64)
+        i, default = _INDEX[name], ROW_DEFAULTS[_INDEX[name]]
+        return np.asarray(
+            [row[i] if i < len(row) else default for row in self.rows],
+            dtype=np.float64,
+        )
 
     @property
     def parallelism(self) -> np.ndarray:
@@ -100,7 +138,7 @@ class RunTrace:
 
     @property
     def num_iterations(self) -> int:
-        return len(self.records)
+        return len(self.rows)
 
     @property
     def total_edges_expanded(self) -> int:
@@ -109,7 +147,7 @@ class RunTrace:
     @property
     def average_parallelism(self) -> float:
         """Mean X^(2) over iterations — the paper's Figure 2 y-axis."""
-        if not self.records:
+        if not self.rows:
             return 0.0
         return float(self.parallelism.mean())
 
@@ -124,3 +162,48 @@ class RunTrace:
     @property
     def controller_seconds(self) -> float:
         return float(self.column("controller_seconds").sum())
+
+
+def publish_run(
+    registry, events, rows: Sequence[tuple], reached: int,
+    queue: Optional[Sequence[int]] = None,
+) -> None:
+    """Book a finished run's rows into ``registry`` and ``events``, once.
+
+    Counters add the run's totals (``sssp.relaxations`` is the sum of
+    ``x2``), ``sssp.frontier`` and ``sssp.parallelism`` take the ``x1``
+    and ``x2`` columns in one bulk observe each, and a live sink gets
+    one ``iterations`` event holding every column as a list, then
+    ``run_end``.  ``queue`` is ``(moved_from_far, moved_to_far,
+    far_scanned)`` for fixed-delta rows, which do not carry them.
+    """
+    if not (registry.enabled or events.enabled):
+        return
+    columns = list(zip(*rows)) or [()] * NEARFAR_WIDTH
+    relaxations = sum(columns[1])
+    if registry.enabled:
+        if queue is None:  # a stepper row's three fields after drains
+            queue = [sum(c) for c in columns[NEARFAR_WIDTH : NEARFAR_WIDTH + 3]]
+        drains = sum(columns[NEARFAR_WIDTH - 1])
+        for name, total in zip(_TOTALS, (len(rows), relaxations, *queue, drains)):
+            registry.counter(name).inc(total)
+        registry.histogram("sssp.frontier").observe_many(columns[0])
+        registry.histogram("sssp.parallelism").observe_many(columns[1])
+    if events.enabled:
+        event = {"type": "iterations"}
+        event.update(zip(ROW_FIELDS, map(list, columns)))
+        events.emit(event)
+        events.emit(
+            {"type": "run_end", "iterations": len(rows),
+             "relaxations": relaxations, "reached": reached}
+        )
+
+
+_TOTALS = (
+    "sssp.iterations",
+    "sssp.relaxations",
+    "sssp.queue.moved_from_far",
+    "sssp.queue.moved_to_far",
+    "sssp.queue.far_scanned",
+    "sssp.queue.drains",
+)

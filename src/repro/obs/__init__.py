@@ -7,8 +7,9 @@ Three channels, all off (and near-zero-cost) by default:
   simulator (:mod:`repro.obs.registry`);
 * **spans** — nestable named wall-clock regions with a flat profile
   export (:mod:`repro.obs.spans`);
-* **events** — a streamed JSONL log, one event per SSSP iteration
-  (:mod:`repro.obs.events`).
+* **events** — a JSONL log; an SSSP run emits ``run_start`` when it
+  starts and its per-iteration columns (one ``iterations`` event) and
+  ``run_end`` when it ends (:mod:`repro.obs.events`).
 
 On top of the three channels, :mod:`repro.obs.telemetry` threads a
 per-query :class:`~repro.obs.telemetry.TraceContext` through the

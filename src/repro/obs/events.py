@@ -1,28 +1,22 @@
-"""Structured event log: one JSON object per line, streamed as it happens.
+"""Structured event log: one JSON object per line, written as emitted.
 
-Unlike the :class:`~repro.instrument.trace.RunTrace` (which
-materialises at the end of a run), an event sink receives each event
-the moment the instrumented code emits it, so a long run can be
-watched live (``tail -f run.events.jsonl``).
+A near+far run emits ``run_start`` when it starts and, when it ends,
+one ``iterations`` event holding its per-iteration columns, then
+``run_end``; serving-path events stream as they happen.
 
 Event schema (version :data:`EVENT_SCHEMA_VERSION`, documented in the
-README's *Observability* section):
+README's *Observability* section and ``docs/trace-and-metrics.md``):
 
 * ``run_start`` — ``{"type", "v", "algorithm", "graph", "source", ...}``;
   the only event carrying the schema version.
-* ``iteration`` — one per outer SSSP iteration:
-  ``{"type", "k", "x1", "x2", "x3", "x4", "delta", "far_size"}`` plus,
-  for controller-driven runs, ``"d"`` and ``"alpha"`` (the learned
-  estimates; ``null`` before the first update).
+* ``iterations`` — one list per :class:`~repro.instrument.trace.RunTrace`
+  column (``x1`` … ``drains``, plus a controller-driven run's queue
+  moves, ``d_estimate``, ``alpha_estimate`` and ``controller_seconds``).
 * ``run_end`` — ``{"type", "iterations", "relaxations", "reached"}``.
 
-Schema **v2** adds the telemetry vocabulary: ``span`` events (one per
-closed trace span — ``{"type", "trace", "span", "parent", "name",
-"seconds", ...}``) and an optional ``"trace"`` field on serving-path
-events (``query_start`` / ``query_end`` / ``batch_dispatch``), plus
-``"worker": true`` on the kernel events a serving pool thread emits
-(stamped by :class:`~repro.obs.telemetry.WorkerEvents`).  See
-``docs/trace-and-metrics.md`` for the full vocabulary.
+Schema **v2** added ``span`` events and the ``"trace"`` / ``"worker"``
+stamps of the serving path (:class:`~repro.obs.telemetry.WorkerEvents`);
+**v3** replaced the per-iteration ``iteration`` event with ``iterations``.
 
 Sinks share a tiny interface: ``emit(dict)``, ``close()``, and an
 ``enabled`` flag instrumented code checks before building the event
@@ -46,13 +40,17 @@ __all__ = [
     "NULL_EVENTS",
 ]
 
-EVENT_SCHEMA_VERSION = 2
+EVENT_SCHEMA_VERSION = 3
 
 
 def _jsonable(value):
-    """NaN/inf are not valid JSON; map them to null."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
+    """NaN/inf are not valid JSON; map them to null, in lists and dicts too."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     return value
 
 
@@ -117,8 +115,10 @@ class JsonlSink(EventSink):
         self._lock = threading.Lock()
 
     def emit(self, event: dict) -> None:
-        clean = {k: _jsonable(v) for k, v in event.items()}
-        line = json.dumps(clean) + "\n"
+        try:
+            line = json.dumps(event, allow_nan=False) + "\n"
+        except ValueError:  # NaN or inf somewhere in the event
+            line = json.dumps(_jsonable(event)) + "\n"
         with self._lock:
             self._file.write(line)
             self._file.flush()

@@ -16,6 +16,8 @@ Conventions:
   (``service.query.latency`` -> ``repro_service_query_latency``);
 * counters gain the ``_total`` suffix Prometheus expects;
 * timers are exposed as histograms (they are one);
+* label values escape ``\\``, ``"`` and newline as the format requires,
+  so hostile graph names stay distinct series;
 * histogram buckets are cumulative with the standard ``le`` label,
   reconstructed from the registry's shared log-spaced bounds
   (:data:`repro.obs.registry.BUCKET_BOUNDS`), sparse buckets included
@@ -31,7 +33,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Mapping
 
-from repro.obs.registry import BUCKET_BOUNDS, parse_name
+from repro.obs.registry import BUCKET_BOUNDS, escape_label_value, parse_name
 
 __all__ = ["format_prometheus", "prometheus_name"]
 
@@ -47,7 +49,7 @@ def prometheus_name(name: str) -> str:
 
 
 def _label_str(labels: Mapping[str, str], extra: str = "") -> str:
-    parts = [f'{k}="{v}"' for k, v in sorted(labels.items())]
+    parts = [f'{k}="{escape_label_value(v)}"' for k, v in sorted(labels.items())]
     if extra:
         parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""

@@ -11,9 +11,9 @@ share the interface:
   ``gauge()`` / ``histogram()`` / ``timer()`` call returns a shared
   no-op singleton whose mutators are empty methods, so instrumented
   code pays only an attribute lookup and a no-op call when
-  observability is off.  This is what keeps the fixed-delta hot path
-  within noise of the uninstrumented algorithm (see
-  ``repro.experiments.overhead.run_instrumentation_overhead``).
+  observability is off.  The near+far solvers call no handle per
+  iteration at all: they book a run's metrics once, when it ends
+  (``repro.instrument.trace.publish_run``).
 
 Metric names are dotted paths (``"sssp.relaxations"``,
 ``"gpusim.energy_j.advance"``); the conventions in use are documented
@@ -24,8 +24,8 @@ as ``name{k="v",...}`` — the same key shape the Prometheus exposition
 in :mod:`repro.obs.exposition` renders.
 
 The live registry is **thread-safe**: handle creation takes a registry
-lock and every mutator (``inc``/``set``/``observe``) takes a per-metric
-lock, so a query engine whose pool threads record kernel metrics into
+lock and every mutator (``inc``/``set``/``observe``/``observe_many``)
+takes a per-metric lock, so a query engine whose pool threads record kernel metrics into
 it concurrently (see :mod:`repro.obs.telemetry`) never loses
 increments.
 
@@ -40,7 +40,9 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -50,6 +52,7 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
+    "escape_label_value",
     "qualify_name",
     "parse_name",
 ]
@@ -57,18 +60,32 @@ __all__ = [
 Number = Union[int, float]
 
 _LABELLED_RE = re.compile(r'^(?P<base>[^{]+)\{(?P<labels>.*)\}$')
-_LABEL_PAIR_RE = re.compile(r'(?P<key>[^=,]+)="(?P<value>[^"]*)"')
+_LABEL_PAIR_RE = re.compile(r'(?P<key>[^=,]+)="(?P<value>(?:[^"\\]|\\.)*)"')
+_ESCAPE_RE = re.compile(r'\\(.)')
+
+
+def escape_label_value(value: str) -> str:
+    """``value`` with ``\\``, ``"`` and newline escaped, as Prometheus quotes it."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _unescape(value: str) -> str:
+    return _ESCAPE_RE.sub(lambda m: "\n" if m.group(1) == "n" else m.group(1), value)
 
 
 def qualify_name(name: str, labels: Optional[Mapping[str, str]] = None) -> str:
     """The snapshot key for ``name`` + ``labels``: ``name{k="v",...}``.
 
     Label order is canonical (sorted by key) so the same label set
-    always maps to the same series.
+    always maps to the same series.  Values are escaped as in the
+    Prometheus text format, so every value round-trips through
+    :func:`parse_name`.
     """
     if not labels:
         return name
-    inner = ",".join(f'{k}="{labels[k]}"' for k in sorted(labels))
+    inner = ",".join(
+        f'{k}="{escape_label_value(str(labels[k]))}"' for k in sorted(labels)
+    )
     return f"{name}{{{inner}}}"
 
 
@@ -78,7 +95,7 @@ def parse_name(key: str) -> Tuple[str, Dict[str, str]]:
     if match is None:
         return key, {}
     labels = {
-        m.group("key"): m.group("value")
+        m.group("key"): _unescape(m.group("value"))
         for m in _LABEL_PAIR_RE.finditer(match.group("labels"))
     }
     return match.group("base"), labels
@@ -141,6 +158,7 @@ BUCKET_BOUNDS: Tuple[float, ...] = tuple(
     10.0 ** (e / 4.0) for e in range(-24, 33)
 )
 _OVERFLOW = len(BUCKET_BOUNDS)  # index of the +inf bucket
+_BOUNDS = np.asarray(BUCKET_BOUNDS)
 
 
 class Histogram:
@@ -185,6 +203,27 @@ class Histogram:
             self._count += 1
             self._sum += value
             self._buckets[index] += 1
+
+    def observe_many(self, values: Sequence[Number]) -> None:
+        """Record every sample of ``values`` under one lock acquisition.
+
+        The same state as one :meth:`observe` per sample, except that
+        ``sum`` adds the samples' total at once: exact for integer counts.
+        """
+        samples = np.asarray(values, dtype=np.float64)
+        if not samples.size:
+            return
+        index = np.searchsorted(_BOUNDS, samples) * (samples > 0)
+        counts = np.bincount(index, minlength=_OVERFLOW + 1)
+        low, high = float(samples.min()), float(samples.max())
+        with self._lock:
+            if self._count:
+                low, high = min(self._min, low), max(self._max, high)
+            self._min, self._max = low, high
+            self._count += samples.size
+            self._sum += float(samples.sum())
+            for i in counts.nonzero()[0].tolist():
+                self._buckets[i] += int(counts[i])
 
     @property
     def count(self) -> int:
@@ -357,6 +396,9 @@ class _NullHistogram:
     maximum = 0.0
 
     def observe(self, value: Number) -> None:
+        pass
+
+    def observe_many(self, values: Sequence[Number]) -> None:
         pass
 
     def quantile(self, q: float) -> float:

@@ -103,7 +103,7 @@ class WorkerEvents(EventSink):
     """A view of ``sink`` that stamps each event ``{"trace": ..., "worker": true}``.
 
     A pool thread's kernel emits through it, so its ``run_start`` /
-    ``iteration`` / ``run_end`` (or ``batch_run_*``) events land in the
+    ``iterations`` / ``run_end`` (or ``batch_run_*``) events land in the
     serving sink as they happen, tied to the query that caused them and
     distinguishable from engine-side events.  Closing the view leaves
     ``sink`` open.

@@ -27,8 +27,10 @@ A 2-source sweep touches ~100 keys per stage, so it costs its ~100
 numpy dispatches rather than its data.  The sweep therefore divides
 the next frontier's keys by ``n`` once (the near and pulled keys' ids
 serve the drain's need mask, then the next sweep's active mask and
-advance), skips the per-sweep metric reductions when the registry is
-disabled, and keeps numpy's function-form wrappers out of the loop.
+advance), and keeps numpy's function-form wrappers out of the loop.
+Under a live registry each sweep appends its active-query count and
+frontier size to a row list, booked in one bulk observe per histogram
+when the run ends; a disabled registry skips those reductions.
 
 With ``B = 1`` the sweep sequence is operation-for-operation identical
 to :func:`~repro.sssp.nearfar.nearfar_sssp`, so batched distances are
@@ -157,10 +159,6 @@ def batched_nearfar_sssp(
 
     ctx = obs.current()
     reg, events = ctx.registry, ctx.events
-    m_sweeps = reg.counter("sssp.batch.sweeps")
-    m_active = reg.histogram("sssp.batch.active")
-    m_frontier = reg.histogram("sssp.batch.frontier")
-    m_relaxations = reg.counter("sssp.batch.relaxations")
     if events.enabled:
         events.emit(
             {
@@ -173,7 +171,9 @@ def batched_nearfar_sssp(
             }
         )
 
-    live = reg.enabled  # skip the per-sweep reductions for a null registry
+    # per sweep: (active queries, next frontier size), kept only when a
+    # live registry will read them at the end of the run
+    rows = [] if reg.enabled else None
     while frontier.size:
         sweeps += 1
         # queries with frontier work this sweep age by one iteration
@@ -207,15 +207,17 @@ def batched_nearfar_sssp(
                     frontier = np.concatenate([frontier, pulled])
                     front_q = np.concatenate([front_q, pulled // n])
 
-        if live:
-            m_active.observe(int(active.sum()))
-            m_frontier.observe(int(frontier.size))
+        if rows is not None:
+            rows.append((int(active.sum()), int(frontier.size)))
         if params.max_sweeps and sweeps >= params.max_sweeps:
             break
 
-    # the run's totals: the same values as one increment per sweep
-    m_sweeps.inc(sweeps)
-    m_relaxations.inc(int(relaxations.sum()))
+    if rows is not None:
+        active_counts, frontier_sizes = zip(*rows)
+        reg.counter("sssp.batch.sweeps").inc(sweeps)
+        reg.counter("sssp.batch.relaxations").inc(int(relaxations.sum()))
+        reg.histogram("sssp.batch.active").observe_many(active_counts)
+        reg.histogram("sssp.batch.frontier").observe_many(frontier_sizes)
 
     results = [
         SSSPResult(

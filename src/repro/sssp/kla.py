@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.instrument.trace import IterationRecord, RunTrace
+from repro.instrument.trace import RunTrace
 from repro.sssp.frontier import advance, filter_frontier
 from repro.sssp.result import SSSPResult
 
@@ -82,19 +82,9 @@ def kla_sssp(
             adv = advance(graph, frontier, dist)
             relaxations += adv.relaxations
             frontier = filter_frontier(adv.improved)
-            if collect_trace:
-                trace.append(
-                    IterationRecord(
-                        k=levels - 1,
-                        x1=x1,
-                        x2=adv.x2,
-                        x3=int(frontier.size),
-                        x4=int(frontier.size),
-                        delta=float(k),
-                        split=float(supersteps),
-                        far_size=0,
-                    )
-                )
+            if collect_trace:  # x3 = x4: no bisect; delta/split carry k/superstep
+                x3 = int(frontier.size)
+                trace.rows.append((x1, adv.x2, x3, x3, float(k), float(supersteps), 0, 0))
         # global synchronisation happens here (a barrier on real
         # distributed KLA; a no-op cost-wise in this shared-memory model)
 

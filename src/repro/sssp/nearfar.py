@@ -1,9 +1,9 @@
 """Baseline near+far SSSP (Davidson et al., as implemented in Gunrock).
 
 The four-stage iteration structure of the paper's Section 3.1 with a
-*fixed* delta, emitting the ``X^(1..4)`` workload counters into a
-:class:`~repro.instrument.trace.RunTrace`.  This is the algorithm the
-self-tuning controller of :mod:`repro.core` takes over.
+*fixed* delta, appending one row of ``X^(1..4)`` workload counters per
+iteration to a :class:`~repro.instrument.trace.RunTrace`.  This is the
+algorithm the self-tuning controller of :mod:`repro.core` takes over.
 
 The frontier is partitioned by a moving split value ``split = (i+1)*delta``
 (``i`` = current phase): vertices whose tentative distance falls below
@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.instrument.trace import IterationRecord, RunTrace
+from repro.instrument.trace import RunTrace, publish_run
 from repro.obs import context as obs
 from repro.obs.events import EVENT_SCHEMA_VERSION
 from repro.sssp.frontier import advance, bisect, drain_far_queue, filter_frontier
@@ -78,8 +78,10 @@ def nearfar_sssp(
         Either a full :class:`NearFarParams` or a bare ``delta``
         (mutually exclusive); defaults to :func:`suggest_delta`.
     collect_trace:
-        When false, the returned trace is empty (slightly faster runs
-        for pure-correctness tests).
+        When false, the returned trace is empty.  The run keeps its
+        rows either way: the ``sssp.*`` metrics and the ``iterations``
+        event of a live observability context are booked from them
+        when the run ends.
 
     Returns
     -------
@@ -113,22 +115,15 @@ def nearfar_sssp(
             "graph_fingerprint": graph.fingerprint(),
         },
     )
+    rows = trace.rows
     iterations = 0
     relaxations = 0
+    # far-queue moves; a fixed-delta row does not carry them
+    moved_from_far = moved_to_far = far_scanned = 0
 
-    # observability handles, bound once per run (no-op by default)
     ctx = obs.current()
-    reg, events = ctx.registry, ctx.events
-    m_iterations = reg.counter("sssp.iterations")
-    m_relaxations = reg.counter("sssp.relaxations")
-    m_frontier = reg.histogram("sssp.frontier")
-    m_parallelism = reg.histogram("sssp.parallelism")
-    m_to_far = reg.counter("sssp.queue.moved_to_far")
-    m_from_far = reg.counter("sssp.queue.moved_from_far")
-    m_far_scanned = reg.counter("sssp.queue.far_scanned")
-    m_drains = reg.counter("sssp.queue.drains")
-    if events.enabled:
-        events.emit(
+    if ctx.events.enabled:
+        ctx.events.emit(
             {
                 "type": "run_start",
                 "v": EVENT_SCHEMA_VERSION,
@@ -155,53 +150,20 @@ def nearfar_sssp(
         near, far_add = bisect(unique_improved, dist, split)
         if far_add.size:
             far = np.concatenate([far, far_add])
-            m_to_far.inc(int(far_add.size))
+            moved_to_far += int(far_add.size)
         x4 = int(near.size)
 
         # stage 4: bisect-far-queue
         drains = 0
         frontier = near
         if frontier.size == 0 and far.size:
-            m_far_scanned.inc(int(far.size))
+            far_scanned += int(far.size)
             frontier, far, lower, split, drains = drain_far_queue(
                 far, dist, lower, split, params.delta
             )
-            m_from_far.inc(int(frontier.size))
-            m_drains.inc(drains)
+            moved_from_far += int(frontier.size)
 
-        m_iterations.inc()
-        m_relaxations.inc(adv.relaxations)
-        m_frontier.observe(x1)
-        m_parallelism.observe(adv.x2)
-        if events.enabled:
-            events.emit(
-                {
-                    "type": "iteration",
-                    "k": iterations - 1,
-                    "x1": x1,
-                    "x2": adv.x2,
-                    "x3": x3,
-                    "x4": x4,
-                    "delta": params.delta,
-                    "far_size": int(far.size),
-                }
-            )
-
-        if collect_trace:
-            trace.append(
-                IterationRecord(
-                    k=iterations - 1,
-                    x1=x1,
-                    x2=adv.x2,
-                    x3=x3,
-                    x4=x4,
-                    delta=params.delta,
-                    split=split,
-                    far_size=int(far.size),
-                    drains=drains,
-                )
-            )
-
+        rows.append((x1, adv.x2, x3, x4, params.delta, split, int(far.size), drains))
         if params.max_iterations and iterations >= params.max_iterations:
             break
 
@@ -213,13 +175,10 @@ def nearfar_sssp(
         algorithm="nearfar",
         extra={"delta": params.delta},
     )
-    if events.enabled:
-        events.emit(
-            {
-                "type": "run_end",
-                "iterations": iterations,
-                "relaxations": relaxations,
-                "reached": result.num_reached,
-            }
-        )
+    publish_run(
+        ctx.registry, ctx.events, rows, result.num_reached,
+        (moved_from_far, moved_to_far, far_scanned),
+    )
+    if not collect_trace:
+        trace.rows = []
     return result, trace

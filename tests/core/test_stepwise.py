@@ -92,6 +92,18 @@ class TestRetargeting:
         assert boosted[60:120].mean() > 2.0 * steady[60:120].mean()
 
 
+class TestZeroWeights:
+    @pytest.mark.parametrize("use_partitions", [True, False])
+    def test_all_zero_weights(self, small_grid, use_partitions):
+        """An all-zero graph has average weight 0: the far queue's first
+        boundary is floored like :func:`suggest_delta`, not rejected."""
+        graph = small_grid.with_weights(np.zeros_like(small_grid.weights))
+        result, _, _ = adaptive_sssp(
+            graph, 0, _params(use_partitions=use_partitions)
+        )
+        assert_distances_close(dijkstra(graph, 0), result)
+
+
 class TestValidation:
     def test_bad_source(self, small_grid):
         with pytest.raises(ValueError, match="out of range"):

@@ -58,17 +58,18 @@ class TestNearfarWiring:
     def test_events_streamed(self, small_grid):
         sink = obs.ListSink()
         with obs.use(events=sink):
-            result, _ = nearfar_sssp(small_grid, 0)
+            result, trace = nearfar_sssp(small_grid, 0)
+        assert [e["type"] for e in sink.events] == [
+            "run_start", "iterations", "run_end"
+        ]
         starts = sink.of_type("run_start")
-        assert len(starts) == 1
         assert starts[0]["v"] == obs.EVENT_SCHEMA_VERSION
         assert starts[0]["algorithm"] == "nearfar"
-        iterations = sink.of_type("iteration")
-        assert len(iterations) == result.iterations
-        assert iterations[0]["k"] == 0
-        assert {"x1", "x2", "x3", "x4", "delta", "far_size"} <= set(
-            iterations[0]
-        )
+        columns = sink.of_type("iterations")[0]
+        for name in ("x1", "x2", "x3", "x4", "delta", "far_size"):
+            assert len(columns[name]) == result.iterations
+            assert columns[name] == trace.column(name).tolist()
+        assert columns["x1"][0] == 1  # k = 0 advances the source alone
         assert sink.of_type("run_end")[0]["reached"] == result.num_reached
 
     def test_disabled_run_publishes_nothing(self, small_grid):
@@ -98,10 +99,13 @@ class TestAdaptiveWiring:
             _, trace, _ = adaptive_sssp(
                 small_grid, 0, AdaptiveParams(setpoint=200.0)
             )
-        its = sink.of_type("iteration")
-        assert len(its) == len(trace)
-        assert "d" in its[-1] and "alpha" in its[-1]
-        assert its[-1]["delta"] == trace.records[-1].delta
+        (columns,) = sink.of_type("iterations")
+        for name in ("delta", "d_estimate", "alpha_estimate"):
+            assert len(columns[name]) == len(trace)
+            assert np.array_equal(
+                columns[name], trace.column(name), equal_nan=True
+            )
+        assert columns["delta"][-1] == trace.records[-1].delta
 
     def test_trace_meta_records_setpoint(self, small_grid):
         _, trace, _ = adaptive_sssp(small_grid, 0, AdaptiveParams(setpoint=200.0))

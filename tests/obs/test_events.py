@@ -50,6 +50,20 @@ class TestJsonlSink:
         payload = json.loads(path.read_text())
         assert payload["d"] is None
 
+    def test_nested_nan_and_inf_become_null(self, tmp_path):
+        """An ``iterations`` event's d/alpha columns start as NaN."""
+        path = tmp_path / "e.jsonl"
+        nan, inf = float("nan"), float("inf")
+        with JsonlSink(path) as sink:
+            sink.emit({"type": "iterations", "d_estimate": [nan, 2.5], "m": {"a": [inf]}})
+
+        def strict(token):
+            raise AssertionError(f"non-JSON constant {token}")
+
+        payload = json.loads(path.read_text(), parse_constant=strict)
+        assert payload["d_estimate"] == [None, 2.5]
+        assert payload["m"] == {"a": [None]}
+
     def test_counts_events(self, tmp_path):
         with JsonlSink(tmp_path / "e.jsonl") as sink:
             for k in range(5):

@@ -39,6 +39,21 @@ class TestFormatPrometheus:
         text = format_prometheus(reg.snapshot())
         assert 'repro_hits_total{algorithm="nf",graph="cal"} 1' in text
 
+    def test_hostile_label_values_are_escaped(self):
+        """A quote, backslash or newline in a graph name cannot end the
+        label early, so two such graphs stay two series."""
+        reg = MetricsRegistry()
+        for graph in ('a"b,x', 'a"c', "back\\slash", "line\nbreak"):
+            reg.timer("lat", labels={"graph": graph}).observe(0.5)
+        text = format_prometheus(reg.snapshot())
+        counts = [line for line in text.splitlines() if line.startswith("repro_lat_count")]
+        assert counts == [
+            'repro_lat_count{graph="a\\"b,x"} 1',
+            'repro_lat_count{graph="a\\"c"} 1',
+            'repro_lat_count{graph="back\\\\slash"} 1',
+            'repro_lat_count{graph="line\\nbreak"} 1',
+        ]
+
     def test_histogram_buckets_cumulative_with_inf(self):
         reg = MetricsRegistry()
         h = reg.histogram("lat")

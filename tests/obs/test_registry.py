@@ -8,6 +8,7 @@ from repro.obs.registry import (
     BUCKET_BOUNDS,
     NULL_REGISTRY,
     Counter,
+    Histogram,
     MetricsRegistry,
     NullRegistry,
     parse_name,
@@ -50,6 +51,25 @@ class TestLiveRegistry:
         assert h.mean == 2.0
         assert h.minimum == 1.0
         assert h.maximum == 3.0
+
+    @pytest.mark.parametrize(
+        "before, values",
+        [
+            ([], [3, 1, 4, 1, 5, 9, 2, 6]),
+            ([7.0], [0, -2, 1e-9, 12_345, 1e12, 2]),  # first bucket, overflow
+            ([2.5, 0.0], []),
+        ],
+    )
+    def test_observe_many_matches_observe_per_sample(self, before, values):
+        """One bulk observe leaves the state of one observe per sample."""
+        bulk, loop = Histogram("h"), Histogram("h")
+        for value in before:
+            bulk.observe(value)
+            loop.observe(value)
+        bulk.observe_many(values)
+        for value in values:
+            loop.observe(value)
+        assert bulk.as_dict() == loop.as_dict()
 
     def test_timer_records_duration(self):
         reg = MetricsRegistry()
@@ -133,6 +153,21 @@ class TestLabels:
         assert qualify_name("m", {"b": "2", "a": "1"}) == qualify_name(
             "m", {"a": "1", "b": "2"}
         )
+
+    HOSTILE = ('a"b,x', 'a"c', "back\\slash", "comma,x=y", "brace}{", "k=v", "line\nbreak", '\\"')
+
+    @pytest.mark.parametrize("value", HOSTILE)
+    def test_hostile_label_values_round_trip(self, value):
+        labels = {"graph": value, "algorithm": "nearfar"}
+        assert parse_name(qualify_name("lat", labels)) == ("lat", labels)
+
+    def test_hostile_label_values_stay_distinct_series(self):
+        reg = MetricsRegistry()
+        for value in self.HOSTILE:
+            reg.histogram("lat", labels={"graph": value}).observe(1.0)
+        parsed = [parse_name(key) for key in reg.snapshot()]
+        assert sorted(labels["graph"] for _, labels in parsed) == sorted(self.HOSTILE)
+        assert all("\n" not in key for key in reg.snapshot())
 
 
 class TestThreadSafety:

@@ -137,7 +137,7 @@ class TestThreadModeTraces:
                 assert engine.stats()["telemetry"] is False
 
 
-KERNEL_EVENTS = ("run_start", "iteration", "run_end")
+KERNEL_EVENTS = ("run_start", "iterations", "run_end")
 GRID_LABELS = {"graph": "grid", "algorithm": "nearfar"}
 
 
@@ -208,9 +208,9 @@ class TestTelemetryContract:
                 )
         assert response.ok
         kernel = [e for e in sink.events if e["type"] in KERNEL_EVENTS]
-        assert kernel[0]["type"] == "run_start"
-        assert kernel[-1]["type"] == "run_end"
-        assert len(kernel) == response.iterations + 2
+        assert [e["type"] for e in kernel] == list(KERNEL_EVENTS)
+        assert len(kernel[1]["x2"]) == response.iterations
+        assert sum(kernel[1]["x2"]) == response.relaxations
         for event in kernel:
             assert event["trace"] == root.trace_id
             assert event["worker"] is True
@@ -264,7 +264,9 @@ class TestTelemetryContract:
         assert registry.counter("sssp.relaxations").value == sum(
             r.relaxations for r in responses
         )
-        assert len(sink.of_type("iteration")) == iterations
+        columns = sink.of_type("iterations")
+        assert len(columns) == len(queries)
+        assert sum(len(c["x1"]) for c in columns) == iterations
         assert len(sink.of_type("run_end")) == len(queries)
 
     def test_registry_without_sink_fills_histograms_and_rows(self, catalog):

@@ -579,14 +579,21 @@ class TestTraceCommand:
         metrics_path = tmp_path / "run.metrics.json"
         assert trace_path.exists() and events_path.exists() and metrics_path.exists()
 
+        def strict(token):  # NaN/Infinity are not JSON
+            raise AssertionError(f"non-JSON constant {token} in the event log")
+
         lines = events_path.read_text().splitlines()
-        events = [json.loads(line) for line in lines]
-        assert events[0]["type"] == "run_start"
-        assert events[-1]["type"] == "run_end"
-        assert any(e["type"] == "iteration" for e in events)
+        events = [json.loads(line, parse_constant=strict) for line in lines]
+        assert [e["type"] for e in events] == ["run_start", "iterations", "run_end"]
+        columns = events[1]
+        iterations = events[-1]["iterations"]
+        records = json.loads(trace_path.read_text())["records"]
+        assert len(records) == iterations > 0
+        for name in ("x1", "x2", "x3", "x4", "delta", "far_size", "d_estimate"):
+            assert columns[name] == [rec[name] for rec in records]
 
         metrics = json.loads(metrics_path.read_text())
-        assert metrics["metrics"]["sssp.iterations"]["value"] > 0
+        assert metrics["metrics"]["sssp.iterations"]["value"] == iterations
         assert metrics["wall_seconds"] > 0
         assert any(s["path"] == "run" for s in metrics["spans"])
 
@@ -608,6 +615,23 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "iterations" in out
         assert "par mean" in out
+
+    def test_show_renders_the_iterations_event_as_one_line(
+        self, capsys, graph_file, tmp_path
+    ):
+        from repro.instrument.serialize import load_trace
+
+        base = tmp_path / "nf"
+        main(["-q", "trace", "record", graph_file, "--algorithm", "nearfar", "-o", str(base)])
+        capsys.readouterr()
+        assert main(["trace", "show", str(tmp_path / "nf.events.jsonl")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("3 events in") and "iterations=1" in out[0]
+        trace = load_trace(tmp_path / "nf.trace.json")
+        [line] = [row for row in out if row.startswith("iterations ")]
+        assert f"rows={len(trace)} " in line
+        assert f"x2 sum={trace.total_edges_expanded:,} " in line
+        assert len(out) == 4  # the count line, then one line per event
 
     def test_diff_reports_deltas(self, capsys, graph_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
