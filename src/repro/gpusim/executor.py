@@ -257,7 +257,6 @@ def simulate_run(
         algorithm=trace.algorithm,
         graph_name=trace.graph_name,
     )
-    reg = obs.get_registry()
     for rec in trace:
         setting = policy.select(device)
         device.validate_setting(setting.core_mhz, setting.mem_mhz)
@@ -266,21 +265,30 @@ def simulate_run(
         )
         run.iterations.append(it)
         policy.observe(it.utilization, it.seconds)
-        if reg.enabled:
-            # per-stage simulated energy/time: the trajectory every
-            # perf PR wants to watch
-            for kc in it.kernels:
-                reg.counter(f"gpusim.energy_j.{kc.name}").inc(kc.energy_j)
-                reg.counter(f"gpusim.seconds.{kc.name}").inc(kc.seconds)
-            if it.controller_seconds:
-                reg.counter("gpusim.controller_seconds").inc(
-                    it.controller_seconds
-                )
-                reg.counter("gpusim.controller_energy_j").inc(
-                    it.controller_power_w * it.controller_seconds
-                )
+    reg = obs.get_registry()
     if reg.enabled:
-        reg.counter("gpusim.runs").inc()
-        reg.counter("gpusim.total_energy_j").inc(run.total_energy_j)
-        reg.counter("gpusim.total_seconds").inc(run.total_seconds)
+        _publish_replay(reg, run)
     return run
+
+
+def _publish_replay(reg, run: PlatformRun) -> None:
+    """Book a finished replay's per-stage simulated energy and time
+    (the trajectory every perf PR wants to watch) and its totals, one
+    increment per counter."""
+    stages: dict = {}
+    controller_s = controller_j = 0.0
+    for it in run.iterations:
+        for kc in it.kernels:
+            energy_j, seconds = stages.get(kc.name, (0.0, 0.0))
+            stages[kc.name] = (energy_j + kc.energy_j, seconds + kc.seconds)
+        controller_s += it.controller_seconds
+        controller_j += it.controller_power_w * it.controller_seconds
+    for name, (energy_j, seconds) in stages.items():
+        reg.counter(f"gpusim.energy_j.{name}").inc(energy_j)
+        reg.counter(f"gpusim.seconds.{name}").inc(seconds)
+    if controller_s:
+        reg.counter("gpusim.controller_seconds").inc(controller_s)
+        reg.counter("gpusim.controller_energy_j").inc(controller_j)
+    reg.counter("gpusim.runs").inc()
+    reg.counter("gpusim.total_energy_j").inc(run.total_energy_j)
+    reg.counter("gpusim.total_seconds").inc(run.total_seconds)

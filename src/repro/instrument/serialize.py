@@ -26,11 +26,15 @@ __all__ = [
 
 # v1: algorithm/graph_name/source + records
 # v2: adds the run-level ``meta`` dict (setpoint, delta, …); v1 files
-#     still load (meta defaults to empty).
+#     still load (meta defaults to empty).  A self-tuning run's file
+#     carries its controller wall clock as one ``meta`` total, not per
+#     record; files written with per-record values still load and sum.
 # The *event* stream written by ``repro trace record`` is versioned
 # separately: see repro.obs.events.EVENT_SCHEMA_VERSION.
 _SCHEMA_VERSION = 2
 _READABLE_SCHEMAS = (1, 2)
+# the one wall-clock field of a row, and its last: files leave it out
+_WALL = ROW_FIELDS.index("controller_seconds")
 
 
 def _clean(value: Any) -> Any:
@@ -44,18 +48,33 @@ def _clean(value: Any) -> Any:
 
 
 def trace_to_dict(trace: RunTrace) -> dict:
-    """A JSON-ready dict with one record object per row, every field named."""
+    """A JSON-ready dict with one record object per row, every field named.
+
+    The file holds no per-iteration wall clock, so two recordings of one
+    deterministic run diff equal: each record's ``controller_seconds``
+    is written as its default and the run's total goes to
+    ``meta["controller_seconds"]``, which
+    :attr:`~repro.instrument.trace.RunTrace.controller_seconds` reads.
+    """
+    meta = {k: _clean(v) for k, v in trace.meta.items()}
+    wall = trace.controller_seconds
+    if wall:
+        meta["controller_seconds"] = wall
     return {
         "schema": _SCHEMA_VERSION,
         "algorithm": trace.algorithm,
         "graph_name": trace.graph_name,
         "source": int(trace.source),
-        "meta": {k: _clean(v) for k, v in trace.meta.items()},
-        "records": [
-            {"k": k, **dict(zip(ROW_FIELDS, map(_clean, row + ROW_DEFAULTS[len(row):])))}
-            for k, row in enumerate(trace.rows)
-        ],
+        "meta": meta,
+        "records": [_record(k, row) for k, row in enumerate(trace.rows)],
     }
+
+
+def _record(k: int, row: tuple) -> dict:
+    """One row as a record object, every field named; the wall-clock
+    field keeps its default."""
+    head = row[:_WALL]
+    return {"k": k, **dict(zip(ROW_FIELDS, map(_clean, head + ROW_DEFAULTS[len(head):])))}
 
 
 def trace_from_dict(payload: dict) -> RunTrace:

@@ -161,6 +161,11 @@ class RunTrace:
 
     @property
     def controller_seconds(self) -> float:
+        """The controller's wall clock over the run: the ``meta`` total
+        a saved trace carries, else the sum over the rows."""
+        total = self.meta.get("controller_seconds")
+        if total is not None:
+            return float(total)
         return float(self.column("controller_seconds").sum())
 
 

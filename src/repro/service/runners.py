@@ -12,6 +12,14 @@ it calls the true multi-source kernel
 other algorithm it loops in-task, which still amortises pool submit
 overhead across the batch.
 
+A request that names no ``delta`` (``nearfar``) or ``setpoint``
+(``adaptive``) is served on this host's set-point,
+:data:`~repro.core.setpoint.CPU_SETPOINT`: ``nearfar`` gets the graph's
+:func:`~repro.core.setpoint.setpoint_window`, the same for every query
+on that graph object however it is batched, and ``adaptive`` gets
+``CPU_SETPOINT`` as its ``P``.  The library calls keep the paper's
+defaults (the average weight, and ``P`` from the caller).
+
 Parameters are validated against a per-algorithm whitelist *before*
 the run starts, so a typo'd request fails fast with a message naming
 the accepted keys instead of dying mid-run.  Every runner takes the
@@ -73,6 +81,16 @@ def validate_params(algorithm: str, params: Mapping) -> dict:
     return params
 
 
+def _nearfar_delta(graph: CSRGraph, params: Mapping) -> float:
+    """The request's ``delta``, or the graph's set-point window."""
+    delta = params.get("delta")
+    if delta is not None:
+        return delta
+    from repro.core.setpoint import setpoint_window
+
+    return setpoint_window(graph)
+
+
 def run_algorithm(
     graph: CSRGraph,
     source: int,
@@ -106,7 +124,7 @@ def run_algorithm(
         from repro.sssp.nearfar import nearfar_sssp
 
         result, _ = nearfar_sssp(
-            graph, source, delta=params.get("delta"), collect_trace=False
+            graph, source, delta=_nearfar_delta(graph, params), collect_trace=False
         )
         return result
     if algorithm == "kla":
@@ -118,8 +136,9 @@ def run_algorithm(
         return result
     # adaptive
     from repro.core import AdaptiveParams, adaptive_sssp
+    from repro.core.setpoint import CPU_SETPOINT
 
-    setpoint = float(params.get("setpoint", 10_000.0))
+    setpoint = float(params.get("setpoint", CPU_SETPOINT))
     result, _, _ = adaptive_sssp(
         graph, source, AdaptiveParams(setpoint=setpoint), collect_trace=False
     )
@@ -153,5 +172,7 @@ def run_algorithm_batch(
     if algorithm in BATCHED_ALGORITHMS:
         from repro.sssp.batch_kernels import batched_nearfar_sssp
 
-        return batched_nearfar_sssp(graph, sources, delta=params.get("delta"))
+        return batched_nearfar_sssp(
+            graph, sources, delta=_nearfar_delta(graph, params)
+        )
     return [run_algorithm(graph, s, algorithm, params) for s in sources]

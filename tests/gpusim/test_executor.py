@@ -126,6 +126,42 @@ class TestControllerOverhead:
         assert run.controller_seconds > 0
 
 
+class TestRegistryBooking:
+    def test_counters_booked_once_with_per_record_totals(self):
+        from repro import obs
+
+        class CountingRegistry(obs.MetricsRegistry):
+            lookups = 0
+
+            def counter(self, name, labels=None):
+                CountingRegistry.lookups += 1
+                return super().counter(name, labels)
+
+        lookups = []
+        for length in (1, 40):
+            reg = CountingRegistry()
+            CountingRegistry.lookups = 0
+            with obs.use(registry=reg):
+                run = simulate_run(_trace([300] * length, "adaptive-nearfar"), JETSON_TK1)
+            lookups.append(CountingRegistry.lookups)
+        assert lookups[0] == lookups[1]  # once per counter, not per record
+        snap = reg.snapshot()
+        for kc in run.iterations[0].kernels:
+            assert snap[f"gpusim.energy_j.{kc.name}"]["value"] == pytest.approx(
+                sum(k.energy_j for it in run.iterations for k in it.kernels if k.name == kc.name)
+            )
+            assert snap[f"gpusim.seconds.{kc.name}"]["value"] == pytest.approx(
+                sum(k.seconds for it in run.iterations for k in it.kernels if k.name == kc.name)
+            )
+        assert snap["gpusim.controller_seconds"]["value"] == pytest.approx(
+            run.controller_seconds
+        )
+        assert snap["gpusim.controller_energy_j"]["value"] == pytest.approx(
+            sum(it.controller_power_w * it.controller_seconds for it in run.iterations)
+        )
+        assert snap["gpusim.runs"]["value"] == 1
+
+
 class TestGovernorIntegration:
     def test_default_policy_is_auto(self):
         run = simulate_run(_trace([100] * 5), JETSON_TK1)

@@ -130,6 +130,33 @@ class TestRoundTrip:
         assert len(back) == len(trace)
 
 
+class TestControllerWallClock:
+    def test_file_keeps_the_run_total_not_the_rows(self, small_grid, tmp_path):
+        _, trace, _ = adaptive_sssp(small_grid, 0, AdaptiveParams(setpoint=200.0))
+        assert trace.controller_seconds > 0
+        payload = json.loads(save_trace(trace, tmp_path / "t.json").read_text())
+        assert {rec["controller_seconds"] for rec in payload["records"]} == {0.0}
+        assert payload["meta"]["controller_seconds"] == trace.controller_seconds
+        back = load_trace(tmp_path / "t.json")
+        assert back.controller_seconds == trace.controller_seconds
+        # a reloaded trace saves to the same bytes
+        again = save_trace(back, tmp_path / "again.json")
+        assert again.read_bytes() == (tmp_path / "t.json").read_bytes()
+
+    def test_file_with_per_record_seconds_still_loads(self, small_grid):
+        _, trace, _ = adaptive_sssp(small_grid, 0, AdaptiveParams(setpoint=200.0))
+        payload = trace_to_dict(trace)
+        del payload["meta"]["controller_seconds"]
+        for rec, row in zip(payload["records"], trace.rows):
+            rec["controller_seconds"] = row[-1]
+        back = trace_from_dict(payload)
+        assert back.controller_seconds == pytest.approx(trace.controller_seconds)
+
+    def test_fixed_delta_file_has_no_total(self, small_grid):
+        _, trace = nearfar_sssp(small_grid, 0)
+        assert "controller_seconds" not in trace_to_dict(trace)["meta"]
+
+
 class TestValidation:
     def test_wrong_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):

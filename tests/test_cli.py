@@ -597,6 +597,39 @@ class TestTraceCommand:
         assert metrics["wall_seconds"] > 0
         assert any(s["path"] == "run" for s in metrics["spans"])
 
+    def test_two_adaptive_recordings_diff_equal(self, graph_file, tmp_path):
+        """No row of a recording carries wall clock: two recordings of
+        one run differ only in the controller's run total in ``meta``."""
+        import json
+
+        files = []
+        for name in ("a", "b"):
+            base = tmp_path / name
+            main(["-q", "trace", "record", graph_file, "--setpoint", "50", "-o", str(base)])
+            files.append(json.loads((tmp_path / f"{name}.trace.json").read_text()))
+        totals = [f["meta"].pop("controller_seconds") for f in files]
+        assert min(totals) > 0
+        assert files[0] == files[1]
+
+    def test_two_adaptive_recordings_byte_identical(
+        self, graph_file, tmp_path, monkeypatch
+    ):
+        """With the controller's clock pinned (its run total is the
+        file's one wall-clock value), two recordings match byte for byte."""
+        import itertools
+
+        from repro.core import controller as controller_module
+
+        paths = []
+        for name in ("a", "b"):
+            ticks = itertools.count()
+            monkeypatch.setattr(
+                controller_module, "perf_counter", lambda: next(ticks) * 1e-6
+            )
+            main(["-q", "trace", "record", graph_file, "--setpoint", "50", "-o", str(tmp_path / name)])
+            paths.append(tmp_path / f"{name}.trace.json")
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_record_nearfar(self, capsys, graph_file, tmp_path):
         base = tmp_path / "nf"
         assert (
