@@ -38,7 +38,7 @@
   --metrics`` output or ``benchmarks/results/metrics.json``);
   ``--prometheus`` prints Prometheus text exposition instead;
 * ``top <file>`` — live terminal view of a serving session (QPS,
-  cache hit rate, latency percentiles, pool depth and lost workers)
+  cache hit rate, latency percentiles and pool depth)
   off the file ``serve --metrics-interval`` maintains;
 * ``version`` — report the package version.
 
@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--timeout", type=float, default=None,
-            help="per-task timeout in seconds: a task past it fails "
-            "its queries at once, after one run",
+            help="per-task timeout in seconds: a task's kernel stops "
+            "once past it and the task's queries fail, after one run",
         )
         p.add_argument(
             "--max-batch", type=int, default=16,
@@ -1136,7 +1136,6 @@ def _render_top_frame(data: dict, prev: dict | None) -> str:
         + f"  |  pool {pool.get('mode', '?')}"
         f" x{pool.get('max_workers', '?')}"
         f", depth {pool.get('pending', 0)}"
-        f", workers lost {pool.get('lost_workers', 0)}"
     )
     admission = stats.get("admission") or health.get("admission")
     if admission:

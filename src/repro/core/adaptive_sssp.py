@@ -118,13 +118,15 @@ def adaptive_sssp(
     params: AdaptiveParams,
     *,
     collect_trace: bool = True,
+    deadline: float | None = None,
 ) -> Tuple[SSSPResult, RunTrace, SetpointController]:
     """Run the self-tuning near+far SSSP to completion.
 
     Returns the exact shortest-path result, the per-iteration trace
     (with controller state columns filled in), and the controller
     itself (exposing the learned ``d``/``α`` and the cumulative
-    controller overhead in seconds, §5.2).
+    controller overhead in seconds, §5.2).  ``deadline``: see
+    :meth:`~repro.core.stepwise.AdaptiveNearFarStepper.run`.
     """
     stepper = AdaptiveNearFarStepper(graph, source, params)
     trace = RunTrace(
@@ -137,5 +139,5 @@ def adaptive_sssp(
             "graph_fingerprint": graph.fingerprint(),
         },
     )
-    result = stepper.run(trace if collect_trace else None)
+    result = stepper.run(trace if collect_trace else None, deadline=deadline)
     return result, trace, stepper.controller

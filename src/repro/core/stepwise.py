@@ -38,6 +38,7 @@ from repro.instrument.trace import IterationRecord, RunTrace, publish_run
 from repro.obs import context as obs
 from repro.obs.events import EVENT_SCHEMA_VERSION
 from repro.resilience.guard import DivergenceGuard, GuardConfig
+from repro.sssp.deadline import check_deadline
 from repro.sssp.frontier import advance, bisect, filter_frontier, sorted_unique
 from repro.sssp.nearfar import suggest_delta
 from repro.sssp.result import SSSPResult
@@ -304,14 +305,20 @@ class AdaptiveNearFarStepper:
                 }
             )
 
-    def run(self, trace: RunTrace | None = None) -> SSSPResult:
+    def run(
+        self, trace: RunTrace | None = None, *, deadline: float | None = None
+    ) -> SSSPResult:
         """Drive to completion and :meth:`finish`; ``trace`` gets the
-        rows of the steps run here."""
+        rows of the steps run here.  Past ``deadline`` (see
+        :mod:`repro.sssp.deadline`) the run stops unfinished with
+        ``DeadlineExceeded``."""
         params = self.params
         if trace is not None:
             self._keep_rows = True
         start = len(self.rows)
         while not self.done:
+            if deadline is not None:
+                check_deadline(deadline, "adaptive-nearfar", self.iterations)
             self.step(record=False)
             if params.max_iterations and self.iterations >= params.max_iterations:
                 break

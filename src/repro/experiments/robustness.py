@@ -25,15 +25,11 @@ from repro.core import AdaptiveParams, adaptive_sssp
 from repro.core.stepwise import AdaptiveNearFarStepper
 from repro.experiments.config import ExperimentConfig, default_config
 from repro.experiments.report import banner, format_table
-from repro.experiments.runner import (
-    find_time_minimizing_delta,
-    run_source_batch,
-    scaled_setpoints,
-)
+from repro.experiments.runner import find_time_minimizing_delta, scaled_setpoints
 from repro.gpusim.device import JETSON_TK1
 from repro.instrument.stats import iqr_fraction_near
 from repro.resilience import DivergentController
-from repro.sssp.batch import pooled_parallelism, sample_sources
+from repro.sssp.batch import batch_run, pooled_parallelism, sample_sources
 from repro.sssp.dijkstra import dijkstra
 from repro.sssp.nearfar import nearfar_sssp
 
@@ -44,7 +40,6 @@ def run_robustness(
     config: ExperimentConfig | None = None,
     *,
     num_sources: int = 5,
-    max_workers: int | None = None,
 ) -> Dict[str, List[dict]]:
     config = config or default_config()
     out: Dict[str, List[dict]] = {}
@@ -56,12 +51,11 @@ def run_robustness(
         )
 
         rows: List[dict] = []
-        base = run_source_batch(
+        base = batch_run(
             graph,
             sources,
             lambda g, s: nearfar_sssp(g, s, delta=best_delta),
             label=f"near+far delta={best_delta:.3g}",
-            max_workers=max_workers,
         )
         row = base.as_row()
         row["mass near P"] = "-"
@@ -75,12 +69,8 @@ def run_robustness(
             )
             return result, trace
 
-        tuned = run_source_batch(
-            graph,
-            sources,
-            tuned_runner,
-            label=f"self-tuning P={setpoint:.0f}",
-            max_workers=max_workers,
+        tuned = batch_run(
+            graph, sources, tuned_runner, label=f"self-tuning P={setpoint:.0f}"
         )
         row = tuned.as_row()
         row["mass near P"] = round(

@@ -13,7 +13,6 @@ from repro.gpusim.dvfs import DVFSPolicy, FixedDVFS
 from repro.gpusim.executor import PlatformRun, simulate_run
 from repro.graph.csr import CSRGraph
 from repro.instrument.trace import RunTrace
-from repro.sssp.batch import BatchRun, Runner, batch_run
 from repro.sssp.nearfar import nearfar_sssp, suggest_delta
 from repro.sssp.result import SSSPResult
 
@@ -21,7 +20,6 @@ __all__ = [
     "pick_source",
     "run_baseline",
     "run_adaptive",
-    "run_source_batch",
     "find_time_minimizing_delta",
     "frequency_settings",
     "scaled_setpoints",
@@ -54,37 +52,6 @@ def run_adaptive(
         graph, source, AdaptiveParams(setpoint=setpoint, **kwargs)
     )
     return result, trace
-
-
-def run_source_batch(
-    graph: CSRGraph,
-    sources,
-    runner: Runner,
-    *,
-    label: str = "batch",
-    max_workers: int | None = None,
-) -> BatchRun:
-    """A multi-source batch on the service's thread pool.
-
-    Experiment runners are closures (they capture deltas and
-    set-points), which threads accept; the NumPy stages of
-    independent runs overlap while results stay in source order —
-    identical to the serial path.  ``max_workers=1`` degenerates to
-    the serial loop with no pool at all.
-    """
-    if max_workers is not None and max_workers <= 1:
-        return batch_run(graph, sources, runner, label=label)
-    from repro.service.pool import default_max_workers
-
-    workers = max_workers or min(4, default_max_workers())
-    return batch_run(
-        graph,
-        sources,
-        runner,
-        label=label,
-        parallel=True,
-        max_workers=workers,
-    )
 
 
 def find_time_minimizing_delta(

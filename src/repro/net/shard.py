@@ -313,8 +313,8 @@ class Shard:
         stop for a dispatcher that outlived its worker process so it
         exits on its own, and closes the engine with its queued tasks
         cancelled.  Waits on nothing: not the thread (the daemon thread
-        exits when it next wakes), not a pool task still running (one
-        abandoned by the timeout ends on its own), not a wedged worker
+        exits when it next wakes), not a pool task still running (its
+        kernel stops at its deadline or when done), not a wedged worker
         (it is killed).
         """
         if self._retired:
@@ -714,9 +714,6 @@ class ShardManager:
                 ),
                 "pending": sum(h["pool"]["pending"] for h in shard_health),
                 "alive": all(h["pool"]["alive"] for h in shard_health),
-                "lost_workers": sum(
-                    h["pool"]["lost_workers"] for h in shard_health
-                ),
             },
             "shards": shard_rows,
             "supervisor": (

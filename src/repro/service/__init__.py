@@ -4,7 +4,7 @@ The repo's algorithms answer one-shot, in-process calls; this package
 turns them into a serving stack:
 
 * :mod:`~repro.service.pool` — thread executor with the CSR graphs
-  shared in-process, per-task timeouts and graceful shutdown;
+  shared in-process and graceful shutdown;
 * :mod:`~repro.service.catalog` — named graphs (objects, files,
   generator factories) with stable content fingerprints;
 * :mod:`~repro.service.cache` — bounded LRU result cache with
@@ -30,7 +30,7 @@ handling.
 from repro.service.cache import LRUCache
 from repro.service.catalog import GraphCatalog, default_catalog
 from repro.service.engine import QueryEngine, QueryResponse, SSSPQuery
-from repro.service.pool import ExecutorPool, PoolTimeoutError, default_max_workers
+from repro.service.pool import ExecutorPool, default_max_workers
 from repro.service.protocol import (
     MAX_BATCH_SOURCES,
     MAX_PARAM_KEYS,
@@ -57,7 +57,6 @@ __all__ = [
     "MAX_PARAM_KEYS",
     "PROTOCOL_VERSION",
     "PendingReply",
-    "PoolTimeoutError",
     "ProtocolSession",
     "QueryEngine",
     "QueryResponse",

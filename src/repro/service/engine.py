@@ -11,16 +11,17 @@ into something that answers :class:`SSSPQuery` requests:
    a single execution; the duplicates report ``cache="coalesced"``.
 3. **pool** — misses run on a thread
    :class:`~repro.service.pool.ExecutorPool` with the graphs shared
-   in-process, per-query timeouts and graceful shutdown.  Concurrent
-   misses on one ``(graph, algorithm, params)`` corridor are coalesced
-   into one batched kernel call (``max_batch``).
+   in-process and graceful shutdown.  Concurrent misses on one
+   ``(graph, algorithm, params)`` corridor are coalesced into one
+   batched kernel call (``max_batch``).
 4. **one run per task** — every pool result is sanity validated
    (:func:`~repro.resilience.retry.validate_result`) before it can
-   reach the cache or a client.  A task that raises, outlives the pool
-   timeout or returns a corrupt result is abandoned, and each query it
-   carried answers the error once: the kernels are deterministic, so a
-   rerun would only repeat the failure.  A failed task is **never
-   cached**, and the next query on its corridor runs afresh.
+   reach the cache or a client.  A task that raises, passes its
+   ``timeout`` (its kernel stops there: :mod:`repro.sssp.deadline`)
+   or returns a corrupt result answers each query it carried with the
+   error once: the kernels are deterministic, so a rerun would only
+   repeat the failure.  A failed task is **never cached**, and the
+   next query on its corridor runs afresh.
 
 Every query emits ``query_start`` / ``query_end`` events and updates
 ``service.*`` metrics through the observability context active when
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -55,13 +55,14 @@ from repro.obs.telemetry import TraceContext, WorkerEvents, emit_span
 from repro.resilience.retry import CorruptResultError, validate_result
 from repro.service.cache import LRUCache
 from repro.service.catalog import GraphCatalog
-from repro.service.pool import ExecutorPool, PoolTimeoutError
+from repro.service.pool import ExecutorPool
 from repro.service.runners import (
     BATCHED_ALGORITHMS,
     run_algorithm,
     run_algorithm_batch,
     validate_params,
 )
+from repro.sssp.deadline import DeadlineExceeded
 from repro.sssp.result import SSSPResult
 
 __all__ = ["SSSPQuery", "QueryResponse", "QueryEngine"]
@@ -188,8 +189,11 @@ class QueryEngine:
     catalog:
         The graphs to serve.  Loaded eagerly at construction — the
         pool needs concrete arrays to hand its workers.
-    max_workers, timeout:
-        Pool configuration (see :class:`~repro.service.pool.ExecutorPool`).
+    max_workers:
+        Pool thread count (see :class:`~repro.service.pool.ExecutorPool`).
+    timeout:
+        Per-task seconds (None: none) after which the kernel stops and
+        the task's queries answer ``timeout after Xs``.
     cache_size:
         LRU capacity in results (0 disables caching).
     max_batch:
@@ -219,13 +223,12 @@ class QueryEngine:
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
+        if timeout is not None and not timeout > 0:
+            raise ValueError("timeout must be positive")
         self.catalog = catalog
         self._graphs = catalog.load_all()
-        self.pool = ExecutorPool(
-            self._graphs,
-            max_workers=max_workers,
-            timeout=timeout,
-        )
+        self.pool = ExecutorPool(self._graphs, max_workers=max_workers)
+        self.timeout = timeout
         self.cache = LRUCache(cache_size)
         self.max_batch = int(max_batch)
         self._extra_labels = dict(labels or {})
@@ -421,7 +424,8 @@ class QueryEngine:
             clock = [time.perf_counter()]
             task = self._pool_task(task, members[0][5], clock)
         future = self.pool.submit(
-            lead.graph_id, task, source, lead.algorithm, dict(lead.params)
+            lead.graph_id, task, source, lead.algorithm, dict(lead.params),
+            self.timeout,
         )
         return future, clock
 
@@ -637,19 +641,19 @@ class QueryEngine:
     ) -> List[Tuple[_Miss, QueryResponse]]:
         """Wait for one dispatch; one response per member.
 
-        The wait is bounded by the pool timeout.  Every member result
-        must pass sanity validation before *any* of them can reach the
-        cache or a client — results of one kernel pass stand or fall
-        together.  A task that raises, times out or returns a corrupt
-        result is abandoned, and every member answers its error once.
-        Errors are **never** cached.  A single query is a one-member
-        dispatch whose lone result is wrapped in a list.  With
-        telemetry on, a validated task is booked (:meth:`_book_task`).
+        The task ends by itself, its kernel stopping at its deadline.
+        Every member result must pass sanity validation before *any* of
+        them can reach the cache or a client — results of one kernel
+        pass stand or fall together.  A task that raises or returns a
+        corrupt result answers every member its error once.  Errors are
+        **never** cached.  A single query is a one-member dispatch
+        whose lone result is wrapped in a list.  With telemetry on, a
+        validated task is booked (:meth:`_book_task`).
         """
         lead = members[0][1]
         graph = self._graphs[lead.graph_id]
         try:
-            results = future.result(timeout=self.pool.timeout)
+            results = future.result()
             if len(members) == 1:
                 results = [results]
             elif (
@@ -667,13 +671,9 @@ class QueryEngine:
                     source=int(miss[1].source),
                 )
         except Exception as exc:
-            self.pool.abandon(future)
-            timed_out = isinstance(
-                exc, (PoolTimeoutError, TimeoutError, FutureTimeoutError)
-            )
             message = (
-                f"timeout after {self.pool.timeout}s"
-                if timed_out
+                f"timeout after {self.timeout}s"
+                if isinstance(exc, DeadlineExceeded)
                 else f"{type(exc).__name__}: {exc}"
             )
             now = time.perf_counter()
@@ -721,7 +721,6 @@ class QueryEngine:
                 "max_workers": self.pool.max_workers,
                 "pending": self.pool.pending,
                 "alive": self.pool.alive,
-                "lost_workers": self.pool.lost_workers,
             },
         }
 

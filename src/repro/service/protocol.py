@@ -19,7 +19,7 @@ One JSON object per line.  Four operations (``op`` defaults to
   hits/misses/evictions, pool occupancy.
 * ``{"op": "graphs"}`` — the catalog: id, name, sizes, fingerprint.
 * ``{"op": "health"}`` — pool liveness (mode, workers, pending,
-  ``alive``, ``lost_workers``); a sharded server adds per-shard rows,
+  ``alive``); a sharded server adds per-shard rows,
   admission and supervisor state.
 * ``{"op": "metrics"}`` — the serving registry's metric snapshot
   (labelled ``service.query.*`` histograms with p50/p95/p99, cache and

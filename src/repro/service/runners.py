@@ -20,6 +20,10 @@ on that graph object however it is batched, and ``adaptive`` gets
 ``CPU_SETPOINT`` as its ``P``.  The library calls keep the paper's
 defaults (the average weight, and ``P`` from the caller).
 
+Both take the engine's per-task ``timeout`` and turn it into the
+solver's ``deadline=`` when the task starts (:mod:`repro.sssp.deadline`);
+the one-time ``setpoint_window`` probe runs without one.
+
 Parameters are validated against a per-algorithm whitelist *before*
 the run starts, so a typo'd request fails fast with a message naming
 the accepted keys instead of dying mid-run.  Every runner takes the
@@ -35,6 +39,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.graph.csr import CSRGraph
+from repro.sssp.deadline import deadline_after
 from repro.sssp.result import SSSPResult
 
 __all__ = [
@@ -96,6 +101,7 @@ def run_algorithm(
     source: int,
     algorithm: str,
     params: Optional[Mapping] = None,
+    timeout: Optional[float] = None,
 ) -> SSSPResult:
     """Run one SSSP query and return its result (no trace).
 
@@ -103,7 +109,19 @@ def run_algorithm(
     queries wants distances and work counters, not per-iteration
     records (use ``repro trace record`` for those).
     """
-    params = validate_params(algorithm, params or {})
+    deadline = deadline_after(timeout)
+    params = validate_params(algorithm, params)
+    return _run_one(graph, source, algorithm, params, deadline)
+
+
+def _run_one(
+    graph: CSRGraph,
+    source: int,
+    algorithm: str,
+    params: Mapping,
+    deadline: Optional[float],
+) -> SSSPResult:
+    """One query with validated ``params`` under ``deadline``."""
     if not 0 <= source < graph.num_nodes:
         raise ValueError(
             f"source {source} out of range for {graph.num_nodes} nodes"
@@ -111,28 +129,28 @@ def run_algorithm(
     if algorithm == "dijkstra":
         from repro.sssp.dijkstra import dijkstra
 
-        return dijkstra(graph, source)
+        return dijkstra(graph, source, deadline=deadline)
     if algorithm == "bellman-ford":
         from repro.sssp.bellman_ford import bellman_ford
 
-        return bellman_ford(graph, source)
+        return bellman_ford(graph, source, deadline=deadline)
     if algorithm == "delta-stepping":
         from repro.sssp.delta_stepping import delta_stepping
 
-        return delta_stepping(graph, source, params.get("delta"))
+        return delta_stepping(graph, source, params.get("delta"), deadline=deadline)
     if algorithm == "nearfar":
         from repro.sssp.nearfar import nearfar_sssp
 
+        delta = _nearfar_delta(graph, params)
         result, _ = nearfar_sssp(
-            graph, source, delta=_nearfar_delta(graph, params), collect_trace=False
+            graph, source, delta=delta, collect_trace=False, deadline=deadline
         )
         return result
     if algorithm == "kla":
         from repro.sssp.kla import kla_sssp
 
-        result, _ = kla_sssp(
-            graph, source, int(params.get("k", 4)), collect_trace=False
-        )
+        k = int(params.get("k", 4))
+        result, _ = kla_sssp(graph, source, k, collect_trace=False, deadline=deadline)
         return result
     # adaptive
     from repro.core import AdaptiveParams, adaptive_sssp
@@ -140,7 +158,11 @@ def run_algorithm(
 
     setpoint = float(params.get("setpoint", CPU_SETPOINT))
     result, _, _ = adaptive_sssp(
-        graph, source, AdaptiveParams(setpoint=setpoint), collect_trace=False
+        graph,
+        source,
+        AdaptiveParams(setpoint=setpoint),
+        collect_trace=False,
+        deadline=deadline,
     )
     return result
 
@@ -150,16 +172,19 @@ def run_algorithm_batch(
     sources: Sequence[int],
     algorithm: str,
     params: Optional[Mapping] = None,
+    timeout: Optional[float] = None,
 ) -> List[SSSPResult]:
     """Answer B sources in one task; results come back in source order.
 
     Algorithms in :data:`BATCHED_ALGORITHMS` go through the
     multi-source kernel — one pass over the shared CSR arrays for the
-    whole batch.  The rest loop over :func:`run_algorithm` inside the
-    task, which amortises pool submission without changing per-query
-    semantics.  Either way each source gets its own independent
-    :class:`~repro.sssp.result.SSSPResult`.
+    whole batch.  The rest loop over the single-source runner inside
+    the task, which amortises pool submission without changing
+    per-query semantics.  Either way each source gets its own
+    independent :class:`~repro.sssp.result.SSSPResult`.  One deadline
+    covers the whole task.
     """
+    deadline = deadline_after(timeout)
     params = validate_params(algorithm, params or {})
     sources = [int(s) for s in sources]
     if not sources:
@@ -173,6 +198,6 @@ def run_algorithm_batch(
         from repro.sssp.batch_kernels import batched_nearfar_sssp
 
         return batched_nearfar_sssp(
-            graph, sources, delta=_nearfar_delta(graph, params)
+            graph, sources, delta=_nearfar_delta(graph, params), deadline=deadline
         )
-    return [run_algorithm(graph, s, algorithm, params) for s in sources]
+    return [_run_one(graph, s, algorithm, params, deadline) for s in sources]

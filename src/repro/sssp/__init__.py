@@ -14,10 +14,12 @@
   B queries in one pass over shared CSR arrays, composite
   ``query_id * n + v`` keys, per-query windows and termination.
 * :mod:`~repro.sssp.frontier` — shared vectorised stage primitives.
+* :mod:`~repro.sssp.deadline` — the ``deadline=`` every solver reads.
 """
 
 from repro.sssp.batch_kernels import BatchedNearFarParams, batched_nearfar_sssp
 from repro.sssp.bellman_ford import NegativeCycleError, bellman_ford
+from repro.sssp.deadline import DeadlineExceeded
 from repro.sssp.delta_stepping import delta_stepping
 from repro.sssp.dijkstra import dijkstra
 from repro.sssp.kla import kla_sssp
@@ -26,6 +28,7 @@ from repro.sssp.result import SSSPResult, assert_distances_close, extract_path
 
 __all__ = [
     "BatchedNearFarParams",
+    "DeadlineExceeded",
     "NearFarParams",
     "NegativeCycleError",
     "SSSPResult",

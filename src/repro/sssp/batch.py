@@ -109,22 +109,15 @@ def batch_run(
     runner: Runner,
     *,
     label: str = "batch",
-    parallel: bool = False,
-    max_workers: int | None = None,
-    mode: str = "thread",
-    timeout: float | None = None,
+    mode: str = "loop",
     delta: float | None = None,
 ) -> BatchRun:
-    """Run ``runner`` from every source.
+    """Run ``runner`` from every source, in source order.
 
-    Serial by default.  With ``parallel=True`` (or an explicit
-    ``max_workers``) the sources fan out over a thread
-    :class:`repro.service.pool.ExecutorPool`; per-source runs are
-    independent, and results/traces always come back **in source
-    order**, so the parallel path is bit-identical to the serial one.
-    Any callable works as ``runner``, and the NumPy kernels release
-    the GIL, so runs overlap.  ``timeout`` bounds each source's run in
-    seconds.
+    ``mode="loop"`` (the default) calls ``runner`` once per source on
+    the calling thread; any callable works.  Threads would not help:
+    two ran the robustness experiment in 0.703 s wall against 0.577 s
+    serially (2-vCPU host; see :mod:`repro.service.pool`).
 
     ``mode="batched"`` is the fast path: it ignores ``runner`` and
     answers the whole batch with one multi-source near+far pass
@@ -132,11 +125,10 @@ def batch_run(
     tuned by ``delta``).  Distances are byte-identical to looping
     ``nearfar_sssp`` over the sources; traces come back empty (the
     batched kernel keeps counters, not per-iteration records).  Any
-    other ``mode`` than ``"thread"`` or ``"batched"`` raises
-    ``ValueError``.
+    other ``mode`` raises ``ValueError``.
     """
-    if mode not in ("thread", "batched"):
-        raise ValueError(f"mode must be 'thread' or 'batched', got {mode!r}")
+    if mode not in ("loop", "batched"):
+        raise ValueError(f"mode must be 'loop' or 'batched', got {mode!r}")
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         raise ValueError("sources must be non-empty")
@@ -151,21 +143,6 @@ def batch_run(
             )
             for s in sources
         ]
-        return BatchRun(
-            label=label, sources=sources, results=results, traces=traces
-        )
-
-    if parallel or max_workers is not None:
-        from repro.service.pool import ExecutorPool
-
-        with ExecutorPool(
-            {"batch": graph}, max_workers=max_workers, timeout=timeout
-        ) as pool:
-            pairs = pool.map_ordered(
-                "batch", runner, [(int(s),) for s in sources]
-            )
-        results = [result for result, _ in pairs]
-        traces = [trace for _, trace in pairs]
         return BatchRun(
             label=label, sources=sources, results=results, traces=traces
         )

@@ -50,6 +50,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.obs import context as obs
 from repro.obs.events import EVENT_SCHEMA_VERSION
+from repro.sssp.deadline import check_deadline
 from repro.sssp.frontier import (
     batched_advance,
     batched_bisect,
@@ -105,6 +106,7 @@ def batched_nearfar_sssp(
     params: BatchedNearFarParams | None = None,
     *,
     delta: float | Sequence[float] | None = None,
+    deadline: float | None = None,
 ) -> List[SSSPResult]:
     """Run fixed-delta near+far from every source in one batched pass.
 
@@ -119,6 +121,8 @@ def batched_nearfar_sssp(
         Either a full :class:`BatchedNearFarParams` or a bare ``delta``
         (mutually exclusive); defaults to
         :func:`~repro.sssp.nearfar.suggest_delta`.
+    deadline:
+        See :mod:`repro.sssp.deadline` (None: none).
 
     Returns
     -------
@@ -175,6 +179,8 @@ def batched_nearfar_sssp(
     # live registry will read them at the end of the run
     rows = [] if reg.enabled else None
     while frontier.size:
+        if deadline is not None:
+            check_deadline(deadline, "nearfar-batch", sweeps)
         sweeps += 1
         # queries with frontier work this sweep age by one iteration
         active = np.zeros(B, dtype=bool)

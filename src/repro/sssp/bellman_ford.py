@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.sssp.deadline import check_deadline
 from repro.sssp.result import SSSPResult
 
 __all__ = ["bellman_ford", "NegativeCycleError"]
@@ -20,11 +21,14 @@ class NegativeCycleError(ValueError):
     """Raised when a negative cycle is reachable from the source."""
 
 
-def bellman_ford(graph: CSRGraph, source: int) -> SSSPResult:
+def bellman_ford(
+    graph: CSRGraph, source: int, *, deadline: float | None = None
+) -> SSSPResult:
     """Shortest paths by |V|-1 rounds of vectorised edge relaxation.
 
     Stops early once a round changes nothing.  One extra round detects
-    negative cycles.
+    negative cycles.  Past ``deadline`` (see :mod:`repro.sssp.deadline`)
+    the run stops with ``DeadlineExceeded``.
     """
     n = graph.num_nodes
     if not 0 <= source < n:
@@ -37,6 +41,8 @@ def bellman_ford(graph: CSRGraph, source: int) -> SSSPResult:
     rounds = 0
 
     for _ in range(max(1, n - 1)):
+        if deadline is not None:
+            check_deadline(deadline, "bellman-ford", rounds)
         rounds += 1
         cand = dist[src] + w
         relaxations += int(src.size)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.sssp.deadline import check_deadline
 from repro.sssp.frontier import edge_offsets, sorted_unique
 from repro.sssp.result import SSSPResult
 
@@ -49,12 +50,17 @@ def _relax_edges(
 
 
 def delta_stepping(
-    graph: CSRGraph, source: int, delta: float | None = None
+    graph: CSRGraph,
+    source: int,
+    delta: float | None = None,
+    *,
+    deadline: float | None = None,
 ) -> SSSPResult:
     """Meyer–Sanders delta-stepping with a fixed bucket width.
 
     ``delta`` defaults to the average edge weight (a common heuristic).
-    Requires non-negative weights.
+    Requires non-negative weights.  Past ``deadline`` (see
+    :mod:`repro.sssp.deadline`) the run stops with ``DeadlineExceeded``.
     """
     n = graph.num_nodes
     if not 0 <= source < n:
@@ -85,6 +91,8 @@ def delta_stepping(
             in_bucket = act_idx[dist[act_idx] < upper]
             if in_bucket.size == 0:
                 break
+            if deadline is not None:
+                check_deadline(deadline, "delta-stepping", iterations)
             active[in_bucket] = False
             settled_this_phase.append(in_bucket)
             improved, r = _relax_edges(graph, in_bucket, dist, light=True, delta=delta)

@@ -25,6 +25,7 @@ import heapq
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.sssp.deadline import check_deadline
 from repro.sssp.result import SSSPResult
 
 __all__ = ["dijkstra"]
@@ -34,11 +35,19 @@ __all__ = ["dijkstra"]
 _SLICE_THRESHOLD = 32
 
 
-def dijkstra(graph: CSRGraph, source: int, *, with_pred: bool = False) -> SSSPResult:
+def dijkstra(
+    graph: CSRGraph,
+    source: int,
+    *,
+    with_pred: bool = False,
+    deadline: float | None = None,
+) -> SSSPResult:
     """Exact single-source shortest paths for non-negative weights.
 
     Raises ``ValueError`` on negative edge weights (use
-    :func:`repro.sssp.bellman_ford.bellman_ford` for those).
+    :func:`repro.sssp.bellman_ford.bellman_ford` for those).  A
+    ``deadline`` (see :mod:`repro.sssp.deadline`) is read every 256
+    pops, from the first.
     """
     n = graph.num_nodes
     if not 0 <= source < n:
@@ -64,12 +73,17 @@ def dijkstra(graph: CSRGraph, source: int, *, with_pred: bool = False) -> SSSPRe
     push = heapq.heappush
     pop = heapq.heappop
     relaxations = 0
+    pops = 0
 
     indices, weights = graph.indices, graph.weights
     indptr_l = graph.indptr.tolist()
     indices_l = indices.tolist()
     weights_l = weights.tolist()
     while heap:
+        if deadline is not None:
+            if not pops & 255:
+                check_deadline(deadline, "dijkstra", pops)
+            pops += 1
         du, u = pop(heap)
         if du > dl[u]:
             continue  # stale entry

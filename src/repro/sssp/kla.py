@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.instrument.trace import RunTrace
+from repro.sssp.deadline import check_deadline
 from repro.sssp.frontier import advance, filter_frontier
 from repro.sssp.result import SSSPResult
 
@@ -39,6 +40,7 @@ def kla_sssp(
     k: int = 4,
     *,
     collect_trace: bool = True,
+    deadline: float | None = None,
 ) -> tuple[SSSPResult, RunTrace]:
     """Exact SSSP with k-level asynchronous supersteps.
 
@@ -46,6 +48,8 @@ def kla_sssp(
     ----------
     k:
         Asynchrony depth: relaxation levels per superstep (>= 1).
+    deadline:
+        See :mod:`repro.sssp.deadline` (None: none).
 
     Returns
     -------
@@ -77,6 +81,8 @@ def kla_sssp(
         for _ in range(k):
             if frontier.size == 0:
                 break
+            if deadline is not None:
+                check_deadline(deadline, f"kla-k{k}", supersteps)
             levels += 1
             x1 = int(frontier.size)
             adv = advance(graph, frontier, dist)

@@ -23,6 +23,7 @@ from repro.graph.csr import CSRGraph
 from repro.instrument.trace import RunTrace, publish_run
 from repro.obs import context as obs
 from repro.obs.events import EVENT_SCHEMA_VERSION
+from repro.sssp.deadline import check_deadline
 from repro.sssp.frontier import advance, bisect, drain_far_queue, filter_frontier
 from repro.sssp.result import SSSPResult
 
@@ -67,6 +68,7 @@ def nearfar_sssp(
     *,
     delta: float | None = None,
     collect_trace: bool = True,
+    deadline: float | None = None,
 ) -> Tuple[SSSPResult, RunTrace]:
     """Run the fixed-delta near+far algorithm.
 
@@ -82,6 +84,8 @@ def nearfar_sssp(
         rows either way: the ``sssp.*`` metrics and the ``iterations``
         event of a live observability context are booked from them
         when the run ends.
+    deadline:
+        See :mod:`repro.sssp.deadline` (None: none).
 
     Returns
     -------
@@ -135,6 +139,8 @@ def nearfar_sssp(
         )
 
     while frontier.size:
+        if deadline is not None:
+            check_deadline(deadline, "nearfar", iterations)
         iterations += 1
         x1 = int(frontier.size)
 

@@ -75,6 +75,42 @@ def test_process_mode_protocol_matches_thread_mode(catalog, grids, registry):
         proc_mgr.close(cancel_pending=True)
 
 
+def test_timeout_answers_match_across_shard_modes(catalog, grids):
+    """A kernel past ``--timeout`` answers the same bytes in both modes.
+
+    The worker's CONFIG carries the timeout, so its kernel reads the
+    same deadline a thread shard's does.  With a null obs context the
+    answers carry no trace ids, and error answers no wall time, so the
+    dicts compare unstripped.
+    """
+    from repro.service import GraphCatalog
+
+    thread_cat = GraphCatalog()
+    for name, graph in grids.items():
+        thread_cat.register(name, graph)
+    # 1 µs: past by the first check (the stepper's setup alone is longer)
+    kwargs = dict(shards=2, max_workers=1, timeout=1e-6)
+    thread_mgr = ShardManager(thread_cat, **kwargs)
+    proc_mgr = ShardManager(catalog, shard_mode="process", **kwargs)
+    try:
+        for line in [
+            '{"op": "query", "graph": "alpha", "source": 0, '
+            '"algorithm": "adaptive", "id": "t1"}',
+            '{"op": "query", "graph": "beta", "sources": [0, 1], '
+            '"algorithm": "adaptive"}',
+        ]:
+            threaded = handle_line(thread_mgr, line)
+            process = handle_line(proc_mgr, line)
+            errors = [r["error"] for r in threaded.get("results", [threaded])]
+            assert errors and set(errors) == {"timeout after 1e-06s"}, threaded
+            assert json.dumps(process, sort_keys=True) == json.dumps(
+                threaded, sort_keys=True
+            ), line
+    finally:
+        thread_mgr.close(cancel_pending=True)
+        proc_mgr.close(cancel_pending=True)
+
+
 def test_run_many_round_trips_through_worker(process_manager):
     queries = [
         SSSPQuery(graph_id="alpha", source=1),

@@ -236,44 +236,6 @@ def test_restart_preserves_catalog_and_cache_keys(catalog):
         mgr.close()
 
 
-def test_retire_does_not_wait_for_an_abandoned_pool_task(catalog, monkeypatch):
-    """A pool task the timeout abandoned holds up neither retire nor health()."""
-    _sleep_first_run(monkeypatch, 4.0)
-    mgr = _manager(catalog, max_workers=2, timeout=0.2)
-    mgr.shards[0].crash_at = 1
-    sup = ShardSupervisor(
-        mgr, restart_policy=RestartPolicy(budget=3), check_interval=0.02
-    )
-    sup.start()
-    try:
-        graph = next(g for g, s in mgr._home.items() if s == 0)
-        # cycle 0: the first run sleeps and is abandoned at the timeout,
-        # which answers; the straggler keeps its pool thread
-        first = mgr.run(SSSPQuery(graph_id=graph, source=0))
-        assert not first.ok and first.error == "timeout after 0.2s"
-        # cycle 1 crashes the dispatcher while the straggler still runs
-        crashed = mgr.run(SSSPQuery(graph_id=graph, source=1))
-        assert not crashed.ok and crashed.error.startswith("unavailable")
-        slowest = 0.0
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            t0 = time.perf_counter()
-            row = mgr.health()["supervisor"]["shards"]["0"]
-            slowest = max(slowest, time.perf_counter() - t0)
-            if row["state"] == "up" and row["restarts"] >= 1:
-                break
-            time.sleep(0.01)
-        assert row["state"] == "up" and row["restarts"] >= 1
-        assert slowest < 0.5
-        assert row["last_recovery_ms"] < 500
-        # the rebuilt shard starts clean: its first query answers
-        again = mgr.run(SSSPQuery(graph_id=graph, source=2))
-        assert again.ok, again.error
-        assert mgr.run(SSSPQuery(graph_id=graph, source=1)).ok
-    finally:
-        mgr.close(cancel_pending=True)
-
-
 def test_health_answers_while_a_shard_rebuilds(catalog, monkeypatch):
     """Retire and rebuild run outside the lock ``report()`` takes."""
     mgr = _crash_shard0(catalog)

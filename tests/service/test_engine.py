@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.graph.generators import path_graph
 from repro.service import GraphCatalog, QueryEngine, SSSPQuery
 from repro.service import engine as engine_module
 from repro.sssp.dijkstra import dijkstra
@@ -202,7 +203,58 @@ class TestResilience:
             health = engine.health()
         assert health["pool"]["alive"] is True
         assert health["pool"]["max_workers"] == 2
-        assert health["pool"]["lost_workers"] == 0
+        # a timed-out kernel stops at its deadline: no thread is ever lost
+        assert set(health["pool"]) == {"mode", "max_workers", "pending", "alive"}
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_rejects_non_positive_timeout(self, catalog, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            QueryEngine(catalog, timeout=timeout)
+
+
+# bellman-ford relaxes one hop of this path per round: a run from
+# source 0 takes ~3 s here (20k rounds of ~150 µs), 30x the timeout
+SLOW_PATH_NODES = 20_000
+SLOW_TIMEOUT = 0.1
+
+
+class TestTimeoutStopsTheKernel:
+    """``timeout`` ends the kernel itself, so a timed-out task frees its thread."""
+
+    @pytest.fixture
+    def slow_catalog(self, grid):
+        cat = GraphCatalog()
+        cat.register("path", path_graph(SLOW_PATH_NODES))
+        cat.register("grid", grid)
+        return cat
+
+    def _timed_out_pair(self, engine):
+        responses = engine.run_many(
+            [SSSPQuery("path", s, "bellman-ford") for s in (0, 1)]
+        )
+        assert [r.error for r in responses] == [f"timeout after {SLOW_TIMEOUT}s"] * 2
+        assert not any(r.ok for r in responses)
+
+    def test_close_returns_at_once_after_timeouts(self, slow_catalog):
+        engine = QueryEngine(
+            slow_catalog, max_workers=2, timeout=SLOW_TIMEOUT, cache_size=0
+        )
+        try:
+            self._timed_out_pair(engine)
+            answered = time.monotonic()
+        finally:
+            engine.close()
+        # both kernels stopped at their deadline: close() waits on nothing
+        assert time.monotonic() - answered < 0.5
+
+    def test_next_query_finds_a_free_thread(self, slow_catalog, grid):
+        with QueryEngine(
+            slow_catalog, max_workers=2, timeout=SLOW_TIMEOUT, cache_size=0
+        ) as engine:
+            self._timed_out_pair(engine)
+            after = engine.run(SSSPQuery("grid", 0, "dijkstra"))
+        assert after.ok, after.error
+        assert after.reached == dijkstra(grid, 0).num_reached
 
 
 # shape -> the validator's message for a corrupted result of that shape
@@ -223,8 +275,9 @@ FAILURE_SHAPES = {
 
 OUT_OF_MEMORY = "cannot allocate the distance vector"
 
-# how long a "hang" runner sleeps before its run: past any test timeout
-HANG_SECONDS = 0.25
+# the engine timeout of a "hang" cell: the real kernel's deadline has
+# passed by its first check (>= 26 µs of setup precede that check)
+HANG_TIMEOUT = 1e-6
 
 
 def _negated(result):
@@ -236,8 +289,9 @@ def _negated(result):
 class _Runners:
     """Stand-ins for the engine's two runners that count kernel runs.
 
-    ``fault`` makes every run hang (sleep :data:`HANG_SECONDS` first),
-    raise ``MemoryError`` (``"oom"``) or return a corrupt result.
+    ``fault`` makes every run raise ``MemoryError`` (``"oom"``) or
+    return a corrupt result; a ``"hang"`` run is the real kernel, which
+    an engine built with :data:`HANG_TIMEOUT` drives past its deadline.
     """
 
     def __init__(self, monkeypatch, fault):
@@ -258,8 +312,6 @@ class _Runners:
         self.calls += 1
         if self.fault == "oom":
             raise MemoryError(OUT_OF_MEMORY)
-        if self.fault == "hang":
-            time.sleep(HANG_SECONDS)
         result = runner(*args)
         if self.fault != "corrupt":
             return result
@@ -271,7 +323,7 @@ class _Runners:
 class TestFailureContract:
     """A failed pool task runs once, for a single query and a batch alike.
 
-    Whatever fails the task — a hang past the timeout, a corrupt
+    Whatever fails the task — a kernel past its deadline, a corrupt
     result, a ``MemoryError`` — the dispatch is one pool task, each
     member answers the error once, and nothing reaches the cache.
     """
@@ -280,7 +332,7 @@ class TestFailureContract:
     @pytest.mark.parametrize("scenario", ["hang", "corrupt", "oom"])
     def test_failure_table(self, catalog, monkeypatch, shape, scenario):
         errors = {
-            "hang": "timeout after 0.05s",
+            "hang": re.escape(f"timeout after {HANG_TIMEOUT}s"),
             "corrupt": CORRUPT_ERRORS[shape],
             "oom": re.escape(f"MemoryError: {OUT_OF_MEMORY}"),
         }
@@ -291,7 +343,7 @@ class TestFailureContract:
             with QueryEngine(
                 catalog,
                 max_workers=2,
-                timeout=0.05 if scenario == "hang" else None,
+                timeout=HANG_TIMEOUT if scenario == "hang" else None,
                 max_batch=8,
             ) as engine:
                 responses = engine.run_many(queries)

@@ -1,22 +1,17 @@
 """Unit tests for the executor pool."""
 
-import time
-
 import pytest
 
 from repro import obs
 from repro.graph.generators import grid_road_network, path_graph
-from repro.service.pool import ExecutorPool, PoolTimeoutError
+from repro.service.pool import ExecutorPool
+from repro.service.runners import run_algorithm
+from repro.sssp.deadline import DeadlineExceeded
 from repro.sssp.dijkstra import dijkstra
 
 
 def _reached(graph, source):
     return dijkstra(graph, source).num_reached
-
-
-def _sleep_then(graph, source, seconds):
-    time.sleep(seconds)
-    return source
 
 
 class TestConstruction:
@@ -31,8 +26,9 @@ class TestConstruction:
             ExecutorPool({}, max_workers=0)
 
     def test_rejects_bad_timeout(self):
-        with pytest.raises(ValueError, match="timeout"):
-            ExecutorPool({}, timeout=0)
+        # the pool cuts no task short: kernels stop at their own deadline
+        with pytest.raises(TypeError, match="timeout"):
+            ExecutorPool({}, timeout=1.0)
 
     def test_graph_ids_sorted(self):
         pool = ExecutorPool({"b": path_graph(3), "a": path_graph(4)})
@@ -40,76 +36,50 @@ class TestConstruction:
 
 
 class TestThreadMode:
+    GRID = grid_road_network(8, 8, seed=1)
+
     @pytest.fixture
     def pool(self):
-        with ExecutorPool(
-            {"grid": grid_road_network(8, 8, seed=1)}, max_workers=3
-        ) as p:
-            yield p
+        pool = ExecutorPool({"grid": self.GRID}, max_workers=3)
+        yield pool
+        pool.close()
 
     def test_run_executes_on_named_graph(self, pool):
-        n = pool.graph("grid").num_nodes
-        assert pool.run("grid", _reached, 0) <= n
+        assert pool.submit("grid", _reached, 0).result() <= self.GRID.num_nodes
 
     def test_closures_allowed(self, pool):
         seen = []
-        pool.run("grid", lambda g, s: seen.append((g.num_nodes, s)), 7)
-        assert seen == [(pool.graph("grid").num_nodes, 7)]
+        pool.submit("grid", lambda g, s: seen.append((g, s)), 7).result()
+        [(graph, source)] = seen
+        assert graph is self.GRID and source == 7
 
     def test_unknown_graph_rejected(self, pool):
         with pytest.raises(KeyError, match="unknown graph"):
             pool.submit("nope", _reached, 0)
 
-    def test_map_ordered_preserves_input_order(self, pool):
-        # delays are inversely ordered: later tasks finish first
-        args = [(i, 0.03 - 0.01 * i) for i in range(3)]
-        assert pool.map_ordered("grid", _sleep_then, args) == [0, 1, 2]
-
     def test_timeout_raises(self):
-        with ExecutorPool(
-            {"p": path_graph(3)}, max_workers=1, timeout=0.05
-        ) as pool:
-            with pytest.raises(PoolTimeoutError, match="exceeded"):
-                pool.run("p", _sleep_then, 0, 0.5)
+        """A task's kernel raises at its own deadline; the pool only waits."""
+        # bellman-ford relaxes one hop of the path per round: seconds
+        pool = ExecutorPool({"p": path_graph(20_000)}, max_workers=1)
+        future = pool.submit("p", run_algorithm, 0, "bellman-ford", {}, 0.05)
+        with pytest.raises(DeadlineExceeded, match="bellman-ford passed its deadline"):
+            future.result(timeout=30.0)
+        # the thread is free at once: the next task runs
+        assert pool.submit("p", _reached, 19_999).result(timeout=30.0) == 1
+        pool.close()
 
     def test_closed_pool_rejects_submission(self):
         pool = ExecutorPool({"p": path_graph(3)})
-        pool.run("p", _reached, 0)
+        pool.submit("p", _reached, 0).result()
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.submit("p", _reached, 0)
 
     def test_pending_drains_to_zero(self, pool):
-        pool.map_ordered("grid", _reached, [(0,), (1,), (2,)])
+        futures = [pool.submit("grid", _reached, s) for s in (0, 1, 2)]
+        pool.close()  # joins the threads, so every done-callback has run
+        assert all(f.result() > 0 for f in futures)
         assert pool.pending == 0
-
-
-class TestAbandonAndLostWorkers:
-    def test_timeout_accounts_the_lost_thread_slot(self):
-        """The satellite fix: a timed-out thread task cannot be killed,
-        so its slot is counted lost until the straggler finishes."""
-        registry = obs.MetricsRegistry()
-        with obs.use(registry=registry):
-            pool = ExecutorPool({"p": path_graph(3)}, max_workers=1, timeout=0.05)
-        with pool:
-            with pytest.raises(PoolTimeoutError):
-                pool.run("p", _sleep_then, 0, 0.4)
-            assert pool.lost_workers == 1
-            assert registry.gauge("service.pool.lost_workers").value == 1
-            deadline = time.time() + 2.0
-            while pool.lost_workers and time.time() < deadline:
-                time.sleep(0.05)
-            # the straggler returned on its own: slot reclaimed
-            assert pool.lost_workers == 0
-            assert registry.gauge("service.pool.lost_workers").value == 0
-
-    def test_abandon_cancels_queued_work_without_accounting(self):
-        with ExecutorPool({"p": path_graph(3)}, max_workers=1) as pool:
-            blocker = pool.submit("p", _sleep_then, 0, 0.2)
-            queued = pool.submit("p", _sleep_then, 1, 0.0)
-            assert pool.abandon(queued) is True  # cancelled before starting
-            assert pool.lost_workers == 0
-            assert blocker.result() == 0
 
 
 class TestMetrics:
@@ -117,7 +87,8 @@ class TestMetrics:
         registry = obs.MetricsRegistry()
         with obs.use(registry=registry):
             pool = ExecutorPool({"p": path_graph(5)}, max_workers=1)
-        with pool:
-            pool.map_ordered("p", _reached, [(0,), (1,)])
+        for source in (0, 1):
+            pool.submit("p", _reached, source).result()
+        pool.close()
         assert registry.counter("service.pool.tasks").value == 2
         assert registry.gauge("service.pool.queue_depth").value == 0

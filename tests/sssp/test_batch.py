@@ -18,7 +18,7 @@ from repro.sssp.result import assert_distances_close
 
 
 def _nearfar_runner(graph, source):
-    """Module-level so process-mode workers can pickle it."""
+    """The baseline near+far run at the default delta."""
     return nearfar_sssp(graph, source)
 
 
@@ -110,62 +110,33 @@ class TestBatchRun:
 
 
 class TestParallelBatch:
-    """The satellite guarantee: parallel results match the serial path."""
+    """There is no parallel batch: ``batch_run`` loops on the calling
+    thread or calls the fused kernel, and a thread mode is rejected.
+
+    Threads would not help: the interpreter lock serialises a sweep's
+    numpy calls (see :mod:`repro.service.pool` for the measurements).
+    """
 
     @pytest.fixture(scope="class")
     def grid(self):
         return grid_road_network(20, 20, seed=3)
 
-    @pytest.fixture(scope="class")
-    def serial(self, grid):
-        sources = sample_sources(grid, 6, seed=7)
-        return batch_run(grid, sources, _nearfar_runner, label="serial")
-
-    def test_thread_mode_matches_serial(self, grid, serial):
-        parallel = batch_run(
-            grid,
-            serial.sources,
-            _nearfar_runner,
-            label="threads",
-            parallel=True,
-            max_workers=4,
-        )
-        assert np.array_equal(parallel.sources, serial.sources)
-        for a, b in zip(serial.results, parallel.results):
-            assert a.source == b.source  # deterministic ordering
-            assert_distances_close(a, b)
-            assert a.iterations == b.iterations
-            assert a.relaxations == b.relaxations
-        for ta, tb in zip(serial.traces, parallel.traces):
-            assert np.array_equal(ta.parallelism, tb.parallelism)
-
-    @pytest.mark.parametrize("mode", ["process", "threads", ""])
+    @pytest.mark.parametrize("mode", ["process", "threads", "", "thread"])
     def test_unknown_mode_rejected(self, grid, mode):
-        """Only threads and the batched kernel exist; nothing falls back."""
-        with pytest.raises(ValueError, match="mode must be 'thread' or 'batched'"):
-            batch_run(grid, [0, 5], _nearfar_runner, parallel=True, mode=mode)
+        """Only the serial loop and the batched kernel exist; nothing falls back."""
+        with pytest.raises(ValueError, match="mode must be 'loop' or 'batched'"):
+            batch_run(grid, [0, 5], _nearfar_runner, mode=mode)
 
-    def test_max_workers_alone_enables_parallel(self, grid, serial):
-        parallel = batch_run(
-            grid, serial.sources, _nearfar_runner, max_workers=2
-        )
-        for a, b in zip(serial.results, parallel.results):
-            assert_distances_close(a, b)
+    def test_no_fan_out_keywords(self, grid):
+        for keyword in ("parallel", "max_workers", "timeout"):
+            with pytest.raises(TypeError, match=keyword):
+                batch_run(grid, [0, 5], _nearfar_runner, **{keyword: 2})
 
-    def test_closures_work_in_thread_mode(self, grid):
-        setpoint = 100.0
-
-        def runner(g, s):
-            result, trace, _ = adaptive_sssp(
-                g, s, AdaptiveParams(setpoint=setpoint)
-            )
-            return result, trace
-
-        sources = sample_sources(grid, 3, seed=1)
-        serial = batch_run(grid, sources, runner)
-        parallel = batch_run(grid, sources, runner, parallel=True, max_workers=3)
-        for a, b in zip(serial.results, parallel.results):
-            assert_distances_close(a, b)
+    def test_loop_is_the_default_mode(self, grid):
+        loop = batch_run(grid, [0, 5], _nearfar_runner, mode="loop")
+        default = batch_run(grid, [0, 5], _nearfar_runner)
+        for a, b in zip(loop.results, default.results):
+            assert np.array_equal(a.dist, b.dist)
             assert a.iterations == b.iterations
 
 
@@ -214,3 +185,4 @@ class TestBatchedMode:
     def test_empty_sources_rejected(self, grid):
         with pytest.raises(ValueError, match="non-empty"):
             batch_run(grid, [], _nearfar_runner, mode="batched")
+

@@ -72,6 +72,14 @@ plan, its wire form, the per-layer hooks that consulted it, the kinds
 only tests drove (``slow_shard``, ``conn_drop``, ``worker_oom``,
 ``frame_corrupt``), the ``--fault-rate``/``--fault-hang`` options or the
 drop counter that only ever counted injected drops.
+A timeout stops the kernel, not the waiter: the loop of every served
+solver (``nearfar_sssp``, ``batched_nearfar_sssp``,
+``AdaptiveNearFarStepper.run``, ``kla_sssp``, ``delta_stepping``,
+``bellman_ford`` and ``dijkstra``) takes a ``deadline`` and reads it on
+every pass, so a timed-out task ends at its deadline and nothing in the
+pool has to give up on a thread it cannot stop: nothing names the
+pool's ``PoolTimeoutError``, ``map_ordered``, ``abandon`` (``abandoned``
+in a docstring counts) or ``lost_workers``.
 """
 
 from __future__ import annotations
@@ -451,6 +459,12 @@ REMOVED_NAMES = (
     "slow_seconds",
     "conns_dropped",
     "connections.dropped",
+    # a timed-out kernel stops at its deadline: the pool never gives up
+    # on a running thread, so it has no timeout, abandon or lost slots
+    "PoolTimeoutError",
+    "map_ordered",
+    "abandon",
+    "lost_workers",
 )
 
 
@@ -605,6 +619,8 @@ def test_removed_dispatch_layers_not_imported():
         "n.conns_dropped, 'net.connections.dropped'\n"
         "c._read_loop(), _Pending(f, 0.0, 6), c._send_raw(b''), 'repro-worker-client-0', "
         "c._keep_beat(p), c.last_frame, w.heartbeat_seconds, s.heartbeat_expired(now)\n"
+        "pool.map_ordered('g', f, a), PoolTimeoutError, pool.abandon(f), "
+        "h['lost_workers'], 'a task the timeout abandoned'\n"
     )
     assert sorted(_removed_imports(probe, "probe.py")) == [
         "probe.py:10: names merge_snapshot",
@@ -688,6 +704,11 @@ def test_removed_dispatch_layers_not_imported():
         "probe.py:20: names heartbeat_seconds",
         "probe.py:20: names last_frame",
         "probe.py:20: names worker-client",
+        "probe.py:21: names PoolTimeoutError",
+        "probe.py:21: names abandon",
+        "probe.py:21: names abandon",
+        "probe.py:21: names lost_workers",
+        "probe.py:21: names map_ordered",
         "probe.py:3: names ProcessPoolExecutor",
         "probe.py:4: names poolbreak",
         "probe.py:7: names TELEMETRY_WIRE_VERSION",
@@ -696,3 +717,100 @@ def test_removed_dispatch_layers_not_imported():
         "probe.py:9: names merge_payload",
         "probe.py:9: names run_algorithm_batch_traced",
     ]
+
+
+# served solver module -> the function whose loop must read ``deadline``
+SERVED_SOLVERS = {
+    "sssp/nearfar.py": "nearfar_sssp",
+    "sssp/batch_kernels.py": "batched_nearfar_sssp",
+    "core/stepwise.py": "run",
+    "sssp/kla.py": "kla_sssp",
+    "sssp/delta_stepping.py": "delta_stepping",
+    "sssp/bellman_ford.py": "bellman_ford",
+    "sssp/dijkstra.py": "dijkstra",
+}
+
+
+def _outer_loops(node: ast.AST) -> List[ast.AST]:
+    """The ``for``/``while`` loops under ``node`` that no other loop encloses."""
+    loops = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.For, ast.While)):
+            loops.append(child)
+        elif not isinstance(child, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            loops += _outer_loops(child)
+    return loops
+
+
+def _deadline_problems(source: str, label: str, name: str) -> List[str]:
+    """Why function ``name`` does not read its ``deadline`` on every loop pass."""
+    fns = [
+        node
+        for node in ast.walk(ast.parse(source, filename=label))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    if not fns:
+        return [f"{label}: no function named {name}"]
+    problems = []
+    for fn in fns:
+        args = fn.args
+        params = [a.arg for a in args.args + args.posonlyargs + args.kwonlyargs]
+        if "deadline" not in params:
+            problems.append(f"{label}:{fn.lineno}: {name} takes no deadline")
+        loops = _outer_loops(fn)
+        if not loops:
+            problems.append(f"{label}:{fn.lineno}: {name} has no loop")
+        for loop in loops:
+            reads = any(
+                isinstance(node, ast.Name)
+                and node.id == "deadline"
+                and isinstance(node.ctx, ast.Load)
+                for node in ast.walk(loop)
+            )
+            if not reads:
+                problems.append(f"{label}:{loop.lineno}: {name}'s loop never reads deadline")
+    return problems
+
+
+@pytest.mark.parametrize("module", sorted(SERVED_SOLVERS))
+def test_served_solver_loops_read_their_deadline(module):
+    name = SERVED_SOLVERS[module]
+    problems = _deadline_problems((SRC / module).read_text(), module, name)
+    assert not problems, "a served solver runs on past its deadline:\n" + "\n".join(problems)
+
+
+def test_deadline_guard_catches_a_loop_without_it():
+    good = (
+        "def solve(g, s, *, deadline=None):\n"
+        "    rows = [r for r in g]\n"
+        "    while g:\n"
+        "        if deadline is not None and now() >= deadline:\n"
+        "            raise DeadlineExceeded('solve', 0)\n"
+        "        for e in g:\n"
+        "            pass\n"
+    )
+    assert _deadline_problems(good, "good.py", "solve") == []
+    bad = (
+        "def solve(g, s, *, deadline=None):\n"
+        "    while g:\n"
+        "        g.pop()\n"
+        "    for _ in range(3):\n"
+        "        if deadline is not None:\n"
+        "            pass\n"
+        "def solve_late(g):\n"
+        "    while g:\n"
+        "        deadline = 1.0\n"
+        "def solve_flat(g, deadline=None):\n"
+        "    return deadline\n"
+    )
+    assert _deadline_problems(bad, "bad.py", "solve") == [
+        "bad.py:2: solve's loop never reads deadline"
+    ]
+    assert _deadline_problems(bad, "bad.py", "solve_late") == [
+        "bad.py:7: solve_late takes no deadline",
+        "bad.py:8: solve_late's loop never reads deadline",
+    ]
+    assert _deadline_problems(bad, "bad.py", "solve_flat") == [
+        "bad.py:10: solve_flat has no loop"
+    ]
+    assert _deadline_problems(bad, "bad.py", "absent") == ["bad.py: no function named absent"]
