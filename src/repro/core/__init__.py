@@ -22,7 +22,7 @@
 from repro.core.adaptive_sssp import AdaptiveParams, adaptive_sssp
 from repro.core.advance_model import AdvanceModel
 from repro.core.bisect_model import BisectModel
-from repro.core.controller import ControllerConfig, SetpointController
+from repro.core.controller import SetpointController
 from repro.core.partitions import FarQueuePartitions, FlatFarQueue
 from repro.core.setpoint import setpoint_menu, setpoint_for_utilization
 from repro.core.sgd import AdaptiveSGD, FixedRateSGD
@@ -34,7 +34,6 @@ __all__ = [
     "AdaptiveSGD",
     "AdvanceModel",
     "BisectModel",
-    "ControllerConfig",
     "FarQueuePartitions",
     "FixedRateSGD",
     "FlatFarQueue",

@@ -55,11 +55,6 @@ class AdaptiveParams:
         :func:`repro.core.setpoint.setpoint_menu`), not on the graph.
     initial_delta:
         Starting delta; defaults to the average edge weight.
-    gain, max_step_fraction, bootstrap_updates:
-        Passed through to :class:`~repro.core.controller.ControllerConfig`.
-    refresh_period:
-        Far-queue partition boundaries are refreshed (Eq. 7) every this
-        many iterations (1 = every iteration, as in the paper).
     max_iterations:
         Safety valve for tests (0 = unlimited).
     use_bootstrap:
@@ -71,45 +66,32 @@ class AdaptiveParams:
     sgd_mode:
         Ablation: ``'adaptive'`` = the paper's Algorithm 1;
         ``'fixed'`` = damped-Newton steps with a constant rate.
-    use_guard:
-        Run the divergence watchdog
-        (:class:`repro.resilience.guard.DivergenceGuard`): when the
-        learned controller emits a NaN/runaway delta or falls into a
-        limit cycle, the run degrades to plain near-far with the
-        last-good static delta instead of stalling.  Distances stay
-        exact either way; the guard only protects termination time.
-    guard_window:
-        Oscillation-detection window of the watchdog (decisions).
+
+    The controller's other tuning is fixed (the constants of
+    :mod:`repro.core.controller`), its far-queue boundaries are
+    refreshed (Eq. 7) every iteration, and the divergence watchdog
+    (:class:`repro.resilience.guard.DivergenceGuard`) always runs: when
+    the learned controller emits a NaN/runaway delta or falls into a
+    limit cycle, the run degrades to plain near-far with the last-good
+    static delta instead of stalling.  Distances are exact either way.
     """
 
     setpoint: float
     initial_delta: float | None = None
-    delta_min: float = 1e-9
-    delta_max: float = float("inf")
-    gain: float = 1.0
-    max_step_fraction: float = 4.0
-    bootstrap_updates: int = 5
-    refresh_period: int = 1
     max_iterations: int = 0
     use_bootstrap: bool = True
     use_partitions: bool = True
     sgd_mode: str = "adaptive"
-    use_guard: bool = True
-    guard_window: int = 8
 
     def __post_init__(self) -> None:
         if self.setpoint <= 0:
             raise ValueError("setpoint must be positive")
         if self.initial_delta is not None and self.initial_delta <= 0:
             raise ValueError("initial_delta must be positive")
-        if self.refresh_period < 1:
-            raise ValueError("refresh_period must be >= 1")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.sgd_mode not in ("adaptive", "fixed"):
             raise ValueError("sgd_mode must be 'adaptive' or 'fixed'")
-        if self.guard_window < 3:
-            raise ValueError("guard_window must be >= 3")
 
 
 def adaptive_sssp(

@@ -19,7 +19,6 @@ is the paper's deployment (controller on the CPU, kernels on the GPU).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import NamedTuple
 
@@ -28,59 +27,20 @@ from repro.core.bisect_model import BisectModel
 from repro.obs import context as obs
 from repro.obs.spans import SpanRecorder
 
-__all__ = ["ControllerConfig", "SetpointController", "DeltaDecision"]
+__all__ = [
+    "BOOTSTRAP_UPDATES",
+    "DELTA_MIN",
+    "DeltaDecision",
+    "MAX_STEP_FRACTION",
+    "SetpointController",
+]
 
 
-@dataclass(frozen=True)
-class ControllerConfig:
-    """Controller tuning knobs.
-
-    Parameters
-    ----------
-    setpoint:
-        ``P`` — the desired available parallelism (advance workload).
-    delta_min:
-        Lower clamp for δ; must stay positive for the window to move.
-    delta_max:
-        Upper clamp for δ (``inf`` disables).
-    max_step_fraction:
-        A single Δδ may not exceed this multiple of the current δ —
-        the paper's "reduce overshoots and undershoots" concern,
-        expressed as a slew-rate limit.
-    gain:
-        Loop gain on Eq. 6 (1.0 = the paper's update verbatim).
-    bootstrap_updates:
-        BISECT-MODEL updates required before trusting the learned α
-        (paper: converged "after about 5 iterations").
-    use_bootstrap:
-        Ablation switch: when false, the Eq. 8 bootstrap is disabled
-        and the (unconverged) learned α is trusted from iteration one.
-    sgd_mode:
-        ``'adaptive'`` (Algorithm 1) or ``'fixed'`` (ablation).
-    """
-
-    setpoint: float
-    delta_min: float = 1e-9
-    delta_max: float = float("inf")
-    max_step_fraction: float = 4.0
-    gain: float = 1.0
-    bootstrap_updates: int = 5
-    use_bootstrap: bool = True
-    sgd_mode: str = "adaptive"
-
-    def __post_init__(self) -> None:
-        if self.setpoint <= 0:
-            raise ValueError("setpoint must be positive")
-        if self.delta_min <= 0:
-            raise ValueError("delta_min must be positive")
-        if self.delta_max < self.delta_min:
-            raise ValueError("delta_max must be >= delta_min")
-        if self.max_step_fraction <= 0:
-            raise ValueError("max_step_fraction must be positive")
-        if self.gain <= 0:
-            raise ValueError("gain must be positive")
-        if self.sgd_mode not in ("adaptive", "fixed"):
-            raise ValueError("sgd_mode must be 'adaptive' or 'fixed'")
+# Eq. 6 tuning: one value each, so not parameters
+DELTA_MIN = 1e-9  # δ floor: the window must stay open to move
+MAX_STEP_FRACTION = 4.0  # slew limit: one step scales δ by at most 1 + this
+BOOTSTRAP_UPDATES = 5  # BISECT-MODEL updates before α is trusted (paper: ~5)
+INITIAL_ALPHA = 1.0  # seed of the learned α; the bootstrap rules early steps
 
 
 class DeltaDecision(NamedTuple):
@@ -98,31 +58,46 @@ class DeltaDecision(NamedTuple):
 
 
 class SetpointController:
-    """Online-learning delta controller for the near+far algorithm."""
+    """Online-learning delta controller for the near+far algorithm.
+
+    Parameters
+    ----------
+    setpoint:
+        ``P`` — the desired available parallelism (advance workload).
+    initial_delta:
+        δ of the first iteration (floored at :data:`DELTA_MIN`).
+    initial_d:
+        Seed of the ADVANCE-MODEL's ``d``.
+    use_bootstrap:
+        Ablation switch: when false, the Eq. 8 bootstrap is disabled
+        and the (unconverged) learned α is trusted from iteration one.
+    sgd_mode:
+        ``'adaptive'`` (Algorithm 1) or ``'fixed'`` (ablation).
+    """
 
     def __init__(
         self,
-        config: ControllerConfig,
+        setpoint: float,
         initial_delta: float,
         *,
         initial_d: float = 1.0,
-        initial_alpha: float = 1.0,
+        use_bootstrap: bool = True,
+        sgd_mode: str = "adaptive",
     ):
+        if setpoint <= 0:
+            raise ValueError("setpoint must be positive")
         if initial_delta <= 0:
             raise ValueError("initial_delta must be positive")
-        self.config = config
-        # the live set-point: initialised from the config but mutable,
-        # so an outer loop (e.g. the power-target servo of
-        # repro.cosim) can retarget the controller mid-run
-        self.setpoint = config.setpoint
-        self.delta = min(max(initial_delta, config.delta_min), config.delta_max)
-        self.advance_model = AdvanceModel(
-            initial_d=initial_d, sgd_mode=config.sgd_mode
-        )
+        # the live set-point: mutable, so an outer loop (e.g. the
+        # power-target servo of repro.cosim) can retarget it mid-run
+        self.setpoint = setpoint
+        self.use_bootstrap = use_bootstrap
+        self.delta = max(initial_delta, DELTA_MIN)
+        self.advance_model = AdvanceModel(initial_d=initial_d, sgd_mode=sgd_mode)
         self.bisect_model = BisectModel(
-            initial_alpha=initial_alpha,
-            convergence_updates=config.bootstrap_updates,
-            sgd_mode=config.sgd_mode,
+            initial_alpha=INITIAL_ALPHA,
+            convergence_updates=BOOTSTRAP_UPDATES,
+            sgd_mode=sgd_mode,
         )
         # BISECT-MODEL sample (X^(4), Δδ) awaiting its X^(1)_next label
         self._pending: tuple[int, float] | None = None
@@ -225,7 +200,6 @@ class SetpointController:
         far_partition_size: int,
         far_partition_upper: float,
     ) -> DeltaDecision:
-        cfg = self.config
         target_x1 = self.advance_model.target_frontier(self.setpoint)
 
         if far_total == 0 and float(x4) <= target_x1:
@@ -234,7 +208,7 @@ class SetpointController:
             model = self.bisect_model
             return DeltaDecision(self.delta, 0.0, model.alpha, target_x1, not model.converged)
 
-        bootstrapped = cfg.use_bootstrap and not self.bisect_model.converged
+        bootstrapped = self.use_bootstrap and not self.bisect_model.converged
         if bootstrapped:
             alpha = self._bootstrap_alpha(
                 x4,
@@ -247,16 +221,16 @@ class SetpointController:
         else:
             alpha = self.bisect_model.alpha
 
-        raw_change = cfg.gain * (target_x1 - float(x4)) / alpha
+        raw_change = (target_x1 - float(x4)) / alpha
 
         # multiplicative slew-rate limit: one iteration may grow delta by
         # at most (1 + f)x and shrink it by at most 1/(1 + f)x, so delta
         # can never collapse to zero (or overshoot to infinity) in one
-        # bad step; then clamp into the configured box
-        grow_cap = self.delta * (1.0 + cfg.max_step_fraction)
-        shrink_cap = self.delta / (1.0 + cfg.max_step_fraction)
+        # bad step; then floor it at DELTA_MIN
+        grow_cap = self.delta * (1.0 + MAX_STEP_FRACTION)
+        shrink_cap = self.delta / (1.0 + MAX_STEP_FRACTION)
         new_delta = min(max(self.delta + raw_change, shrink_cap), grow_cap)
-        new_delta = min(max(new_delta, cfg.delta_min), cfg.delta_max)
+        new_delta = max(new_delta, DELTA_MIN)
         change = new_delta - self.delta
         self.delta = new_delta
 
@@ -283,7 +257,7 @@ class SetpointController:
         * grow case: α ≈ S_i / (B_i − S) — the current far partition's
           vertices per unit of distance beyond the split.
         """
-        width = max(window_split - window_lower, self.config.delta_min)
+        width = max(window_split - window_lower, DELTA_MIN)
         if float(x4) >= target_x1:
             alpha = float(x4) / width
         else:

@@ -27,18 +27,14 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from repro.core.controller import (
-    ControllerConfig,
-    DeltaDecision,
-    SetpointController,
-)
+from repro.core.controller import DELTA_MIN, DeltaDecision, SetpointController
 from repro.core.partitions import FarQueuePartitions, FlatFarQueue
 from repro.graph.csr import CSRGraph
 from repro.instrument.trace import IterationRecord, RunTrace, publish_run
 from repro.obs import context as obs
 from repro.obs.events import EVENT_SCHEMA_VERSION
-from repro.resilience.guard import DivergenceGuard, GuardConfig
-from repro.sssp.deadline import check_deadline
+from repro.resilience.guard import DivergenceGuard
+from repro.sssp.deadline import DeadlineExceeded, check_deadline
 from repro.sssp.frontier import advance, bisect, filter_frontier, sorted_unique
 from repro.sssp.nearfar import suggest_delta
 from repro.sssp.result import SSSPResult
@@ -69,20 +65,12 @@ class AdaptiveNearFarStepper:
             if params.initial_delta is not None
             else suggest_delta(graph)
         )
-        config = ControllerConfig(
-            setpoint=params.setpoint,
-            delta_min=params.delta_min,
-            delta_max=params.delta_max,
-            max_step_fraction=params.max_step_fraction,
-            gain=params.gain,
-            bootstrap_updates=params.bootstrap_updates,
-            use_bootstrap=params.use_bootstrap,
-            sgd_mode=params.sgd_mode,
-        )
         self.controller = SetpointController(
-            config,
+            params.setpoint,
             self.initial_delta,
             initial_d=max(graph.average_degree, 1.0),
+            use_bootstrap=params.use_bootstrap,
+            sgd_mode=params.sgd_mode,
         )
         queue_cls = FarQueuePartitions if params.use_partitions else FlatFarQueue
         self.partitions = queue_cls(initial_boundary=suggest_delta(graph))
@@ -90,13 +78,7 @@ class AdaptiveNearFarStepper:
         # divergence watchdog: a blown-up controller (NaN/runaway delta,
         # limit-cycle oscillation) degrades the run to plain near-far
         # with the last-good static delta instead of stalling
-        self.guard = (
-            DivergenceGuard(
-                self.initial_delta, GuardConfig(window=params.guard_window)
-            )
-            if params.use_guard
-            else None
-        )
+        self.guard = DivergenceGuard(self.initial_delta)
         self.fallback = False
         self.fallback_reason: str | None = None
         self._fallback_delta = self.initial_delta
@@ -164,7 +146,7 @@ class AdaptiveNearFarStepper:
         if self.done:
             return None
         self.iterations += 1
-        controller, partitions, params = self.controller, self.partitions, self.params
+        controller, partitions = self.controller, self.partitions
         dist, advanced_at = self.dist, self.advanced_at
 
         x1 = int(self.frontier.size)
@@ -202,9 +184,7 @@ class AdaptiveNearFarStepper:
                 far_partition_size=partitions.current_partition_size(),
                 far_partition_upper=partitions.current_partition_upper(),
             )
-            if self.guard is not None and self.guard.observe(
-                decision.delta, adv.x2
-            ):
+            if self.guard.observe(decision.delta, adv.x2):
                 self._enter_fallback()
                 decision = self._static_decision()
         new_split = self.lower + decision.delta
@@ -231,12 +211,7 @@ class AdaptiveNearFarStepper:
         # as a partition width (a diverged controller the guard has not
         # condemned yet must not rewrite the far-queue boundaries)
         alpha = float(decision.alpha_used)
-        if (
-            not self.fallback
-            and self.iterations % params.refresh_period == 0
-            and math.isfinite(alpha)
-            and alpha > 0
-        ):
+        if not self.fallback and math.isfinite(alpha) and alpha > 0:
             partitions.refresh_boundaries(controller.setpoint, alpha)
 
         self.frontier = near
@@ -249,7 +224,6 @@ class AdaptiveNearFarStepper:
                 self.lower,
                 self.split,
                 self._fallback_delta if self.fallback else controller.delta,
-                params.delta_min,
             )
             far_scanned += scanned
             # the next X^(1) was produced by draining, not by delta_change:
@@ -311,17 +285,22 @@ class AdaptiveNearFarStepper:
         """Drive to completion and :meth:`finish`; ``trace`` gets the
         rows of the steps run here.  Past ``deadline`` (see
         :mod:`repro.sssp.deadline`) the run stops unfinished with
-        ``DeadlineExceeded``."""
+        ``DeadlineExceeded``, once :meth:`finish` has booked the steps
+        it ran."""
         params = self.params
         if trace is not None:
             self._keep_rows = True
         start = len(self.rows)
-        while not self.done:
-            if deadline is not None:
-                check_deadline(deadline, "adaptive-nearfar", self.iterations)
-            self.step(record=False)
-            if params.max_iterations and self.iterations >= params.max_iterations:
-                break
+        try:
+            while not self.done:
+                if deadline is not None:
+                    check_deadline(deadline, "adaptive-nearfar", self.iterations)
+                self.step(record=False)
+                if params.max_iterations and self.iterations >= params.max_iterations:
+                    break
+        except DeadlineExceeded:
+            self.finish()
+            raise
         if trace is not None:
             trace.rows.extend(self.rows[start:])
         return self.finish()
@@ -399,7 +378,6 @@ def _drain(
     lower: float,
     split: float,
     delta: float,
-    delta_min: float,
 ) -> Tuple[np.ndarray, float, float, int, int]:
     """Advance the window until the far queue yields a non-empty frontier.
 
@@ -410,7 +388,7 @@ def _drain(
     loop terminates.  Returns the scanned-entry count alongside the
     window state for kernel-cost accounting.
     """
-    step = max(delta, delta_min)
+    step = max(delta, DELTA_MIN)
     drains = 0
     scanned = 0
     frontier = _EMPTY

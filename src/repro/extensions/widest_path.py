@@ -26,7 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.controller import ControllerConfig, SetpointController
+from repro.core.controller import SetpointController
 from repro.graph.csr import CSRGraph
 from repro.instrument.trace import RunTrace
 from repro.sssp.frontier import edge_offsets, sorted_unique
@@ -253,7 +253,7 @@ def adaptive_widest_path(
         else _default_delta(graph)
     )
     controller = SetpointController(
-        ControllerConfig(setpoint=params.setpoint),
+        params.setpoint,
         delta0,
         initial_d=max(graph.average_degree, 1.0),
     )

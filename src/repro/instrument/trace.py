@@ -184,7 +184,9 @@ def publish_run(
     """
     if not (registry.enabled or events.enabled):
         return
-    columns = list(zip(*rows)) or [()] * NEARFAR_WIDTH
+    # a run stopped before its first iteration still has every column
+    width = len(ROW_FIELDS) if queue is None else NEARFAR_WIDTH
+    columns = list(zip(*rows)) or [()] * width
     relaxations = sum(columns[1])
     if registry.enabled:
         if queue is None:  # a stepper row's three fields after drains

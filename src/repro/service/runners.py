@@ -24,10 +24,11 @@ Both take the engine's per-task ``timeout`` and turn it into the
 solver's ``deadline=`` when the task starts (:mod:`repro.sssp.deadline`);
 the one-time ``setpoint_window`` probe runs without one.
 
-Parameters are validated against a per-algorithm whitelist *before*
-the run starts, so a typo'd request fails fast with a message naming
-the accepted keys instead of dying mid-run.  Every runner takes the
-graph first, the calling convention of
+Parameters are validated against a per-algorithm whitelist, and their
+values against one rule per name (:data:`PARAM_VALUES`), *before* the
+run starts: a typo'd key fails fast with a message naming the accepted
+keys, and a bad value with one naming the param, alone or batched
+alike.  Every runner takes the graph first, the calling convention of
 :meth:`repro.service.pool.ExecutorPool.submit`, and returns bare
 results whether or not the engine has telemetry on: a telemetry-on
 engine runs the same call inside a pool-thread closure that records
@@ -36,6 +37,9 @@ straight into its observability context.
 
 from __future__ import annotations
 
+import math
+import numbers
+import reprlib
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.graph.csr import CSRGraph
@@ -45,6 +49,7 @@ from repro.sssp.result import SSSPResult
 __all__ = [
     "ALGORITHM_PARAMS",
     "BATCHED_ALGORITHMS",
+    "PARAM_VALUES",
     "algorithm_names",
     "run_algorithm",
     "run_algorithm_batch",
@@ -69,8 +74,29 @@ def algorithm_names() -> Tuple[str, ...]:
     return tuple(sorted(ALGORITHM_PARAMS))
 
 
+# param -> what its value must be (a bool is never one)
+PARAM_VALUES: Dict[str, str] = {
+    "delta": "a finite positive number",
+    "setpoint": "a finite positive number",
+    "k": "an integer >= 1",
+}
+
+
+def _valid_value(name: str, value) -> bool:
+    """True when ``value`` is what :data:`PARAM_VALUES` asks of ``name``."""
+    if isinstance(value, bool):
+        return False
+    if name == "k":
+        return isinstance(value, numbers.Integral) and value >= 1
+    try:  # an int too large for a float is not finite either
+        return isinstance(value, numbers.Real) and 0 < float(value) < math.inf
+    except OverflowError:
+        return False
+
+
 def validate_params(algorithm: str, params: Mapping) -> dict:
-    """Check ``algorithm`` exists and ``params`` only uses known keys."""
+    """Check ``algorithm`` exists, ``params`` only uses its known keys,
+    and each value is what :data:`PARAM_VALUES` says."""
     accepted = ALGORITHM_PARAMS.get(algorithm)
     if accepted is None:
         raise ValueError(
@@ -83,6 +109,12 @@ def validate_params(algorithm: str, params: Mapping) -> dict:
             f"algorithm {algorithm!r} does not accept {unknown}; "
             f"accepted: {list(accepted) or 'none'}"
         )
+    for name, value in params.items():
+        if not _valid_value(name, value):
+            raise ValueError(
+                f"param {name} must be {PARAM_VALUES[name]}, "
+                f"got {reprlib.repr(value)}"
+            )
     return params
 
 

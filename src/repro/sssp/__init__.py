@@ -17,19 +17,17 @@
 * :mod:`~repro.sssp.deadline` — the ``deadline=`` every solver reads.
 """
 
-from repro.sssp.batch_kernels import BatchedNearFarParams, batched_nearfar_sssp
+from repro.sssp.batch_kernels import batched_nearfar_sssp
 from repro.sssp.bellman_ford import NegativeCycleError, bellman_ford
 from repro.sssp.deadline import DeadlineExceeded
 from repro.sssp.delta_stepping import delta_stepping
 from repro.sssp.dijkstra import dijkstra
 from repro.sssp.kla import kla_sssp
-from repro.sssp.nearfar import NearFarParams, nearfar_sssp, suggest_delta
+from repro.sssp.nearfar import nearfar_sssp, suggest_delta
 from repro.sssp.result import SSSPResult, assert_distances_close, extract_path
 
 __all__ = [
-    "BatchedNearFarParams",
     "DeadlineExceeded",
-    "NearFarParams",
     "NegativeCycleError",
     "SSSPResult",
     "assert_distances_close",

@@ -42,7 +42,6 @@ return identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -60,52 +59,34 @@ from repro.sssp.frontier import (
 from repro.sssp.nearfar import suggest_delta
 from repro.sssp.result import SSSPResult
 
-__all__ = ["BatchedNearFarParams", "batched_nearfar_sssp"]
+__all__ = ["batched_nearfar_sssp"]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class BatchedNearFarParams:
-    """Tuning parameters of the batched near+far engine.
-
-    ``delta`` may be a scalar (shared by every query) or a length-B
-    sequence (one window width per query).  ``max_sweeps`` bounds the
-    number of global sweeps (0 = unlimited) as a safety valve for
-    tests.
-    """
-
-    delta: float | Sequence[float] | None = None
-    max_sweeps: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_sweeps < 0:
-            raise ValueError("max_sweeps must be >= 0")
-
-    def delta_array(self, graph: CSRGraph, num_queries: int) -> np.ndarray:
-        """Resolve ``delta`` into a validated float64[B] array."""
-        if self.delta is None:
-            value = np.full(num_queries, suggest_delta(graph))
-        else:
-            value = np.asarray(self.delta, dtype=np.float64)
-            if value.ndim == 0:
-                value = np.full(num_queries, float(value))
-            elif value.shape != (num_queries,):
-                raise ValueError(
-                    f"delta must be a scalar or length-{num_queries} "
-                    f"sequence, got shape {value.shape}"
-                )
-        if np.any(~np.isfinite(value)) or np.any(value <= 0):
-            raise ValueError("every delta must be finite and positive")
-        return value
+def _delta_array(graph: CSRGraph, delta, num_queries: int) -> np.ndarray:
+    """Resolve ``delta`` into a validated float64[B] array."""
+    if delta is None:
+        return np.full(num_queries, suggest_delta(graph))
+    value = np.asarray(delta, dtype=np.float64)
+    if value.ndim == 0:
+        value = np.full(num_queries, float(value))
+    elif value.shape != (num_queries,):
+        raise ValueError(
+            f"delta must be a scalar or length-{num_queries} "
+            f"sequence, got shape {value.shape}"
+        )
+    if np.any(~np.isfinite(value)) or np.any(value <= 0):
+        raise ValueError("every delta must be finite and positive")
+    return value
 
 
 def batched_nearfar_sssp(
     graph: CSRGraph,
     sources: Sequence[int] | np.ndarray,
-    params: BatchedNearFarParams | None = None,
-    *,
     delta: float | Sequence[float] | None = None,
+    *,
+    max_sweeps: int = 0,
     deadline: float | None = None,
 ) -> List[SSSPResult]:
     """Run fixed-delta near+far from every source in one batched pass.
@@ -117,12 +98,16 @@ def batched_nearfar_sssp(
     sources:
         The B source vertices; duplicates are allowed and answered
         independently.
-    params / delta:
-        Either a full :class:`BatchedNearFarParams` or a bare ``delta``
-        (mutually exclusive); defaults to
+    delta:
+        A scalar shared by every query or a length-B sequence (one
+        window width per query), each finite and positive; defaults to
         :func:`~repro.sssp.nearfar.suggest_delta`.
+    max_sweeps:
+        Bound on the number of global sweeps (0 = unlimited), a safety
+        valve for tests.
     deadline:
-        See :mod:`repro.sssp.deadline` (None: none).
+        See :mod:`repro.sssp.deadline` (None: none).  A run it stops
+        still books its sweeps and ``batch_run_end``.
 
     Returns
     -------
@@ -132,11 +117,8 @@ def batched_nearfar_sssp(
     had frontier work).  ``extra`` records ``delta``, ``batch_size``
     and ``batched=True``.
     """
-    if params is not None and delta is not None:
-        raise ValueError("pass either params or delta, not both")
-    if params is None:
-        params = BatchedNearFarParams(delta=delta)
-
+    if max_sweeps < 0:
+        raise ValueError("max_sweeps must be >= 0")
     sources = np.asarray(sources, dtype=np.int64)
     if sources.ndim != 1 or sources.size == 0:
         raise ValueError("sources must be a non-empty 1-D sequence")
@@ -148,7 +130,7 @@ def batched_nearfar_sssp(
         raise ValueError("near+far requires non-negative edge weights")
 
     B = int(sources.size)
-    deltas = params.delta_array(graph, B)
+    deltas = _delta_array(graph, delta, B)
 
     dist = np.full(B * n, np.inf)
     front_q = np.arange(B, dtype=np.int64)  # the frontier's query ids
@@ -178,54 +160,67 @@ def batched_nearfar_sssp(
     # per sweep: (active queries, next frontier size), kept only when a
     # live registry will read them at the end of the run
     rows = [] if reg.enabled else None
-    while frontier.size:
-        if deadline is not None:
-            check_deadline(deadline, "nearfar-batch", sweeps)
-        sweeps += 1
-        # queries with frontier work this sweep age by one iteration
-        active = np.zeros(B, dtype=bool)
-        active[front_q] = True
-        iterations += active
+    try:
+        while frontier.size:
+            if deadline is not None:
+                check_deadline(deadline, "nearfar-batch", sweeps)
+            sweeps += 1
+            # queries with frontier work this sweep age by one iteration
+            active = np.zeros(B, dtype=bool)
+            active[front_q] = True
+            iterations += active
 
-        # stage 1+2: advance all queries' edges in one sweep, then filter
-        adv = batched_advance(graph, frontier, dist, B, frontier_q=front_q)
-        relaxations += adv.relaxations_per_query
-        improved = batched_filter(adv.improved)
+            # stage 1+2: advance all queries' edges in one sweep, then filter
+            adv = batched_advance(graph, frontier, dist, B, frontier_q=front_q)
+            relaxations += adv.relaxations_per_query
+            improved = batched_filter(adv.improved)
 
-        # stage 3: bisect against each query's own window
-        near, far_add = batched_bisect(improved, dist, split, n)
-        if far_add.size:
-            far = np.concatenate([far, far_add]) if far.size else far_add
-        frontier = near
-        front_q = near // n
+            # stage 3: bisect against each query's own window
+            near, far_add = batched_bisect(improved, dist, split, n)
+            if far_add.size:
+                far = np.concatenate([far, far_add]) if far.size else far_add
+            frontier = near
+            front_q = near // n
 
-        # stage 4: per-query bisect-far-queue for starved queries only
-        if far.size:
-            far_q = far // n
-            need = np.zeros(B, dtype=bool)  # far entries but no near work
-            need[far_q] = True
-            need[front_q] = False
-            if need.any():
-                pulled, far, split = batched_drain_far(
-                    far, dist, n, split, deltas, need, far_q=far_q
-                )
-                if pulled.size:
-                    frontier = np.concatenate([frontier, pulled])
-                    front_q = np.concatenate([front_q, pulled // n])
+            # stage 4: per-query bisect-far-queue for starved queries only
+            if far.size:
+                far_q = far // n
+                need = np.zeros(B, dtype=bool)  # far entries but no near work
+                need[far_q] = True
+                need[front_q] = False
+                if need.any():
+                    pulled, far, split = batched_drain_far(
+                        far, dist, n, split, deltas, need, far_q=far_q
+                    )
+                    if pulled.size:
+                        frontier = np.concatenate([frontier, pulled])
+                        front_q = np.concatenate([front_q, pulled // n])
 
+            if rows is not None:
+                rows.append((int(active.sum()), int(frontier.size)))
+            if max_sweeps and sweeps >= max_sweeps:
+                break
+    finally:
+        # booked once, also when the deadline stops the run
         if rows is not None:
-            rows.append((int(active.sum()), int(frontier.size)))
-        if params.max_sweeps and sweeps >= params.max_sweeps:
-            break
+            active_counts, frontier_sizes = list(zip(*rows)) or ((), ())
+            reg.counter("sssp.batch.sweeps").inc(sweeps)
+            reg.counter("sssp.batch.relaxations").inc(int(relaxations.sum()))
+            reg.histogram("sssp.batch.active").observe_many(active_counts)
+            reg.histogram("sssp.batch.frontier").observe_many(frontier_sizes)
+        if events.enabled:
+            reached = np.isfinite(dist.reshape(B, n)).sum(axis=1)
+            events.emit(
+                {
+                    "type": "batch_run_end",
+                    "batch_size": B,
+                    "sweeps": sweeps,
+                    "relaxations": int(relaxations.sum()),
+                    "reached": reached.tolist(),
+                }
+            )
 
-    if rows is not None:
-        active_counts, frontier_sizes = zip(*rows)
-        reg.counter("sssp.batch.sweeps").inc(sweeps)
-        reg.counter("sssp.batch.relaxations").inc(int(relaxations.sum()))
-        reg.histogram("sssp.batch.active").observe_many(active_counts)
-        reg.histogram("sssp.batch.frontier").observe_many(frontier_sizes)
-
-    results = [
+    return [
         SSSPResult(
             dist=dist[q * n : (q + 1) * n].copy(),
             source=int(sources[q]),
@@ -240,14 +235,3 @@ def batched_nearfar_sssp(
         )
         for q in range(B)
     ]
-    if events.enabled:
-        events.emit(
-            {
-                "type": "batch_run_end",
-                "batch_size": B,
-                "sweeps": sweeps,
-                "relaxations": int(relaxations.sum()),
-                "reached": [r.num_reached for r in results],
-            }
-        )
-    return results

@@ -14,7 +14,6 @@ advances the window and pulls the next band from the far queue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -27,26 +26,7 @@ from repro.sssp.deadline import check_deadline
 from repro.sssp.frontier import advance, bisect, drain_far_queue, filter_frontier
 from repro.sssp.result import SSSPResult
 
-__all__ = ["NearFarParams", "nearfar_sssp", "suggest_delta"]
-
-
-@dataclass(frozen=True)
-class NearFarParams:
-    """Tuning parameters of the baseline near+far algorithm.
-
-    ``delta`` is the static knob the paper replaces with a dynamic,
-    controller-driven one.  ``max_iterations`` is a safety valve for
-    tests (0 = unlimited).
-    """
-
-    delta: float
-    max_iterations: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.delta > 0:  # NaN too
-            raise ValueError("delta must be positive")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+__all__ = ["nearfar_sssp", "suggest_delta"]
 
 
 def suggest_delta(graph: CSRGraph) -> float:
@@ -64,9 +44,9 @@ def suggest_delta(graph: CSRGraph) -> float:
 def nearfar_sssp(
     graph: CSRGraph,
     source: int,
-    params: NearFarParams | None = None,
-    *,
     delta: float | None = None,
+    *,
+    max_iterations: int = 0,
     collect_trace: bool = True,
     deadline: float | None = None,
 ) -> Tuple[SSSPResult, RunTrace]:
@@ -76,14 +56,16 @@ def nearfar_sssp(
     ----------
     graph, source:
         Problem instance (non-negative weights required).
-    params / delta:
-        Either a full :class:`NearFarParams` or a bare ``delta``
-        (mutually exclusive); defaults to :func:`suggest_delta`.
+    delta:
+        The static window width, the knob the paper replaces with a
+        controller-driven one; defaults to :func:`suggest_delta`.
+    max_iterations:
+        Safety valve for tests (0 = unlimited).
     collect_trace:
         When false, the returned trace is empty.  The run keeps its
         rows either way: the ``sssp.*`` metrics and the ``iterations``
         event of a live observability context are booked from them
-        when the run ends.
+        when the run ends, also when ``deadline`` stops it.
     deadline:
         See :mod:`repro.sssp.deadline` (None: none).
 
@@ -93,10 +75,12 @@ def nearfar_sssp(
         Exact shortest-path distances plus the per-iteration workload
         trace used for parallelism profiles and platform simulation.
     """
-    if params is not None and delta is not None:
-        raise ValueError("pass either params or delta, not both")
-    if params is None:
-        params = NearFarParams(delta=delta if delta is not None else suggest_delta(graph))
+    if delta is None:
+        delta = suggest_delta(graph)
+    if not delta > 0:  # NaN too
+        raise ValueError("delta must be positive")
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be >= 0")
 
     n = graph.num_nodes
     if not 0 <= source < n:
@@ -108,14 +92,14 @@ def nearfar_sssp(
     dist[source] = 0.0
     frontier = np.array([source], dtype=np.int64)
     far = np.zeros(0, dtype=np.int64)
-    lower, split = 0.0, params.delta
+    lower, split = 0.0, delta
 
     trace = RunTrace(
         algorithm="nearfar",
         graph_name=graph.name,
         source=source,
         meta={
-            "delta": params.delta,
+            "delta": delta,
             "graph_fingerprint": graph.fingerprint(),
         },
     )
@@ -134,44 +118,51 @@ def nearfar_sssp(
                 "algorithm": "nearfar",
                 "graph": graph.name,
                 "source": source,
-                "delta": params.delta,
+                "delta": delta,
             }
         )
 
-    while frontier.size:
-        if deadline is not None:
-            check_deadline(deadline, "nearfar", iterations)
-        iterations += 1
-        x1 = int(frontier.size)
+    try:
+        while frontier.size:
+            if deadline is not None:
+                check_deadline(deadline, "nearfar", iterations)
+            iterations += 1
+            x1 = int(frontier.size)
 
-        # stage 1: advance
-        adv = advance(graph, frontier, dist)
-        relaxations += adv.relaxations
+            # stage 1: advance
+            adv = advance(graph, frontier, dist)
+            relaxations += adv.relaxations
 
-        # stage 2: filter
-        unique_improved = filter_frontier(adv.improved)
-        x3 = int(unique_improved.size)
+            # stage 2: filter
+            unique_improved = filter_frontier(adv.improved)
+            x3 = int(unique_improved.size)
 
-        # stage 3: bisect-frontier
-        near, far_add = bisect(unique_improved, dist, split)
-        if far_add.size:
-            far = np.concatenate([far, far_add])
-            moved_to_far += int(far_add.size)
-        x4 = int(near.size)
+            # stage 3: bisect-frontier
+            near, far_add = bisect(unique_improved, dist, split)
+            if far_add.size:
+                far = np.concatenate([far, far_add])
+                moved_to_far += int(far_add.size)
+            x4 = int(near.size)
 
-        # stage 4: bisect-far-queue
-        drains = 0
-        frontier = near
-        if frontier.size == 0 and far.size:
-            far_scanned += int(far.size)
-            frontier, far, lower, split, drains = drain_far_queue(
-                far, dist, lower, split, params.delta
-            )
-            moved_from_far += int(frontier.size)
+            # stage 4: bisect-far-queue
+            drains = 0
+            frontier = near
+            if frontier.size == 0 and far.size:
+                far_scanned += int(far.size)
+                frontier, far, lower, split, drains = drain_far_queue(
+                    far, dist, lower, split, delta
+                )
+                moved_from_far += int(frontier.size)
 
-        rows.append((x1, adv.x2, x3, x4, params.delta, split, int(far.size), drains))
-        if params.max_iterations and iterations >= params.max_iterations:
-            break
+            rows.append((x1, adv.x2, x3, x4, delta, split, int(far.size), drains))
+            if max_iterations and iterations >= max_iterations:
+                break
+    finally:
+        # booked once, also when the deadline stops the run
+        publish_run(
+            ctx.registry, ctx.events, rows, int(np.isfinite(dist).sum()),
+            (moved_from_far, moved_to_far, far_scanned),
+        )
 
     result = SSSPResult(
         dist=dist,
@@ -179,11 +170,7 @@ def nearfar_sssp(
         iterations=iterations,
         relaxations=relaxations,
         algorithm="nearfar",
-        extra={"delta": params.delta},
-    )
-    publish_run(
-        ctx.registry, ctx.events, rows, result.num_reached,
-        (moved_from_far, moved_to_far, far_scanned),
+        extra={"delta": delta},
     )
     if not collect_trace:
         trace.rows = []

@@ -1,5 +1,7 @@
 """Unit and behavioural tests for the self-tuning near+far SSSP."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,7 +140,7 @@ class TestParamsValidation:
         [
             dict(setpoint=0.0),
             dict(setpoint=1.0, initial_delta=0.0),
-            dict(setpoint=1.0, refresh_period=0),
+            dict(setpoint=1.0, sgd_mode="newton"),
             dict(setpoint=1.0, max_iterations=-1),
         ],
     )
@@ -159,7 +161,10 @@ class TestParamsValidation:
         result, _, _ = _run(small_grid, setpoint=10.0, max_iterations=2)
         assert result.iterations == 2
 
-    def test_refresh_period(self, small_grid):
-        # period > run length: boundaries never refreshed, still correct
-        result, _, _ = _run(small_grid, refresh_period=10_000)
-        assert_distances_close(dijkstra(small_grid, 0), result)
+    def test_fields_are_the_papers_knobs(self):
+        """P, the start, a test valve and the three ablation switches."""
+        names = [f.name for f in dataclasses.fields(AdaptiveParams)]
+        assert names == [
+            "setpoint", "initial_delta", "max_iterations",
+            "use_bootstrap", "use_partitions", "sgd_mode",
+        ]

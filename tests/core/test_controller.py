@@ -4,13 +4,16 @@ import math
 
 import pytest
 
-from repro.core.controller import ControllerConfig, SetpointController
+from repro.core.controller import (
+    BOOTSTRAP_UPDATES,
+    DELTA_MIN,
+    MAX_STEP_FRACTION,
+    SetpointController,
+)
 
 
 def _controller(setpoint=1000.0, initial_delta=1.0, **kw):
-    return SetpointController(
-        ControllerConfig(setpoint=setpoint, **kw), initial_delta=initial_delta
-    )
+    return SetpointController(setpoint, initial_delta, **kw)
 
 
 def _plan(ctrl, x4, lower=0.0, split=None, far_total=10_000,
@@ -30,19 +33,23 @@ class TestConfigValidation:
         "kw",
         [
             dict(setpoint=0.0),
-            dict(setpoint=10.0, delta_min=0.0),
-            dict(setpoint=10.0, delta_min=2.0, delta_max=1.0),
-            dict(setpoint=10.0, max_step_fraction=0.0),
-            dict(setpoint=10.0, gain=0.0),
+            dict(setpoint=-1.0),
+            dict(setpoint=-math.inf),
+            dict(setpoint=10.0, sgd_mode="newton"),
+            dict(setpoint=10.0, initial_delta=-1.0),
         ],
     )
     def test_rejected(self, kw):
         with pytest.raises(ValueError):
-            ControllerConfig(**kw)
+            _controller(**kw)
 
     def test_bad_initial_delta(self):
         with pytest.raises(ValueError):
-            SetpointController(ControllerConfig(setpoint=1.0), initial_delta=0.0)
+            SetpointController(1.0, initial_delta=0.0)
+
+    def test_tuning_constants(self):
+        """The paper's update with a slew limit, a floor and its ~5-step bootstrap."""
+        assert (DELTA_MIN, MAX_STEP_FRACTION, BOOTSTRAP_UPDATES) == (1e-9, 4.0, 5)
 
 
 class TestDeltaDirection:
@@ -74,43 +81,44 @@ class TestDeltaDirection:
 
 class TestSlewLimits:
     def test_growth_bounded_multiplicatively(self):
-        ctrl = _controller(setpoint=1e9, initial_delta=1.0, max_step_fraction=4.0)
+        ctrl = _controller(setpoint=1e9, initial_delta=1.0)
         _plan(ctrl, x4=0, part_size=1, part_upper=1e12)
-        assert ctrl.delta <= 5.0 + 1e-9
+        assert ctrl.delta <= 1.0 + MAX_STEP_FRACTION == 5.0
 
     def test_shrink_bounded_multiplicatively(self):
-        ctrl = _controller(setpoint=1.0, initial_delta=1.0, max_step_fraction=4.0)
+        ctrl = _controller(setpoint=1.0, initial_delta=1.0)
         _plan(ctrl, x4=10**9)
-        assert ctrl.delta >= 1.0 / 5.0 - 1e-9
+        assert ctrl.delta >= 1.0 / (1.0 + MAX_STEP_FRACTION) == 1.0 / 5.0
 
     def test_delta_never_nonpositive(self):
         ctrl = _controller(setpoint=1.0, initial_delta=1.0)
         for _ in range(200):
             _plan(ctrl, x4=10**9)
-        assert ctrl.delta >= ctrl.config.delta_min > 0
-
-    def test_delta_max_respected(self):
-        ctrl = _controller(setpoint=1e9, initial_delta=1.0, delta_max=3.0)
-        for _ in range(50):
-            _plan(ctrl, x4=0, part_size=1, part_upper=1e12)
-        assert ctrl.delta <= 3.0
+        assert ctrl.delta >= DELTA_MIN > 0
 
 
 class TestBootstrap:
     def test_bootstrap_used_before_convergence(self):
-        ctrl = _controller(bootstrap_updates=5)
+        ctrl = _controller()
         decision = _plan(ctrl, x4=10)
         assert decision.bootstrapped
 
     def test_learned_alpha_used_after_convergence(self):
-        ctrl = _controller(bootstrap_updates=2)
-        # feed the bisect model until converged
-        for i in range(3):
+        ctrl = _controller()
+        # feed the bisect model one label short of convergence...
+        for i in range(BOOTSTRAP_UPDATES):
             ctrl.begin_iteration(x1=100 + i)
-            _plan(ctrl, x4=100)
+            assert _plan(ctrl, x4=100).bootstrapped
+        assert not ctrl.bisect_model.converged
+        # ...then the last one
+        ctrl.begin_iteration(x1=100 + BOOTSTRAP_UPDATES)
         assert ctrl.bisect_model.converged
         decision = _plan(ctrl, x4=10)
         assert not decision.bootstrapped
+
+    def test_bootstrap_ablation_trusts_the_model_at_once(self):
+        ctrl = _controller(use_bootstrap=False)
+        assert not _plan(ctrl, x4=10).bootstrapped
 
     def test_bootstrap_shrink_case_eq8(self):
         """x4 >= target: alpha = x4 / window width."""
@@ -164,10 +172,12 @@ class TestModelFeeding:
         assert ctrl.decisions == 1
 
 
-class TestGain:
-    def test_higher_gain_bigger_steps(self):
-        lo = _controller(gain=0.5, setpoint=10_000.0)
-        hi = _controller(gain=1.0, setpoint=10_000.0)
-        d_lo = _plan(lo, x4=10, part_size=500, part_upper=100.0)
-        d_hi = _plan(hi, x4=10, part_size=500, part_upper=100.0)
-        assert d_hi.delta_change >= d_lo.delta_change
+class TestEq6:
+    def test_step_is_eq6_verbatim(self):
+        """Inside the slew limit, Δδ = (P/d − X^(4)) / α exactly."""
+        ctrl = _controller(setpoint=1_000.0, initial_delta=1.0)
+        decision = _plan(ctrl, x4=990, part_size=500, part_upper=100.0)
+        target = ctrl.advance_model.target_frontier(1_000.0)
+        assert decision.target_frontier == target
+        assert 0 < decision.delta_change < MAX_STEP_FRACTION
+        assert decision.delta == ctrl.delta == 1.0 + (target - 990) / decision.alpha_used

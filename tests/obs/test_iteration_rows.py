@@ -20,7 +20,7 @@ from repro.gpusim.device import JETSON_TK1
 from repro.graph.generators import grid_road_network, rmat
 from repro.instrument.trace import NEARFAR_WIDTH, ROW_FIELDS
 from repro.obs.registry import Histogram
-from repro.sssp.nearfar import NearFarParams, nearfar_sssp
+from repro.sssp.nearfar import nearfar_sssp
 
 FEW = settings(max_examples=6, deadline=None)
 
@@ -115,7 +115,7 @@ def test_adaptive_readers_agree(case):
 def test_max_iterations_stop_books_once(solver):
     graph = grid_road_network(12, 12, seed=4)
     if solver == "nearfar":
-        run = lambda: nearfar_sssp(graph, 0, NearFarParams(delta=1.0, max_iterations=5))  # noqa: E731
+        run = lambda: nearfar_sssp(graph, 0, delta=1.0, max_iterations=5)  # noqa: E731
     else:
         run = lambda: adaptive_sssp(graph, 0, AdaptiveParams(setpoint=50.0, max_iterations=5))  # noqa: E731
     (result, trace, *_), registry, sink = _observe(run)

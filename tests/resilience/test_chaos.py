@@ -51,9 +51,7 @@ class TestDivergentControllerRun:
         assert events[0]["fallback_delta"] == result.extra["final_delta"]
 
     def test_oscillating_controller_trips_the_window_rule(self, graph):
-        stepper = AdaptiveNearFarStepper(
-            graph, 0, AdaptiveParams(setpoint=300.0, guard_window=4)
-        )
+        stepper = AdaptiveNearFarStepper(graph, 0, AdaptiveParams(setpoint=300.0))
         # swings violent enough for the window rule (mean |Δδ| > 1.5 ×
         # mean δ) but small enough that the run lasts past the window
         stepper.controller = DivergentController(
@@ -64,14 +62,13 @@ class TestDivergentControllerRun:
         )
         result = stepper.run()
         assert result.extra["controller_fallback"] is True
+        assert result.extra["fallback_reason"].startswith("oscillating delta")
         assert_distances_close(result, dijkstra(graph, 0))
 
-    def test_guard_can_be_disabled(self, graph):
-        stepper = AdaptiveNearFarStepper(
-            graph, 0, AdaptiveParams(setpoint=300.0, use_guard=False)
-        )
-        assert stepper.guard is None
-        # a healthy controller completes exactly as before
+    def test_guard_watches_every_run(self, graph):
+        stepper = AdaptiveNearFarStepper(graph, 0, AdaptiveParams(setpoint=300.0))
+        assert stepper.guard.config.window == 8
+        # a healthy controller is never benched
         result = stepper.run()
         assert result.extra["controller_fallback"] is False
         assert_distances_close(result, dijkstra(graph, 0))

@@ -2,7 +2,7 @@
 
 import math
 
-from repro.core.controller import ControllerConfig, DeltaDecision, SetpointController
+from repro.core.controller import DeltaDecision, SetpointController
 from repro.resilience import DivergentController
 
 
@@ -17,9 +17,7 @@ _PLAN_KW = dict(
 
 class TestDivergentController:
     def _controller(self):
-        return SetpointController(
-            ControllerConfig(setpoint=100.0), 1.0, initial_d=4.0
-        )
+        return SetpointController(100.0, 1.0, initial_d=4.0)
 
     def test_sane_until_after(self):
         inner = self._controller()

@@ -15,9 +15,9 @@ from repro.graph.generators import (
     random_weighted_graph,
     rmat,
 )
-from repro.sssp.batch_kernels import BatchedNearFarParams, batched_nearfar_sssp
+from repro.sssp.batch_kernels import batched_nearfar_sssp
 from repro.sssp.dijkstra import dijkstra
-from repro.sssp.nearfar import NearFarParams, nearfar_sssp, suggest_delta
+from repro.sssp.nearfar import nearfar_sssp, suggest_delta
 
 # one per family: undirected road grid, undirected scale-free, directed
 # Erdos-Renyi, unstructured random digraph, R-MAT
@@ -101,9 +101,7 @@ class TestExactness:
 
     def test_explicit_delta_matches_single(self, small_grid):
         delta = 3.5
-        single, _ = nearfar_sssp(
-            small_grid, 2, NearFarParams(delta=delta), collect_trace=False
-        )
+        single, _ = nearfar_sssp(small_grid, 2, delta, collect_trace=False)
         [batched] = batched_nearfar_sssp(small_grid, [2], delta=delta)
         assert np.array_equal(single.dist, batched.dist)
         assert batched.extra["delta"] == delta
@@ -200,12 +198,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="out of range"):
             batched_nearfar_sssp(small_grid, [-1])
 
-    def test_params_and_delta_exclusive(self, small_grid):
-        with pytest.raises(ValueError, match="not both"):
-            batched_nearfar_sssp(
-                small_grid, [0], BatchedNearFarParams(delta=1.0), delta=1.0
-            )
-
     def test_wrong_delta_length(self, small_grid):
         with pytest.raises(ValueError, match="length-2"):
             batched_nearfar_sssp(small_grid, [0, 1], delta=[1.0, 2.0, 3.0])
@@ -214,19 +206,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite and positive"):
             batched_nearfar_sssp(small_grid, [0], delta=0.0)
 
+    @pytest.mark.parametrize("delta", [-1.0, float("nan"), float("inf"), [1.0, 0.0]])
+    def test_every_delta_checked(self, small_grid, delta):
+        with pytest.raises(ValueError, match="finite and positive"):
+            batched_nearfar_sssp(small_grid, [0, 1], delta)
+
     def test_negative_weights_rejected(self):
         graph = CSRGraph.from_edges(2, src=[0], dst=[1], weight=[-1.0])
         with pytest.raises(ValueError, match="non-negative"):
             batched_nearfar_sssp(graph, [0])
 
-    def test_negative_max_sweeps_rejected(self):
+    def test_negative_max_sweeps_rejected(self, small_grid):
         with pytest.raises(ValueError, match="max_sweeps"):
-            BatchedNearFarParams(max_sweeps=-1)
+            batched_nearfar_sssp(small_grid, [0], max_sweeps=-1)
 
     def test_max_sweeps_truncates(self, small_grid):
-        truncated = batched_nearfar_sssp(
-            small_grid, [0], BatchedNearFarParams(max_sweeps=1)
-        )[0]
+        truncated = batched_nearfar_sssp(small_grid, [0], max_sweeps=1)[0]
         full = batched_nearfar_sssp(small_grid, [0])[0]
         assert truncated.iterations == 1
         assert truncated.relaxations <= full.relaxations

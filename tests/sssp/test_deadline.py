@@ -11,6 +11,11 @@ round (Dijkstra: every 256 pops).  Two laws must hold on every graph:
 
 Graphs are drawn from five families: a road grid, RMAT, all-zero
 weights, weights spread over 1e-6..1e6, and two disconnected parts.
+
+A run its deadline stops still books the work it did, as a finished
+run would: the ``sssp.*`` metrics and the ``iterations`` and
+``run_end`` events (batched: the ``sssp.batch.*`` metrics and
+``batch_run_end``), before ``DeadlineExceeded`` leaves the solver.
 """
 
 from __future__ import annotations
@@ -20,10 +25,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import AdaptiveParams, adaptive_sssp
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_road_network, rmat
+from repro.instrument.trace import NEARFAR_WIDTH, ROW_FIELDS
+from repro.service import GraphCatalog, QueryEngine, SSSPQuery
 from repro.service.runners import algorithm_names, run_algorithm, run_algorithm_batch
+from repro.sssp import deadline as deadline_module
 from repro.sssp import (
     DeadlineExceeded,
     batched_nearfar_sssp,
@@ -134,3 +143,91 @@ def test_a_past_deadline_stops_before_a_second_iteration(case):
             solve(graph, source, PAST)
         assert caught.value.iterations <= 1, (name, caught.value)
         assert isinstance(caught.value, TimeoutError)
+
+
+# -- a run its deadline stops books the work it did --------------------
+
+
+class _Clock:
+    """``time`` as :mod:`repro.sssp.deadline` reads it: 0.0 for the first
+    ``reads`` reads, then 1e9, so a deadline of 1.0 stops the run after
+    ``reads`` iterations or sweeps."""
+
+    def __init__(self, reads: int):
+        self.left = reads
+
+    def monotonic(self) -> float:
+        self.left -= 1
+        return 0.0 if self.left >= 0 else 1e9
+
+
+STOPPED = {
+    "nearfar": (
+        lambda g, d: nearfar_sssp(g, 0, delta=1.0, collect_trace=False, deadline=d),
+        NEARFAR_WIDTH,
+    ),
+    "adaptive": (
+        lambda g, d: adaptive_sssp(
+            g, 0, AdaptiveParams(setpoint=50.0), collect_trace=False, deadline=d
+        ),
+        len(ROW_FIELDS),
+    ),
+}
+
+
+def _stopped(monkeypatch, ran, solve):
+    """Run ``solve(graph, deadline)`` until the deadline stops it after
+    ``ran`` iterations; returns the registry and the event sink."""
+    monkeypatch.setattr(deadline_module, "time", _Clock(ran))
+    registry, sink = obs.MetricsRegistry(), obs.ListSink()
+    with obs.use(registry=registry, events=sink):
+        with pytest.raises(DeadlineExceeded) as caught:
+            solve(grid_road_network(12, 12, seed=4), 1.0)
+    assert caught.value.iterations == ran
+    return registry, sink
+
+
+@pytest.mark.parametrize("ran", [0, 3])
+@pytest.mark.parametrize("solver", sorted(STOPPED))
+def test_a_stopped_run_books_its_rows(monkeypatch, solver, ran):
+    solve, width = STOPPED[solver]
+    registry, sink = _stopped(monkeypatch, ran, solve)
+    assert [e["type"] for e in sink.events] == ["run_start", "iterations", "run_end"]
+    columns, end = sink.events[1], sink.events[2]
+    assert set(columns) == {"type", *ROW_FIELDS[:width]}
+    assert all(len(columns[name]) == ran for name in ROW_FIELDS[:width])
+    counter = lambda name: registry.counter(name).value  # noqa: E731
+    assert end["iterations"] == counter("sssp.iterations") == ran
+    assert end["relaxations"] == counter("sssp.relaxations") == sum(columns["x2"])
+    assert counter("sssp.queue.drains") == sum(columns["drains"])
+    assert registry.histogram("sssp.frontier").count == ran
+    assert (end["reached"] == 1) == (ran == 0)
+
+
+@pytest.mark.parametrize("ran", [0, 3])
+def test_a_stopped_batch_books_its_sweeps(monkeypatch, ran):
+    solve = lambda g, d: batched_nearfar_sssp(g, [0, 5], delta=1.0, deadline=d)  # noqa: E731
+    registry, sink = _stopped(monkeypatch, ran, solve)
+    assert [e["type"] for e in sink.events] == ["batch_run_start", "batch_run_end"]
+    end = sink.events[1]
+    assert end["sweeps"] == registry.counter("sssp.batch.sweeps").value == ran
+    assert end["relaxations"] == registry.counter("sssp.batch.relaxations").value
+    assert registry.histogram("sssp.batch.active").count == ran
+    assert registry.histogram("sssp.batch.frontier").count == ran
+    assert (end["reached"] == [1, 1]) == (ran == 0)
+
+
+@pytest.mark.parametrize(
+    "algorithm, params", [("nearfar", {"delta": 1.0}), ("adaptive", {"setpoint": 50.0})]
+)
+def test_a_timed_out_query_answers_and_books_its_run(algorithm, params):
+    catalog = GraphCatalog()
+    catalog.register("grid", grid_road_network(12, 12, seed=4))
+    registry, sink = obs.MetricsRegistry(), obs.ListSink()
+    with obs.use(registry=registry, events=sink):
+        with QueryEngine(catalog, timeout=1e-6, cache_size=0) as engine:
+            response = engine.run(SSSPQuery("grid", 0, algorithm, params))
+    assert (response.ok, response.error) == (False, "timeout after 1e-06s")
+    kernel = [e["type"] for e in sink.events if e["type"] in ("run_start", "iterations", "run_end")]
+    assert kernel == ["run_start", "iterations", "run_end"]
+    assert registry.counter("sssp.iterations").value == len(sink.of_type("iterations")[0]["x1"])

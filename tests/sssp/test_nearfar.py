@@ -6,7 +6,7 @@ import pytest
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import path_graph, star_graph
 from repro.sssp.dijkstra import dijkstra
-from repro.sssp.nearfar import NearFarParams, nearfar_sssp, suggest_delta
+from repro.sssp.nearfar import nearfar_sssp, suggest_delta
 from repro.sssp.result import assert_distances_close
 
 
@@ -100,29 +100,27 @@ class TestTrace:
 
 
 class TestParams:
-    def test_params_and_delta_exclusive(self, small_grid):
-        with pytest.raises(ValueError, match="not both"):
-            nearfar_sssp(small_grid, 0, NearFarParams(delta=1.0), delta=2.0)
-
-    def test_bad_delta(self):
+    def test_bad_delta(self, small_grid):
         with pytest.raises(ValueError):
-            NearFarParams(delta=0.0)
+            nearfar_sssp(small_grid, 0, delta=0.0)
         with pytest.raises(ValueError):
-            NearFarParams(delta=-1.0)
+            nearfar_sssp(small_grid, 0, -1.0)
 
-    def test_nan_delta_rejected(self):
+    def test_nan_delta_rejected(self, small_grid):
         with pytest.raises(ValueError, match="delta must be positive"):
-            NearFarParams(delta=float("nan"))
+            nearfar_sssp(small_grid, 0, delta=float("nan"))
 
-    def test_bad_max_iterations(self):
+    def test_bad_max_iterations(self, small_grid):
         with pytest.raises(ValueError):
-            NearFarParams(delta=1.0, max_iterations=-1)
+            nearfar_sssp(small_grid, 0, delta=1.0, max_iterations=-1)
 
     def test_max_iterations_cap(self, small_grid):
-        result, trace = nearfar_sssp(
-            small_grid, 0, NearFarParams(delta=0.1, max_iterations=3)
-        )
+        result, trace = nearfar_sssp(small_grid, 0, delta=0.1, max_iterations=3)
         assert result.iterations == 3
+
+    def test_max_iterations_is_keyword_only(self, small_grid):
+        with pytest.raises(TypeError):
+            nearfar_sssp(small_grid, 0, 0.1, 3)
 
     def test_bad_source(self, small_grid):
         with pytest.raises(ValueError, match="out of range"):

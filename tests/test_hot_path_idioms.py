@@ -80,6 +80,13 @@ every pass, so a timed-out task ends at its deadline and nothing in the
 pool has to give up on a thread it cannot stop: nothing names the
 pool's ``PoolTimeoutError``, ``map_ordered``, ``abandon`` (``abandoned``
 in a docstring counts) or ``lost_workers``.
+The solvers take the paper's knobs only: ``AdaptiveParams`` holds the
+set-point, the start delta, a test valve and three ablation switches,
+and the fixed-delta kernels take ``delta`` as an argument, so nothing
+names ``ControllerConfig``, ``NearFarParams`` (``BatchedNearFarParams``
+matches too) or a controller knob that became a constant (``delta_min``,
+``delta_max``, ``max_step_fraction``, ``bootstrap_updates``,
+``refresh_period``, ``use_guard``, ``guard_window``).
 """
 
 from __future__ import annotations
@@ -465,6 +472,18 @@ REMOVED_NAMES = (
     "map_ordered",
     "abandon",
     "lost_workers",
+    # the solvers take the paper's knobs only: no controller config, no
+    # fixed-delta params object (the name matches the batched one too)
+    # and no knob that only tests set
+    "ControllerConfig",
+    "NearFarParams",
+    "delta_min",
+    "delta_max",
+    "max_step_fraction",
+    "bootstrap_updates",
+    "refresh_period",
+    "use_guard",
+    "guard_window",
 )
 
 
