@@ -25,7 +25,8 @@ from conftest import run_once
 
 from repro import obs
 from repro.graph.datasets import cal_like
-from repro.sssp.batch import batch_run, sample_sources
+from repro.sssp.batch import sample_sources
+from repro.sssp.batch_kernels import batched_nearfar_sssp
 from repro.sssp.nearfar import nearfar_sssp
 
 GRAPH_SCALE = 0.06  # ~113k nodes / ~426k edges, road-like
@@ -43,7 +44,7 @@ def test_batched_vs_looped(benchmark, emit):
         return [nearfar_sssp(graph, int(s), collect_trace=False)[0] for s in sources]
 
     def batched():
-        return batch_run(graph, sources, nearfar_sssp, label="batched", mode="batched")
+        return batched_nearfar_sssp(graph, sources)
 
     def interleaved():
         """``(looped_s, batched_s)`` per pass; odd passes run batched first."""
@@ -60,10 +61,11 @@ def test_batched_vs_looped(benchmark, emit):
 
     # the null context: the session's live registry must not tax either side
     with obs.use():
-        passes, looped_results, batch = run_once(benchmark, interleaved)
+        passes, looped_results, batched_results = run_once(benchmark, interleaved)
 
     # byte-exactness: one fused pass, same answers as B separate passes
-    for single, multi in zip(looped_results, batch.results):
+    assert len(batched_results) == len(looped_results) == BATCH
+    for single, multi in zip(looped_results, batched_results):
         assert np.array_equal(single.dist, multi.dist)
         assert single.iterations == multi.iterations
 

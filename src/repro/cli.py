@@ -545,6 +545,20 @@ def _load_graph_file(path: str):
         raise SystemExit(f"cannot load graph {path}: {exc}") from None
 
 
+def _knob_options(args: argparse.Namespace) -> tuple:
+    """``(delta, AdaptiveParams)`` from ``--delta`` and ``--setpoint`` (the
+    paper's P = 10,000 when unset), under the solvers' value rule: a bad
+    value is a one-line exit."""
+    from repro.core import AdaptiveParams
+    from repro.sssp.nearfar import finite_positive
+
+    delta = args.delta
+    if delta is not None:
+        _checked_option("--delta", lambda: finite_positive("delta", delta))
+    setpoint = args.setpoint if args.setpoint is not None else 10_000.0
+    return delta, _checked_option("--setpoint", lambda: AdaptiveParams(setpoint=setpoint))
+
+
 def _cmd_sssp(args: argparse.Namespace) -> int:
     from repro.sssp import (
         bellman_ford,
@@ -553,9 +567,11 @@ def _cmd_sssp(args: argparse.Namespace) -> int:
         kla_sssp,
         nearfar_sssp,
     )
-    from repro.core import AdaptiveParams, adaptive_sssp
+    from repro.core import adaptive_sssp
     from repro import obs
 
+    delta, params = _knob_options(args)
+    k = _bounded("--k", args.k, 1)
     graph = _load_graph_file(args.graph)
     source = (
         args.source
@@ -573,16 +589,13 @@ def _cmd_sssp(args: argparse.Namespace) -> int:
         elif args.algorithm == "bellman-ford":
             result = bellman_ford(graph, source)
         elif args.algorithm == "delta-stepping":
-            result = delta_stepping(graph, source, args.delta)
+            result = delta_stepping(graph, source, delta)
         elif args.algorithm == "nearfar":
-            result, trace = nearfar_sssp(graph, source, delta=args.delta)
+            result, trace = nearfar_sssp(graph, source, delta=delta)
         elif args.algorithm == "kla":
-            result, trace = kla_sssp(graph, source, args.k)
+            result, trace = kla_sssp(graph, source, k)
         else:
-            setpoint = args.setpoint if args.setpoint is not None else 10_000.0
-            result, trace, _ = adaptive_sssp(
-                graph, source, AdaptiveParams(setpoint=setpoint)
-            )
+            result, trace, _ = adaptive_sssp(graph, source, params)
 
     finite = result.finite_distances()
     print(
@@ -1372,11 +1385,12 @@ def _trace_summary_rows(label: str, trace) -> dict:
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.core import AdaptiveParams, adaptive_sssp
+    from repro.core import adaptive_sssp
     from repro.experiments.report import format_table
     from repro.instrument.serialize import save_trace
     from repro.sssp import nearfar_sssp
 
+    delta, params = _knob_options(args)
     base = Path(args.out)
     trace_path = Path(f"{base}.trace.json")
     events_path = Path(f"{base}.events.jsonl")
@@ -1397,16 +1411,9 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         with obs.use(registry=registry, events=sink, spans=spans):
             with spans.span("run"):
                 if args.algorithm == "adaptive":
-                    setpoint = (
-                        args.setpoint if args.setpoint is not None else 10_000.0
-                    )
-                    result, trace, _ = adaptive_sssp(
-                        graph, source, AdaptiveParams(setpoint=setpoint)
-                    )
+                    result, trace, _ = adaptive_sssp(graph, source, params)
                 else:
-                    result, trace = nearfar_sssp(
-                        graph, source, delta=args.delta
-                    )
+                    result, trace = nearfar_sssp(graph, source, delta=delta)
         events_written = sink.count
 
     save_trace(trace, trace_path)

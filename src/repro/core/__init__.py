@@ -8,8 +8,8 @@
 * :mod:`~repro.core.bisect_model` — BISECT-MODEL: learns ``α`` in
   ``X̂_{k+1}^(1) = X_k^(4) + α · Δδ_k``.
 * :mod:`~repro.core.partitions` — the recursively partitioned far
-  queue with Eq. 7 boundary updates (monotonic shifts), and the
-  flat-queue ablation.
+  queue with Eq. 7 boundary updates (monotonic shifts); the flat-queue
+  ablation is the same queue with one partition, never refreshed.
 * :mod:`~repro.core.controller` — the set-point controller: Eq. 6
   delta update with the Eq. 8 bootstrap.
 * :mod:`~repro.core.adaptive_sssp` — run configuration and the
@@ -17,13 +17,16 @@
 * :mod:`~repro.core.stepwise` — iteration-stepped execution for outer
   control loops (e.g. the power-target servo in :mod:`repro.cosim`).
 * :mod:`~repro.core.setpoint` — hardware-derived set-point menus.
+
+A caller sets the paper's knobs (:class:`AdaptiveParams`); every other
+tuning value is a constant of the module that reads it.
 """
 
 from repro.core.adaptive_sssp import AdaptiveParams, adaptive_sssp
 from repro.core.advance_model import AdvanceModel
 from repro.core.bisect_model import BisectModel
 from repro.core.controller import SetpointController
-from repro.core.partitions import FarQueuePartitions, FlatFarQueue
+from repro.core.partitions import FarQueuePartitions
 from repro.core.setpoint import setpoint_menu, setpoint_for_utilization
 from repro.core.sgd import AdaptiveSGD, FixedRateSGD
 from repro.core.stepwise import AdaptiveNearFarStepper
@@ -36,7 +39,6 @@ __all__ = [
     "BisectModel",
     "FarQueuePartitions",
     "FixedRateSGD",
-    "FlatFarQueue",
     "SetpointController",
     "adaptive_sssp",
     "setpoint_for_utilization",

@@ -37,6 +37,7 @@ from repro.core.controller import SetpointController
 from repro.core.stepwise import AdaptiveNearFarStepper
 from repro.graph.csr import CSRGraph
 from repro.instrument.trace import RunTrace
+from repro.sssp.nearfar import finite_positive
 from repro.sssp.result import SSSPResult
 
 __all__ = ["AdaptiveParams", "adaptive_sssp"]
@@ -50,11 +51,12 @@ class AdaptiveParams:
     ----------
     setpoint:
         ``P``, the target available parallelism (advance workload per
-        iteration).  The paper argues this is the natural user-facing
-        knob: it depends on the hardware (see
+        iteration), finite and positive.  The paper argues this is the
+        natural user-facing knob: it depends on the hardware (see
         :func:`repro.core.setpoint.setpoint_menu`), not on the graph.
     initial_delta:
-        Starting delta; defaults to the average edge weight.
+        Starting delta (finite and positive); defaults to the average
+        edge weight.
     max_iterations:
         Safety valve for tests (0 = unlimited).
     use_bootstrap:
@@ -62,7 +64,8 @@ class AdaptiveParams:
         from the first iteration).
     use_partitions:
         Ablation: replace the Section-4.6 partitioned far queue with a
-        flat one (every range query scans everything).
+        flat one — one partition covering [0, ∞), never refreshed by
+        Eq. 7, so every range query scans everything.
     sgd_mode:
         Ablation: ``'adaptive'`` = the paper's Algorithm 1;
         ``'fixed'`` = damped-Newton steps with a constant rate.
@@ -84,10 +87,9 @@ class AdaptiveParams:
     sgd_mode: str = "adaptive"
 
     def __post_init__(self) -> None:
-        if self.setpoint <= 0:
-            raise ValueError("setpoint must be positive")
-        if self.initial_delta is not None and self.initial_delta <= 0:
-            raise ValueError("initial_delta must be positive")
+        finite_positive("setpoint", self.setpoint)
+        if self.initial_delta is not None:
+            finite_positive("initial_delta", self.initial_delta)
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.sgd_mode not in ("adaptive", "fixed"):

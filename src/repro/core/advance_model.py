@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 from repro.core.sgd import AdaptiveSGD, FixedRateSGD, make_sgd
 
-__all__ = ["AdvanceModel"]
+__all__ = ["D_MIN", "AdvanceModel"]
+
+D_MIN = 1e-3  # positivity floor on d, which divides the set-point in Eq. 3
 
 
 @dataclass
@@ -29,16 +31,14 @@ class AdvanceModel:
     initial_d:
         Seed value for ``d``; the graph's global average degree is a
         good choice when known, 1.0 otherwise.
-    d_min:
-        Positivity floor — ``d`` divides the set-point in Eq. 3, so it
-        must stay strictly positive.
     sgd_mode:
         ``'adaptive'`` for the paper's Algorithm 1, ``'fixed'`` for the
         fixed-rate ablation.
+
+    ``d`` never drops below :data:`D_MIN`.
     """
 
     initial_d: float = 1.0
-    d_min: float = 1e-3
     sgd_mode: str = "adaptive"
     sgd: AdaptiveSGD | FixedRateSGD = field(init=False)
 
@@ -49,7 +49,7 @@ class AdvanceModel:
 
     @property
     def d(self) -> float:
-        return max(self.sgd.value, self.d_min)
+        return max(self.sgd.value, D_MIN)
 
     @property
     def updates(self) -> int:
@@ -64,8 +64,8 @@ class AdvanceModel:
         sgd = self.sgd
         x1f = float(x1)
         residual = float(x2) - sgd.value * x1f
-        if sgd.update(-2.0 * residual * x1f, 2.0 * x1f * x1f) < self.d_min:
-            sgd.value = self.d_min
+        if sgd.update(-2.0 * residual * x1f, 2.0 * x1f * x1f) < D_MIN:
+            sgd.value = D_MIN
 
     def predict(self, x1: int) -> float:
         """``X̂^(2)`` for a frontier of size ``x1``."""

@@ -24,44 +24,34 @@ from dataclasses import dataclass, field
 
 from repro.core.sgd import AdaptiveSGD, FixedRateSGD, make_sgd
 
-__all__ = ["BisectModel"]
+__all__ = ["ALPHA_MIN", "BOOTSTRAP_UPDATES", "INITIAL_ALPHA", "BisectModel"]
+
+INITIAL_ALPHA = 1.0  # seed of the learned α; the Eq. 8 bootstrap rules early steps
+# positivity floor: α divides the delta update (Eq. 6), and a negative
+# learned α would mean "widening the window removes vertices"
+ALPHA_MIN = 1e-6
+BOOTSTRAP_UPDATES = 5  # Algorithm-1 steps before α counts as converged (paper: ~5)
 
 
 @dataclass
 class BisectModel:
     """Online estimator of the frontier-size sensitivity to delta changes.
 
-    Parameters
-    ----------
-    initial_alpha:
-        Seed for α.  Any positive value works; the bootstrap dominates
-        early iterations anyway.
-    alpha_min:
-        Positivity floor: α divides the delta update (Eq. 6).  A
-        negative learned α would mean "widening the window removes
-        vertices", which is physically impossible — clamping keeps the
-        controller stable when noise drives the raw estimate negative.
-    convergence_updates:
-        How many Algorithm-1 steps count as "converged" (paper: ~5).
-    sgd_mode:
-        ``'adaptive'`` for the paper's Algorithm 1, ``'fixed'`` for the
-        fixed-rate ablation.
+    α starts at :data:`INITIAL_ALPHA`, never drops below
+    :data:`ALPHA_MIN`, and counts as converged after
+    :data:`BOOTSTRAP_UPDATES` steps.  ``sgd_mode`` is ``'adaptive'``
+    for the paper's Algorithm 1, ``'fixed'`` for the fixed-rate ablation.
     """
 
-    initial_alpha: float = 1.0
-    alpha_min: float = 1e-6
-    convergence_updates: int = 5
     sgd_mode: str = "adaptive"
     sgd: AdaptiveSGD | FixedRateSGD = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.initial_alpha <= 0:
-            raise ValueError("initial_alpha must be positive")
-        self.sgd = make_sgd(self.sgd_mode, float(self.initial_alpha))
+        self.sgd = make_sgd(self.sgd_mode, INITIAL_ALPHA)
 
     @property
     def alpha(self) -> float:
-        return max(self.sgd.value, self.alpha_min)
+        return max(self.sgd.value, ALPHA_MIN)
 
     @property
     def updates(self) -> int:
@@ -69,7 +59,7 @@ class BisectModel:
 
     @property
     def converged(self) -> bool:
-        return self.sgd.updates >= self.convergence_updates
+        return self.sgd.updates >= BOOTSTRAP_UPDATES
 
     def observe(self, x4: int, delta_change: float, x1_next: int) -> None:
         """Algorithm-1 step from one (X^(4), Δδ, X^(1)_next) triple."""
@@ -80,8 +70,8 @@ class BisectModel:
         sgd = self.sgd
         residual = float(x1_next) - (float(x4) + sgd.value * delta_change)
         grad = -2.0 * residual * delta_change
-        if sgd.update(grad, 2.0 * delta_change * delta_change) < self.alpha_min:
-            sgd.value = self.alpha_min
+        if sgd.update(grad, 2.0 * delta_change * delta_change) < ALPHA_MIN:
+            sgd.value = ALPHA_MIN
 
     def predict(self, x4: int, delta_change: float) -> float:
         """``X̂_{k+1}^(1)`` after applying ``delta_change`` to a frontier of ``x4``."""

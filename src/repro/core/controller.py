@@ -23,12 +23,12 @@ from time import perf_counter
 from typing import NamedTuple
 
 from repro.core.advance_model import AdvanceModel
-from repro.core.bisect_model import BisectModel
+from repro.core.bisect_model import ALPHA_MIN, BisectModel
 from repro.obs import context as obs
 from repro.obs.spans import SpanRecorder
+from repro.sssp.nearfar import finite_positive
 
 __all__ = [
-    "BOOTSTRAP_UPDATES",
     "DELTA_MIN",
     "DeltaDecision",
     "MAX_STEP_FRACTION",
@@ -36,11 +36,10 @@ __all__ = [
 ]
 
 
-# Eq. 6 tuning: one value each, so not parameters
+# Eq. 6 tuning: one value each, so not parameters (the models keep
+# their own, the bootstrap's length among them)
 DELTA_MIN = 1e-9  # δ floor: the window must stay open to move
 MAX_STEP_FRACTION = 4.0  # slew limit: one step scales δ by at most 1 + this
-BOOTSTRAP_UPDATES = 5  # BISECT-MODEL updates before α is trusted (paper: ~5)
-INITIAL_ALPHA = 1.0  # seed of the learned α; the bootstrap rules early steps
 
 
 class DeltaDecision(NamedTuple):
@@ -84,21 +83,13 @@ class SetpointController:
         use_bootstrap: bool = True,
         sgd_mode: str = "adaptive",
     ):
-        if setpoint <= 0:
-            raise ValueError("setpoint must be positive")
-        if initial_delta <= 0:
-            raise ValueError("initial_delta must be positive")
         # the live set-point: mutable, so an outer loop (e.g. the
         # power-target servo of repro.cosim) can retarget it mid-run
-        self.setpoint = setpoint
+        self.setpoint = finite_positive("setpoint", setpoint)
         self.use_bootstrap = use_bootstrap
-        self.delta = max(initial_delta, DELTA_MIN)
+        self.delta = max(finite_positive("initial_delta", initial_delta), DELTA_MIN)
         self.advance_model = AdvanceModel(initial_d=initial_d, sgd_mode=sgd_mode)
-        self.bisect_model = BisectModel(
-            initial_alpha=INITIAL_ALPHA,
-            convergence_updates=BOOTSTRAP_UPDATES,
-            sgd_mode=sgd_mode,
-        )
+        self.bisect_model = BisectModel(sgd_mode=sgd_mode)
         # BISECT-MODEL sample (X^(4), Δδ) awaiting its X^(1)_next label
         self._pending: tuple[int, float] | None = None
         # controller CPU accounting (§5.2 overhead): always on, because
@@ -267,7 +258,7 @@ class SetpointController:
             else:
                 # empty/exhausted partition: fall back to frontier density
                 alpha = max(float(x4), 1.0) / width
-        return max(alpha, self.bisect_model.alpha_min)
+        return max(alpha, ALPHA_MIN)
 
     # ------------------------------------------------------------------
     # reporting

@@ -29,6 +29,12 @@ never rescans it: a running total backs :meth:`FarQueuePartitions.total`,
 the current index always names the first occupied partition (the last
 one when the queue is empty), so the getters are lookups, and an insert
 into one partition finds it by bisection on the bounds.
+
+The flat-queue ablation (``AdaptiveParams(use_partitions=False)``) is
+this queue with one partition covering [0, ∞): built as
+``FarQueuePartitions(math.inf)`` (bounds ``[inf, inf]``) and never
+refreshed, so every vertex lands in partition 0 and any range query
+pulls everything — the search cost the partitioning removes.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 
 from repro.obs import context as obs
 
-__all__ = ["FarQueuePartitions", "FlatFarQueue"]
+__all__ = ["FarQueuePartitions"]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -252,101 +258,3 @@ class FarQueuePartitions:
             f"total={self.total()}, current={self._current})"
         )
 
-
-class FlatFarQueue:
-    """Ablation: an unpartitioned far queue with the same protocol.
-
-    This is what the baseline near+far effectively uses: a single bag
-    of postponed vertices.  Every range query must touch everything —
-    ``extract_below`` cannot exploit distance locality — which is
-    precisely the search cost Section 4.6's recursive partitioning
-    removes.  The Eq. 7 boundary machinery degenerates to a no-op.
-
-    Exposes the same interface as :class:`FarQueuePartitions` so the
-    adaptive algorithm can swap it in via
-    ``AdaptiveParams(use_partitions=False)``.
-    """
-
-    def __init__(self, initial_boundary: float):
-        if not (initial_boundary > 0):
-            raise ValueError("initial boundary must be positive")
-        self._chunks: List[np.ndarray] = []
-        self._count: int = 0
-        reg = obs.get_registry()
-        self._m_inserted = reg.counter("farq.inserted")
-        self._m_extracted = reg.counter("farq.extracted")
-        self._m_refreshes = reg.counter("farq.refreshes")
-
-    # -- inspection -----------------------------------------------------
-    @property
-    def num_partitions(self) -> int:
-        """Always 1: the whole far range is a single bag."""
-        return 1
-
-    @property
-    def boundaries(self) -> List[float]:
-        """The single (trivial) upper bound: +inf."""
-        return [math.inf]
-
-    def partition_sizes(self) -> np.ndarray:
-        """One-element array holding the total staged count."""
-        return np.asarray([self._count], dtype=np.int64)
-
-    def total(self) -> int:
-        """Total staged vertices."""
-        return self._count
-
-    def current_partition_size(self) -> int:
-        """Same as :meth:`total` — there is only one partition."""
-        return self._count
-
-    def current_partition_upper(self) -> float:
-        """Always +inf: the flat queue spans the whole far range."""
-        return math.inf
-
-    def current_partition_lower(self) -> float:
-        """Always 0.0: the flat queue spans the whole far range."""
-        return 0.0
-
-    def min_occupied_lower(self) -> float:
-        """0.0 when anything is staged, +inf when empty."""
-        return 0.0 if self._count else math.inf
-
-    # -- mutation -------------------------------------------------------
-    def insert(self, vertices: np.ndarray, distances: np.ndarray) -> None:
-        """Stage ``vertices`` (distances only validated, not used)."""
-        if vertices.size == 0:
-            return
-        if vertices.size != distances.size:
-            raise ValueError("vertices and distances must be parallel")
-        if not np.isfinite(distances).all():
-            raise ValueError("far-queue insertion distances must be finite")
-        self._chunks.append(np.asarray(vertices, dtype=np.int64))
-        self._count += int(vertices.size)
-        self._m_inserted.inc(int(vertices.size))
-
-    def extract_below(self, split: float) -> np.ndarray:
-        """Drain *everything* (a flat queue cannot range-filter)."""
-        if split <= 0 or self._count == 0:
-            return _EMPTY
-        out = np.concatenate(self._chunks) if self._chunks else _EMPTY
-        self._chunks = []
-        self._count = 0
-        self._m_extracted.inc(int(out.size))
-        return out
-
-    def extract_all(self) -> np.ndarray:
-        """Drain the whole queue."""
-        return self.extract_below(math.inf)
-
-    def refresh_boundaries(self, setpoint: float, alpha: float) -> None:
-        """Validate inputs and count the refresh; no boundaries exist."""
-        if not (setpoint > 0 and alpha > 0) or math.isinf(setpoint) or (
-            math.isinf(alpha)
-        ):
-            raise ValueError("setpoint and alpha must be finite and positive")
-        self._m_refreshes.inc()
-        # no boundaries to maintain
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FlatFarQueue(total={self._count})"

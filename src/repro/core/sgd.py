@@ -33,42 +33,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["AdaptiveSGD", "FixedRateSGD", "make_sgd"]
+__all__ = [
+    "EPSILON",
+    "FIXED_RATE",
+    "HESSIAN_FLOOR",
+    "MAX_RELATIVE_STEP",
+    "STEP_FLOOR",
+    "AdaptiveSGD",
+    "FixedRateSGD",
+    "make_sgd",
+]
+
+# Algorithm 1: the ε of the paper's initialisation, and a safety clamp
+# (one update may change θ by at most MAX_RELATIVE_STEP times
+# max(|θ|, STEP_FLOOR)) that keeps the raw optimiser finite under
+# adversarial observations; the paper handles early instability at the
+# controller level (the Eq. 8 bootstrap)
+EPSILON = 1e-8
+MAX_RELATIVE_STEP = 10.0
+STEP_FLOOR = 1e-3
+# the fixed-rate ablation: θ ← θ − FIXED_RATE · ∇/max(∇², HESSIAN_FLOOR)
+FIXED_RATE = 0.3
+HESSIAN_FLOOR = 1e-12
 
 
 @dataclass
 class AdaptiveSGD:
     """Scalar adaptive-learning-rate SGD (the paper's Algorithm 1).
 
-    Parameters
-    ----------
-    value:
-        Initial parameter value θ₀.
-    epsilon:
-        The ε of the paper's initialisation.
-    max_relative_step:
-        Safety clamp: a single update may change θ by at most this
-        multiple of ``max(|θ|, step_floor)``.  The paper handles early
-        instability at the controller level (Eq. 8 bootstrap); this
-        clamp additionally keeps the raw optimiser finite under
-        adversarial observation sequences in tests.
+    ``value`` is the initial parameter value θ₀; the tuning is the
+    module's constants.
     """
 
     value: float
-    epsilon: float = 1e-8
-    max_relative_step: float = 10.0
-    step_floor: float = 1e-3
 
     g_bar: float = field(init=False, default=0.0)
-    v_bar: float = field(init=False)
+    v_bar: float = field(init=False, default=EPSILON)
     h_bar: float = field(init=False, default=1.0)
-    tau: float = field(init=False)
+    tau: float = field(init=False, default=(1.0 + EPSILON) * 2.0)
     updates: int = field(init=False, default=0)
     last_mu: float = field(init=False, default=0.0)
-
-    def __post_init__(self) -> None:
-        self.v_bar = self.epsilon
-        self.tau = (1.0 + self.epsilon) * 2.0
 
     def update(self, grad: float, hess: float) -> float:
         """One Algorithm-1 step given this iteration's ∇ and ∇².
@@ -87,9 +91,8 @@ class AdaptiveSGD:
         v_bar = self.v_bar = keep * self.v_bar + tinv * grad * grad
         h_bar = self.h_bar = keep * self.h_bar + tinv * hess
 
-        eps = self.epsilon
-        v = eps if eps > v_bar else v_bar  # max(v̄, ε)
-        h = eps if eps > h_bar else h_bar  # max(h̄, ε)
+        v = EPSILON if EPSILON > v_bar else v_bar  # max(v̄, ε)
+        h = EPSILON if EPSILON > h_bar else h_bar  # max(h̄, ε)
         g2 = g_bar * g_bar
         mu = self.last_mu = g2 / (h * v)
 
@@ -100,7 +103,7 @@ class AdaptiveSGD:
 
         step = mu * grad
         value = self.value
-        cap = self.max_relative_step * max(abs(value), self.step_floor)
+        cap = MAX_RELATIVE_STEP * max(abs(value), STEP_FLOOR)
         if step > cap:
             step = cap
         elif step < -cap:
@@ -109,23 +112,12 @@ class AdaptiveSGD:
         self.updates += 1
         return value
 
-    def reset(self, value: float | None = None) -> None:
-        """Forget all state (optionally resetting θ)."""
-        if value is not None:
-            self.value = value
-        self.g_bar = 0.0
-        self.v_bar = self.epsilon
-        self.h_bar = 1.0
-        self.tau = (1.0 + self.epsilon) * 2.0
-        self.updates = 0
-        self.last_mu = 0.0
-
 
 @dataclass
 class FixedRateSGD:
     """Ablation optimiser: damped Newton steps with a *fixed* rate.
 
-    ``θ ← θ − rate · ∇/∇²`` — the obvious alternative to Algorithm 1
+    ``θ ← θ − FIXED_RATE · ∇/∇²`` — the obvious alternative to Algorithm 1
     when the curvature is available (it is, for both paper models:
     ∇² = 2x²).  Normalising by the Hessian is necessary because the
     raw gradients span ~12 orders of magnitude with frontier-sized
@@ -138,31 +130,18 @@ class FixedRateSGD:
     """
 
     value: float
-    rate: float = 0.3
-    epsilon: float = 1e-12
     updates: int = field(init=False, default=0)
     last_mu: float = field(init=False, default=0.0)
-
-    def __post_init__(self) -> None:
-        if not 0 < self.rate <= 1:
-            raise ValueError("rate must be in (0, 1]")
 
     def update(self, grad: float, hess: float) -> float:
         """One damped Newton step at the fixed rate; returns new θ."""
         if not (hess >= 0):
             raise ValueError(f"second derivative must be >= 0, got {hess}")
-        mu = self.rate / max(hess, self.epsilon)
+        mu = FIXED_RATE / max(hess, HESSIAN_FLOOR)
         self.last_mu = mu
         self.value -= mu * grad
         self.updates += 1
         return self.value
-
-    def reset(self, value: float | None = None) -> None:
-        """Forget all state (optionally resetting θ)."""
-        if value is not None:
-            self.value = value
-        self.updates = 0
-        self.last_mu = 0.0
 
 
 def make_sgd(mode: str, value: float) -> AdaptiveSGD | FixedRateSGD:

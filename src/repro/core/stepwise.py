@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.core.controller import DELTA_MIN, DeltaDecision, SetpointController
-from repro.core.partitions import FarQueuePartitions, FlatFarQueue
+from repro.core.partitions import FarQueuePartitions
 from repro.graph.csr import CSRGraph
 from repro.instrument.trace import IterationRecord, RunTrace, publish_run
 from repro.obs import context as obs
@@ -36,7 +36,7 @@ from repro.obs.events import EVENT_SCHEMA_VERSION
 from repro.resilience.guard import DivergenceGuard
 from repro.sssp.deadline import DeadlineExceeded, check_deadline
 from repro.sssp.frontier import advance, bisect, filter_frontier, sorted_unique
-from repro.sssp.nearfar import suggest_delta
+from repro.sssp.nearfar import finite_positive, suggest_delta
 from repro.sssp.result import SSSPResult
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,8 +72,11 @@ class AdaptiveNearFarStepper:
             use_bootstrap=params.use_bootstrap,
             sgd_mode=params.sgd_mode,
         )
-        queue_cls = FarQueuePartitions if params.use_partitions else FlatFarQueue
-        self.partitions = queue_cls(initial_boundary=suggest_delta(graph))
+        # the flat-queue ablation is one partition covering [0, inf),
+        # never refreshed by Eq. 7
+        self.partitions = FarQueuePartitions(
+            suggest_delta(graph) if params.use_partitions else math.inf
+        )
 
         # divergence watchdog: a blown-up controller (NaN/runaway delta,
         # limit-cycle oscillation) degrades the run to plain near-far
@@ -135,9 +138,7 @@ class AdaptiveNearFarStepper:
     @setpoint.setter
     def setpoint(self, value: float) -> None:
         """Retarget the controller mid-run (the power servo uses this)."""
-        if value <= 0:
-            raise ValueError("setpoint must be positive")
-        self.controller.setpoint = float(value)
+        self.controller.setpoint = finite_positive("setpoint", float(value))
 
     def step(self, *, record: bool = True) -> Optional[IterationRecord]:
         """Run one outer iteration and return its record; ``None`` once
@@ -207,11 +208,12 @@ class AdaptiveNearFarStepper:
             near = near[keep_mask]
         self.split = new_split
 
-        # Eq. 7 refresh — skipped when the decision's α is not usable
-        # as a partition width (a diverged controller the guard has not
-        # condemned yet must not rewrite the far-queue boundaries)
+        # Eq. 7 refresh — skipped by the flat queue, and when the
+        # decision's α is not usable as a partition width (a diverged
+        # controller the guard has not condemned yet must not rewrite
+        # the far-queue boundaries)
         alpha = float(decision.alpha_used)
-        if not self.fallback and math.isfinite(alpha) and alpha > 0:
+        if self.params.use_partitions and not self.fallback and 0.0 < alpha < math.inf:
             partitions.refresh_boundaries(controller.setpoint, alpha)
 
         self.frontier = near
@@ -341,7 +343,7 @@ class AdaptiveNearFarStepper:
 
 
 def _pull_from_far(
-    partitions: FarQueuePartitions | FlatFarQueue,
+    partitions: FarQueuePartitions,
     near: np.ndarray,
     dist: np.ndarray,
     advanced_at: np.ndarray,
@@ -372,7 +374,7 @@ def _pull_from_far(
 
 
 def _drain(
-    partitions: FarQueuePartitions | FlatFarQueue,
+    partitions: FarQueuePartitions,
     dist: np.ndarray,
     advanced_at: np.ndarray,
     lower: float,

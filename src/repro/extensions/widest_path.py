@@ -30,6 +30,7 @@ from repro.core.controller import SetpointController
 from repro.graph.csr import CSRGraph
 from repro.instrument.trace import RunTrace
 from repro.sssp.frontier import edge_offsets, sorted_unique
+from repro.sssp.nearfar import finite_positive
 from repro.sssp.result import SSSPResult
 
 __all__ = [
@@ -52,10 +53,9 @@ class WidestPathParams:
     max_iterations: int = 0
 
     def __post_init__(self) -> None:
-        if self.setpoint <= 0:
-            raise ValueError("setpoint must be positive")
-        if self.initial_delta is not None and self.initial_delta <= 0:
-            raise ValueError("initial_delta must be positive")
+        finite_positive("setpoint", self.setpoint)
+        if self.initial_delta is not None:
+            finite_positive("initial_delta", self.initial_delta)
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
 
@@ -237,9 +237,7 @@ def widest_path(
     graph: CSRGraph, source: int, delta: float | None = None
 ) -> Tuple[SSSPResult, RunTrace]:
     """Fixed-delta near+far widest path (the baseline analogue)."""
-    d = delta if delta is not None else _default_delta(graph)
-    if d <= 0:
-        raise ValueError("delta must be positive")
+    d = _default_delta(graph) if delta is None else finite_positive("delta", delta)
     return _run_widest(graph, source, d, controller=None, max_iterations=0)
 
 

@@ -109,44 +109,19 @@ def batch_run(
     runner: Runner,
     *,
     label: str = "batch",
-    mode: str = "loop",
-    delta: float | None = None,
 ) -> BatchRun:
-    """Run ``runner`` from every source, in source order.
+    """Run ``runner`` from every source, in source order, on the calling
+    thread; any callable works.
 
-    ``mode="loop"`` (the default) calls ``runner`` once per source on
-    the calling thread; any callable works.  Threads would not help:
-    two ran the robustness experiment in 0.703 s wall against 0.577 s
-    serially (2-vCPU host; see :mod:`repro.service.pool`).
-
-    ``mode="batched"`` is the fast path: it ignores ``runner`` and
-    answers the whole batch with one multi-source near+far pass
-    (:func:`repro.sssp.batch_kernels.batched_nearfar_sssp`, optionally
-    tuned by ``delta``).  Distances are byte-identical to looping
-    ``nearfar_sssp`` over the sources; traces come back empty (the
-    batched kernel keeps counters, not per-iteration records).  Any
-    other ``mode`` raises ``ValueError``.
+    Threads would not help: two ran the robustness experiment in
+    0.703 s wall against 0.577 s serially (2-vCPU host; see
+    :mod:`repro.service.pool`).  A batch of fixed-delta near+far
+    queries that needs no traces is faster as one multi-source pass,
+    :func:`repro.sssp.batch_kernels.batched_nearfar_sssp`.
     """
-    if mode not in ("loop", "batched"):
-        raise ValueError(f"mode must be 'loop' or 'batched', got {mode!r}")
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         raise ValueError("sources must be non-empty")
-
-    if mode == "batched":
-        from repro.sssp.batch_kernels import batched_nearfar_sssp
-
-        results = batched_nearfar_sssp(graph, sources, delta=delta)
-        traces = [
-            RunTrace(
-                algorithm="nearfar", graph_name=graph.name, source=int(s)
-            )
-            for s in sources
-        ]
-        return BatchRun(
-            label=label, sources=sources, results=results, traces=traces
-        )
-
     results: List[SSSPResult] = []
     traces: List[RunTrace] = []
     for s in sources:

@@ -56,7 +56,7 @@ from repro.sssp.frontier import (
     batched_drain_far,
     batched_filter,
 )
-from repro.sssp.nearfar import suggest_delta
+from repro.sssp.nearfar import finite_positive, suggest_delta
 from repro.sssp.result import SSSPResult
 
 __all__ = ["batched_nearfar_sssp"]
@@ -76,8 +76,8 @@ def _delta_array(graph: CSRGraph, delta, num_queries: int) -> np.ndarray:
             f"delta must be a scalar or length-{num_queries} "
             f"sequence, got shape {value.shape}"
         )
-    if np.any(~np.isfinite(value)) or np.any(value <= 0):
-        raise ValueError("every delta must be finite and positive")
+    for width in value.tolist():
+        finite_positive("delta", width)
     return value
 
 

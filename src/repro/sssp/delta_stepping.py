@@ -16,6 +16,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.sssp.deadline import check_deadline
 from repro.sssp.frontier import edge_offsets, sorted_unique
+from repro.sssp.nearfar import finite_positive, suggest_delta
 from repro.sssp.result import SSSPResult
 
 __all__ = ["delta_stepping"]
@@ -58,7 +59,8 @@ def delta_stepping(
 ) -> SSSPResult:
     """Meyer–Sanders delta-stepping with a fixed bucket width.
 
-    ``delta`` defaults to the average edge weight (a common heuristic).
+    ``delta`` (finite and positive) defaults to the average edge weight
+    (a common heuristic).
     Requires non-negative weights.  Past ``deadline`` (see
     :mod:`repro.sssp.deadline`) the run stops with ``DeadlineExceeded``.
     """
@@ -67,10 +69,7 @@ def delta_stepping(
         raise ValueError(f"source {source} out of range for {n} nodes")
     if graph.has_negative_weights():
         raise ValueError("delta-stepping requires non-negative edge weights")
-    if delta is None:
-        delta = max(graph.average_weight, 1e-12)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    delta = suggest_delta(graph) if delta is None else finite_positive("delta", delta)
 
     dist = np.full(n, np.inf)
     dist[source] = 0.0

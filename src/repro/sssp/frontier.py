@@ -303,9 +303,9 @@ def batched_drain_far(
     Mirrors :func:`drain_far_queue` independently for every query whose
     ``need`` flag is set (near queue empty, far queue not), in one
     vectorised pass: stale entries are dropped, each draining query's
-    window jumps to ``max(split + delta, d_min + delta)`` (its own
-    ``d_min``, via ``np.minimum.at``; at least one float step above
-    ``d_min``), and entries now inside the new window become that
+    window jumps to ``max(split + delta, dmin + delta)`` (``dmin`` its
+    least live far distance, via ``np.minimum.at``; at least one float
+    step above ``dmin``), and entries now inside the new window become that
     query's next frontier.  Entries of queries not in ``need`` pass
     through untouched.  A draining query with only stale entries keeps
     its window (nothing to pull) and simply loses the stale entries,

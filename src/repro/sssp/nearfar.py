@@ -14,6 +14,7 @@ advances the window and pulls the next band from the far queue.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.sssp.deadline import check_deadline
 from repro.sssp.frontier import advance, bisect, drain_far_queue, filter_frontier
 from repro.sssp.result import SSSPResult
 
-__all__ = ["nearfar_sssp", "suggest_delta"]
+__all__ = ["finite_positive", "nearfar_sssp", "suggest_delta"]
 
 
 def suggest_delta(graph: CSRGraph) -> float:
@@ -39,6 +40,18 @@ def suggest_delta(graph: CSRGraph) -> float:
     motivation for the self-tuning controller.
     """
     return max(graph.average_weight, 1e-12)
+
+
+def finite_positive(name: str, value: float) -> float:
+    """``value`` if it is finite and positive, else ``ValueError``.
+
+    The one rule for a window width or set-point (``delta``,
+    ``initial_delta``, ``setpoint``) wherever a solver takes one, with
+    one message per knob: NaN, ±inf, zero and negatives all fail it.
+    """
+    if 0.0 < value < math.inf:
+        return value
+    raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def nearfar_sssp(
@@ -57,8 +70,9 @@ def nearfar_sssp(
     graph, source:
         Problem instance (non-negative weights required).
     delta:
-        The static window width, the knob the paper replaces with a
-        controller-driven one; defaults to :func:`suggest_delta`.
+        The static window width (finite and positive), the knob the
+        paper replaces with a controller-driven one; defaults to
+        :func:`suggest_delta`.
     max_iterations:
         Safety valve for tests (0 = unlimited).
     collect_trace:
@@ -75,10 +89,7 @@ def nearfar_sssp(
         Exact shortest-path distances plus the per-iteration workload
         trace used for parallelism profiles and platform simulation.
     """
-    if delta is None:
-        delta = suggest_delta(graph)
-    if not delta > 0:  # NaN too
-        raise ValueError("delta must be positive")
+    delta = suggest_delta(graph) if delta is None else finite_positive("delta", delta)
     if max_iterations < 0:
         raise ValueError("max_iterations must be >= 0")
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.advance_model import AdvanceModel
+from repro.core.advance_model import D_MIN, AdvanceModel
 
 
 class TestLearning:
@@ -55,11 +55,11 @@ class TestPredictions:
 
 class TestGuards:
     def test_d_floor(self):
-        model = AdvanceModel(initial_d=1.0, d_min=0.5)
+        model = AdvanceModel(initial_d=1.0)
         # adversarial observations pushing d towards 0
         for _ in range(100):
             model.observe(1000, 0)
-        assert model.d >= 0.5
+        assert model.d >= D_MIN == 1e-3
 
     def test_rejects_negative_counters(self):
         model = AdvanceModel()

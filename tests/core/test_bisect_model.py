@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.bisect_model import BisectModel
+from repro.core.bisect_model import ALPHA_MIN, BOOTSTRAP_UPDATES, INITIAL_ALPHA, BisectModel
 
 
 class TestLearning:
     def test_learns_linear_response(self):
         """Plant: widening delta by x pulls 50x vertices into the frontier."""
-        model = BisectModel(initial_alpha=1.0)
+        model = BisectModel()
         rng = np.random.default_rng(0)
         for _ in range(400):
             x4 = int(rng.integers(10, 1000))
@@ -24,9 +24,10 @@ class TestLearning:
         assert model.updates == 0
 
     def test_convergence_flag_after_five_updates(self):
-        model = BisectModel(convergence_updates=5)
-        assert not model.converged
+        model = BisectModel()
+        assert BOOTSTRAP_UPDATES == 5
         for i in range(5):
+            assert not model.converged
             model.observe(10, 1.0, 12)
         assert model.converged
 
@@ -43,15 +44,18 @@ class TestLearning:
 
 class TestPredictionsAndGuards:
     def test_predict_eq4(self):
-        model = BisectModel(initial_alpha=3.0)
-        assert model.predict(100, 10.0) == pytest.approx(130.0)
+        model = BisectModel()
+        assert INITIAL_ALPHA == 1.0
+        assert model.predict(100, 10.0) == pytest.approx(110.0)
+        model.observe(100, 10.0, 130)  # one step toward α = 3
+        assert model.predict(100, 10.0) == pytest.approx(100.0 + model.alpha * 10.0)
 
     def test_alpha_floor(self):
-        model = BisectModel(initial_alpha=1.0, alpha_min=0.01)
+        model = BisectModel()
         # plant that never responds drives alpha to the floor, not below
         for _ in range(100):
             model.observe(100, 10.0, 100)
-        assert model.alpha >= 0.01
+        assert model.alpha >= ALPHA_MIN == 1e-6
 
     def test_rejects_negative_counters(self):
         model = BisectModel()
@@ -59,7 +63,3 @@ class TestPredictionsAndGuards:
             model.observe(-1, 1.0, 5)
         with pytest.raises(ValueError):
             model.observe(5, 1.0, -1)
-
-    def test_rejects_bad_initial(self):
-        with pytest.raises(ValueError):
-            BisectModel(initial_alpha=-1.0)

@@ -4,12 +4,8 @@ import math
 
 import pytest
 
-from repro.core.controller import (
-    BOOTSTRAP_UPDATES,
-    DELTA_MIN,
-    MAX_STEP_FRACTION,
-    SetpointController,
-)
+from repro.core.bisect_model import BOOTSTRAP_UPDATES
+from repro.core.controller import DELTA_MIN, MAX_STEP_FRACTION, SetpointController
 
 
 def _controller(setpoint=1000.0, initial_delta=1.0, **kw):

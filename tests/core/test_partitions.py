@@ -331,3 +331,76 @@ TestPartitionsMatchReference = PartitionsMatchReference.TestCase
 TestPartitionsMatchReference.settings = settings(
     max_examples=200, stateful_step_count=60, deadline=None
 )
+
+
+class FlatBag:
+    """The unpartitioned far queue: one bag that any positive split drains.
+
+    Kept as the executable reference for the flat-queue ablation, which
+    is a :class:`FarQueuePartitions` with one partition covering [0, ∞)
+    and no Eq. 7 refresh.
+    """
+
+    def __init__(self):
+        self.chunks: List[np.ndarray] = []
+
+    def total(self) -> int:
+        return sum(int(c.size) for c in self.chunks)
+
+    def insert(self, vertices: np.ndarray) -> None:
+        if vertices.size:
+            self.chunks.append(vertices)
+
+    def extract_below(self, split: float) -> np.ndarray:
+        if split <= 0 or not self.chunks:  # NaN pulls all
+            return np.zeros(0, dtype=np.int64)
+        out, self.chunks = np.concatenate(self.chunks), []
+        return out
+
+
+class OnePartitionMatchesFlatBag(RuleBasedStateMachine):
+    """``FarQueuePartitions(inf)`` routes, pulls and drains as one bag."""
+
+    def __init__(self):
+        super().__init__()
+        self.queue = FarQueuePartitions(math.inf)
+        self.ref = FlatBag()
+        self.next_vertex = 0
+
+    @rule(distances=st.lists(st.floats(min_value=0.0, max_value=1e12), max_size=12))
+    def insert(self, distances):
+        d = np.asarray(distances, dtype=np.float64)
+        v = np.arange(self.next_vertex, self.next_vertex + d.size, dtype=np.int64)
+        self.next_vertex += d.size
+        self.queue.insert(v, d)
+        self.ref.insert(v)
+
+    @rule(
+        split=st.one_of(
+            st.floats(min_value=-1.0, max_value=1e12), st.sampled_from([0.0, math.inf, math.nan])
+        )
+    )
+    def extract_below(self, split):
+        got, want = self.queue.extract_below(split), self.ref.extract_below(split)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)  # same vertices in the same order
+
+    @rule()
+    def window_inputs(self):
+        """What the stepper reads: the controller's Eq. 8 inputs and the drain's probe."""
+        total = self.ref.total()
+        assert self.queue.current_partition_size() == total
+        assert self.queue.current_partition_upper() == math.inf
+        assert self.queue.min_occupied_lower() == (0.0 if total else math.inf)
+
+    @invariant()
+    def same_state(self):
+        assert self.queue.total() == self.ref.total()
+        assert self.queue.boundaries == [math.inf, math.inf]
+        assert self.queue.partition_sizes().tolist() == [self.ref.total(), 0]
+
+
+TestOnePartitionMatchesFlatBag = OnePartitionMatchesFlatBag.TestCase
+TestOnePartitionMatchesFlatBag.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None
+)

@@ -104,6 +104,31 @@ class TestZeroWeights:
         assert_distances_close(dijkstra(graph, 0), result)
 
 
+class TestFlatQueue:
+    def test_flat_queue_is_one_unrefreshed_partition(self, small_grid):
+        """``use_partitions=False`` runs on one partition covering [0, inf)
+        and books no Eq. 7 refresh; the partitioned queue refreshes."""
+        from repro import obs
+        from repro.core.partitions import FarQueuePartitions
+
+        refreshes = {}
+        for use_partitions in (True, False):
+            reg = obs.MetricsRegistry()
+            with obs.use(registry=reg):
+                stepper = AdaptiveNearFarStepper(
+                    small_grid, 0, _params(use_partitions=use_partitions)
+                )
+                result = stepper.run()
+            assert type(stepper.partitions) is FarQueuePartitions
+            assert_distances_close(dijkstra(small_grid, 0), result)
+            snap = reg.snapshot()
+            assert snap["farq.inserted"]["value"] > 0
+            refreshes[use_partitions] = snap["farq.refreshes"]["value"]
+            if not use_partitions:
+                assert stepper.partitions.boundaries == [np.inf, np.inf]
+        assert refreshes[False] == 0 < refreshes[True]
+
+
 class TestValidation:
     def test_bad_source(self, small_grid):
         with pytest.raises(ValueError, match="out of range"):

@@ -12,6 +12,7 @@ from repro.sssp.batch import (
     pooled_parallelism,
     sample_sources,
 )
+from repro.sssp.batch_kernels import batched_nearfar_sssp
 from repro.sssp.dijkstra import dijkstra
 from repro.sssp.nearfar import nearfar_sssp
 from repro.sssp.result import assert_distances_close
@@ -111,7 +112,8 @@ class TestBatchRun:
 
 class TestParallelBatch:
     """There is no parallel batch: ``batch_run`` loops on the calling
-    thread or calls the fused kernel, and a thread mode is rejected.
+    thread, and neither a thread mode nor the batched kernel hides
+    behind a keyword.
 
     Threads would not help: the interpreter lock serialises a sweep's
     numpy calls (see :mod:`repro.service.pool` for the measurements).
@@ -123,24 +125,33 @@ class TestParallelBatch:
 
     @pytest.mark.parametrize("mode", ["process", "threads", "", "thread"])
     def test_unknown_mode_rejected(self, grid, mode):
-        """Only the serial loop and the batched kernel exist; nothing falls back."""
-        with pytest.raises(ValueError, match="mode must be 'loop' or 'batched'"):
+        """The serial loop is the only mode; nothing selects another."""
+        with pytest.raises(TypeError, match="mode"):
             batch_run(grid, [0, 5], _nearfar_runner, mode=mode)
 
     def test_no_fan_out_keywords(self, grid):
-        for keyword in ("parallel", "max_workers", "timeout"):
+        for keyword in ("parallel", "max_workers", "timeout", "mode", "delta"):
             with pytest.raises(TypeError, match=keyword):
                 batch_run(grid, [0, 5], _nearfar_runner, **{keyword: 2})
 
     def test_loop_is_the_default_mode(self, grid):
-        loop = batch_run(grid, [0, 5], _nearfar_runner, mode="loop")
-        default = batch_run(grid, [0, 5], _nearfar_runner)
-        for a, b in zip(loop.results, default.results):
-            assert np.array_equal(a.dist, b.dist)
-            assert a.iterations == b.iterations
+        """One runner call per source, in source order, duplicates included."""
+        calls = []
+
+        def runner(graph, source):
+            calls.append(source)
+            return _nearfar_runner(graph, source)
+
+        batch = batch_run(grid, [5, 0, 5], runner)
+        assert calls == [5, 0, 5]
+        assert [r.source for r in batch.results] == [5, 0, 5]
+        assert [t.source for t in batch.traces] == [5, 0, 5]
 
 
 class TestBatchedMode:
+    """The batched alternative to the loop is the multi-source kernel
+    itself, :func:`batched_nearfar_sssp`."""
+
     @pytest.fixture(scope="class")
     def grid(self):
         return grid_road_network(16, 16, seed=5)
@@ -148,41 +159,16 @@ class TestBatchedMode:
     def test_matches_serial_loop(self, grid):
         sources = sample_sources(grid, 5, seed=7)
         serial = batch_run(grid, sources, _nearfar_runner, label="loop")
-        batched = batch_run(grid, sources, _nearfar_runner, mode="batched")
-        for loop, multi in zip(serial.results, batched.results):
+        batched = batched_nearfar_sssp(grid, sources)
+        for loop, multi in zip(serial.results, batched):
             assert np.array_equal(loop.dist, multi.dist)
-
-    def test_runner_is_ignored(self, grid):
-        def exploding_runner(g, s):
-            raise AssertionError("batched mode must not call the runner")
-
-        batch = batch_run(grid, [0, 3], exploding_runner, mode="batched")
-        assert batch.count == 2
-        for s, result in zip(batch.sources, batch.results):
-            assert_distances_close(dijkstra(grid, int(s)), result)
-
-    def test_traces_are_empty_placeholders(self, grid):
-        batch = batch_run(grid, [0, 9], _nearfar_runner, mode="batched")
-        assert len(batch.traces) == 2
-        for s, trace in zip(batch.sources, batch.traces):
-            assert len(trace) == 0
-            assert trace.source == int(s)
-            assert trace.algorithm == "nearfar"
+            assert loop.iterations == multi.iterations
 
     def test_delta_override(self, grid):
-        batch = batch_run(
-            grid, [0], _nearfar_runner, mode="batched", delta=4.0
-        )
-        assert batch.results[0].extra["delta"] == 4.0
-        assert_distances_close(dijkstra(grid, 0), batch.results[0])
-
-    def test_as_row_still_works(self, grid):
-        batch = batch_run(grid, [0, 5, 9], _nearfar_runner, mode="batched")
-        row = batch.as_row()
-        assert row["sources"] == 3
-        assert batch.iterations().min() > 0
+        (result,) = batched_nearfar_sssp(grid, [0], 4.0)
+        assert result.extra["delta"] == 4.0
+        assert_distances_close(dijkstra(grid, 0), result)
 
     def test_empty_sources_rejected(self, grid):
         with pytest.raises(ValueError, match="non-empty"):
-            batch_run(grid, [], _nearfar_runner, mode="batched")
-
+            batched_nearfar_sssp(grid, [])

@@ -92,11 +92,11 @@ class TestBucketBehaviour:
 
 class TestValidation:
     def test_rejects_nonpositive_delta(self, small_grid):
-        with pytest.raises(ValueError, match="delta must be positive"):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
             delta_stepping(small_grid, 0, 0.0)
 
     def test_rejects_nan_delta(self, small_grid):
-        with pytest.raises(ValueError, match="delta must be positive"):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
             delta_stepping(small_grid, 0, float("nan"))
 
     def test_rejects_negative_weights(self):

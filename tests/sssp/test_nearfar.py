@@ -107,7 +107,7 @@ class TestParams:
             nearfar_sssp(small_grid, 0, -1.0)
 
     def test_nan_delta_rejected(self, small_grid):
-        with pytest.raises(ValueError, match="delta must be positive"):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
             nearfar_sssp(small_grid, 0, delta=float("nan"))
 
     def test_bad_max_iterations(self, small_grid):

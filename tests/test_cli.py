@@ -524,6 +524,59 @@ class TestBadSampleRate:
         assert proc.stderr.strip() == self.MESSAGE
 
 
+class TestBadKnobValue:
+    """``sssp`` and ``trace record`` answer a bad knob value with one line."""
+
+    CASES = {
+        "sssp --setpoint 0": "bad --setpoint: setpoint must be finite and positive, got 0.0",
+        "sssp --setpoint nan": "bad --setpoint: setpoint must be finite and positive, got nan",
+        "sssp --setpoint inf": "bad --setpoint: setpoint must be finite and positive, got inf",
+        "sssp --algorithm delta-stepping --delta 0": (
+            "bad --delta: delta must be finite and positive, got 0.0"
+        ),
+        "sssp --algorithm nearfar --delta inf": (
+            "bad --delta: delta must be finite and positive, got inf"
+        ),
+        "sssp --algorithm kla --k 0": "bad --k: must be >= 1, got 0",
+        "trace record --algorithm nearfar --delta -1": (
+            "bad --delta: delta must be finite and positive, got -1.0"
+        ),
+        "trace record --setpoint nan": (
+            "bad --setpoint: setpoint must be finite and positive, got nan"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_exits_with_one_line(self, graph_file, tmp_path, command):
+        argv = [*command.split(), graph_file]
+        if command.startswith("trace"):
+            argv += ["-o", str(tmp_path / "run")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value) == self.CASES[command]
+        assert not list(tmp_path.glob("run.*"))  # refused before anything ran
+
+    def test_process_exits_1_without_traceback(self, graph_file):
+        import os
+        import subprocess
+        import sys as _sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [_sys.executable, "-m", "repro", "sssp", graph_file, "--setpoint", "nan"],
+            stdin=subprocess.DEVNULL, capture_output=True, text=True,
+            env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip() == (
+            "bad --setpoint: setpoint must be finite and positive, got nan"
+        )
+
+
 class TestVersionCommand:
     def test_version(self, capsys):
         from repro import __version__

@@ -484,6 +484,18 @@ REMOVED_NAMES = (
     "refresh_period",
     "use_guard",
     "guard_window",
+    # one far queue (the flat ablation is a one-partition queue) and no
+    # tuning field under the controller: the optimisers' and models'
+    # values are constants of their modules (FixedRateSGD's old ``rate``
+    # is too common a word to ban)
+    "FlatFarQueue",
+    "epsilon",
+    "max_relative_step",
+    "step_floor",
+    "d_min",
+    "initial_alpha",
+    "alpha_min",
+    "convergence_updates",
 )
 
 
@@ -640,6 +652,9 @@ def test_removed_dispatch_layers_not_imported():
         "c._keep_beat(p), c.last_frame, w.heartbeat_seconds, s.heartbeat_expired(now)\n"
         "pool.map_ordered('g', f, a), PoolTimeoutError, pool.abandon(f), "
         "h['lost_workers'], 'a task the timeout abandoned'\n"
+        "FlatFarQueue(1.0), AdaptiveSGD(1.0, epsilon=1e-8, max_relative_step=10.0, "
+        "step_floor=1e-3), m.d_min, BisectModel(initial_alpha=1.0, alpha_min=1e-6, "
+        "convergence_updates=5)\n"
     )
     assert sorted(_removed_imports(probe, "probe.py")) == [
         "probe.py:10: names merge_snapshot",
@@ -728,6 +743,14 @@ def test_removed_dispatch_layers_not_imported():
         "probe.py:21: names abandon",
         "probe.py:21: names lost_workers",
         "probe.py:21: names map_ordered",
+        "probe.py:22: names FlatFarQueue",
+        "probe.py:22: names alpha_min",
+        "probe.py:22: names convergence_updates",
+        "probe.py:22: names d_min",
+        "probe.py:22: names epsilon",
+        "probe.py:22: names initial_alpha",
+        "probe.py:22: names max_relative_step",
+        "probe.py:22: names step_floor",
         "probe.py:3: names ProcessPoolExecutor",
         "probe.py:4: names poolbreak",
         "probe.py:7: names TELEMETRY_WIRE_VERSION",
